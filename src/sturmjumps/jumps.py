@@ -52,8 +52,9 @@ def find_jump(
     """Solve theta(b; lambda) = n*pi for the n-th jump coupling.
 
     ``tol`` is relative in theta: the returned root satisfies
-    |theta(b; lambda_n) - n*pi| <= tol*n.  The phase is integrated with
-    rtol = tol/10 unless overridden.
+    |theta(b; lambda_n) - n*pi| <= tol*n, and BracketingError is raised
+    when no iterate does.  The phase is integrated with rtol = tol/10
+    unless overridden.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -120,6 +121,11 @@ def find_jump(
             side = 1
         if hi - lo <= 8.0 * 2.220446049250313e-16 * hi:
             break
+    if abs(best_f) > tol_theta:
+        raise BracketingError(
+            f"no root within tolerance for n={n}: best |theta(b) - n*pi| = {abs(best_f)!r} "
+            f"at lambda={best_lam!r} exceeds {tol_theta!r}"
+        )
     return JumpRecord(n, best_lam, abs(best_f), best_lam * d / _PI - n)
 
 

@@ -1,27 +1,54 @@
 """Prüfer-phase counting of negative Dirichlet eigenvalues.
 
 For u'' = -lambda^2 V u with u(a) = 0, write u = r sin(theta) and
-u' = s r cos(theta) with a constant scale s > 0.  The phase then obeys
+u' = S r cos(theta) with the Liouville-Green scale S(x) = lambda sqrt(V(x)).
+The phase then obeys
 
-    theta' = s cos(theta)^2 + (lambda^2 V / s) sin(theta)^2,   theta(a) = 0,
+    theta' = lambda sqrt(V) + (V' / (4 V)) sin(2 theta),   theta(a) = 0.
 
-which is strictly positive for V > 0, so theta climbs monotonically
-through multiples of pi exactly at the zeros of u.  By Sturm oscillation
-the number of zeros of u on (a, b) equals the number of strictly
-negative eigenvalues N(lambda), hence
+Its leading term integrates to the Liouville-Green phase lambda * D,
+D = int sqrt(V), and the oscillating term is O(1) in lambda, so the
+integrator's step count and global error grow slowly with lambda.  At
+theta = k*pi the sine vanishes and theta' = lambda sqrt(V) > 0: theta
+crosses each multiple of pi exactly once, upward, at the zeros of u.
+An accepted step that crosses one downward is an integration failure
+and raises PhaseError (between multiples theta may dip where
+|V'|/(4V) > lambda sqrt(V); that is harmless).
 
-    N(lambda) = ceil(theta(b)/pi) - 1
+Where the Liouville-Green stretch ends, normally at the stopping point
+x1, the angle is converted to the constant scale
+s = lambda * sqrt(max(c_lower, 1)) (theorem class; plain lambda
+otherwise), i.e. to tan(theta_s) = s u/u': with k = round(theta/pi) and
+phi = theta - k*pi,
 
-away from the jump couplings where theta(b) is a multiple of pi.  The
-scale s = lambda * sqrt(max(c_lower, 1)) (theorem class; plain lambda
-otherwise) keeps the two terms balanced for large lambda; any s > 0
-yields the same crossing count.
+    theta_s = k*pi + atan2(s sin(phi), S cos(phi)),   S = S(x1).
+
+The conversion keeps every multiple of pi, so counts are unchanged, and
+gives theta_b one meaning independent of how V behaves at b.  Near a
+multiple of pi it multiplies the raw angle's error by s/S, so the
+stretch is integrated at rtol * min(1, S/s).  That factor is
+unbounded where V tends to 0 at b (declared gamma_b > 0), and there the
+Liouville-Green scale fails anyway: within the turning-point layer,
+where |V'|/(4V) ~ gamma_b/(4(b-x)) exceeds lambda sqrt(V), the angle is
+converted on entering the layer, where s/S is about
+(4 lambda/gamma_b)^(gamma_b/(gamma_b+2)) (for V ~ (b-x)^gamma_b), and
+the rest is integrated on the constant scale s,
+
+    theta' = s cos(theta)^2 + (lambda^2 V / s) sin(theta)^2.
+
+By Sturm oscillation the number of zeros of u on (a, b) equals the
+number of strictly negative eigenvalues N(lambda), hence
+
+    N(lambda) = ceil(theta_s(b)/pi) - 1
+
+away from the jump couplings where theta_s(b) is a multiple of pi.
 
 Conjecture-class potentials are never evaluated at a singular endpoint:
 integration starts at a + delta with the phase seeded from the leading
-solution behaviour u ~ (x - a), and symmetrically stops at b - delta
-with the matching phase correction added (exact at the jumps, where the
-solution vanishes at b).
+solution behaviour u ~ (x - a), theta(a + delta) = atan(S(a + delta)
+delta), and symmetrically stops at b - delta with the matching
+scale-s phase correction added (exact at the jumps, where the solution
+vanishes at b).
 """
 
 from __future__ import annotations
@@ -135,8 +162,9 @@ def _rk45(f, x, y, x_end, rtol, atol, max_steps):
         sc = atol + rtol * max(abs(y), abs(y_new))
         err = err_abs / sc
         if err <= 1.0:
-            if y_new < y - sc:
-                raise PhaseError(f"phase decreased across a step at x={x}")
+            # theta' > 0 at every multiple of pi: crossing one downward is a failure
+            if y_new < y - sc and math.floor(y_new / _PI) < math.floor(y / _PI):
+                raise PhaseError(f"phase crossed a multiple of pi downward at x={x}")
             x += h
             y = y_new
             k1 = k7
@@ -220,6 +248,10 @@ def start_point(p: Potential, lam: float, delta_tol: float = 1e-10, end: str = "
 # ---------------------------------------------------------------------------
 
 
+def _fell(x: float, v: float, v_floor: float) -> PhaseError:
+    return PhaseError(f"potential fell to V({x}) = {v} (floor {v_floor})")
+
+
 def phase(
     p: Potential,
     lam: float,
@@ -241,36 +273,64 @@ def phase(
         s = lam
         v_floor = 0.0
 
+    fv = p.value_fn
     x0, theta0 = p.a, 0.0
     x1, tail = p.b, 0.0
-    if not theorem:
-        if p.gamma_a != 0.0:
-            delta = _offset_delta(p, lam, delta_tol, "a")
-            x0 = p.a + delta
-            theta0 = math.atan2(s * delta, 1.0)
-        if p.gamma_b != 0.0:
-            delta = _offset_delta(p, lam, delta_tol, "b")
-            x1 = p.b - delta
-            tail = math.atan2(s * delta, 1.0)
-        if not x0 < x1:
+    layer = 0.0
+    try:
+        if not theorem:
+            if p.gamma_a != 0.0:
+                delta = _offset_delta(p, lam, delta_tol, "a")
+                x0 = p.a + delta
+                theta0 = math.atan(lam * math.sqrt(fv(x0)) * delta)
+            if p.gamma_b != 0.0:
+                delta = _offset_delta(p, lam, delta_tol, "b")
+                x1 = p.b - delta
+                tail = math.atan2(s * delta, 1.0)
+            if p.gamma_b > 0.0:
+                # turning-point layer: |V'|/(4V) ~ gamma_b/(4(b-x)) exceeds lam sqrt(V)
+                layer = _offset_delta(p, lam, (0.25 * p.gamma_b) ** 2, "b")
+        xm = min(p.b - layer, x1)  # where the Liouville-Green stretch ends
+        if not x0 < xm:
             raise PhaseError("endpoint offsets overlap; interval too small for this lambda")
 
-    fv = p.value_fn
-    lam2_over_s = lam * lam / s
-    half_s = 0.5 * s
+        fvd = p.value_d1_fn
+        sqrt, sin, cos = math.sqrt, math.sin, math.cos
 
-    def rhs(x, th):
-        v = fv(x)
-        if not v > v_floor:
-            raise PhaseError(f"potential fell to V({x}) = {v} (floor {v_floor})")
-        q = lam2_over_s * v
-        return half_s + 0.5 * q + (half_s - 0.5 * q) * math.cos(2.0 * th)
+        def lg_rhs(x, th):
+            v, dv = fvd(x)
+            if not v > v_floor:
+                raise _fell(x, v, v_floor)
+            return lam * sqrt(v) + 0.25 * dv / v * sin(2.0 * th)
 
-    try:
-        theta_end, steps, rejected = _rk45(rhs, x0, theta0, x1, rtol, rtol * _PI, max_steps)
+        v_m = fv(xm)
+        if not v_m > v_floor:
+            raise _fell(xm, v_m, v_floor)
+        # the conversion multiplies the angle's error by up to s/S(xm)
+        scale_m = lam * sqrt(v_m)
+        lg_rtol = rtol * min(1.0, scale_m / s)
+        theta, steps, rejected = _rk45(lg_rhs, x0, theta0, xm, lg_rtol, lg_rtol * _PI, max_steps)
+        k = round(theta / _PI)
+        phi = theta - k * _PI
+        theta = k * _PI + math.atan2(s * sin(phi), scale_m * cos(phi))
+        if xm < x1:
+            lam2_over_s = lam * lam / s
+
+            def constant_scale_rhs(x, th):
+                v = fv(x)
+                if not v > v_floor:
+                    raise _fell(x, v, v_floor)
+                q = lam2_over_s * v
+                return 0.5 * (s + q) + 0.5 * (s - q) * cos(2.0 * th)
+
+            theta, more, more_rejected = _rk45(
+                constant_scale_rhs, xm, theta, x1, rtol, rtol * _PI, max_steps - steps
+            )
+            steps += more
+            rejected += more_rejected
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-    theta_b = theta_end + tail
+    theta_b = theta + tail
 
     t = theta_b / _PI
     nearest = round(t)

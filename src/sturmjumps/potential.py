@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import ExprAst, compile_value, eval_jet2, parse, serialize
+from .expr import ExprAst, compile_value, compile_value_d1, eval_jet2, parse, serialize
 
 __all__ = [
     "Regularity",
@@ -118,10 +118,16 @@ class Potential:
         """Vectorized V(x) over numpy arrays; screen outputs with isfinite."""
         return compile_value(self.ast, vectorized=True)
 
+    @cached_property
+    def value_d1_fn(self):
+        """Fast scalar x -> (V(x), V'(x)); math-domain errors propagate as raw exceptions."""
+        return compile_value_d1(self.ast)
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("value_fn", None)
         state.pop("value_fn_np", None)
+        state.pop("value_d1_fn", None)
         return state
 
     def __setstate__(self, state):

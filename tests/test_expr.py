@@ -12,6 +12,7 @@ from sturmjumps.expr import (
     Symbol,
     Unary,
     compile_value,
+    compile_value_d1,
     eval_jet2,
     parse,
     serialize,
@@ -131,6 +132,34 @@ def test_compiled_value_matches_jets(source, lo, hi):
     for i in range(25):
         x = lo + (hi - lo) * (i + 0.5) / 25
         assert fn(x) == pytest.approx(eval_jet2(ast, x).v, rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("source,lo,hi", _FD_CASES + [("x^2", -2.0, 2.0)])
+def test_compiled_value_d1_matches_jets(source, lo, hi):
+    ast = parse(source)
+    fn = compile_value_d1(ast)
+    for i in range(25):
+        x = lo + (hi - lo) * (i + 0.5) / 25
+        jet = eval_jet2(ast, x)
+        v, d1 = fn(x)
+        assert v == pytest.approx(jet.v, rel=1e-14, abs=1e-300)
+        assert d1 == pytest.approx(jet.d1, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "source,x,error",
+    [
+        ("log(x)", -1.0, ValueError),
+        ("sqrt(x)", -2.0, ValueError),
+        ("x^0.5", -2.0, ValueError),
+        ("2+1/x", 0.0, ZeroDivisionError),
+        ("(1-x)/x", 0.0, ZeroDivisionError),
+        ("exp(x)", 1e6, OverflowError),
+    ],
+)
+def test_compiled_value_d1_domain_errors(source, x, error):
+    with pytest.raises(error):
+        compile_value_d1(parse(source))(x)
 
 
 def test_compiled_vectorized_matches_scalar():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sturmjumps.jumps import JumpRecord, find_jump, jump_sequence
+from sturmjumps.jumps import BracketingError, JumpRecord, find_jump, jump_sequence
 from sturmjumps.oscillation import count_negative
 from sturmjumps.potential import Potential
 from sturmjumps.spectra_oracle import count_matrix
@@ -89,3 +89,17 @@ def test_invalid_ranges(v_one):
         find_jump(v_one, 0)
     with pytest.raises(ValueError):
         jump_sequence(v_one, 5, 2)
+
+
+def test_unconverged_root_raises(v_one, monkeypatch):
+    # theta(b) leaps over the target at lambda = 3: every iterate misses by 1
+    import sturmjumps.jumps as jumps
+    from sturmjumps.oscillation import PhaseResult
+
+    def leaping_phase(p, lam, rtol=1e-10, delta_tol=1e-10):
+        theta = 3.0 * math.pi + (1.0 if lam >= 3.0 else -1.0)
+        return PhaseResult(lam, theta, 0, 1, 0)
+
+    monkeypatch.setattr(jumps, "phase", leaping_phase)
+    with pytest.raises(BracketingError, match="n=3"):
+        find_jump(v_one, 3)

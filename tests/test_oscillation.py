@@ -137,3 +137,10 @@ def test_randomized_oracle_equivalence(v_sin):
         assert count_negative(v_sin, lam) == count_matrix(v_sin, lam, 4000)
         ok += 1
     assert ok >= 7
+
+
+def test_domain_violation_becomes_phase_error():
+    # c_lower is declared, so nothing evaluates V below x = 1 until the phase does
+    p = Potential.from_formula("1+sqrt(x-1)", 0.0, 2.0, c_lower=1.0)
+    with pytest.raises(PhaseError, match="evaluation failed"):
+        phase(p, 5.0)

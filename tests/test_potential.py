@@ -101,3 +101,14 @@ def test_endpoint_constant_symmetric(ga, gb):
 
 def test_endpoint_constant_compact_support_limit():
     assert abs(endpoint_constant(1e6, 1e6) - (-0.5)) < 1e-5
+
+
+def test_pickle_after_phase_keeps_theta():
+    import pickle
+
+    from sturmjumps.oscillation import phase
+
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    before = phase(p, 40.0).theta_b  # fills the compiled-function caches
+    clone = pickle.loads(pickle.dumps(p))
+    assert phase(clone, 40.0).theta_b == before

@@ -1,0 +1,101 @@
+"""The --root-tol contract against exact roots, and the phase against an oracle.
+
+``find_jump(p, n, tol)`` promises |theta(b; lambda_n) - n*pi| <= tol*n.
+Near a root theta(b; .) has slope about D = int sqrt(V), so the promise is
+checked as D*|lambda_n - lambda*_n| <= tol*n against roots known in closed
+form.  The phase itself is cross-checked against the constant-scale Prüfer
+equation, integrated here with the same Dormand-Prince stepper.
+"""
+
+import math
+
+import mpmath
+import pytest
+
+from sturmjumps.jumps import find_jump
+from sturmjumps.oscillation import _rk45, count_negative, phase, start_point
+from sturmjumps.potential import Potential, Regularity
+from sturmjumps.spectra_oracle import count_matrix
+
+TOL = 1e-10
+
+
+@pytest.mark.parametrize("n", [20, 80, 140])
+def test_root_tol_contract_exact_potential(n):
+    # V = (1+x)^-4 on [0, 1]: u = (1+x) sin(lambda x/(1+x)), so lambda_n = 2*pi*n
+    p = Potential.from_formula("(1+x)^(-4)", 0.0, 1.0)
+    d = 0.5
+    rec = find_jump(p, n, tol=TOL, d_value=d)
+    assert d * abs(rec.lambda_n - 2.0 * math.pi * n) <= TOL * n
+
+
+def _bessel_root(gamma, n):
+    # V = x^gamma on [0, 1]: u = sqrt(x) J_nu(2 lambda x^((gamma+2)/2) / (gamma+2)),
+    # nu = 1/(gamma+2), so lambda_n = (gamma+2)/2 * j_(nu, n)
+    nu = mpmath.mpf(1) / (gamma + 2)
+    return (gamma + 2.0) / 2.0 * float(mpmath.besseljzero(nu, n))
+
+
+@pytest.mark.parametrize("n", [70, 100])
+@pytest.mark.parametrize("source,gamma", [("x", 1.0), ("sqrt(x)", 0.5)])
+def test_root_tol_contract_bessel(source, gamma, n):
+    p = Potential.from_formula(
+        source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma, gamma_b=0.0
+    )
+    d = 2.0 / (gamma + 2.0)
+    rec = find_jump(p, n, tol=TOL, d_value=d)
+    assert d * abs(rec.lambda_n - _bessel_root(gamma, n)) <= TOL * n
+
+
+def _constant_scale_theta_b(p, lam, rtol, delta_tol=1e-10):
+    """theta(b) from the constant-scale equation theta' = s cos^2 + (lam^2 V/s) sin^2."""
+    theorem = p.regularity is Regularity.THEOREM
+    s = lam * math.sqrt(max(p.c_lower, 1.0)) if theorem else lam
+    x0, x1 = p.a, p.b
+    if not theorem:
+        x0 = start_point(p, lam, delta_tol, "a")
+        x1 = start_point(p, lam, delta_tol, "b")
+    fv = p.value_fn
+    q_scale = lam * lam / s
+
+    def rhs(x, th):
+        q = q_scale * fv(x)
+        return 0.5 * (s + q) + 0.5 * (s - q) * math.cos(2.0 * th)
+
+    theta, _, _ = _rk45(rhs, x0, math.atan(s * (x0 - p.a)), x1, rtol, rtol * math.pi, 10**8)
+    return theta + math.atan(s * (p.b - x1))
+
+
+@pytest.mark.parametrize("lam", [10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("fixture", ["v_sin", "v_exp", "v_linear", "v_sqrt", "v_rational"])
+def test_phase_matches_constant_scale_oracle(fixture, lam, request):
+    p = request.getfixturevalue(fixture)
+    want = _constant_scale_theta_b(p, lam, 1e-13)
+    got = phase(p, lam, rtol=1e-13).theta_b
+    n = max(1.0, want / math.pi)
+    # at lambda = 1000 the oracle's own global error reaches ~1e-10*n
+    assert abs(got - want) <= 2e-10 * n
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 1.85, 2.5, 3.0])
+def test_steep_dip_counts_match_matrix(lam):
+    # |V'|/(4V) exceeds lambda*sqrt(V) near the minima of V, so theta dips
+    # between multiples of pi; only a downward crossing of one is a failure
+    p = Potential.from_formula("1.2+1.0*sin(3*x)", 0.0, 4.0)
+    res = phase(p, lam)
+    t = res.theta_b / math.pi
+    assert abs(t - round(t)) >= 0.05  # away from a jump, where the matrix oracle is exact
+    assert res.count == count_negative(p, lam) == count_matrix(p, lam, 20000)
+
+
+@pytest.mark.parametrize("n", [27, 225, 400])
+def test_phase_accuracy_at_vanishing_right_end(v_rational, n):
+    # V = (1-x)/x tends to 0 at b, where converting the angle to the scale s
+    # magnifies its error; near lambda_n ~ 2n + 1/3 the error at find_jump's
+    # phase tolerance (tol/10) must stay below tol*n at every coupling
+    errors = []
+    for k in range(8):
+        lam = (2.0 * n + 1.0 / 3.0) * (1.0 + 1e-12 * k)
+        want = phase(v_rational, lam, rtol=1e-13).theta_b
+        errors.append(abs(phase(v_rational, lam, rtol=TOL / 10.0).theta_b - want))
+    assert max(errors) <= TOL * n
