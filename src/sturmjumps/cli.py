@@ -249,10 +249,12 @@ def _cmd_jumps(cfg: RunConfig, p: Potential) -> int:
     )
     if cfg.format == "json":
         payload = {
-            "records": [
-                {"n": r.n, "lambda_n": r.lambda_n, "e_n": r.e_n, "n_times_e_n": r.n * r.e_n}
-                for r in records
-            ],
+            "records": [dict(asdict(r), n_times_e_n=r.n * r.e_n) for r in records],
+            "diagnostics": {
+                "phase_calls": sum(r.phase_calls for r in records),
+                "rk_steps": sum(r.rk_steps for r in records),
+                "residual_over_tol_max": max(r.residual / (cfg.root_tol * r.n) for r in records),
+            },
             "config": cfg.to_dict(),
         }
         _emit_json(cfg, payload)

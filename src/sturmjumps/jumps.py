@@ -2,13 +2,31 @@
 
 lambda_n is the smallest lambda with N(lambda) >= n, equivalently the
 lambda at which the Dirichlet solution gains its n-th zero at x = b, i.e.
-the root of theta(b; lambda) = n*pi.  Since theta(b; .) is strictly
-increasing, a safeguarded secant/bisection on a sign-changing bracket
-converges fast and sidesteps the at-jump counting ambiguity entirely.
+the root of f(lambda) = theta(b; lambda) - n*pi.  theta(b; .) is strictly
+increasing, and each root is found in three stages:
 
-Each record carries e_n = lambda_n * D / pi - n, the deviation of the
-jump from its leading prediction n*pi/D with D the full integral of
-sqrt(V).
+* Start.  On the Liouville-Green scale the problem is -g'' - U g =
+  lambda^2 g on (0, D), whose Dirichlet eigenvalues are
+  ((n+kappa)*pi/D)^2 - Ubar + o(1), Ubar the mean of U over (0, D).
+  The start is lambda0 = sqrt(((n+kappa)*pi/D)^2 - Ubar), with
+  kappa = 0 for theorem-class potentials, and for conjecture-class ones
+  kappa = endpoint_constant(gamma_a, gamma_b) and Ubar = 0 (U is
+  unbounded there); (n+kappa)*pi/D when the radicand is not positive.
+  It depends on (p, n) alone, so a root never depends on which other
+  roots were computed with it.
+* Slope steps.  Since theta(b; lambda) ~ lambda*D, lambda <- lambda -
+  f/slope with the slope starting at D and then taken from the latest
+  secant when that is positive.  A step that would take lambda to 0 or
+  below is replaced by halving lambda; after three tries on the same
+  side the step is doubled each time, so the sign change is reached.
+* Illinois.  Once f changes sign, a safeguarded Illinois secant on the
+  bracket finishes the root.
+
+Any phase evaluation with |f| <= tol*n is accepted at once; when none
+is, BracketingError is raised.  Each record carries e_n = lambda_n *
+D / pi - n, the deviation of the jump from its leading prediction
+n*pi/D with D the full integral of sqrt(V), and the phase calls and RK
+steps the root took.
 """
 
 from __future__ import annotations
@@ -19,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .oscillation import phase
-from .potential import Potential
+from .potential import Potential, Regularity, endpoint_constant
 from .quadrature import integrate_sqrt_v
 
 __all__ = ["JumpRecord", "BracketingError", "find_jump", "jump_sequence"]
@@ -37,6 +55,18 @@ class JumpRecord:
     lambda_n: float
     residual: float
     e_n: float
+    phase_calls: int = 0
+    rk_steps: int = 0
+
+
+def _start(p: Potential, n: int, d: float) -> float:
+    if p.regularity is Regularity.THEOREM:
+        k = n * _PI / d
+        radicand = k * k - p.u_integral / d
+    else:
+        k = (n + endpoint_constant(p.gamma_a, p.gamma_b)) * _PI / d
+        radicand = k * k
+    return math.sqrt(radicand) if radicand > 0.0 else k
 
 
 def find_jump(
@@ -46,15 +76,15 @@ def find_jump(
     delta_tol: float = 1e-10,
     rtol: Optional[float] = None,
     d_value: Optional[float] = None,
-    lam_guess: Optional[float] = None,
     max_expansions: int = 60,
 ) -> JumpRecord:
     """Solve theta(b; lambda) = n*pi for the n-th jump coupling.
 
     ``tol`` is relative in theta: the returned root satisfies
     |theta(b; lambda_n) - n*pi| <= tol*n, and BracketingError is raised
-    when no iterate does.  The phase is integrated with rtol = tol/10
-    unless overridden.
+    when no iterate does, or when ``max_expansions`` slope steps find no
+    sign change.  The phase is integrated with rtol = tol/10 unless
+    overridden.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -64,38 +94,39 @@ def find_jump(
     d = d_value if d_value is not None else integrate_sqrt_v(p, p.a, p.b, 1e-12).value
     target = n * _PI
     tol_theta = tol * n
+    calls = steps = 0
 
     def residual_at(lam):
-        return phase(p, lam, rtol=phase_rtol, delta_tol=delta_tol).theta_b - target
+        nonlocal calls, steps
+        res = phase(p, lam, rtol=phase_rtol, delta_tol=delta_tol)
+        calls += 1
+        steps += res.steps
+        return res.theta_b - target
 
-    lam0 = lam_guess if lam_guess is not None else target / d
-    f0 = residual_at(lam0)
-    if abs(f0) <= tol_theta:
-        return JumpRecord(n, lam0, abs(f0), lam0 * d / _PI - n)
+    def record(lam, f):
+        return JumpRecord(n, lam, abs(f), lam * d / _PI - n, calls, steps)
 
-    # bracket by 25% expansions; theta(b; .) is strictly increasing
-    if f0 < 0.0:
-        lo, flo = lam0, f0
-        hi, fhi = lam0, f0
-        for _ in range(max_expansions):
-            hi *= 1.25
-            fhi = residual_at(hi)
-            if fhi >= 0.0:
-                break
-            lo, flo = hi, fhi
-        else:
-            raise BracketingError(f"no sign change above lambda={lam0} for n={n}")
-    else:
-        hi, fhi = lam0, f0
-        lo, flo = lam0, f0
-        for _ in range(max_expansions):
-            lo /= 1.25
-            flo = residual_at(lo)
-            if flo <= 0.0:
-                break
-            hi, fhi = lo, flo
-        else:
-            raise BracketingError(f"no sign change below lambda={lam0} for n={n}")
+    lam0 = _start(p, n, d)
+    lam, f = lam0, residual_at(lam0)
+    slope, grow = d, 1.0
+    for tries in range(max_expansions + 1):
+        if abs(f) <= tol_theta:
+            return record(lam, f)
+        if tries == max_expansions:
+            raise BracketingError(f"no sign change from lambda={lam0!r} for n={n}")
+        new = lam - grow * f / slope
+        if not new > 0.0:
+            new = 0.5 * lam
+        f_new = residual_at(new)
+        if (f_new < 0.0) != (f < 0.0):
+            break
+        secant = (f_new - f) / (new - lam) if new != lam else 0.0
+        if secant > 0.0:
+            slope = secant
+        if tries >= 2:
+            grow *= 2.0
+        lam, f = new, f_new
+    lo, flo, hi, fhi = (lam, f, new, f_new) if f < 0.0 else (new, f_new, lam, f)
 
     best_lam, best_f = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
     side = 0  # Illinois bookkeeping: which endpoint moved last
@@ -126,32 +157,12 @@ def find_jump(
             f"no root within tolerance for n={n}: best |theta(b) - n*pi| = {abs(best_f)!r} "
             f"at lambda={best_lam!r} exceeds {tol_theta!r}"
         )
-    return JumpRecord(n, best_lam, abs(best_f), best_lam * d / _PI - n)
-
-
-def _potential_payload(p: Potential) -> dict:
-    return {
-        "source": p.source,
-        "a": p.a,
-        "b": p.b,
-        "regularity": p.regularity.value,
-        "gamma_a": p.gamma_a,
-        "gamma_b": p.gamma_b,
-        "c_lower": p.c_lower,
-    }
+    return record(best_lam, best_f)
 
 
 def _sequence_chunk(payload):
-    pdict, ns, tol, delta_tol, rtol, d = payload
-    p = Potential.from_formula(**pdict)
-    out = []
-    prev = None
-    for n in ns:
-        guess = None if prev is None else prev.lambda_n + (n - prev.n) * _PI / d
-        rec = find_jump(p, n, tol=tol, delta_tol=delta_tol, rtol=rtol, d_value=d, lam_guess=guess)
-        out.append(rec)
-        prev = rec
-    return out
+    p, ns, tol, delta_tol, rtol, d = payload
+    return [find_jump(p, n, tol=tol, delta_tol=delta_tol, rtol=rtol, d_value=d) for n in ns]
 
 
 def jump_sequence(
@@ -166,22 +177,24 @@ def jump_sequence(
 ) -> list[JumpRecord]:
     """Jump records for every n in [n_min, n_max], strictly increasing in lambda.
 
-    Consecutive roots warm-start each other inside a chunk; with
-    workers > 1 the n-range is split into contiguous chunks evaluated in
-    separate processes and merged in order.
+    Every root starts from its own (p, n) prediction and carries no state
+    from its neighbours, so the records do not depend on ``workers``.
+    With workers > 1 the n-range is split into contiguous chunks
+    evaluated in separate processes and merged in order.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     d = integrate_sqrt_v(p, p.a, p.b, quad_tol).value
+    if p.regularity is Regularity.THEOREM:
+        p.u_integral  # computed once here; the cached value is pickled to workers
     ns = list(range(n_min, n_max + 1))
-    pdict = _potential_payload(p)
     if workers <= 1 or len(ns) < 4:
-        records = _sequence_chunk((pdict, ns, tol, delta_tol, rtol, d))
+        records = _sequence_chunk((p, ns, tol, delta_tol, rtol, d))
     else:
         workers = min(workers, len(ns))
         size = (len(ns) + workers - 1) // workers
         chunks = [ns[i : i + size] for i in range(0, len(ns), size)]
-        payloads = [(pdict, chunk, tol, delta_tol, rtol, d) for chunk in chunks]
+        payloads = [(p, chunk, tol, delta_tol, rtol, d) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_sequence_chunk, payloads))
         records = [rec for part in parts for rec in part]

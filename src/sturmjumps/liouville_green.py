@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 from .expr import eval_jet2
 from .potential import Potential, Regularity, chebyshev_grid
-from .quadrature import integrate_sqrt_v
+from .quadrature import integrate_sqrt_v, tanh_sinh
 
-__all__ = ["LGData", "transformed_potential", "lg_data", "count_bracket"]
+__all__ = ["LGData", "transformed_potential", "lg_data", "u_integral", "count_bracket"]
 
 _PI = math.pi
 
@@ -78,6 +78,35 @@ def lg_data(p: Potential, grid_points: int = 512, quad_tol: float = 1e-12) -> LG
         u_samples=tuple(zip(xis, u_vals)),
         grid=tuple(zip(xs, xis)),
     )
+
+
+def u_integral(p: Potential) -> float:
+    """Integral of U over (0, D) in xi, from V and V' alone.
+
+    With f = V**(-1/4), U dxi = f f'' dx, and integrating by parts
+
+        int U dxi = [-V'/(4 V**(3/2))]_a^b - int_a^b V'^2/(16 V**(5/2)) dx.
+
+    The quadrature tolerance is 1e-10, far below what the root finder's
+    start needs.  A total within it of zero is returned as exactly 0: the
+    two terms cancel there to rounding, e.g. for V = (1+x)**(-4), whose U
+    vanishes identically.
+    """
+    tol = 1e-10
+    if p.regularity is not Regularity.THEOREM:
+        raise ValueError("U is integrable only for theorem-class potentials")
+    fvd = p.value_d1_fn
+
+    def edge(x):
+        v, dv = fvd(x)
+        return -0.25 * dv / (v * math.sqrt(v))
+
+    def integrand(x):
+        v, dv = fvd(x)
+        return 0.0625 * dv * dv / (v * v * math.sqrt(v))
+
+    total = edge(p.b) - edge(p.a) - tanh_sinh(integrand, p.a, p.b, tol).value
+    return 0.0 if abs(total) <= tol else total
 
 
 def count_bracket(lg: LGData, lam: float) -> tuple[int, int]:

@@ -123,6 +123,16 @@ class Potential:
         """Fast scalar x -> (V(x), V'(x)); math-domain errors propagate as raw exceptions."""
         return compile_value_d1(self.ast)
 
+    @cached_property
+    def u_integral(self) -> float:
+        """Integral of the Liouville-Green potential U over (0, D); theorem class only.
+
+        Cached because the root finder's start rule reads it for every root.
+        """
+        from .liouville_green import u_integral  # liouville_green imports this module
+
+        return u_integral(self)
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("value_fn", None)

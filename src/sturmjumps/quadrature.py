@@ -1,6 +1,7 @@
 """Tanh-sinh quadrature for the phase-length integrals of sqrt(V).
 
-The double-exponential substitution clusters nodes toward the endpoints,
+The core, ``tanh_sinh``, takes any integrand; liouville_green also uses
+it for the integral of the transformed potential.  The double-exponential substitution clusters nodes toward the endpoints,
 so integrable endpoint behaviour like (x-a)**(gamma/2) with gamma/2 in
 (-1, 0) is handled without potential-specific changes of variable.  Node
 points never land exactly on the integration limits.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .potential import Potential, Regularity
 
-__all__ = ["QuadResult", "QuadratureError", "integrate_sqrt_v", "xi_of_x"]
+__all__ = ["QuadResult", "QuadratureError", "integrate_sqrt_v", "tanh_sinh", "xi_of_x"]
 
 _PI_2 = math.pi / 2.0
 
@@ -73,6 +74,15 @@ def integrate_sqrt_v(
             )
         return math.sqrt(v)
 
+    return tanh_sinh(f, x0, x1, tol, max_level)
+
+
+def tanh_sinh(f, x0: float, x1: float, tol: float, max_level: int = 12) -> QuadResult:
+    """Integrate f over [x0, x1] to absolute tolerance ``tol``, never sampling x0 or x1.
+
+    Levels halve the step until two successive trapezoid sums differ by
+    less than ``tol``; exceeding ``max_level`` raises QuadratureError.
+    """
     half = 0.5 * (x1 - x0)
     evals = 0
     trunc = tol * 1e-3

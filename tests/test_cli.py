@@ -70,6 +70,24 @@ def test_jumps_json_format(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert [r["n"] for r in payload["records"]] == [2, 3]
+    records, diag = payload["records"], payload["diagnostics"]
+    assert all(r["phase_calls"] >= 1 and r["rk_steps"] > 0 for r in records)
+    assert diag["phase_calls"] == sum(r["phase_calls"] for r in records)
+    assert diag["rk_steps"] == sum(r["rk_steps"] for r in records)
+    assert 0.0 <= diag["residual_over_tol_max"] <= 1.0
+
+
+def test_jumps_csv_independent_of_threads(tmp_path):
+    outs = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
+    for threads, out in zip(("1", "2"), outs):
+        code = run(
+            [
+                "jumps", "--potential", "2+sin(x)", "--a", "0", "--b", "3",
+                "--n-min", "1", "--n-max", "40", "--threads", threads, "--out", str(out),
+            ]
+        )
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_transform_artifact(tmp_path):

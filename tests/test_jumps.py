@@ -44,10 +44,11 @@ def test_sequence_constant_potential(v_one):
 
 
 def test_sequence_matches_individual_roots(v_sin):
+    # every root starts from its own (p, n) prediction: a sequence and a
+    # bare call give the same record, counters included
     records = jump_sequence(v_sin, 3, 6)
     for rec in records:
-        solo = find_jump(v_sin, rec.n)
-        assert rec.lambda_n == pytest.approx(solo.lambda_n, rel=1e-10)
+        assert rec == find_jump(v_sin, rec.n)
 
 
 def test_counting_consistency_around_jumps(v_sin):
@@ -103,3 +104,71 @@ def test_unconverged_root_raises(v_one, monkeypatch):
     monkeypatch.setattr(jumps, "phase", leaping_phase)
     with pytest.raises(BracketingError, match="n=3"):
         find_jump(v_one, 3)
+
+
+def _calls_per_root(records):
+    return sum(r.phase_calls for r in records) / len(records)
+
+
+def test_start_rule_phase_calls(v_sin, v_linear):
+    # the two-term Liouville-Green start sqrt((n pi/D)^2 - Ubar) plus slope
+    # steps along d theta/d lambda ~ D
+    head = jump_sequence(v_sin, 1, 60)
+    assert _calls_per_root(head) <= 2.5
+    assert all(r.rk_steps > 0 for r in head)
+    # from n ~ 200 the start already meets tol*n
+    assert [r.phase_calls for r in jump_sequence(v_sin, 200, 230)] == [1] * 31
+    # conjecture class: start at (n + kappa) pi/D
+    assert _calls_per_root(jump_sequence(v_linear, 70, 100)) <= 2.2
+
+
+def _fake_phase(theta, seen):
+    from sturmjumps.oscillation import PhaseResult
+
+    def fake(p, lam, rtol=1e-10, delta_tol=1e-10):
+        seen.append(lam)
+        return PhaseResult(lam, theta(lam), 0, 1, 0)
+
+    return fake
+
+
+def test_far_start_steps_below_zero_are_halved(v_one, monkeypatch):
+    # theta = pi*lam + 50*pi*lam/(1+lam): the start lam0 = 10 sits about 50*pi
+    # above the target, and the first slope step would land at lam < 0
+    import sturmjumps.jumps as jumps
+
+    theta = lambda lam: math.pi * lam + 50.0 * math.pi * lam / (1.0 + lam)
+    seen = []
+    monkeypatch.setattr(jumps, "phase", _fake_phase(theta, seen))
+    rec = find_jump(v_one, 10)
+    assert seen[:2] == [10.0, 5.0]
+    root = 0.5 * (math.sqrt(41.0**2 + 40.0) - 41.0)  # lam^2 + 41 lam - 10 = 0
+    assert rec.lambda_n == pytest.approx(root, rel=1e-9)
+    assert abs(theta(rec.lambda_n) - 10 * math.pi) <= 1e-10 * 10
+    assert rec.phase_calls == len(seen) <= 20
+
+
+def test_far_start_below_a_flat_phase_doubles_steps(v_one, monkeypatch):
+    # theta = 10*pi*log(1+lam) - 50*pi is far below the target at lam0 = 10 and
+    # flattens as lam grows, so secant steps alone creep from below; with the
+    # doubling the sign change comes within 6 steps, without it in none of them
+    import sturmjumps.jumps as jumps
+
+    theta = lambda lam: 10.0 * math.pi * math.log1p(lam) - 50.0 * math.pi
+    seen = []
+    monkeypatch.setattr(jumps, "phase", _fake_phase(theta, seen))
+    rec = find_jump(v_one, 10, max_expansions=6)
+    assert rec.lambda_n == pytest.approx(math.expm1(6.0), rel=1e-9)
+    assert abs(theta(rec.lambda_n) - 10 * math.pi) <= 1e-10 * 10
+    assert rec.phase_calls == len(seen) <= 12
+
+
+def test_no_sign_change_raises(v_one, monkeypatch):
+    # theta never reaches the target: the slope steps give up after max_expansions
+    import sturmjumps.jumps as jumps
+
+    seen = []
+    monkeypatch.setattr(jumps, "phase", _fake_phase(lambda lam: math.atan(lam), seen))
+    with pytest.raises(BracketingError, match="no sign change"):
+        find_jump(v_one, 3, max_expansions=20)
+    assert len(seen) == 21
