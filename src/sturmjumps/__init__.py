@@ -8,7 +8,6 @@ defect, and the endpoint-constant extrapolation) numerically.
 """
 
 from .asymptotics import (
-    AsymptoticsReport,
     ConjectureFit,
     TheoremCheck,
     conjecture_fit,
@@ -48,7 +47,6 @@ from .spectra_oracle import Tridiag, ZeroPivotError, assemble, count_by_inertia,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticsReport",
     "AtJumpAmbiguity",
     "BracketingError",
     "ConjectureFit",

@@ -26,7 +26,6 @@ from .quadrature import integrate_sqrt_v
 __all__ = [
     "TheoremCheck",
     "ConjectureFit",
-    "AsymptoticsReport",
     "theorem_check",
     "weyl_defect",
     "conjecture_fit",
@@ -58,17 +57,6 @@ class ConjectureFit:
     consistent: bool
     n_fit_min: int
     n_fit_max: int
-
-
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    max_n_en: Optional[float]
-    tail_max_n_en: Optional[float]
-    weyl_defect_max: Optional[float]
-    constant_estimate: Optional[float]
-    constant_stderr: Optional[float]
-    n_range: Optional[tuple[int, int]]
-    lambda_range: Optional[tuple[float, float]]
 
 
 def theorem_check(records: Sequence[JumpRecord]) -> TheoremCheck:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import AsymptoticsReport, conjecture_fit, theorem_check
+from .asymptotics import conjecture_fit, theorem_check
 from .expr import FormulaError
 from .jumps import jump_sequence
 from .liouville_green import count_bracket, lg_data
@@ -237,6 +237,16 @@ def _cmd_count(cfg: RunConfig, p: Potential) -> int:
     return EXIT_OK
 
 
+def _diagnostics(records, tol: float) -> dict:
+    """How a set of roots was computed: phase calls, RK steps and rejections, worst residual."""
+    return {
+        "phase_calls": sum(r.phase_calls for r in records),
+        "rk_steps": sum(r.rk_steps for r in records),
+        "rk_rejected": sum(r.rk_rejected for r in records),
+        "residual_over_tol_max": max(r.residual / (tol * r.n) for r in records),
+    }
+
+
 def _cmd_jumps(cfg: RunConfig, p: Potential) -> int:
     records = jump_sequence(
         p,
@@ -250,11 +260,7 @@ def _cmd_jumps(cfg: RunConfig, p: Potential) -> int:
     if cfg.format == "json":
         payload = {
             "records": [dict(asdict(r), n_times_e_n=r.n * r.e_n) for r in records],
-            "diagnostics": {
-                "phase_calls": sum(r.phase_calls for r in records),
-                "rk_steps": sum(r.rk_steps for r in records),
-                "residual_over_tol_max": max(r.residual / (cfg.root_tol * r.n) for r in records),
-            },
+            "diagnostics": _diagnostics(records, cfg.root_tol),
             "config": cfg.to_dict(),
         }
         _emit_json(cfg, payload)
@@ -274,7 +280,17 @@ def _cmd_transform(cfg: RunConfig, p: Potential) -> int:
         {"x": x, "xi": xi, "U": u}
         for (x, xi), (_, u) in zip(lg.grid, lg.u_samples)
     ]
-    payload = {"D": lg.d, "C": lg.c, "samples": samples, "config": cfg.to_dict()}
+    payload = {
+        "D": lg.d,
+        "C": lg.c,
+        "samples": samples,
+        "diagnostics": {
+            "xi_evaluations": lg.xi_evaluations,
+            "xi_bisections": lg.xi_bisections,
+            "d_evaluations": lg.d_evaluations,
+        },
+        "config": cfg.to_dict(),
+    }
     _emit_json(cfg, payload)
     _summary(f"D = {lg.d:.12g}, C = {lg.c:.6g} ({cfg.grid} samples)")
     return EXIT_OK
@@ -305,7 +321,7 @@ def _suite_theorem(cfg: RunConfig, p: Potential):
         "n_range": [chk.n_min, chk.n_max],
     }
     detail = f"max |n e_n| = {chk.max_n_en:.4g}, tail/head = {chk.tail_max_n_en:.3g}/{chk.head_max_n_en:.3g}"
-    return chk.consistent, metrics, detail
+    return chk.consistent, metrics, detail, _diagnostics(records, cfg.root_tol)
 
 
 def _suite_weyl(cfg: RunConfig, p: Potential):
@@ -333,7 +349,7 @@ def _suite_weyl(cfg: RunConfig, p: Potential):
         "lambda_range": [lam_lo, lam_hi],
         "D": d,
     }
-    return passed, metrics, f"max |defect| = {worst:.4f}, fitted K = {k_fit:.3g}"
+    return passed, metrics, f"max |defect| = {worst:.4f}, fitted K = {k_fit:.3g}", None
 
 
 def _suite_bracket(cfg: RunConfig, p: Potential):
@@ -360,7 +376,7 @@ def _suite_bracket(cfg: RunConfig, p: Potential):
         "inclusion_violations": violations,
         "wide_brackets_past_50": wide,
     }
-    return passed, metrics, f"{violations} inclusion violations, {wide} over-wide brackets"
+    return passed, metrics, f"{violations} inclusion violations, {wide} over-wide brackets", None
 
 
 def _suite_conjecture(cfg: RunConfig, p: Potential):
@@ -381,7 +397,7 @@ def _suite_conjecture(cfg: RunConfig, p: Potential):
         f"kappa = {fit.constant_estimate:.5f} vs predicted "
         f"{fit.predicted:.5f} (stderr {fit.constant_stderr:.2g})"
     )
-    return fit.consistent, metrics, detail
+    return fit.consistent, metrics, detail, _diagnostics(records, cfg.root_tol)
 
 
 _SUITES = {
@@ -393,24 +409,10 @@ _SUITES = {
 
 
 def _cmd_verify(cfg: RunConfig, p: Potential) -> int:
-    passed, metrics, detail = _SUITES[cfg.suite](cfg, p)
-    n_range = metrics.get("n_range") or metrics.get("n_fit_range")
-    report = AsymptoticsReport(
-        max_n_en=metrics.get("max_n_en"),
-        tail_max_n_en=metrics.get("tail_max_n_en"),
-        weyl_defect_max=metrics.get("weyl_defect_max"),
-        constant_estimate=metrics.get("constant_estimate"),
-        constant_stderr=metrics.get("constant_stderr"),
-        n_range=tuple(n_range) if n_range else None,
-        lambda_range=tuple(metrics["lambda_range"]) if "lambda_range" in metrics else None,
-    )
-    payload = {
-        "suite": cfg.suite,
-        "passed": passed,
-        "metrics": metrics,
-        "report": asdict(report),
-        "config": cfg.to_dict(),
-    }
+    passed, metrics, detail, diagnostics = _SUITES[cfg.suite](cfg, p)
+    payload = {"suite": cfg.suite, "passed": passed, "metrics": metrics, "config": cfg.to_dict()}
+    if diagnostics is not None:
+        payload["diagnostics"] = diagnostics
     _emit_json(cfg, payload)
     _summary(f"suite {cfg.suite}: {'PASS' if passed else 'FAIL'} ({detail})")
     return EXIT_OK if passed else EXIT_VERIFICATION

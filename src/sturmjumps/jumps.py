@@ -25,8 +25,8 @@ increasing, and each root is found in three stages:
 Any phase evaluation with |f| <= tol*n is accepted at once; when none
 is, BracketingError is raised.  Each record carries e_n = lambda_n *
 D / pi - n, the deviation of the jump from its leading prediction
-n*pi/D with D the full integral of sqrt(V), and the phase calls and RK
-steps the root took.
+n*pi/D with D the full integral of sqrt(V), and the phase calls, RK
+steps and rejected RK steps the root took.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ class JumpRecord:
     e_n: float
     phase_calls: int = 0
     rk_steps: int = 0
+    rk_rejected: int = 0
 
 
 def _start(p: Potential, n: int, d: float) -> float:
@@ -94,17 +95,18 @@ def find_jump(
     d = d_value if d_value is not None else integrate_sqrt_v(p, p.a, p.b, 1e-12).value
     target = n * _PI
     tol_theta = tol * n
-    calls = steps = 0
+    calls = steps = rejected = 0
 
     def residual_at(lam):
-        nonlocal calls, steps
+        nonlocal calls, steps, rejected
         res = phase(p, lam, rtol=phase_rtol, delta_tol=delta_tol)
         calls += 1
         steps += res.steps
+        rejected += res.rejected_steps
         return res.theta_b - target
 
     def record(lam, f):
-        return JumpRecord(n, lam, abs(f), lam * d / _PI - n, calls, steps)
+        return JumpRecord(n, lam, abs(f), lam * d / _PI - n, calls, steps, rejected)
 
     lam0 = _start(p, n, d)
     lam, f = lam0, residual_at(lam0)

@@ -26,9 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .expr import eval_jet2
 from .potential import Potential, Regularity, chebyshev_grid
-from .quadrature import integrate_sqrt_v, tanh_sinh
+from .quadrature import integrate_sqrt_v, integrate_sqrt_v_segments, tanh_sinh
 
 __all__ = ["LGData", "transformed_potential", "lg_data", "u_integral", "count_bracket"]
 
@@ -41,6 +43,9 @@ class LGData:
     c: float
     u_samples: tuple[tuple[float, float], ...]  # (xi, U)
     grid: tuple[tuple[float, float], ...]  # (x, xi)
+    xi_evaluations: int = 0  # V evaluations of the xi grid
+    xi_bisections: int = 0  # segments of the xi grid that were bisected
+    d_evaluations: int = 0  # tanh-sinh evaluations of D
 
 
 def transformed_potential(p: Potential, x: float) -> float:
@@ -57,26 +62,31 @@ def transformed_potential(p: Potential, x: float) -> float:
 def lg_data(p: Potential, grid_points: int = 512, quad_tol: float = 1e-12) -> LGData:
     """Sample U on a Chebyshev grid, map x to xi, and bound |U| by C.
 
-    The grid includes the endpoints (where suprema often sit); xi is
-    accumulated segment by segment so it is increasing by construction,
-    while D itself is integrated once over the full interval.
+    The grid includes the endpoints (where suprema often sit).  xi is
+    accumulated over the grid's segments, each integrated to ``quad_tol``
+    in one vectorized Gauss-Legendre pass, so it is increasing by
+    construction; D itself is one tanh-sinh integral over the whole
+    interval, the same one the root finder uses.  The record carries the
+    evaluation and bisection counts of both.
     """
     if grid_points < 200:
         raise ValueError("need at least 200 grid points")
     if p.regularity is not Regularity.THEOREM:
         raise ValueError("the count bracket applies to theorem-class potentials only")
-    xs = [float(x) for x in chebyshev_grid(p.a, p.b, grid_points, include_endpoints=True)]
-    u_vals = [transformed_potential(p, x) for x in xs]
-    xis = [0.0]
-    for x_prev, x_next in zip(xs, xs[1:]):
-        xis.append(xis[-1] + integrate_sqrt_v(p, x_prev, x_next, quad_tol).value)
-    d = integrate_sqrt_v(p, p.a, p.b, quad_tol).value
+    xs = chebyshev_grid(p.a, p.b, grid_points, include_endpoints=True)
+    u_vals = [transformed_potential(p, float(x)) for x in xs]
+    seg = integrate_sqrt_v_segments(p, xs, quad_tol)
+    xis = np.concatenate([[0.0], np.cumsum(seg.values)])
+    whole = integrate_sqrt_v(p, p.a, p.b, quad_tol)
     c = 1.05 * max(abs(u) for u in u_vals)
     return LGData(
-        d=d,
+        d=whole.value,
         c=c,
-        u_samples=tuple(zip(xis, u_vals)),
-        grid=tuple(zip(xs, xis)),
+        u_samples=tuple(zip(xis.tolist(), u_vals)),
+        grid=tuple(zip(xs.tolist(), xis.tolist())),
+        xi_evaluations=seg.evaluations,
+        xi_bisections=seg.bisections,
+        d_evaluations=whole.evaluations,
     )
 
 

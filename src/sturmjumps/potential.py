@@ -52,13 +52,17 @@ class ValidationReport:
 
 
 def chebyshev_grid(a: float, b: float, n: int, include_endpoints: bool) -> np.ndarray:
-    """Ascending Chebyshev-spaced points; Lobatto flavour includes a and b."""
+    """Ascending Chebyshev-spaced points; Lobatto flavour includes a and b exactly."""
     j = np.arange(n)
     if include_endpoints:
         t = np.cos(np.pi * j / (n - 1))
     else:
         t = np.cos(np.pi * (2 * j + 1) / (2 * n))
-    return 0.5 * (a + b) - 0.5 * (b - a) * t
+    xs = 0.5 * (a + b) - 0.5 * (b - a) * t
+    if include_endpoints:
+        # the affine map can land an end node one ulp outside [a, b]
+        xs[0], xs[-1] = a, b
+    return xs
 
 
 @dataclass(frozen=True)

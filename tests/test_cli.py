@@ -74,6 +74,7 @@ def test_jumps_json_format(tmp_path):
     assert all(r["phase_calls"] >= 1 and r["rk_steps"] > 0 for r in records)
     assert diag["phase_calls"] == sum(r["phase_calls"] for r in records)
     assert diag["rk_steps"] == sum(r["rk_steps"] for r in records)
+    assert diag["rk_rejected"] == sum(r["rk_rejected"] for r in records)
     assert 0.0 <= diag["residual_over_tol_max"] <= 1.0
 
 
@@ -104,6 +105,19 @@ def test_transform_artifact(tmp_path):
     assert payload["C"] == pytest.approx(1.05 / 16.0, rel=1e-9)
     assert len(payload["samples"]) == 256
     assert set(payload["samples"][0]) == {"x", "xi", "U"}
+    diag = payload["diagnostics"]
+    assert (diag["xi_evaluations"], diag["xi_bisections"]) == (30 * 255, 0)
+    assert diag["d_evaluations"] > 0
+
+
+def test_transform_interval_not_starting_at_zero(tmp_path):
+    # the grid's end nodes used to land one ulp outside [3.4442, 3.8235]
+    out = tmp_path / "lg.json"
+    argv = ["--potential", "2+sin(x)", "--a", "3.4442", "--b", "3.8235", "--out", str(out)]
+    assert run(["transform"] + argv) == 0
+    samples = json.loads(out.read_text())["samples"]
+    assert (samples[0]["x"], samples[-1]["x"]) == (3.4442, 3.8235)
+    assert run(["verify", "--suite", "bracket", "--samples", "20", "--lambda-max", "60"] + argv) == 0
 
 
 def test_verify_theorem_suite_passes(tmp_path):
@@ -115,7 +129,18 @@ def test_verify_theorem_suite_passes(tmp_path):
         ]
     )
     assert code == 0
-    assert json.loads(out.read_text())["passed"] is True
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is True
+    _check_root_diagnostics(payload, 51)
+
+
+def _check_root_diagnostics(payload, roots):
+    assert "report" not in payload
+    diag = payload["diagnostics"]
+    assert set(diag) == {"phase_calls", "rk_steps", "rk_rejected", "residual_over_tol_max"}
+    assert roots <= diag["phase_calls"] <= 5 * roots
+    assert diag["rk_steps"] > 0 and diag["rk_rejected"] >= 0
+    assert 0.0 <= diag["residual_over_tol_max"] <= 1.0
 
 
 def test_verify_conjecture_suite_detects_wrong_exponents(tmp_path):
@@ -148,6 +173,7 @@ def test_verify_conjecture_suite_passes(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
     assert payload["metrics"]["predicted"] == pytest.approx(-1.0 / 12.0, rel=1e-12)
+    _check_root_diagnostics(payload, 101)
 
 
 def test_verify_weyl_suite_small(tmp_path):

@@ -127,7 +127,7 @@ def _fake_phase(theta, seen):
 
     def fake(p, lam, rtol=1e-10, delta_tol=1e-10):
         seen.append(lam)
-        return PhaseResult(lam, theta(lam), 0, 1, 0)
+        return PhaseResult(lam, theta(lam), 0, 1, 2)
 
     return fake
 
@@ -146,6 +146,8 @@ def test_far_start_steps_below_zero_are_halved(v_one, monkeypatch):
     assert rec.lambda_n == pytest.approx(root, rel=1e-9)
     assert abs(theta(rec.lambda_n) - 10 * math.pi) <= 1e-10 * 10
     assert rec.phase_calls == len(seen) <= 20
+    # every phase call's steps and rejections are carried into the record
+    assert (rec.rk_steps, rec.rk_rejected) == (len(seen), 2 * len(seen))
 
 
 def test_far_start_below_a_flat_phase_doubles_steps(v_one, monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 from conftest import fd_derivatives
 from sturmjumps.liouville_green import count_bracket, lg_data, transformed_potential, u_integral
 from sturmjumps.oscillation import AtJumpAmbiguity, count_negative
-from sturmjumps.potential import Potential
+from sturmjumps.potential import Potential, chebyshev_grid
+from sturmjumps.quadrature import integrate_sqrt_v
 
 
 def test_constant_potential_transform_vanishes(v_one):
@@ -59,6 +60,31 @@ def test_lg_data_exponential(v_exp):
     assert xis[0] == 0.0
     assert xis[-1] == pytest.approx(lg.d, abs=1e-8)
     assert all(abs(u) <= lg.c for _, u in lg.u_samples)
+
+
+def test_lg_data_grid_ends_are_the_interval_ends():
+    # 0.5*(a+b) - 0.5*(b-a) is one ulp below a = 3.4442
+    a, b = 3.4442, 3.8235
+    p = Potential.from_formula("2+sin(x)", a, b)
+    lg = lg_data(p, 200)
+    assert (lg.grid[0][0], lg.grid[-1][0]) == (a, b)
+    assert lg.grid[-1][1] == pytest.approx(lg.d, abs=1e-12)
+    rng = np.random.default_rng(7)
+    for lo, width in zip(rng.uniform(-10, 10, 500).round(4), rng.uniform(0.01, 10, 500).round(4)):
+        xs = chebyshev_grid(float(lo), float(lo + width), 200, include_endpoints=True)
+        assert (xs[0], xs[-1]) == (lo, lo + width)
+
+
+def test_lg_data_diagnostics(v_exp):
+    lg = lg_data(v_exp, 256)
+    assert (lg.xi_evaluations, lg.xi_bisections) == (30 * 255, 0)
+    assert lg.d_evaluations == integrate_sqrt_v(v_exp, 0.0, 1.0).evaluations
+    # segments holding a few periods of sin(10x) are bisected
+    p = Potential.from_formula("2+sin(10*x)", 0.0, 50.0)
+    lg = lg_data(p, 200)
+    assert lg.xi_bisections > 0
+    assert lg.xi_evaluations == 30 * 199 + 40 * lg.xi_bisections
+    assert lg.grid[-1][1] == pytest.approx(lg.d, abs=1e-10)
 
 
 def test_lg_data_guards(v_one, v_rational):

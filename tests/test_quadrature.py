@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sturmjumps.potential import Potential
-from sturmjumps.quadrature import QuadratureError, integrate_sqrt_v, xi_of_x
+from sturmjumps.potential import Potential, chebyshev_grid
+from sturmjumps.quadrature import (
+    QuadratureError,
+    integrate_sqrt_v,
+    integrate_sqrt_v_segments,
+    xi_of_x,
+)
 
 
 def gauss_legendre_dyadic(f, n_halvings=80, order=64):
@@ -90,3 +95,68 @@ def test_bad_bounds_rejected(v_one):
         integrate_sqrt_v(v_one, 0.0, 10.0, 1e-10)
     with pytest.raises(ValueError):
         integrate_sqrt_v(v_one, 0.0, 1.0, -1e-10)
+
+
+def _segments_vs_tanh_sinh(p, xs, tol):
+    seg = integrate_sqrt_v_segments(p, xs, tol)
+    ts = [integrate_sqrt_v(p, float(x0), float(x1), tol).value for x0, x1 in zip(xs, xs[1:])]
+    assert np.max(np.abs(seg.values - ts)) <= 2.0 * tol
+    return seg
+
+
+@pytest.mark.parametrize(
+    "source, a, b",
+    [
+        ("1", 0.0, math.pi),  # value_fn_np returns a scalar, which must broadcast
+        ("exp(x)", 0.0, 1.0),
+        ("2+sin(x)", 0.0, 3.0),
+        # criterion 3's first draw c0 + c1*sin(c2*x) on [0, L] (seed 42)
+        ("2.2788535969157673+0.04449047188942089*sin(1.1875732959227983*x)", 0.0, 1.892842952595291),
+    ],
+)
+def test_segments_match_tanh_sinh(source, a, b):
+    p = Potential.from_formula(source, a, b)
+    xs = chebyshev_grid(a, b, 200, include_endpoints=True)
+    seg = _segments_vs_tanh_sinh(p, xs, 1e-12)
+    # no bisection on short smooth segments: the whole and its halves, 30 nodes each
+    assert (seg.evaluations, seg.bisections) == (30 * 199, 0)
+
+
+def test_segments_bisect_where_the_rule_misses():
+    # ~3 periods per segment near the middle of the grid: the first pass misses there
+    p = Potential.from_formula("2+sin(10*x)", 0.0, 50.0)
+    xs = chebyshev_grid(0.0, 50.0, 200, include_endpoints=True)
+    seg = _segments_vs_tanh_sinh(p, xs, 1e-12)
+    assert seg.bisections > 0
+    # each bisection puts two new pieces through the halves rule, 20 nodes each
+    assert seg.evaluations == 30 * 199 + 40 * seg.bisections
+
+
+def test_segments_screen_v_like_the_scalar_path():
+    # the declared lower bound is far above the true minimum 1 of 2+sin(x)
+    p = Potential.from_formula("2+sin(x)", 0.0, 6.0, c_lower=2.5)
+    with pytest.raises(QuadratureError, match="below half the validated lower bound"):
+        integrate_sqrt_v_segments(p, [0.0, 3.0, 6.0])
+    with pytest.raises(QuadratureError, match="below half the validated lower bound"):
+        integrate_sqrt_v(p, 0.0, 6.0)
+    # exp overflows past x ~ 0.71: numpy gives inf, the scalar path raises
+    p = Potential.from_formula("exp(1000*x)", 0.0, 1.0, c_lower=1.0)
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate_sqrt_v_segments(p, [0.0, 0.5, 1.0])
+    with pytest.raises(QuadratureError, match="evaluation failed"):
+        integrate_sqrt_v(p, 0.0, 1.0)
+
+
+def test_segments_nonconvergence_is_a_hard_error():
+    # ~600 periods in the finest pieces: the rule misses at every depth
+    p = Potential.from_formula("2+sin(1000000*x)", 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="bisections"):
+        integrate_sqrt_v_segments(p, [0.0, 0.5, 1.0])
+
+
+def test_segments_bad_points_rejected(v_one):
+    for xs in ([1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 1.0], [0.0, 10.0]):
+        with pytest.raises(ValueError):
+            integrate_sqrt_v_segments(v_one, xs)
+    with pytest.raises(ValueError):
+        integrate_sqrt_v_segments(v_one, [0.0, 1.0], 0.0)
