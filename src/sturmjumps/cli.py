@@ -238,12 +238,17 @@ def _cmd_count(cfg: RunConfig, p: Potential) -> int:
 
 
 def _diagnostics(records, tol: float) -> dict:
-    """How a set of roots was computed: phase calls, RK steps and rejections, worst residual."""
+    """How a set of roots was computed: phase calls, RK steps and rejections,
+    propagator cells, the worst residual and the worst residual plus error bar."""
     return {
         "phase_calls": sum(r.phase_calls for r in records),
         "rk_steps": sum(r.rk_steps for r in records),
         "rk_rejected": sum(r.rk_rejected for r in records),
+        "cells": sum(r.cells for r in records),
         "residual_over_tol_max": max(r.residual / (tol * r.n) for r in records),
+        "residual_plus_error_bar_over_tol_max": max(
+            (r.residual + r.error_bar) / (tol * r.n) for r in records
+        ),
     }
 
 

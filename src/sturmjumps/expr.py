@@ -5,7 +5,8 @@ Potentials are supplied as text formulas in the variable ``x``, e.g.
 ``eval_jet2`` evaluates value, first and second derivative in a single
 pass by propagating ``(v, d1, d2)`` jets with exact chain rules, and
 ``compile_value`` / ``compile_value_d1`` emit fast plain-value and
-value-and-slope callables for inner loops.
+value-and-slope callables for inner loops, and ``compile_jet2`` emits the
+``(v, d1, d2)`` jets over whole numpy arrays of points.
 
 Grammar (whitespace ignored)::
 
@@ -41,6 +42,7 @@ __all__ = [
     "eval_jet2",
     "compile_value",
     "compile_value_d1",
+    "compile_jet2",
 ]
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
@@ -527,3 +529,129 @@ def compile_value_d1(ast: ExprAst) -> Callable[[float], tuple[float, float]]:
     # the source is generated from our own AST nodes only
     exec("def value_d1(x):\n" + "\n".join(body), env)
     return env["value_d1"]
+
+
+# ---------------------------------------------------------------------------
+# compilation to a vectorized (v, d1, d2) callable
+# ---------------------------------------------------------------------------
+
+
+def _emit_jet2(node, lines: list[str], checks: list[tuple[str, str]]):
+    """Append numpy straight-line code for ``node``; return its (v, d1, d2) names.
+
+    Subtrees that do not depend on x come back inline with derivatives
+    None.  Every domain test of ``_jet`` becomes a masked check line
+    ``_fail(mask, k, x)``, ``checks[k]`` holding its message and subexpression.
+    """
+    if isinstance(node, (Number, Symbol)):
+        return (_emit(node), "1.0", "0.0") if node == Symbol("x") else (_emit(node), None, None)
+    if isinstance(node, Unary):
+        (a, da, ea), (b, db, eb) = _emit_jet2(node.arg, lines, checks), (None, None, None)
+    else:
+        (a, da, ea), (b, db, eb) = _emit_jet2(node.lhs, lines, checks), _emit_jet2(node.rhs, lines, checks)
+    if da is None and db is None:
+        return _emit(node), None, None
+    da, ea, db, eb = da or "0.0", ea or "0.0", db or "0.0", eb or "0.0"
+    i = len(lines)
+    v, d, e = f"v{i}", f"d{i}", f"e{i}"
+
+    def check(mask, message):
+        checks.append((message, serialize(node)))
+        lines.append(f"_fail({mask}, {len(checks) - 1}, x)")
+
+    def jet(value, slope, curvature):
+        lines.extend([f"{v} = {value}", f"{d} = {slope}", f"{e} = {curvature}"])
+
+    op = node.op
+    if op == "neg":
+        jet(f"-{a}", f"-{da}", f"-{ea}")
+    elif op == "sqrt":
+        check(f"{a} < 0.0", "square root of a negative value")
+        lines.append(f"z{i} = {a} == 0.0")
+        check(f"z{i} & (({da} != 0.0) | ({ea} != 0.0))", "square root not differentiable at zero")
+        lines.append(f"s{i} = sqrt({a})")
+        jet(f"s{i}", f"where(z{i}, 0.0, {da}/(2.0*s{i}))", f"where(z{i}, 0.0, ({ea}-2.0*{d}*{d})/(2.0*s{i}))")
+    elif op == "exp":
+        lines.append(f"{v} = exp({a})")
+        check(f"isinf({v})", "exp overflow")
+        lines.extend([f"{d} = {v}*{da}", f"{e} = {v}*({ea}+{da}*{da})"])
+    elif op == "log":
+        check(f"{a} <= 0.0", "logarithm of a non-positive value")
+        lines.append(f"r{i} = {da}/{a}")
+        jet(f"log({a})", f"r{i}", f"{ea}/{a}-r{i}*r{i}")
+    elif op == "sin":
+        jet(f"sin({a})", f"cos({a})*{da}", f"cos({a})*{ea}-{v}*{da}*{da}")
+    elif op == "cos":
+        jet(f"cos({a})", f"-sin({a})*{da}", f"-sin({a})*{ea}-{v}*{da}*{da}")
+    elif op in "+-":
+        jet(f"{a}{op}{b}", f"{da}{op}{db}", f"{ea}{op}{eb}")
+    elif op == "*":
+        jet(f"{a}*{b}", f"{da}*{b}+{a}*{db}", f"{ea}*{b}+2.0*{da}*{db}+{a}*{eb}")
+    elif op == "/":
+        check(f"{b} == 0.0", "division by zero")
+        jet(f"{a}/{b}", f"({da}-{v}*{db})/{b}", f"({ea}-2.0*{d}*{db}-{v}*{eb})/{b}")
+    elif db == "0.0":
+        # constant exponent p, with _apply_power's special cases at a zero base
+        p = float(eval(b, dict(_SCALAR_ENV, __builtins__={})))
+        if p == 0.0:
+            return "1.0", None, None
+        if p == 1.0:
+            return a, da, ea
+        lines.append(f"z{i} = {a} == 0.0")
+        flat = f"z{i} & ({da} == 0.0) & ({ea} == 0.0)"
+        if p < 0.0:
+            check(flat, "zero raised to a negative power")
+        if p < 2.0:
+            check(f"z{i} & ~({flat})", "power not twice differentiable at zero base")
+        if not p.is_integer():
+            check(f"{a} < 0.0", "negative base with non-integer exponent")
+        lines.append(f"w{i} = pow({a}, {p - 1.0!r})")
+        jet(
+            f"pow({a}, {p!r})",
+            f"where(z{i}, 0.0, {p!r}*w{i}*{da})",
+            f"where(z{i}, {'2.0*' + da + '*' + da if p == 2.0 else '0.0'}, "
+            f"{p * (p - 1.0)!r}*pow({a}, {p - 2.0!r})*{da}*{da}+{p!r}*w{i}*{ea})",
+        )
+    else:
+        # variable exponent: a^b = exp(b log a), the base must stay positive
+        check(f"{a} <= 0.0", "variable exponent requires a positive base")
+        lines.extend([f"l{i} = log({a})", f"m{i} = {da}/{a}", f"n{i} = {ea}/{a}-m{i}*m{i}"])
+        lines.extend([f"f{i} = {db}*l{i}+{b}*m{i}", f"g{i} = {eb}*l{i}+2.0*{db}*m{i}+{b}*n{i}"])
+        lines.append(f"{v} = exp({b}*l{i})")
+        check(f"isinf({v})", "exp overflow")
+        lines.extend([f"{d} = {v}*f{i}", f"{e} = {v}*(g{i}+f{i}*f{i})"])
+    check(f"~(isfinite({v}) & isfinite({d}) & isfinite({e}))", "overflow to non-finite")
+    return v, d, e
+
+
+def compile_jet2(ast: ExprAst) -> Callable:
+    """Compile an AST to x -> Jet2(V, V', V'') over a numpy array of points.
+
+    The callable returns arrays shaped like x and raises EvalDomainError,
+    naming the first failing point, on the inputs where ``eval_jet2``
+    raises.
+    """
+    import numpy as np
+
+    lines: list[str] = []
+    checks: list[tuple[str, str]] = []
+    v, d, e = _emit_jet2(ast, lines, checks)
+
+    def fail(mask, k, x):
+        if np.any(mask):
+            i = np.flatnonzero(np.broadcast_to(mask, np.shape(x)))[0]
+            raise EvalDomainError(checks[k][0], checks[k][1], float(np.ravel(x)[i]))
+
+    body = "".join(f"        {line}\n" for line in lines)
+    out = ", ".join(f"full({t or '0.0'}, x)" for t in (v, d, e))
+    env = {
+        "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+        "pow": np.power, "pi": math.pi, "e": math.e, "where": np.where, "isinf": np.isinf,
+        "isfinite": np.isfinite, "errstate": np.errstate, "_fail": fail, "Jet2": Jet2,
+        "full": lambda t, x: np.broadcast_to(np.asarray(t, dtype=float), np.shape(x)),
+        "__builtins__": {},
+    }
+    # the source is generated from our own AST nodes only
+    src = f"def jet2(x):\n    with errstate(all='ignore'):\n{body}        return Jet2({out})\n"
+    exec(src, env)
+    return env["jet2"]

@@ -22,17 +22,18 @@ increasing, and each root is found in three stages:
 * Illinois.  Once f changes sign, a safeguarded Illinois secant on the
   bracket finishes the root.
 
-Any phase evaluation with |f| <= tol*n is accepted at once; when none
-is, BracketingError is raised.  Each record carries e_n = lambda_n *
-D / pi - n, the deviation of the jump from its leading prediction
-n*pi/D with D the full integral of sqrt(V), and the phase calls, RK
-steps and rejected RK steps the root took.
+Any phase evaluation with |f| plus the phase's own error estimate at
+most tol*n is accepted at once; when none is, BracketingError is raised.
+Each record carries e_n = lambda_n * D / pi - n, the deviation of the
+jump from its leading prediction n*pi/D with D the full integral of
+sqrt(V), the phase calls, RK steps, rejected RK steps and propagator
+cells the root took, and the accepted call's error estimate as its
+error bar.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,6 +59,8 @@ class JumpRecord:
     phase_calls: int = 0
     rk_steps: int = 0
     rk_rejected: int = 0
+    cells: int = 0
+    error_bar: float = 0.0
 
 
 def _start(p: Potential, n: int, d: float) -> float:
@@ -82,10 +85,11 @@ def find_jump(
     """Solve theta(b; lambda) = n*pi for the n-th jump coupling.
 
     ``tol`` is relative in theta: the returned root satisfies
-    |theta(b; lambda_n) - n*pi| <= tol*n, and BracketingError is raised
-    when no iterate does, or when ``max_expansions`` slope steps find no
-    sign change.  The phase is integrated with rtol = tol/10 unless
-    overridden.
+    |theta(b; lambda_n) - n*pi| + error_bar <= tol*n, where error_bar is
+    the phase's own error estimate (0 on the RK path), and
+    BracketingError is raised when no iterate does, or when
+    ``max_expansions`` slope steps find no sign change.  The phase is
+    computed with rtol = tol/10 unless overridden.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -95,24 +99,30 @@ def find_jump(
     d = d_value if d_value is not None else integrate_sqrt_v(p, p.a, p.b, 1e-12).value
     target = n * _PI
     tol_theta = tol * n
-    calls = steps = rejected = 0
+    calls = steps = rejected = cells = 0
+    bars = {}  # lambda -> the phase's error estimate there
 
     def residual_at(lam):
-        nonlocal calls, steps, rejected
+        nonlocal calls, steps, rejected, cells
         res = phase(p, lam, rtol=phase_rtol, delta_tol=delta_tol)
         calls += 1
         steps += res.steps
         rejected += res.rejected_steps
+        cells += res.cells
+        bars[lam] = res.error_estimate
         return res.theta_b - target
 
+    def bound(lam, f):
+        return abs(f) + bars[lam]
+
     def record(lam, f):
-        return JumpRecord(n, lam, abs(f), lam * d / _PI - n, calls, steps, rejected)
+        return JumpRecord(n, lam, abs(f), lam * d / _PI - n, calls, steps, rejected, cells, bars[lam])
 
     lam0 = _start(p, n, d)
     lam, f = lam0, residual_at(lam0)
     slope, grow = d, 1.0
     for tries in range(max_expansions + 1):
-        if abs(f) <= tol_theta:
+        if bound(lam, f) <= tol_theta:
             return record(lam, f)
         if tries == max_expansions:
             raise BracketingError(f"no sign change from lambda={lam0!r} for n={n}")
@@ -130,17 +140,17 @@ def find_jump(
         lam, f = new, f_new
     lo, flo, hi, fhi = (lam, f, new, f_new) if f < 0.0 else (new, f_new, lam, f)
 
-    best_lam, best_f = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
+    best_lam, best_f = (lo, flo) if bound(lo, flo) < bound(hi, fhi) else (hi, fhi)
     side = 0  # Illinois bookkeeping: which endpoint moved last
     for _ in range(200):
-        if abs(best_f) <= tol_theta:
+        if bound(best_lam, best_f) <= tol_theta:
             break
         denom = fhi - flo
         mid = lo + (hi - lo) * (-flo / denom) if denom != 0.0 else 0.5 * (lo + hi)
         if not lo < mid < hi:
             mid = 0.5 * (lo + hi)
         fmid = residual_at(mid)
-        if abs(fmid) < abs(best_f):
+        if bound(mid, fmid) < bound(best_lam, best_f):
             best_lam, best_f = mid, fmid
         if fmid < 0.0:
             lo, flo = mid, fmid
@@ -154,10 +164,10 @@ def find_jump(
             side = 1
         if hi - lo <= 8.0 * 2.220446049250313e-16 * hi:
             break
-    if abs(best_f) > tol_theta:
+    if bound(best_lam, best_f) > tol_theta:
         raise BracketingError(
             f"no root within tolerance for n={n}: best |theta(b) - n*pi| = {abs(best_f)!r} "
-            f"at lambda={best_lam!r} exceeds {tol_theta!r}"
+            f"with error bar {bars[best_lam]!r} at lambda={best_lam!r} exceeds {tol_theta!r}"
         )
     return record(best_lam, best_f)
 
@@ -197,6 +207,9 @@ def jump_sequence(
         size = (len(ns) + workers - 1) // workers
         chunks = [ns[i : i + size] for i in range(0, len(ns), size)]
         payloads = [(p, chunk, tol, delta_tol, rtol, d) for chunk in chunks]
+        # imported here: the pool's import costs memory that one worker never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_sequence_chunk, payloads))
         records = [rec for part in parts for rec in part]

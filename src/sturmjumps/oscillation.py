@@ -1,47 +1,50 @@
 """Prüfer-phase counting of negative Dirichlet eigenvalues.
 
-For u'' = -lambda^2 V u with u(a) = 0, write u = r sin(theta) and
-u' = S r cos(theta) with the Liouville-Green scale S(x) = lambda sqrt(V(x)).
-The phase then obeys
-
-    theta' = lambda sqrt(V) + (V' / (4 V)) sin(2 theta),   theta(a) = 0.
-
-Its leading term integrates to the Liouville-Green phase lambda * D,
-D = int sqrt(V), and the oscillating term is O(1) in lambda, so the
-integrator's step count and global error grow slowly with lambda.  At
-theta = k*pi the sine vanishes and theta' = lambda sqrt(V) > 0: theta
-crosses each multiple of pi exactly once, upward, at the zeros of u.
-An accepted step that crosses one downward is an integration failure
-and raises PhaseError (between multiples theta may dip where
-|V'|/(4V) > lambda sqrt(V); that is harmless).
-
-Where the Liouville-Green stretch ends, normally at the stopping point
-x1, the angle is converted to the constant scale
-s = lambda * sqrt(max(c_lower, 1)) (theorem class; plain lambda
-otherwise), i.e. to tan(theta_s) = s u/u': with k = round(theta/pi) and
-phi = theta - k*pi,
-
-    theta_s = k*pi + atan2(s sin(phi), S cos(phi)),   S = S(x1).
-
-The conversion keeps every multiple of pi, so counts are unchanged, and
-gives theta_b one meaning independent of how V behaves at b.  Near a
-multiple of pi it multiplies the raw angle's error by s/S, so the
-stretch is integrated at rtol * min(1, S/s).  That factor is
-unbounded where V tends to 0 at b (declared gamma_b > 0), and there the
-Liouville-Green scale fails anyway: within the turning-point layer,
-where |V'|/(4V) ~ gamma_b/(4(b-x)) exceeds lambda sqrt(V), the angle is
-converted on entering the layer, where s/S is about
-(4 lambda/gamma_b)^(gamma_b/(gamma_b+2)) (for V ~ (b-x)^gamma_b), and
-the rest is integrated on the constant scale s,
-
-    theta' = s cos(theta)^2 + (lambda^2 V / s) sin(theta)^2.
-
-By Sturm oscillation the number of zeros of u on (a, b) equals the
-number of strictly negative eigenvalues N(lambda), hence
+For u'' = -lambda^2 V u with u(a) = 0 the phase theta(b) is the angle of
+(s u, u') at b on the constant scale s = lambda * sqrt(max(c_lower, 1))
+(theorem class; plain lambda otherwise), continued from theta(a) = 0.
+It crosses each multiple of pi exactly once, upward, at the zeros of u,
+so by Sturm oscillation the number of strictly negative eigenvalues is
 
     N(lambda) = ceil(theta_s(b)/pi) - 1
 
-away from the jump couplings where theta_s(b) is a multiple of pi.
+away from the jump couplings where theta_s(b) is a multiple of pi.  Each
+class takes its own path to theta_s(b):
+
+* Theorem class: the cell propagator of ``propagator``.  On the
+  Liouville-Green scale xi = int sqrt(V) the equation becomes
+  g'' = -(lambda^2 + U) g, which a fixed mesh of cells carries across
+  (0, D) in closed form (Ixaru's constant-perturbation method), at a cost
+  that does not grow with lambda.  ``rtol`` picks the mesh: it is built
+  once per potential and per decade of rtol, and every call also sweeps
+  it with each cell halved.  The halved sweep is theta_b and
+  |fine - coarse| its ``error_estimate``, which stays within
+  rtol * max(theta_b, pi): a call that misses refines a private copy of
+  the mesh or raises PhaseError.  ``steps`` and ``rejected_steps`` are 0.
+* Conjecture class: RK45 (``_rk45``) on the Liouville-Green scale
+  S = lambda sqrt(V), u = r sin(theta), u' = S r cos(theta),
+
+      theta' = lambda sqrt(V) + (V' / (4 V)) sin(2 theta),
+
+  whose step count and global error grow slowly with lambda.  At
+  theta = k*pi the sine vanishes and theta' > 0, so an accepted step
+  that crosses a multiple of pi downward is an integration failure and
+  raises PhaseError (between multiples theta may dip; that is
+  harmless).  Where the stretch ends at x1 the angle is converted to the
+  scale s with k = round(theta/pi), phi = theta - k*pi,
+
+      theta_s = k*pi + atan2(s sin(phi), S cos(phi)),   S = S(x1),
+
+  which keeps every multiple of pi and multiplies the raw angle's error
+  near one by s/S, so the stretch is integrated at rtol * min(1, S/s).
+  Where V tends to 0 at b (declared gamma_b > 0) the Liouville-Green
+  scale fails within the turning-point layer, where |V'|/(4V) ~
+  gamma_b/(4(b-x)) exceeds lambda sqrt(V): the angle is converted on
+  entering the layer and the rest is integrated on the constant scale s,
+
+      theta' = s cos(theta)^2 + (lambda^2 V / s) sin(theta)^2.
+
+  ``cells`` is 0, and so is ``error_estimate``: RK45 carries none.
 
 Conjecture-class potentials are never evaluated at a singular endpoint:
 integration starts at a + delta with the phase seeded from the leading
@@ -56,7 +59,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .expr import EvalDomainError
 from .potential import Potential, Regularity
+from .propagator import propagate
 
 __all__ = [
     "PhaseResult",
@@ -93,8 +98,10 @@ class PhaseResult:
     lam: float
     theta_b: float
     count: int
-    steps: int
+    steps: int  # RK45 steps (conjecture class)
     rejected_steps: int
+    cells: int = 0  # propagator cells swept, the mesh's and their halves (theorem class)
+    error_estimate: float = 0.0  # |fine - coarse| on the propagator, 0 on RK45
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +255,8 @@ def start_point(p: Potential, lam: float, delta_tol: float = 1e-10, end: str = "
 # ---------------------------------------------------------------------------
 
 
-def _fell(x: float, v: float, v_floor: float) -> PhaseError:
-    return PhaseError(f"potential fell to V({x}) = {v} (floor {v_floor})")
+def _fell(x: float, v: float) -> PhaseError:
+    return PhaseError(f"potential fell to V({x}) = {v}")
 
 
 def phase(
@@ -265,31 +272,38 @@ def phase(
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
 
-    theorem = p.regularity is Regularity.THEOREM
-    if theorem:
+    if p.regularity is Regularity.THEOREM:
         s = lam * math.sqrt(max(p.c_lower, 1.0))
-        v_floor = max(0.5 * p.c_lower, 0.0)
-    else:
-        s = lam
-        v_floor = 0.0
+        try:
+            theta_b, cells, estimate = propagate(p, lam, rtol, s)
+        except EvalDomainError as exc:
+            raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
+        except ArithmeticError as exc:
+            raise PhaseError(str(exc)) from None
+        return _result(lam, theta_b, 0, 0, cells, estimate)
+    theta_b, steps, rejected = _rk_phase(p, lam, rtol, delta_tol, max_steps)
+    return _result(lam, theta_b, steps, rejected, 0, 0.0)
 
+
+def _rk_phase(p, lam, rtol, delta_tol, max_steps):
+    """theta(b) of a conjecture-class potential, its RK steps and rejections."""
+    s = lam
     fv = p.value_fn
     x0, theta0 = p.a, 0.0
     x1, tail = p.b, 0.0
     layer = 0.0
     try:
-        if not theorem:
-            if p.gamma_a != 0.0:
-                delta = _offset_delta(p, lam, delta_tol, "a")
-                x0 = p.a + delta
-                theta0 = math.atan(lam * math.sqrt(fv(x0)) * delta)
-            if p.gamma_b != 0.0:
-                delta = _offset_delta(p, lam, delta_tol, "b")
-                x1 = p.b - delta
-                tail = math.atan2(s * delta, 1.0)
-            if p.gamma_b > 0.0:
-                # turning-point layer: |V'|/(4V) ~ gamma_b/(4(b-x)) exceeds lam sqrt(V)
-                layer = _offset_delta(p, lam, (0.25 * p.gamma_b) ** 2, "b")
+        if p.gamma_a != 0.0:
+            delta = _offset_delta(p, lam, delta_tol, "a")
+            x0 = p.a + delta
+            theta0 = math.atan(lam * math.sqrt(fv(x0)) * delta)
+        if p.gamma_b != 0.0:
+            delta = _offset_delta(p, lam, delta_tol, "b")
+            x1 = p.b - delta
+            tail = math.atan2(s * delta, 1.0)
+        if p.gamma_b > 0.0:
+            # turning-point layer: |V'|/(4V) ~ gamma_b/(4(b-x)) exceeds lam sqrt(V)
+            layer = _offset_delta(p, lam, (0.25 * p.gamma_b) ** 2, "b")
         xm = min(p.b - layer, x1)  # where the Liouville-Green stretch ends
         if not x0 < xm:
             raise PhaseError("endpoint offsets overlap; interval too small for this lambda")
@@ -299,13 +313,13 @@ def phase(
 
         def lg_rhs(x, th):
             v, dv = fvd(x)
-            if not v > v_floor:
-                raise _fell(x, v, v_floor)
+            if not v > 0.0:
+                raise _fell(x, v)
             return lam * sqrt(v) + 0.25 * dv / v * sin(2.0 * th)
 
         v_m = fv(xm)
-        if not v_m > v_floor:
-            raise _fell(xm, v_m, v_floor)
+        if not v_m > 0.0:
+            raise _fell(xm, v_m)
         # the conversion multiplies the angle's error by up to s/S(xm)
         scale_m = lam * sqrt(v_m)
         lg_rtol = rtol * min(1.0, scale_m / s)
@@ -318,8 +332,8 @@ def phase(
 
             def constant_scale_rhs(x, th):
                 v = fv(x)
-                if not v > v_floor:
-                    raise _fell(x, v, v_floor)
+                if not v > 0.0:
+                    raise _fell(x, v)
                 q = lam2_over_s * v
                 return 0.5 * (s + q) + 0.5 * (s - q) * cos(2.0 * th)
 
@@ -330,8 +344,10 @@ def phase(
             rejected += more_rejected
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-    theta_b = theta + tail
+    return theta + tail, steps, rejected
 
+
+def _result(lam, theta_b, steps, rejected, cells, estimate):
     t = theta_b / _PI
     nearest = round(t)
     if abs(t - nearest) < JUMP_GUARD:
@@ -341,7 +357,7 @@ def phase(
     else:
         count = math.ceil(t) - 1
     count = max(count, 0)
-    return PhaseResult(lam, theta_b, count, steps, rejected)
+    return PhaseResult(lam, theta_b, count, steps, rejected, cells, estimate)
 
 
 def count_negative(

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import ExprAst, compile_value, compile_value_d1, eval_jet2, parse, serialize
+from .expr import ExprAst, compile_jet2, compile_value, compile_value_d1, eval_jet2, parse, serialize
 
 __all__ = [
     "Regularity",
@@ -128,6 +128,20 @@ class Potential:
         return compile_value_d1(self.ast)
 
     @cached_property
+    def jet2_fn(self):
+        """Vectorized x -> Jet2(V, V', V'') over numpy arrays; raises EvalDomainError."""
+        return compile_jet2(self.ast)
+
+    @cached_property
+    def cell_meshes(self) -> dict:
+        """The phase propagator's cell meshes by rtol decade, each built on first use.
+
+        Not pickled: a mesh is a function of the potential and the decade,
+        so a worker rebuilds the same one.
+        """
+        return {}
+
+    @cached_property
     def u_integral(self) -> float:
         """Integral of the Liouville-Green potential U over (0, D); theorem class only.
 
@@ -142,6 +156,8 @@ class Potential:
         state.pop("value_fn", None)
         state.pop("value_fn_np", None)
         state.pop("value_d1_fn", None)
+        state.pop("jet2_fn", None)
+        state.pop("cell_meshes", None)
         return state
 
     def __setstate__(self, state):

@@ -1,0 +1,385 @@
+"""Theorem-class Prüfer phase from a lambda-uniform Liouville-Green cell propagator.
+
+On the Liouville-Green scale xi = int_a^x sqrt(V) the Dirichlet solution
+u = V**(-1/4) g obeys g'' = -(lambda^2 + U(xi)) g on (0, D), with U the
+transformed potential of liouville_green.  A mesh splits (0, D) into
+cells, each stored as four numbers: its length h, the mean Ubar of U over
+it and U's Legendre P1 and P2 coefficients c1, c2 in xi.  Over a cell
+the constant-perturbation method (Ixaru 1984; Ledoux, Van Daele & Vanden
+Berghe, MATSLISE, ACM TOMS 31, 2005) carries (g, g') exactly for the
+constant Ubar and to first order in c1 P1 + c2 P2, in closed form in
+Ixaru's functions eta_k of x = (lambda^2 + Ubar) h^2:
+
+    g(h)  = (eta_-1 + c1 h^2 eta_1/2) g + (h eta_0 + c2 h^3 eta_2/2) g'
+    g'(h) = x (c2 h^2 eta_2/2 - eta_0) g/h + (eta_-1 - c1 h^2 eta_1/2) g'
+
+with eta_-1 = cos w, eta_0 = sin(w)/w for x = w^2 > 0 (cosh and sinh
+for x < 0) and eta_k = (eta_(k-2) - (2k-1) eta_(k-1)) / (-x).  One formula
+serves cells above and below the barrier, so no lambda threshold is
+needed.  Where |x| < 16, i.e. at low frequency, where the first-order
+error is largest, the terms second order in (c1, c2) are added from a
+Taylor series in x (``_second_order_table``), tapered off by |x| = 25.
+The error is fourth order in h or better and falls as lambda grows, so
+one mesh serves every lambda.
+
+Within cell i the Prüfer angle psi, tan(psi) = sigma g/g', uses the scale
+sigma = sqrt(x)/h where the cell spans more than a radian of phase and 1/h
+elsewhere.  psi is read by atan2 at both ends of the cell and the change
+taken on the branch within pi of the expected advance sqrt(x) (0 on the
+slow cells).  At each node the angle is rescaled to the next cell's scale
+by atan2, which keeps every multiple of pi.  At b it is converted to the
+constant scale s with V(b) and V'(b), tan(theta_s) = s u/u', so theta_b
+means what it means on the RK path.
+
+The mesh depends on the potential and the decade of rtol only.  It is
+built once, vectorized over cells, by bisecting every cell whose
+propagator differs from the product of its two halves' by more than its
+share of the decade's tolerance, in the max norm on a scale natural to
+each reference frequency: lambda = 0 on the scale max(pi/D, sqrt|Ubar|),
+and omega h = z for each z in _Z_REF on the scale omega.  At omega the
+tolerance is 10**decade * max(omega D, pi) in all, so a cell's share grows
+with z.  The mesh is cached on the Potential.  Every call sweeps the mesh
+and the mesh with each cell halved: the fine sweep is the answer and
+|fine - coarse| its error estimate.  A call whose estimate exceeds
+rtol * max(theta_b, pi) refines a private copy, halving every cell, and
+fails after _MAX_REFINE such tries.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .expr import EvalDomainError
+from .potential import Potential
+from .quadrature import _GL_W, _GL_X
+
+__all__ = ["CellMesh", "build_mesh", "propagate"]
+
+_TWO_PI = 2.0 * math.pi
+
+_INITIAL_CELLS = 16
+_Z_REF = (1.0, 2.0, 4.0, 8.0)  # reference frequencies besides lambda = 0, in radians per cell
+_SHARE = 0.5  # fraction of the decade's tolerance the mesh's cells may use
+_ROUNDING = 8 * 2.220446049250313e-16  # a gap this small is rounding, not truncation
+_MAX_DEPTH = 40
+_MAX_CELLS = 50_000
+_MAX_REFINE = 3
+_SMALL_X = 0.05  # below this |x| the eta functions come from their series
+_SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
+
+
+def _legendre(t: np.ndarray, m: int) -> list[np.ndarray]:
+    """P_0 .. P_m at t by the three-term recurrence."""
+    ps = [np.ones_like(t), t]
+    for k in range(1, m):
+        ps.append(((2 * k + 1) * t * ps[k] - k * ps[k - 1]) / (k + 1))
+    return ps
+
+
+def _integration_matrix() -> np.ndarray:
+    """S with (S f)_k = integral from -1 to t_k of f's interpolant at the Gauss nodes t."""
+    n = len(_GL_X)
+    p = _legendre(_GL_X, n)
+    s = np.outer(_GL_X + 1.0, 0.5 * _GL_W)
+    for m in range(1, n):
+        # the interpolant's P_m coefficient is (2m+1)/2 sum_j w_j f_j P_m(t_j),
+        # and P_m integrates to (P_(m+1) - P_(m-1))/(2m+1)
+        s += np.outer(p[m + 1] - p[m - 1], 0.5 * _GL_W * p[m])
+    return s
+
+
+_S = _integration_matrix()
+
+
+def _series(n: int, terms: int = 6) -> list[float]:
+    """Taylor coefficients of eta_n in y = -x/2: 1/(m! (2n+2m+1)!!)."""
+    return [1.0 / (math.factorial(m) * math.prod(range(1, 2 * n + 2 * m + 2, 2))) for m in range(terms)]
+
+
+_ETA_SERIES = [_series(n) for n in (0, 1, 2)]
+
+
+@functools.cache  # built on first use, not at import
+def _second_order_table(terms: int = 16) -> np.ndarray:
+    """Taylor coefficients in x of the unit cell's terms second order in (c1, c2).
+
+    g'' = -(x + c1 P1(2t-1) + c2 P2(2t-1)) g on t in [0, 1] is solved as a
+    power series in t whose coefficients are polynomials in x, c1 and c2,
+    cut at x**(terms-1) and second order in c; each such coefficient is a
+    polynomial in t, so the sums at t = 1 are exact.  Row k holds the x**k
+    coefficients of the propagator entries 11, 12, 21, 22 (g(1) and g'(1)
+    from g(0) = 1 and from g'(0) = 1), each times c1^2, c1 c2 and c2^2.
+    """
+    # monomials 1, c1, c2, c1^2, c1 c2, c2^2: times c1, the first three
+    # become c1, c1^2, c1 c2; times c2 they become c2, c1 c2, c2^2
+    du = ((-1.0, 1.0), (2.0, -6.0), (0.0, 6.0))  # t^j coefficients of P1 and P2 in t
+    n_max = 2 * terms + 12
+    a = np.zeros((n_max + 2, 2, terms, 6))  # t^n coefficient, start, x power, monomial
+    a[0, 0, 0, 0] = a[1, 1, 0, 0] = 1.0
+    for n in range(n_max):
+        rhs = np.zeros((2, terms, 6))
+        rhs[:, 1:] = a[n, :, :-1]
+        for j, (p1, p2) in enumerate(du[: n + 1]):
+            rhs[..., [1, 3, 4]] += p1 * a[n - j, ..., :3]
+            rhs[..., [2, 4, 5]] += p2 * a[n - j, ..., :3]
+        a[n + 2] = -rhs / ((n + 2) * (n + 1))
+    g, dg = a.sum(axis=0), np.tensordot(np.arange(n_max + 2.0), a, axes=1)
+    return np.concatenate([g[0, :, 3:], g[1, :, 3:], dg[0, :, 3:], dg[1, :, 3:]], axis=1)
+
+
+
+@dataclass(frozen=True, eq=False)
+class CellMesh:
+    """A coarse mesh of n cells and its halves, for one potential and one rtol decade.
+
+    ``h``, ``ubar``, ``c1`` and ``c2`` hold the n coarse cells and then the
+    2n halves in order; ``nodes`` are the coarse cells' ends in x.
+    """
+
+    nodes: np.ndarray
+    h: np.ndarray
+    ubar: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    sqrt_vb: float
+    beta_b: float  # V'(b) / (4 V(b))
+
+    @property
+    def cells(self) -> int:
+        return len(self.nodes) - 1
+
+
+def _decade(rtol: float) -> int:
+    """The decade of rtol, floor(log10(rtol)), robust to rtol = 10**k in binary."""
+    return math.floor(math.log10(rtol) + 1e-9)
+
+
+def _moments(w, u, xi, h):
+    """Ubar, c1, c2 of U over cells of xi-length h from quadrature weights w in xi."""
+    t = 2.0 * xi / h[:, None] - 1.0
+    wu = w * u
+    return (
+        wu.sum(axis=1) / h,
+        3.0 * (wu * t).sum(axis=1) / h,
+        5.0 * (wu * (1.5 * t * t - 0.5)).sum(axis=1) / h,
+    )
+
+
+def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
+    """(h, Ubar, c1, c2) of the cells [lo, hi] and, interleaved, of their halves.
+
+    V, V' and V'' come from one vectorized jet call at the 10 Gauss nodes
+    of every half; xi at the nodes from the Gauss integration matrix.
+    """
+    n = len(lo)
+    mid = 0.5 * (lo + hi)
+    a = np.stack([lo, mid], axis=1).ravel()  # halves, left then right per cell
+    b = np.stack([mid, hi], axis=1).ravel()
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
+    v, d1, d2 = p.jet2_fn(x)
+    floor = max(0.5 * p.c_lower, 0.0)
+    bad = ~(v > floor)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise EvalDomainError(f"potential fell to {v.flat[i]!r} (floor {floor!r})", p.source, float(x.flat[i]))
+    sq = np.sqrt(v)
+    u = (-0.25 * d2 + 0.3125 * d1 * d1 / v) / (v * v)
+    dxi = half[:, None] * sq  # d xi / d t at the nodes
+    xi = dxi @ _S.T
+    hh = dxi @ _GL_W
+    w = dxi * _GL_W
+    halves = (hh, *_moments(w, u, xi, hh))
+    # a whole cell integrates over both halves' nodes, the right ones shifted by the left length
+    hw = hh[0::2] + hh[1::2]
+    xiw = np.concatenate([xi[0::2], xi[1::2] + hh[0::2, None]], axis=1)
+    whole = (hw, *_moments(w.reshape(n, -1), u.reshape(n, -1), xiw, hw))
+    return whole, halves
+
+
+def _etas(x: np.ndarray):
+    """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign."""
+    r = np.sqrt(np.abs(x))
+    with np.errstate(all="ignore"):  # x = 0 and the unused cosh branch
+        if x.min() > 0.0:
+            em1, e0 = np.cos(r), np.sin(r) / r
+        else:
+            pos = x > 0.0
+            em1 = np.where(pos, np.cos(r), np.cosh(r))
+            e0 = np.where(pos, np.sin(r), np.sinh(r)) / r
+        e1 = (e0 - em1) / x
+        e2 = (3.0 * e1 - e0) / x
+    small = np.abs(x) < _SMALL_X
+    if small.any():
+        y = -0.5 * x[small]
+        for out, coeffs in zip((e0, e1, e2), _ETA_SERIES):
+            acc = np.full_like(y, coeffs[-1])
+            for c in reversed(coeffs[:-1]):
+                acc = acc * y + c
+            out[small] = acc
+    return em1, e0, e1, e2
+
+
+def _transfer(lam2, h, ubar, c1, c2):
+    """The cells' (g, g') propagators t11, t12, t21, t22 at lambda^2 = lam2, and x."""
+    h2 = h * h
+    x = (lam2 + ubar) * h2
+    em1, e0, e1, e2 = _etas(x)
+    k1 = 0.5 * c1 * h2 * e1
+    k2 = 0.5 * c2 * h2 * e2
+    t = [em1 + k1, h * (e0 + k2), x * (k2 - e0) / h, em1 - k1]
+    full, gone = _SECOND_ORDER_X
+    near = np.abs(x) < gone
+    if near.any():
+        # second order in (c1, c2) from the unit cell's series, scaled by
+        # h^4 (c h^2 squared) and by h, 1/h for the off-diagonal entries
+        part = slice(None) if near.all() else near
+        xn, hn = x[part], h[part]
+        a, b = c1[part] * h2[part], c2[part] * h2[part]
+        table = _second_order_table()
+        series = (np.vander(xn, len(table), increasing=True) @ table).reshape(-1, 4, 3)
+        terms = series[:, :, 0] * (a * a)[:, None] + series[:, :, 1] * (a * b)[:, None] + series[:, :, 2] * (b * b)[:, None]
+        weight = 1.0
+        if xn.max() > full or xn.min() < -full:
+            weight = np.cos(0.5 * math.pi * np.clip((np.abs(xn) - full) / (gone - full), 0.0, 1.0)) ** 2
+        for k, scale in enumerate((weight, weight * hn, weight / hn, weight)):
+            t[k][part] += scale * terms[:, k]
+    return (*t, x)
+
+
+def _mismatch(whole, halves, lam2, sig):
+    """Max-norm gap, on the scale sig, between each cell's propagator and its halves' product."""
+    t11, t12, t21, t22, _ = _transfer(lam2, *whole)
+    l11, l12, l21, l22, _ = _transfer(lam2, *(q[0::2] for q in halves))
+    r11, r12, r21, r22, _ = _transfer(lam2, *(q[1::2] for q in halves))
+    return np.maximum.reduce([
+        np.abs(r11 * l11 + r12 * l21 - t11),
+        np.abs(r11 * l12 + r12 * l22 - t12) * sig,
+        np.abs(r21 * l11 + r22 * l21 - t21) / sig,
+        np.abs(r21 * l12 + r22 * l22 - t22),
+    ])
+
+
+def _assemble(p: Potential, nodes: np.ndarray, whole=None, halves=None) -> CellMesh:
+    if whole is None:
+        whole, halves = _cells(p, nodes[:-1], nodes[1:])
+    vb, dvb = p.value_d1_fn(p.b)
+    arrays = [np.concatenate([w, q]) for w, q in zip(whole, halves)]
+    return CellMesh(nodes, *arrays, math.sqrt(vb), 0.25 * dvb / vb)
+
+
+def build_mesh(p: Potential, decade: int) -> CellMesh:
+    """The cell mesh for ``decade``, by vectorized bisection from equal cells in x."""
+    edges = np.linspace(p.a, p.b, _INITIAL_CELLS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    whole, halves = _cells(p, lo, hi)
+    # at a frequency where theta(b) ~ omega D the cells' mismatches may add
+    # up to _SHARE * 10**decade * max(omega D, pi); cell i's share is
+    # 10**decade * max(z, pi h_i/D) at z = omega h_i
+    scale = _SHARE * 10.0**decade
+    length = whole[0].sum()
+    floor = scale * math.pi / length
+    done = []
+    for _ in range(_MAX_DEPTH):
+        h, ubar = whole[0], whole[1]
+        # lambda = 0 on the scale of the first jump, pi/D, or of sqrt(|Ubar|);
+        # then omega = z/h on its own scale; a gap at rounding level passes
+        allowed = np.maximum(floor * h, _ROUNDING)
+        sig0 = np.maximum(math.pi / length, np.sqrt(np.abs(ubar)))
+        ok = _mismatch(whole, halves, 0.0, sig0) <= allowed
+        for z in _Z_REF:
+            lam2 = np.maximum((z / h) ** 2 - ubar, 0.0)
+            ok &= _mismatch(whole, halves, lam2, z / h) <= np.maximum(scale * z, allowed)
+        done.append((lo[ok], hi[ok], [q[ok] for q in whole], [q[np.repeat(ok, 2)] for q in halves]))
+        if ok.all():
+            break
+        split = ~ok
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        if sum(len(part[0]) for part in done) + len(lo) > _MAX_CELLS:
+            break
+        whole, halves = _cells(p, lo, hi)
+    else:
+        raise ArithmeticError(f"cell mesh did not converge in {_MAX_DEPTH} bisections near x={lo[0]!r}")
+    if not ok.all():
+        raise ArithmeticError(f"cell mesh needs more than {_MAX_CELLS} cells")
+    lo_all = np.concatenate([part[0] for part in done])
+    order = np.argsort(lo_all, kind="stable")
+    nodes = np.append(lo_all[order], p.b)
+    whole = [np.concatenate([part[2][k] for part in done])[order] for k in range(4)]
+    pairs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
+    halves = [np.concatenate([part[3][k] for part in done])[pairs] for k in range(4)]
+    return _assemble(p, nodes, whole, halves)
+
+
+def _sweep(m11, m12, m21, m22, adv, ratio):
+    """Continuous Prüfer angle over a run of cells, and the final (g, g') direction.
+
+    The m's are the cells' propagators in their own scale, ``adv`` the
+    expected advance, ``ratio`` the rescale at each cell's far end.
+    """
+    atan2 = math.atan2
+    theta = a0 = w0 = 0.0
+    w1 = 1.0
+    for t11, t12, t21, t22, e, r in zip(m11, m12, m21, m22, adv, ratio):
+        y0 = t11 * w0 + t12 * w1
+        y1 = t21 * w0 + t22 * w1
+        a1 = atan2(y0, y1)
+        d = a1 - a0 - e
+        n = abs(y0) + abs(y1)
+        w0 = y0 * r / n
+        w1 = y1 / n
+        a0 = atan2(w0, w1)
+        theta += e + d - _TWO_PI * round(d / _TWO_PI) + a0 - a1
+    return theta, w0, w1, a0
+
+
+def _theta_pair(mesh: CellMesh, lam: float, s: float) -> tuple[float, float]:
+    """theta_s(b) on the coarse mesh and on its halves."""
+    n = mesh.cells
+    t11, t12, t21, t22, x = _transfer(lam * lam, mesh.h, mesh.ubar, mesh.c1, mesh.c2)
+    sig = np.sqrt(np.maximum(x, 1.0)) / mesh.h  # each cell's Prüfer scale
+    adv = np.where(x >= 1.0, sig * mesh.h, 0.0)
+    # rescale to the next cell's sigma at every node, and to sigma = 1 at b
+    ratio = np.append(sig[1:], 1.0) / sig
+    ratio[n - 1] = 1.0 / sig[n - 1]
+    cols = [a.tolist() for a in (t11, t12 * sig, t21 / sig, t22, adv, ratio)]
+    out = []
+    for part in (slice(0, n), slice(n, 3 * n)):
+        theta, g, dg, a = _sweep(*(c[part] for c in cols))
+        out.append(theta + math.atan2(s * g, mesh.sqrt_vb * dg - mesh.beta_b * g) - a)
+    return out[0], out[1]
+
+
+def propagate(p: Potential, lam: float, rtol: float, s: float) -> tuple[float, int, float]:
+    """theta_s(b), the number of cells swept and the error estimate |fine - coarse|.
+
+    Raises EvalDomainError when V cannot be evaluated or falls to the
+    floor on the mesh, ArithmeticError when the estimate stays above
+    rtol * max(theta_b, pi).
+    """
+    decade = _decade(rtol)
+    meshes = p.cell_meshes
+    mesh = meshes.get(decade)
+    if mesh is None:
+        mesh = meshes.setdefault(decade, build_mesh(p, decade))
+    swept = 0
+    for refinements in range(_MAX_REFINE + 1):
+        coarse, fine = _theta_pair(mesh, lam, s)
+        swept += 3 * mesh.cells
+        estimate = abs(fine - coarse)
+        if not math.isfinite(fine):
+            break
+        if estimate <= rtol * max(abs(fine), math.pi):
+            return fine, swept, estimate
+        if refinements < _MAX_REFINE:
+            nodes = mesh.nodes
+            mesh = _assemble(p, np.insert(nodes, np.arange(1, len(nodes)), 0.5 * (nodes[:-1] + nodes[1:])))
+    raise ArithmeticError(
+        f"cell propagator estimate {estimate!r} misses rtol={rtol!r} at lambda={lam!r} "
+        f"after {refinements} refinements"
+    )

@@ -53,22 +53,27 @@ def assemble(p: Potential, lam: float, m: int) -> Tridiag:
     return Tridiag(diag, off, h, m)
 
 
+_CHUNK = 4096  # rows per Python-list slice of the recurrence
+
+
 def count_by_inertia(t: Tridiag) -> int:
-    """Number of negative pivots of the LDL^T recurrence (= negative eigenvalues)."""
-    diag = t.diag.tolist()
-    off2 = (t.off * t.off).tolist()
-    d = diag[0]
+    """Number of negative pivots of the LDL^T recurrence (= negative eigenvalues).
+
+    Pivot i is d_i = diag[i] - off[i-1]^2 / d_(i-1), run over Python floats
+    in slices of _CHUNK rows, so no list of the whole matrix is made.
+    """
     neg = 0
-    for i in range(1, t.m):
-        if d == 0.0:
-            raise ZeroPivotError(f"exact zero pivot at row {i - 1}")
-        if d < 0.0:
-            neg += 1
-        d = diag[i] - off2[i - 1] / d
-    if d == 0.0:
-        raise ZeroPivotError(f"exact zero pivot at row {t.m - 1}")
-    if d < 0.0:
-        neg += 1
+    d = 1.0  # row 0 has no coupling above it: d_0 = diag[0] - 0/1
+    for lo in range(0, t.m, _CHUNK):
+        hi = min(lo + _CHUNK, t.m)
+        coupling = t.off[max(lo - 1, 0) : hi - 1]
+        off2 = ([0.0] if lo == 0 else []) + (coupling * coupling).tolist()
+        for i, (a, c) in enumerate(zip(t.diag[lo:hi].tolist(), off2), start=lo):
+            d = a - c / d
+            if d == 0.0:
+                raise ZeroPivotError(f"exact zero pivot at row {i}")
+            if d < 0.0:
+                neg += 1
     return neg
 
 

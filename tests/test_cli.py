@@ -71,11 +71,14 @@ def test_jumps_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert [r["n"] for r in payload["records"]] == [2, 3]
     records, diag = payload["records"], payload["diagnostics"]
-    assert all(r["phase_calls"] >= 1 and r["rk_steps"] > 0 for r in records)
+    # a theorem-class potential: the cell propagator, no RK steps, an error bar per root
+    assert all(r["phase_calls"] >= 1 and r["cells"] > 0 and r["rk_steps"] == 0 for r in records)
     assert diag["phase_calls"] == sum(r["phase_calls"] for r in records)
     assert diag["rk_steps"] == sum(r["rk_steps"] for r in records)
     assert diag["rk_rejected"] == sum(r["rk_rejected"] for r in records)
-    assert 0.0 <= diag["residual_over_tol_max"] <= 1.0
+    assert diag["cells"] == sum(r["cells"] for r in records)
+    assert all(r["error_bar"] >= 0.0 for r in records)
+    assert 0.0 <= diag["residual_over_tol_max"] <= diag["residual_plus_error_bar_over_tol_max"] <= 1.0
 
 
 def test_jumps_csv_independent_of_threads(tmp_path):
@@ -131,16 +134,21 @@ def test_verify_theorem_suite_passes(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
-    _check_root_diagnostics(payload, 51)
+    _check_root_diagnostics(payload, 51, theorem=True)
 
 
-def _check_root_diagnostics(payload, roots):
+def _check_root_diagnostics(payload, roots, theorem):
     assert "report" not in payload
     diag = payload["diagnostics"]
-    assert set(diag) == {"phase_calls", "rk_steps", "rk_rejected", "residual_over_tol_max"}
+    assert set(diag) == {
+        "phase_calls", "rk_steps", "rk_rejected", "cells",
+        "residual_over_tol_max", "residual_plus_error_bar_over_tol_max",
+    }
     assert roots <= diag["phase_calls"] <= 5 * roots
-    assert diag["rk_steps"] > 0 and diag["rk_rejected"] >= 0
-    assert 0.0 <= diag["residual_over_tol_max"] <= 1.0
+    # the theorem class runs on the cell propagator, the conjecture class on RK45
+    assert (diag["cells"] > 0, diag["rk_steps"] > 0) == (theorem, not theorem)
+    assert diag["rk_rejected"] >= 0
+    assert 0.0 <= diag["residual_over_tol_max"] <= diag["residual_plus_error_bar_over_tol_max"] <= 1.0
 
 
 def test_verify_conjecture_suite_detects_wrong_exponents(tmp_path):
@@ -173,7 +181,7 @@ def test_verify_conjecture_suite_passes(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
     assert payload["metrics"]["predicted"] == pytest.approx(-1.0 / 12.0, rel=1e-12)
-    _check_root_diagnostics(payload, 101)
+    _check_root_diagnostics(payload, 101, theorem=False)
 
 
 def test_verify_weyl_suite_small(tmp_path):

@@ -11,6 +11,7 @@ from sturmjumps.expr import (
     Number,
     Symbol,
     Unary,
+    compile_jet2,
     compile_value,
     compile_value_d1,
     eval_jet2,
@@ -172,6 +173,74 @@ def test_compiled_vectorized_matches_scalar():
     out = fnp(xs)
     for x, v in zip(xs, out):
         assert v == pytest.approx(fn(float(x)), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "source,lo,hi",
+    _FD_CASES + [("x^2", -2.0, 2.0), ("(1+x)^(-4)", 0.0, 1.0), ("x^x", 0.1, 3.0), ("1", 0.0, 1.0)],
+)
+def test_compiled_jet2_matches_jets(source, lo, hi):
+    import numpy as np
+
+    ast = parse(source)
+    xs = lo + (hi - lo) * (np.arange(25) + 0.5) / 25
+    got = compile_jet2(ast)(xs.reshape(5, 5))
+    assert all(part.shape == (5, 5) for part in got)
+    for x, v, d1, d2 in zip(xs, *(part.ravel() for part in got)):
+        jet = eval_jet2(ast, float(x))
+        assert (v, d1, d2) == pytest.approx(tuple(jet), rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "source,x",
+    [
+        ("log(x)", -1.0),
+        ("sqrt(x)", -2.0),
+        ("sqrt(x)", 0.0),  # zero value with a non-zero slope
+        ("1/x", 0.0),
+        ("(-2)^x", 0.5),
+        ("x^0.5", -2.0),
+        ("x^0.5", 0.0),
+        ("x^(-2)", 0.0),
+        ("(x-x)^(-1)", 0.3),
+        ("exp(x)", 1e6),
+        ("exp(x)^10", 100.0),
+        ("x^x", 0.0),
+        ("2+log(x-1)", 0.5),
+    ],
+)
+def test_compiled_jet2_raises_where_jets_raise(source, x):
+    import numpy as np
+
+    ast = parse(source)
+    with pytest.raises(EvalDomainError) as want:
+        eval_jet2(ast, x)
+
+    def fine(point):
+        try:
+            eval_jet2(ast, point)
+        except EvalDomainError:
+            return False
+        return True
+
+    # the failing point is named among points where the jets are fine
+    xs = [pt for pt in (3.0, 2.0) if fine(pt)]
+    with pytest.raises(EvalDomainError) as got:
+        compile_jet2(ast)(np.array(xs[:1] + [x] + xs[1:]))
+    assert got.value.x == x
+    # the same failure, unless numpy overflows where math.pow refused the power
+    assert str(got.value).split(" in ")[0] in (str(want.value).split(" in ")[0], "overflow to non-finite")
+
+
+def test_compiled_jet2_special_zero_bases():
+    import numpy as np
+
+    # flat zero bases are allowed where eval_jet2 allows them
+    for source in ("x^2", "(x-x)^0.5", "sqrt(x-x)", "x^3", "(x^2)^2+1"):
+        ast = parse(source)
+        got = compile_jet2(ast)(np.array([0.0]))
+        want = eval_jet2(ast, 0.0)
+        assert tuple(float(part[0]) for part in got) == tuple(want)
 
 
 # -- structural round-trip ---------------------------------------------------

@@ -115,7 +115,7 @@ def test_start_rule_phase_calls(v_sin, v_linear):
     # steps along d theta/d lambda ~ D
     head = jump_sequence(v_sin, 1, 60)
     assert _calls_per_root(head) <= 2.5
-    assert all(r.rk_steps > 0 for r in head)
+    assert all(r.cells > 0 and r.rk_steps == 0 for r in head)
     # from n ~ 200 the start already meets tol*n
     assert [r.phase_calls for r in jump_sequence(v_sin, 200, 230)] == [1] * 31
     # conjecture class: start at (n + kappa) pi/D

@@ -18,7 +18,9 @@ def test_constant_potential_phase_is_linear(v_one):
     assert res.theta_b == pytest.approx(2.5 * math.pi, rel=1e-12)
     assert res.count == 2
     assert res.theta_b > 0.0
-    assert res.steps > 0
+    # theorem class: swept by the cell propagator, with no RK steps
+    assert res.cells > 0 and res.steps == res.rejected_steps == 0
+    assert 0.0 <= res.error_estimate <= 1e-10 * res.theta_b
 
 
 def test_exactly_at_jump_excludes_zero_eigenvalue(v_one):

@@ -1,0 +1,131 @@
+"""The theorem-class cell propagator: its pieces, its mesh and its contracts."""
+
+import math
+import pickle
+
+import mpmath
+import numpy as np
+import pytest
+
+from sturmjumps import propagator
+from sturmjumps.oscillation import PhaseError, phase
+from sturmjumps.potential import Potential
+from sturmjumps.quadrature import integrate_sqrt_v
+
+
+def test_eta_functions_on_both_sides_of_the_barrier():
+    xs = [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.049, 0.051, -0.051, 0.3, -0.3, 4.0, -4.0, 2500.0, -900.0]
+    got = propagator._etas(np.array(xs))
+    mpmath.mp.dps = 40
+    for i, x in enumerate(xs):
+        x = mpmath.mpf(x)
+        if x == 0:
+            want = [1, 1, mpmath.mpf(1) / 3, mpmath.mpf(1) / 15]
+        else:
+            r = mpmath.sqrt(abs(x))
+            em1 = mpmath.cos(r) if x > 0 else mpmath.cosh(r)
+            e0 = (mpmath.sin(r) if x > 0 else mpmath.sinh(r)) / r
+            e1 = (e0 - em1) / x
+            want = [em1, e0, e1, (3 * e1 - e0) / x]
+        for k, w in enumerate(want):
+            assert float(got[k][i]) == pytest.approx(float(w), rel=1e-12, abs=1e-15), (xs[i], k)
+
+
+def _unit_cell_rk4(x, c1, c2, steps=4000):
+    # g'' = -(x + c1 P1(2t-1) + c2 P2(2t-1)) g on [0, 1], both fundamental solutions
+    def rhs(t, y):
+        u = 2.0 * t - 1.0
+        q = x + c1 * u + c2 * (1.5 * u * u - 0.5)
+        return np.array([y[1], -q * y[0]])
+
+    y, dt = np.eye(2), 1.0 / steps
+    for i in range(steps):
+        t = i * dt
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y  # rows (g, g'), columns from g(0) = 1 and g'(0) = 1
+
+
+@pytest.mark.parametrize("x", [-9.0, -1.0, 0.0, 0.02, 0.7, 4.0, 15.0])
+def test_cell_propagator_is_second_order_in_the_perturbation(x):
+    # on |x| <= 16 the cell carries the (c1, c2) terms to second order, so
+    # against an accurate solution only third-order terms are left
+    c1, c2 = 0.05, -0.03
+    want = _unit_cell_rk4(x, c1, c2)
+    one = np.ones(1)
+    got = propagator._transfer(x, one, 0.0 * one, c1 * one, c2 * one)
+    got = np.array([[got[0][0], got[1][0]], [got[2][0], got[3][0]]])
+    assert np.abs(got - want).max() <= 1e-7 * max(1.0, math.cosh(math.sqrt(max(-x, 0.0))))
+
+
+def test_mesh_lengths_add_up_to_d(v_sin, v_exp):
+    for p in (v_sin, v_exp):
+        phase(p, 3.0, rtol=1e-11)
+        mesh = p.cell_meshes[-11]
+        n = mesh.cells
+        d = integrate_sqrt_v(p, p.a, p.b, 1e-13).value
+        assert mesh.h[:n].sum() == pytest.approx(d, rel=1e-13)
+        assert mesh.h[n:].sum() == pytest.approx(d, rel=1e-13)
+        assert np.allclose(mesh.h[:n], mesh.h[n::2] + mesh.h[n + 1 :: 2], rtol=1e-13, atol=0.0)
+        assert mesh.nodes[0] == p.a and mesh.nodes[-1] == p.b
+
+
+def test_one_mesh_serves_every_lambda():
+    # the same cells at lambda = 10, 100 and 1000, at most a few hundred of them
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    results = [phase(p, lam, rtol=1e-11) for lam in (10.0, 100.0, 1000.0)]
+    mesh = p.cell_meshes[-11]
+    assert list(p.cell_meshes) == [-11]
+    assert [r.cells for r in results] == [3 * mesh.cells] * 3
+    assert mesh.cells <= 200
+    for r in results:
+        assert r.steps == r.rejected_steps == 0
+        assert 0.0 <= r.error_estimate <= 1e-11 * r.theta_b / math.pi
+
+
+def test_phase_is_bit_identical_whatever_came_before():
+    def fresh():
+        return Potential.from_formula("2+sin(x)", 0.0, 3.0)
+
+    first = phase(fresh(), 50.0).theta_b
+    p = fresh()
+    for lam, rtol in ((1000.0, 1e-12), (3.0, 1e-11), (400.0, 1e-9)):
+        phase(p, lam, rtol=rtol)
+    assert phase(p, 50.0).theta_b == first
+    mesh = p.cell_meshes[-10]
+    nodes = mesh.nodes.copy()
+    q = pickle.loads(pickle.dumps(p))
+    assert "cell_meshes" not in q.__dict__  # a pickle carries no mesh
+    assert phase(q, 50.0).theta_b == first
+    # no call changes a cached mesh
+    assert p.cell_meshes[-10] is mesh and np.array_equal(mesh.nodes, nodes)
+
+
+def test_estimate_miss_refines_a_private_copy(monkeypatch):
+    # a mesh far too coarse for its decade: the call halves a copy until the
+    # estimate meets rtol, and the cached mesh stays as it was built
+    monkeypatch.setattr(propagator, "_SHARE", 1e5)
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    res = phase(p, 2.0, rtol=1e-12)
+    mesh = p.cell_meshes[-12]
+    assert res.cells > 3 * mesh.cells
+    assert res.error_estimate <= 1e-12 * res.theta_b
+    again = phase(p, 2.0, rtol=1e-12)
+    assert (again.theta_b, again.cells) == (res.theta_b, res.cells)
+    assert p.cell_meshes[-12] is mesh and mesh.cells == len(mesh.h) // 3
+    monkeypatch.setattr(propagator, "_MAX_REFINE", 0)
+    with pytest.raises(PhaseError, match="refinements"):
+        phase(Potential.from_formula("2+sin(x)", 0.0, 3.0), 2.0, rtol=1e-12)
+
+
+def test_barrier_cells_in_the_steep_dip():
+    # 1.2+sin(3x) has U near -56 at its minima: at lambda <= 3 those cells sit
+    # below the barrier, lambda^2 + Ubar < 0, and take the cosh/sinh transfer
+    p = Potential.from_formula("1.2+1.0*sin(3*x)", 0.0, 4.0)
+    res = phase(p, 3.0)
+    mesh = p.cell_meshes[-10]
+    assert (mesh.ubar + 9.0 < 0.0).any()
+    assert res.error_estimate <= 1e-10 * max(res.theta_b, math.pi)

@@ -3,8 +3,11 @@
 ``find_jump(p, n, tol)`` promises |theta(b; lambda_n) - n*pi| <= tol*n.
 Near a root theta(b; .) has slope about D = int sqrt(V), so the promise is
 checked as D*|lambda_n - lambda*_n| <= tol*n against roots known in closed
-form.  The phase itself is cross-checked against the constant-scale Prüfer
-equation, integrated here with the same Dormand-Prince stepper.
+form, and at lambda ~ 1000 against theta(b) from the RK oracle.  The phase
+itself is cross-checked against two RK45 oracles built on the same
+Dormand-Prince stepper: the constant-scale Prüfer equation, and for the
+theorem class the Liouville-Green-scale equation that the cell propagator
+replaced.
 """
 
 import math
@@ -64,6 +67,68 @@ def _constant_scale_theta_b(p, lam, rtol, delta_tol=1e-10):
 
     theta, _, _ = _rk45(rhs, x0, math.atan(s * (x0 - p.a)), x1, rtol, rtol * math.pi, 10**8)
     return theta + math.atan(s * (p.b - x1))
+
+
+def _lg_theta_b(p, lam, rtol):
+    """Theorem-class theta(b) by RK45 on the Liouville-Green scale S = lam sqrt(V).
+
+    theta' = lam sqrt(V) + (V'/(4V)) sin(2 theta) from a to b, converted to the
+    constant scale s at b; the global error grows with the step count, so at
+    rtol 1e-13 it is about 1e-12 * n at lambda = 1000.
+    """
+    s = lam * math.sqrt(max(p.c_lower, 1.0))
+    fvd = p.value_d1_fn
+
+    def rhs(x, th):
+        v, dv = fvd(x)
+        return lam * math.sqrt(v) + 0.25 * dv / v * math.sin(2.0 * th)
+
+    scale_b = lam * math.sqrt(p.value_fn(p.b))
+    lg_rtol = rtol * min(1.0, scale_b / s)
+    theta, _, _ = _rk45(rhs, p.a, 0.0, p.b, lg_rtol, lg_rtol * math.pi, 10**8)
+    k = round(theta / math.pi)
+    phi = theta - k * math.pi
+    return k * math.pi + math.atan2(s * math.sin(phi), scale_b * math.cos(phi))
+
+
+@pytest.mark.parametrize("n", [1552, 1555, 1556, 1557])
+def test_root_tol_contract_near_lambda_1000(v_sin, n):
+    # these n put lambda_n of 2+sin(x) on [0, 3] at about 1000, where the
+    # RK45 phase's global error broke the contract: 2.8, 3.9 and 0.74 tol*n,
+    # and no root within tol*n at all for n = 1557
+    rec = find_jump(v_sin, n, tol=TOL)
+    assert 997.0 < rec.lambda_n < 1001.0
+    theta = _lg_theta_b(v_sin, rec.lambda_n, 1e-13)
+    assert abs(theta - n * math.pi) <= TOL * n
+    assert rec.residual + rec.error_bar <= TOL * n
+    for rtol in (1e-10, 1e-11, 1e-12):
+        res = phase(v_sin, rec.lambda_n, rtol=rtol)
+        assert res.error_estimate <= rtol * n
+        # the oracle's own error here is about 1e-12 * n
+        assert abs(res.theta_b - theta) <= max(rtol, 2e-12) * n
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-11, 1e-12])
+@pytest.mark.parametrize("fixture", ["v_sin", "v_exp"])
+def test_propagator_matches_lg_oracle(fixture, rtol, request):
+    p = request.getfixturevalue(fixture)
+    for lam in (0.7, 3.0, 10.0, 100.0, 400.0):
+        want = _lg_theta_b(p, lam, 1e-13)
+        res = phase(p, lam, rtol=rtol)
+        n = max(1.0, want / math.pi)
+        assert abs(res.theta_b - want) <= rtol * n
+        assert res.error_estimate <= rtol * max(res.theta_b, math.pi)
+
+
+def test_propagator_on_a_long_interval():
+    # 2+sin(x) over twenty periods: U varies fastest where V is near 1, and the
+    # low-frequency error sets the mesh; second-order cells keep it small
+    p = Potential.from_formula("2+sin(x)", 0.0, 60.0)
+    for lam in (0.5, 5.0, 40.0):
+        want = _lg_theta_b(p, lam, 1e-13)
+        res = phase(p, lam)
+        assert abs(res.theta_b - want) <= 1e-10 * max(1.0, want / math.pi)
+    assert p.cell_meshes[-10].cells <= 2000
 
 
 @pytest.mark.parametrize("lam", [10.0, 100.0, 1000.0])

@@ -83,3 +83,30 @@ def test_conjecture_class_interior_nodes_only(v_rational):
 def test_mesh_size_guard(v_one):
     with pytest.raises(ValueError):
         count_matrix(v_one, 1.0, 50)
+
+
+def _one_pass_inertia(t):
+    # the recurrence in one pass over whole-matrix lists: the reference for the sliced one
+    diag, off2 = t.diag.tolist(), (t.off * t.off).tolist()
+    d, neg = diag[0], 0
+    for i in range(1, t.m):
+        neg += d < 0.0
+        d = diag[i] - off2[i - 1] / d
+    return neg + (d < 0.0)
+
+
+@pytest.mark.parametrize("m", [4095, 4096, 4097, 8193, 20000])
+def test_sliced_inertia_matches_one_pass_at_slice_boundaries(m):
+    rng = np.random.default_rng(m)
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    matrices = [assemble(p, lam, m) for lam in (5.3, 37.1)]
+    matrices += [Tridiag(rng.normal(size=m), rng.normal(size=m - 1), 1.0, m) for _ in range(4)]
+    for t in matrices:
+        assert count_by_inertia(t) == _one_pass_inertia(t)
+
+
+def test_zero_pivot_row_across_slices():
+    diag = np.ones(8193)
+    diag[4096] = 0.0
+    with pytest.raises(ZeroPivotError, match="row 4096"):
+        count_by_inertia(Tridiag(diag, np.zeros(8192), 1.0, 8193))
