@@ -32,7 +32,6 @@ from .oscillation import (
     PhaseResult,
     count_negative,
     phase,
-    start_point,
 )
 from .potential import (
     Potential,
@@ -83,7 +82,6 @@ __all__ = [
     "parse",
     "phase",
     "serialize",
-    "start_point",
     "theorem_check",
     "transformed_potential",
     "weyl_defect",

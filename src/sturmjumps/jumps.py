@@ -24,6 +24,8 @@ increasing, and each root is found in three stages:
 
 Any phase evaluation with |f| plus the phase's own error estimate at
 most tol*n is accepted at once; when none is, BracketingError is raised.
+That estimate is the cell propagator's |fine - coarse|; on the
+conjecture class it covers the bulk only, not the RK45 end slivers.
 Each record carries e_n = lambda_n * D / pi - n, the deviation of the
 jump from its leading prediction n*pi/D with D the full integral of
 sqrt(V), the phase calls, RK steps, rejected RK steps and propagator
@@ -86,7 +88,8 @@ def find_jump(
 
     ``tol`` is relative in theta: the returned root satisfies
     |theta(b; lambda_n) - n*pi| + error_bar <= tol*n, where error_bar is
-    the phase's own error estimate (0 on the RK path), and
+    the phase's own error estimate (the propagator's; the conjecture
+    class's RK45 end slivers add none), and
     BracketingError is raised when no iterate does, or when
     ``max_expansions`` slope steps find no sign change.  The phase is
     computed with rtol = tol/10 unless overridden.

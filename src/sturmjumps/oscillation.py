@@ -8,10 +8,10 @@ so by Sturm oscillation the number of strictly negative eigenvalues is
 
     N(lambda) = ceil(theta_s(b)/pi) - 1
 
-away from the jump couplings where theta_s(b) is a multiple of pi.  Each
-class takes its own path to theta_s(b):
+away from the jump couplings where theta_s(b) is a multiple of pi.  The
+cell propagator of ``propagator`` serves both classes:
 
-* Theorem class: the cell propagator of ``propagator``.  On the
+* Theorem class: the propagator covers all of [a, b].  On the
   Liouville-Green scale xi = int sqrt(V) the equation becomes
   g'' = -(lambda^2 + U) g, which a fixed mesh of cells carries across
   (0, D) in closed form (Ixaru's constant-perturbation method), at a cost
@@ -21,37 +21,46 @@ class takes its own path to theta_s(b):
   |fine - coarse| its ``error_estimate``, which stays within
   rtol * max(theta_b, pi): a call that misses refines a private copy of
   the mesh or raises PhaseError.  ``steps`` and ``rejected_steps`` are 0.
-* Conjecture class: RK45 (``_rk45``) on the Liouville-Green scale
+* Conjecture class: U is unbounded only at the singular ends (declared
+  exponent not 0), so the same propagator covers the bulk [x_l, x_r] of
+  ``propagator.bulk_interval``, which depends on the potential alone, and
+  RK45 (``_rk45``) covers the end slivers on the Liouville-Green scale
   S = lambda sqrt(V), u = r sin(theta), u' = S r cos(theta),
 
-      theta' = lambda sqrt(V) + (V' / (4 V)) sin(2 theta),
+      theta' = lambda sqrt(V) + (V' / (4 V)) sin(2 theta).
 
-  whose step count and global error grow slowly with lambda.  At
-  theta = k*pi the sine vanishes and theta' > 0, so an accepted step
+  At theta = k*pi the sine vanishes and theta' > 0, so an accepted step
   that crosses a multiple of pi downward is an integration failure and
-  raises PhaseError (between multiples theta may dip; that is
-  harmless).  Where the stretch ends at x1 the angle is converted to the
-  scale s with k = round(theta/pi), phi = theta - k*pi,
+  raises PhaseError (between multiples theta may dip; that is harmless).
+  The left sliver runs from a + delta (below) to x_l, and its angle
+  enters the propagator as the direction of (g, dg/dxi).  The right one
+  starts at x_r, where the propagator hands over the angle on the scale
+  it needs: S(x_r) for a Liouville-Green stretch to x_m, or s directly
+  when the stretch is empty.  Where the stretch ends at x_m the angle is
+  converted to the scale s with k = round(theta/pi), phi = theta - k*pi,
 
-      theta_s = k*pi + atan2(s sin(phi), S cos(phi)),   S = S(x1),
+      theta_s = k*pi + atan2(s sin(phi), S cos(phi)),   S = S(x_m),
 
   which keeps every multiple of pi and multiplies the raw angle's error
   near one by s/S, so the stretch is integrated at rtol * min(1, S/s).
   Where V tends to 0 at b (declared gamma_b > 0) the Liouville-Green
   scale fails within the turning-point layer, where |V'|/(4V) ~
-  gamma_b/(4(b-x)) exceeds lambda sqrt(V): the angle is converted on
-  entering the layer and the rest is integrated on the constant scale s,
+  gamma_b/(4(b-x)) exceeds lambda sqrt(V): x_m is that layer's edge,
+  and the rest is integrated on the constant scale s,
 
       theta' = s cos(theta)^2 + (lambda^2 V / s) sin(theta)^2.
 
-  ``cells`` is 0, and so is ``error_estimate``: RK45 carries none.
+  ``steps`` and ``rejected_steps`` count the slivers' RK45 steps,
+  ``cells`` the propagator's.  ``error_estimate`` is the bulk's
+  |fine - coarse| alone: the slivers carry no estimate.
 
 Conjecture-class potentials are never evaluated at a singular endpoint:
 integration starts at a + delta with the phase seeded from the leading
 solution behaviour u ~ (x - a), theta(a + delta) = atan(S(a + delta)
 delta), and symmetrically stops at b - delta with the matching
 scale-s phase correction added (exact at the jumps, where the solution
-vanishes at b).
+vanishes at b).  Where the offset reaches past the bulk's end, the seed
+or the correction is taken at that end instead.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from dataclasses import dataclass
 
 from .expr import EvalDomainError
 from .potential import Potential, Regularity
-from .propagator import propagate
+from .propagator import bulk_interval, propagate
 
 __all__ = [
     "PhaseResult",
@@ -69,7 +78,6 @@ __all__ = [
     "AtJumpAmbiguity",
     "phase",
     "count_negative",
-    "start_point",
 ]
 
 _PI = math.pi
@@ -98,10 +106,10 @@ class PhaseResult:
     lam: float
     theta_b: float
     count: int
-    steps: int  # RK45 steps (conjecture class)
+    steps: int  # RK45 steps on the end slivers (conjecture class; 0 for the theorem class)
     rejected_steps: int
-    cells: int = 0  # propagator cells swept, the mesh's and their halves (theorem class)
-    error_estimate: float = 0.0  # |fine - coarse| on the propagator, 0 on RK45
+    cells: int = 0  # propagator cells swept, the mesh's and their halves (both classes)
+    error_estimate: float = 0.0  # |fine - coarse| on the propagator; the slivers carry none
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +241,7 @@ def _offset_delta(p: Potential, lam: float, delta_tol: float, end: str) -> float
     return delta
 
 
-def start_point(p: Potential, lam: float, delta_tol: float = 1e-10, end: str = "a") -> float:
+def _start_point(p: Potential, lam: float, delta_tol: float = 1e-10, end: str = "a") -> float:
     """First (or, for end='b', last) point at which integration touches V.
 
     Regular endpoints (declared exponent 0) need no offset.  Singular ones
@@ -259,6 +267,18 @@ def _fell(x: float, v: float) -> PhaseError:
     return PhaseError(f"potential fell to V({x}) = {v}")
 
 
+_DIRICHLET = (0.0, 0.0, 1.0)  # the propagator's entry at a regular end: u = 0, u' = 1
+
+
+def _propagate(p, lam, rtol, entry, sigma):
+    try:
+        return propagate(p, lam, rtol, entry, sigma)
+    except EvalDomainError as exc:
+        raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
+    except ArithmeticError as exc:
+        raise PhaseError(str(exc)) from None
+
+
 def phase(
     p: Potential,
     lam: float,
@@ -274,77 +294,86 @@ def phase(
 
     if p.regularity is Regularity.THEOREM:
         s = lam * math.sqrt(max(p.c_lower, 1.0))
-        try:
-            theta_b, cells, estimate = propagate(p, lam, rtol, s)
-        except EvalDomainError as exc:
-            raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-        except ArithmeticError as exc:
-            raise PhaseError(str(exc)) from None
+        theta_b, cells, estimate = _propagate(p, lam, rtol, _DIRICHLET, s)
         return _result(lam, theta_b, 0, 0, cells, estimate)
-    theta_b, steps, rejected = _rk_phase(p, lam, rtol, delta_tol, max_steps)
-    return _result(lam, theta_b, steps, rejected, 0, 0.0)
+    return _result(lam, *_hybrid_phase(p, lam, rtol, delta_tol, max_steps))
 
 
-def _rk_phase(p, lam, rtol, delta_tol, max_steps):
-    """theta(b) of a conjecture-class potential, its RK steps and rejections."""
+def _hybrid_phase(p, lam, rtol, delta_tol, max_steps):
+    """theta(b) of a conjecture-class potential, its sliver RK steps and rejections, cells and estimate."""
     s = lam
-    fv = p.value_fn
-    x0, theta0 = p.a, 0.0
-    x1, tail = p.b, 0.0
-    layer = 0.0
+    fv, fvd = p.value_fn, p.value_d1_fn
+    sqrt, sin, cos, atan2 = math.sqrt, math.sin, math.cos, math.atan2
+    x_l, x_r = bulk_interval(p)
+    steps = rejected = 0
+
+    def lg_rhs(x, th):
+        v, dv = fvd(x)
+        if not v > 0.0:
+            raise _fell(x, v)
+        return lam * sqrt(v) + 0.25 * dv / v * sin(2.0 * th)
+
+    lam2_over_s = lam * lam / s
+
+    def constant_scale_rhs(x, th):
+        v = fv(x)
+        if not v > 0.0:
+            raise _fell(x, v)
+        q = lam2_over_s * v
+        return 0.5 * (s + q) + 0.5 * (s - q) * cos(2.0 * th)
+
+    def rk(rhs, x0, theta, x1, tol):
+        nonlocal steps, rejected
+        theta, more, more_rejected = _rk45(rhs, x0, theta, x1, tol, tol * _PI, max_steps - steps)
+        steps += more
+        rejected += more_rejected
+        return theta
+
     try:
-        if p.gamma_a != 0.0:
-            delta = _offset_delta(p, lam, delta_tol, "a")
-            x0 = p.a + delta
-            theta0 = math.atan(lam * math.sqrt(fv(x0)) * delta)
-        if p.gamma_b != 0.0:
-            delta = _offset_delta(p, lam, delta_tol, "b")
-            x1 = p.b - delta
-            tail = math.atan2(s * delta, 1.0)
-        if p.gamma_b > 0.0:
-            # turning-point layer: |V'|/(4V) ~ gamma_b/(4(b-x)) exceeds lam sqrt(V)
-            layer = _offset_delta(p, lam, (0.25 * p.gamma_b) ** 2, "b")
-        xm = min(p.b - layer, x1)  # where the Liouville-Green stretch ends
-        if not x0 < xm:
-            raise PhaseError("endpoint offsets overlap; interval too small for this lambda")
-
-        fvd = p.value_d1_fn
-        sqrt, sin, cos = math.sqrt, math.sin, math.cos
-
-        def lg_rhs(x, th):
-            v, dv = fvd(x)
+        entry = _DIRICHLET
+        if x_l > p.a:
+            # seeded from u ~ (x - a) at a + delta, or at x_l when the offset reaches it
+            x0 = min(p.a + _offset_delta(p, lam, delta_tol, "a"), x_l)
+            theta = math.atan(lam * sqrt(fv(x0)) * (x0 - p.a))
+            if x0 < x_l:
+                theta = rk(lg_rhs, x0, theta, x_l, rtol)
+            # the angle of (lam sqrt(V) u, u') as the direction of
+            # (g, dg/dxi) ~ (sqrt(V) u, u' + V'/(4V) u), on the same branch
+            v, dv = fvd(x_l)
             if not v > 0.0:
-                raise _fell(x, v)
-            return lam * sqrt(v) + 0.25 * dv / v * sin(2.0 * th)
-
-        v_m = fv(xm)
-        if not v_m > 0.0:
-            raise _fell(xm, v_m)
-        # the conversion multiplies the angle's error by up to s/S(xm)
-        scale_m = lam * sqrt(v_m)
-        lg_rtol = rtol * min(1.0, scale_m / s)
-        theta, steps, rejected = _rk45(lg_rhs, x0, theta0, xm, lg_rtol, lg_rtol * _PI, max_steps)
-        k = round(theta / _PI)
-        phi = theta - k * _PI
-        theta = k * _PI + math.atan2(s * sin(phi), scale_m * cos(phi))
+                raise _fell(x_l, v)
+            k = round(theta / _PI)
+            phi = theta - k * _PI
+            y0 = sqrt(v) * sin(phi)
+            y1 = lam * sqrt(v) * cos(phi) + 0.25 * dv / v * sin(phi)
+            sign = -1.0 if k % 2 else 1.0
+            entry = (k * _PI + atan2(y0, y1), sign * y0, sign * y1)
+        if x_r == p.b:
+            theta, cells, estimate = _propagate(p, lam, rtol, entry, s)
+            return theta, steps, rejected, cells, estimate
+        # the right sliver: a Liouville-Green stretch from x_r to x_m, then
+        # the turning-point layer on the scale s to x1 = b - delta
+        x1 = max(p.b - _offset_delta(p, lam, delta_tol, "b"), x_r)
+        layer = _offset_delta(p, lam, (0.25 * p.gamma_b) ** 2, "b") if p.gamma_b > 0.0 else 0.0
+        xm = max(min(p.b - layer, x1), x_r)
+        if xm == x_r:
+            theta, cells, estimate = _propagate(p, lam, rtol, entry, s)
+        else:
+            theta, cells, estimate = _propagate(p, lam, rtol, entry, lam * sqrt(fv(x_r)))
+            v_m = fv(xm)
+            if not v_m > 0.0:
+                raise _fell(xm, v_m)
+            # the conversion multiplies the angle's error by up to s/S(xm)
+            scale_m = lam * sqrt(v_m)
+            theta = rk(lg_rhs, x_r, theta, xm, rtol * min(1.0, scale_m / s))
+            k = round(theta / _PI)
+            phi = theta - k * _PI
+            theta = k * _PI + atan2(s * sin(phi), scale_m * cos(phi))
         if xm < x1:
-            lam2_over_s = lam * lam / s
-
-            def constant_scale_rhs(x, th):
-                v = fv(x)
-                if not v > 0.0:
-                    raise _fell(x, v)
-                q = lam2_over_s * v
-                return 0.5 * (s + q) + 0.5 * (s - q) * cos(2.0 * th)
-
-            theta, more, more_rejected = _rk45(
-                constant_scale_rhs, xm, theta, x1, rtol, rtol * _PI, max_steps - steps
-            )
-            steps += more
-            rejected += more_rejected
+            theta = rk(constant_scale_rhs, xm, theta, x1, rtol)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-    return theta + tail, steps, rejected
+    return theta + atan2(s * (p.b - x1), 1.0), steps, rejected, cells, estimate
 
 
 def _result(lam, theta_b, steps, rejected, cells, estimate):

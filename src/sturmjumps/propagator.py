@@ -1,10 +1,14 @@
-"""Theorem-class Prüfer phase from a lambda-uniform Liouville-Green cell propagator.
+"""Prüfer phase from a lambda-uniform Liouville-Green cell propagator.
 
-On the Liouville-Green scale xi = int_a^x sqrt(V) the Dirichlet solution
-u = V**(-1/4) g obeys g'' = -(lambda^2 + U(xi)) g on (0, D), with U the
-transformed potential of liouville_green.  A mesh splits (0, D) into
-cells, each stored as four numbers: its length h, the mean Ubar of U over
-it and U's Legendre P1 and P2 coefficients c1, c2 in xi.  Over a cell
+On the Liouville-Green scale xi = int sqrt(V) a solution u = V**(-1/4) g
+obeys g'' = -(lambda^2 + U(xi)) g, with U the transformed potential of
+liouville_green.  The propagator covers [x_l, x_r] = ``bulk_interval(p)``:
+all of [a, b] for the theorem class, and [a, b] less a sliver at each
+singular end for the conjecture class, where U is unbounded (the
+slivers are left to RK45 in ``oscillation``).  A mesh splits that
+interval, of length D in xi, into cells, each stored as four numbers: its
+length h, the mean Ubar of U over it and U's Legendre P1 and P2
+coefficients c1, c2 in xi.  Over a cell
 the constant-perturbation method (Ixaru 1984; Ledoux, Van Daele & Vanden
 Berghe, MATSLISE, ACM TOMS 31, 2005) carries (g, g') exactly for the
 constant Ubar and to first order in c1 P1 + c2 P2, in closed form in
@@ -27,9 +31,12 @@ sigma = sqrt(x)/h where the cell spans more than a radian of phase and 1/h
 elsewhere.  psi is read by atan2 at both ends of the cell and the change
 taken on the branch within pi of the expected advance sqrt(x) (0 on the
 slow cells).  At each node the angle is rescaled to the next cell's scale
-by atan2, which keeps every multiple of pi.  At b it is converted to the
-constant scale s with V(b) and V'(b), tan(theta_s) = s u/u', so theta_b
-means what it means on the RK path.
+by atan2, which keeps every multiple of pi.  The sweep enters at x_l with
+a given angle and direction of (g, g'), (0, 0, 1) for u(a) = 0, and at x_r
+the exit (g, g') is converted with V(x_r) and V'(x_r) to the angle of
+(sigma u, u') on the scale the caller asks for: the constant scale s at b,
+so theta_b means what it means on the RK path, or the scale a
+conjecture-class sliver goes on with.
 
 The mesh depends on the potential and the decade of rtol only.  It is
 built once, vectorized over cells, by bisecting every cell whose
@@ -68,6 +75,7 @@ _ROUNDING = 8 * 2.220446049250313e-16  # a gap this small is rounding, not trunc
 _MAX_DEPTH = 40
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
+_SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture-class end
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
 
@@ -137,7 +145,8 @@ class CellMesh:
     """A coarse mesh of n cells and its halves, for one potential and one rtol decade.
 
     ``h``, ``ubar``, ``c1`` and ``c2`` hold the n coarse cells and then the
-    2n halves in order; ``nodes`` are the coarse cells' ends in x.
+    2n halves in order; ``nodes`` are the coarse cells' ends in x, from
+    x_l to x_r.
     """
 
     nodes: np.ndarray
@@ -145,8 +154,8 @@ class CellMesh:
     ubar: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-    sqrt_vb: float
-    beta_b: float  # V'(b) / (4 V(b))
+    sqrt_vr: float  # sqrt(V(x_r))
+    beta_r: float  # V'(x_r) / (4 V(x_r))
 
     @property
     def cells(self) -> int:
@@ -169,6 +178,25 @@ def _moments(w, u, xi, h):
     )
 
 
+def bulk_interval(p: Potential) -> tuple[float, float]:
+    """[x_l, x_r], the interval the propagator covers: [a, b] less a sliver at each singular end.
+
+    An end with declared exponent 0 (every theorem-class end) is kept.  At
+    a singular one, where U is unbounded, the sliver is (b - a) *
+    _SLIVER**(2/(2 + gamma)): the share _SLIVER of int sqrt(V) if V were
+    c |x - end|**gamma on the whole interval, so a sliver where V blows up
+    is thin and one where V vanishes is wide.  It is clamped to between
+    1e-9 and 1/4 of b - a.
+    """
+
+    def cut(gamma):
+        if gamma == 0.0:
+            return 0.0
+        return (p.b - p.a) * min(max(_SLIVER ** (2.0 / (2.0 + gamma)), 1e-9), 0.25)
+
+    return p.a + cut(p.gamma_a), p.b - cut(p.gamma_b)
+
+
 def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
     """(h, Ubar, c1, c2) of the cells [lo, hi] and, interleaved, of their halves.
 
@@ -182,7 +210,7 @@ def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
     v, d1, d2 = p.jet2_fn(x)
-    floor = max(0.5 * p.c_lower, 0.0)
+    floor = 0.0 if p.c_lower is None else max(0.5 * p.c_lower, 0.0)
     bad = ~(v > floor)
     if bad.any():
         i = np.flatnonzero(bad)[0]
@@ -267,14 +295,14 @@ def _mismatch(whole, halves, lam2, sig):
 def _assemble(p: Potential, nodes: np.ndarray, whole=None, halves=None) -> CellMesh:
     if whole is None:
         whole, halves = _cells(p, nodes[:-1], nodes[1:])
-    vb, dvb = p.value_d1_fn(p.b)
+    vr, dvr = p.value_d1_fn(float(nodes[-1]))
     arrays = [np.concatenate([w, q]) for w, q in zip(whole, halves)]
-    return CellMesh(nodes, *arrays, math.sqrt(vb), 0.25 * dvb / vb)
+    return CellMesh(nodes, *arrays, math.sqrt(vr), 0.25 * dvr / vr)
 
 
-def build_mesh(p: Potential, decade: int) -> CellMesh:
-    """The cell mesh for ``decade``, by vectorized bisection from equal cells in x."""
-    edges = np.linspace(p.a, p.b, _INITIAL_CELLS + 1)
+def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
+    """The cell mesh of [x_l, x_r] for ``decade``, by vectorized bisection from equal cells in x."""
+    edges = np.linspace(x_l, x_r, _INITIAL_CELLS + 1)
     lo, hi = edges[:-1], edges[1:]
     whole, halves = _cells(p, lo, hi)
     # at a frequency where theta(b) ~ omega D the cells' mismatches may add
@@ -309,22 +337,23 @@ def build_mesh(p: Potential, decade: int) -> CellMesh:
         raise ArithmeticError(f"cell mesh needs more than {_MAX_CELLS} cells")
     lo_all = np.concatenate([part[0] for part in done])
     order = np.argsort(lo_all, kind="stable")
-    nodes = np.append(lo_all[order], p.b)
+    nodes = np.append(lo_all[order], x_r)
     whole = [np.concatenate([part[2][k] for part in done])[order] for k in range(4)]
     pairs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
     halves = [np.concatenate([part[3][k] for part in done])[pairs] for k in range(4)]
     return _assemble(p, nodes, whole, halves)
 
 
-def _sweep(m11, m12, m21, m22, adv, ratio):
+def _sweep(m11, m12, m21, m22, adv, ratio, theta, w0, w1):
     """Continuous Prüfer angle over a run of cells, and the final (g, g') direction.
 
     The m's are the cells' propagators in their own scale, ``adv`` the
-    expected advance, ``ratio`` the rescale at each cell's far end.
+    expected advance, ``ratio`` the rescale at each cell's far end;
+    ``theta`` is the entry angle and (w0, w1) its direction on the first
+    cell's scale.
     """
     atan2 = math.atan2
-    theta = a0 = w0 = 0.0
-    w1 = 1.0
+    a0 = atan2(w0, w1)
     for t11, t12, t21, t22, e, r in zip(m11, m12, m21, m22, adv, ratio):
         y0 = t11 * w0 + t12 * w1
         y1 = t21 * w0 + t22 * w1
@@ -338,38 +367,46 @@ def _sweep(m11, m12, m21, m22, adv, ratio):
     return theta, w0, w1, a0
 
 
-def _theta_pair(mesh: CellMesh, lam: float, s: float) -> tuple[float, float]:
-    """theta_s(b) on the coarse mesh and on its halves."""
+def _theta_pair(mesh: CellMesh, lam: float, entry, sigma: float) -> tuple[float, float]:
+    """The exit angle on the scale sigma, on the coarse mesh and on its halves."""
+    theta, g, dg = entry
     n = mesh.cells
     t11, t12, t21, t22, x = _transfer(lam * lam, mesh.h, mesh.ubar, mesh.c1, mesh.c2)
     sig = np.sqrt(np.maximum(x, 1.0)) / mesh.h  # each cell's Prüfer scale
     adv = np.where(x >= 1.0, sig * mesh.h, 0.0)
-    # rescale to the next cell's sigma at every node, and to sigma = 1 at b
+    # rescale to the next cell's sigma at every node, and to sigma = 1 at x_r
     ratio = np.append(sig[1:], 1.0) / sig
     ratio[n - 1] = 1.0 / sig[n - 1]
     cols = [a.tolist() for a in (t11, t12 * sig, t21 / sig, t22, adv, ratio)]
     out = []
     for part in (slice(0, n), slice(n, 3 * n)):
-        theta, g, dg, a = _sweep(*(c[part] for c in cols))
-        out.append(theta + math.atan2(s * g, mesh.sqrt_vb * dg - mesh.beta_b * g) - a)
+        # the entry direction and its angle on the first cell's scale
+        y0, y1 = float(sig[part.start]) * g, dg
+        norm = abs(y0) + abs(y1)
+        y0, y1 = y0 / norm, y1 / norm
+        entry_theta = theta + math.atan2(y0, y1) - math.atan2(g, dg)
+        exit_theta, gr, dgr, a = _sweep(*(c[part] for c in cols), entry_theta, y0, y1)
+        out.append(exit_theta + math.atan2(sigma * gr, mesh.sqrt_vr * dgr - mesh.beta_r * gr) - a)
     return out[0], out[1]
 
 
-def propagate(p: Potential, lam: float, rtol: float, s: float) -> tuple[float, int, float]:
-    """theta_s(b), the number of cells swept and the error estimate |fine - coarse|.
+def propagate(p: Potential, lam: float, rtol: float, entry, sigma: float) -> tuple[float, int, float]:
+    """The Prüfer angle at x_r on the scale sigma, the cells swept and the estimate |fine - coarse|.
 
-    Raises EvalDomainError when V cannot be evaluated or falls to the
-    floor on the mesh, ArithmeticError when the estimate stays above
-    rtol * max(theta_b, pi).
+    ``entry`` is (theta, g, g') at x_l: the direction of (g, dg/dxi) and
+    its continuous angle; (0, 0, 1) is the Dirichlet start.  At x_r the
+    angle is that of (sigma u, u').  Raises EvalDomainError when V cannot
+    be evaluated or falls to the floor on the mesh, ArithmeticError when
+    the estimate stays above rtol * max(theta, pi).
     """
     decade = _decade(rtol)
     meshes = p.cell_meshes
     mesh = meshes.get(decade)
     if mesh is None:
-        mesh = meshes.setdefault(decade, build_mesh(p, decade))
+        mesh = meshes.setdefault(decade, build_mesh(p, decade, *bulk_interval(p)))
     swept = 0
     for refinements in range(_MAX_REFINE + 1):
-        coarse, fine = _theta_pair(mesh, lam, s)
+        coarse, fine = _theta_pair(mesh, lam, entry, sigma)
         swept += 3 * mesh.cells
         estimate = abs(fine - coarse)
         if not math.isfinite(fine):

@@ -145,8 +145,9 @@ def _check_root_diagnostics(payload, roots, theorem):
         "residual_over_tol_max", "residual_plus_error_bar_over_tol_max",
     }
     assert roots <= diag["phase_calls"] <= 5 * roots
-    # the theorem class runs on the cell propagator, the conjecture class on RK45
-    assert (diag["cells"] > 0, diag["rk_steps"] > 0) == (theorem, not theorem)
+    # both classes run on the cell propagator; the conjecture class adds RK45 on its end slivers
+    assert diag["cells"] > 0
+    assert (diag["rk_steps"] > 0) == (not theorem)
     assert diag["rk_rejected"] >= 0
     assert 0.0 <= diag["residual_over_tol_max"] <= diag["residual_plus_error_bar_over_tol_max"] <= 1.0
 

@@ -5,9 +5,9 @@ import pytest
 from sturmjumps.oscillation import (
     AtJumpAmbiguity,
     PhaseError,
+    _start_point,
     count_negative,
     phase,
-    start_point,
 )
 from sturmjumps.potential import Potential, Regularity
 from sturmjumps.spectra_oracle import count_matrix
@@ -86,12 +86,12 @@ def test_start_point_regular_endpoint_needs_no_offset():
     p = Potential.from_formula(
         "1+x", 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=0.0, gamma_b=0.0
     )
-    assert start_point(p, 10.0) == 0.0
-    assert start_point(p, 10.0, end="b") == 1.0
+    assert _start_point(p, 10.0) == 0.0
+    assert _start_point(p, 10.0, end="b") == 1.0
 
 
 def test_start_point_offset_scale(v_linear):
-    x0 = start_point(v_linear, 100.0, delta_tol=1e-10)
+    x0 = _start_point(v_linear, 100.0, delta_tol=1e-10)
     assert 0.0 < x0 <= 1e-4
     # the offset criterion itself: lambda^2 V(delta) delta^2 <= delta_tol
     assert 100.0**2 * x0 * x0 * x0 <= 1e-10 * 1.0001
@@ -99,7 +99,7 @@ def test_start_point_offset_scale(v_linear):
 
 def test_start_point_only_for_conjecture_class(v_one):
     with pytest.raises(ValueError):
-        start_point(v_one, 10.0)
+        _start_point(v_one, 10.0)
 
 
 def test_offset_self_convergence_linear(v_linear):

@@ -1,4 +1,4 @@
-"""The theorem-class cell propagator: its pieces, its mesh and its contracts."""
+"""The cell propagator: its pieces, its mesh and its contracts, on both classes."""
 
 import math
 import pickle
@@ -9,7 +9,7 @@ import pytest
 
 from sturmjumps import propagator
 from sturmjumps.oscillation import PhaseError, phase
-from sturmjumps.potential import Potential
+from sturmjumps.potential import Potential, Regularity
 from sturmjumps.quadrature import integrate_sqrt_v
 
 
@@ -129,3 +129,75 @@ def test_barrier_cells_in_the_steep_dip():
     mesh = p.cell_meshes[-10]
     assert (mesh.ubar + 9.0 < 0.0).any()
     assert res.error_estimate <= 1e-10 * max(res.theta_b, math.pi)
+
+
+# theta(b) of the theorem class, bit for bit, at (lambda, rtol): the
+# Dirichlet entry at a and the V(b) conversion at b
+_PINNED = {
+    ("2+sin(x)", 3.0): [
+        (0.7, 1e-10, 3.4884129058912765), (30.0, 1e-10, 146.67004910845748),
+        (1000.0, 1e-10, 4888.4513632717335), (0.7, 1e-12, 3.4884129058912565),
+        (30.0, 1e-12, 146.67004910846393), (1000.0, 1e-12, 4888.451363271734),
+    ],
+    ("exp(x)", 1.0): [
+        (0.7, 1e-10, 0.8404900320854238), (30.0, 1e-10, 38.74007529891223),
+        (1000.0, 1e-10, 1297.4564106285786), (0.7, 1e-12, 0.8404900320854309),
+        (30.0, 1e-12, 38.74007529891262), (1000.0, 1e-12, 1297.4564106285784),
+    ],
+    ("(1+x)^(-4)", 1.0): [
+        (0.7, 1e-10, 0.6205321132819361), (30.0, 1e-10, 14.405897238437246),
+        (1000.0, 1e-10, 500.6423175730853), (0.7, 1e-12, 0.6205321132819361),
+        (30.0, 1e-12, 14.405897238437246), (1000.0, 1e-12, 500.6423175730853),
+    ],
+}
+
+
+@pytest.mark.parametrize("source,b", list(_PINNED))
+def test_theorem_class_theta_b_is_pinned(source, b):
+    p = Potential.from_formula(source, 0.0, b)
+    for lam, rtol, want in _PINNED[source, b]:
+        assert phase(p, lam, rtol=rtol).theta_b == want
+
+
+def _conjecture(source, gamma_a, gamma_b):
+    return Potential.from_formula(
+        source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b
+    )
+
+
+@pytest.mark.parametrize("source,gamma_a,gamma_b", [("x", 1.0, 0.0), ("(1-x)/x", -1.0, 1.0)])
+def test_conjecture_mesh_is_built_once_per_decade(source, gamma_a, gamma_b):
+    # one mesh of the bulk [x_l, x_r] serves lambda = 10, 100 and 1000; the
+    # singular ends are left to RK45
+    p = _conjecture(source, gamma_a, gamma_b)
+    x_l, x_r = propagator.bulk_interval(p)
+    assert p.a < x_l < x_r <= p.b
+    assert (x_r < p.b) == (gamma_b != 0.0)
+    first = phase(p, 10.0, rtol=1e-11)
+    mesh = p.cell_meshes[-11]
+    assert mesh.nodes[0] == x_l and mesh.nodes[-1] == x_r
+    for lam in (100.0, 1000.0):
+        res = phase(p, lam, rtol=1e-11)
+        assert p.cell_meshes[-11] is mesh
+        assert res.cells == first.cells == 3 * mesh.cells
+        assert res.steps > 0
+        assert 0.0 < res.error_estimate <= 1e-11 * res.theta_b
+    assert list(p.cell_meshes) == [-11]
+    phase(p, 100.0, rtol=1e-12)
+    assert sorted(p.cell_meshes) == [-12, -11]
+    rebuilt = propagator.build_mesh(p, -11, x_l, x_r)
+    assert np.array_equal(rebuilt.nodes, mesh.nodes) and np.array_equal(rebuilt.h, mesh.h)
+
+
+def test_conjecture_phase_is_bit_identical_whatever_came_before():
+    def fresh():
+        return _conjecture("(1-x)/x", -1.0, 1.0)
+
+    first = phase(fresh(), 50.0).theta_b
+    p = fresh()
+    for lam, rtol in ((800.0, 1e-12), (3.0, 1e-11), (400.0, 1e-9)):
+        phase(p, lam, rtol=rtol)
+    assert phase(p, 50.0).theta_b == first
+    q = pickle.loads(pickle.dumps(p))
+    assert "cell_meshes" not in q.__dict__
+    assert phase(q, 50.0).theta_b == first

@@ -5,9 +5,9 @@ Near a root theta(b; .) has slope about D = int sqrt(V), so the promise is
 checked as D*|lambda_n - lambda*_n| <= tol*n against roots known in closed
 form, and at lambda ~ 1000 against theta(b) from the RK oracle.  The phase
 itself is cross-checked against two RK45 oracles built on the same
-Dormand-Prince stepper: the constant-scale Prüfer equation, and for the
-theorem class the Liouville-Green-scale equation that the cell propagator
-replaced.
+Dormand-Prince stepper: the constant-scale Prüfer equation, for both
+classes, and for the theorem class the Liouville-Green-scale equation
+that the cell propagator replaced.
 """
 
 import math
@@ -16,8 +16,9 @@ import mpmath
 import pytest
 
 from sturmjumps.jumps import find_jump
-from sturmjumps.oscillation import _rk45, count_negative, phase, start_point
+from sturmjumps.oscillation import _offset_delta, _rk45, _start_point, count_negative, phase
 from sturmjumps.potential import Potential, Regularity
+from sturmjumps.propagator import bulk_interval
 from sturmjumps.spectra_oracle import count_matrix
 
 TOL = 1e-10
@@ -39,9 +40,12 @@ def _bessel_root(gamma, n):
     return (gamma + 2.0) / 2.0 * float(mpmath.besseljzero(nu, n))
 
 
-@pytest.mark.parametrize("n", [70, 100])
+@pytest.mark.parametrize("n", [70, 100, 800, 1000])
 @pytest.mark.parametrize("source,gamma", [("x", 1.0), ("sqrt(x)", 0.5)])
 def test_root_tol_contract_bessel(source, gamma, n):
+    # at n = 800 and 1000 (lambda ~ 1900 for x) an RK45 phase from a + delta
+    # to b missed by up to 4.4 tol*n; the propagator carries all but the
+    # slivers at x = 0
     p = Potential.from_formula(
         source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma, gamma_b=0.0
     )
@@ -56,8 +60,8 @@ def _constant_scale_theta_b(p, lam, rtol, delta_tol=1e-10):
     s = lam * math.sqrt(max(p.c_lower, 1.0)) if theorem else lam
     x0, x1 = p.a, p.b
     if not theorem:
-        x0 = start_point(p, lam, delta_tol, "a")
-        x1 = start_point(p, lam, delta_tol, "b")
+        x0 = _start_point(p, lam, delta_tol, "a")
+        x1 = _start_point(p, lam, delta_tol, "b")
     fv = p.value_fn
     q_scale = lam * lam / s
 
@@ -140,6 +144,25 @@ def test_phase_matches_constant_scale_oracle(fixture, lam, request):
     n = max(1.0, want / math.pi)
     # at lambda = 1000 the oracle's own global error reaches ~1e-10*n
     assert abs(got - want) <= 2e-10 * n
+
+
+@pytest.mark.parametrize("lam", [1.0, 5.0, 40.0, 200.0, 800.0])
+@pytest.mark.parametrize("fixture", ["v_linear", "v_sqrt", "v_rational"])
+def test_conjecture_phase_matches_constant_scale_oracle(fixture, lam, request):
+    # the propagator on the bulk, RK45 on the slivers at the singular ends;
+    # on (1-x)/x at lambda <= 40 the turning-point layer at b reaches past
+    # the bulk's right end, so the angle goes from the bulk straight to the
+    # scale s, and at 200 and 800 through a Liouville-Green stretch first
+    p = request.getfixturevalue(fixture)
+    if p.gamma_b > 0.0:
+        layer = _offset_delta(p, lam, (0.25 * p.gamma_b) ** 2, "b")
+        assert (p.b - layer < bulk_interval(p)[1]) == (lam <= 40.0)
+    want = _constant_scale_theta_b(p, lam, 1e-13)
+    res = phase(p, lam, rtol=1e-13)
+    n = max(1.0, want / math.pi)
+    assert abs(res.theta_b - want) <= 2e-10 * n
+    assert res.steps > 0 and res.cells > 0
+    assert 0.0 < res.error_estimate <= 1e-13 * max(res.theta_b, math.pi)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 1.85, 2.5, 3.0])
