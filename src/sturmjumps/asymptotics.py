@@ -95,12 +95,11 @@ def weyl_defect(
     p: Potential,
     lam: float,
     rtol: float = 1e-10,
-    delta_tol: float = 1e-10,
     d_value: Optional[float] = None,
 ) -> float:
     """lambda*D/pi - N(lambda); raises AtJumpAmbiguity when lambda sits on a jump."""
-    d = d_value if d_value is not None else integrate_sqrt_v(p, p.a, p.b, 1e-12).value
-    n = count_negative(p, lam, rtol=rtol, delta_tol=delta_tol)
+    d = d_value if d_value is not None else integrate_sqrt_v(p, p.a, p.b).value
+    n = count_negative(p, lam, rtol=rtol)
     return lam * d / _PI - n
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: count, jumps, transform, verify.
 
-Every run resolves its configuration into the emitted artifact, so a
-report is reproducible from its own header.  Randomized sweeps draw from
-a seeded generator (default seed 42).  Exit codes: 0 success, 1
-computational error, 2 verification failure, 64 usage error.
+Each subcommand takes only the options it reads; any other option is a
+usage error.  Every JSON artifact records those options, defaults
+resolved, as its ``config``, so a report is reproducible from its own
+header.  Randomized sweeps draw from a seeded generator (default seed
+42).  Exit codes: 0 success, 1 computational error, 2 verification
+failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .potential import Potential, Regularity
 from .quadrature import integrate_sqrt_v
 from .spectra_oracle import count_matrix
 
-__all__ = ["main", "entry", "RunConfig"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_COMPUTATIONAL = 1
@@ -36,6 +37,17 @@ EXIT_VERIFICATION = 2
 EXIT_USAGE = 64
 
 THREADS_ENV = "STURM_JUMPS_THREADS"
+
+# what each verify suite runs when its options are not given
+_SUITE_DEFAULTS = {
+    "theorem": {"n_min": 10, "n_max": 500},
+    "weyl": {"samples": 500, "lambda_max": 1000.0},
+    "bracket": {"samples": 200, "lambda_max": 500.0},
+    "conjecture": {"n_max": 400},  # n_min: max(20, n_max // 20)
+}
+
+# the least value each size option accepts
+_MINIMA = {"samples": 1, "grid": 200, "mesh": 1}
 
 
 class _UsageError(Exception):
@@ -45,40 +57,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    potential_text: str
-    a: float
-    b: float
-    klass: str
-    gamma_a: Optional[float]
-    gamma_b: Optional[float]
-    rtol: float
-    quad_tol: float
-    root_tol: float
-    delta_tol: float
-    n_min: int
-    n_max: int
-    lam: Optional[float]
-    mesh: int
-    method: str
-    out_path: Optional[str]
-    format: str
-    threads: int
-    seed: int
-    grid: int
-    suite: Optional[str]
-    samples: int
-    lambda_min: float
-    lambda_max: float
-
-    def to_dict(self):
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return d
 
 
 def _resolve_threads(value):
@@ -110,20 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--gamma-a", type=float, default=None, help="left endpoint exponent")
     common.add_argument("--gamma-b", type=float, default=None, help="right endpoint exponent")
-    common.add_argument("--rtol", type=float, default=1e-10, help="phase integration tolerance")
-    common.add_argument("--quad-tol", type=float, default=1e-12, help="quadrature tolerance")
-    common.add_argument("--root-tol", type=float, default=1e-10, help="jump root tolerance (relative in theta)")
-    common.add_argument("--delta-tol", type=float, default=1e-10, help="singular-endpoint offset tolerance")
-    common.add_argument("--out", dest="out_path", default=None, help="output artifact path")
-    common.add_argument("--seed", type=int, default=42, help="seed for randomized sweeps")
-    common.add_argument("--threads", type=int, default=None, help=f"worker processes (default: {THREADS_ENV} or cpu count)")
+    common.add_argument("--out", default=None, help="output artifact path")
 
-    pc = sub.add_parser("count", parents=[common], help="count negative eigenvalues at one coupling")
+    phase_opts = _Parser(add_help=False)
+    phase_opts.add_argument("--rtol", type=float, default=1e-10, help="phase integration tolerance")
+
+    root_opts = _Parser(add_help=False)
+    root_opts.add_argument("--root-tol", type=float, default=1e-10, help="jump root tolerance (relative in theta)")
+    root_opts.add_argument("--threads", type=int, default=None, help=f"worker processes (default: {THREADS_ENV} or cpu count)")
+
+    pc = sub.add_parser("count", parents=[common, phase_opts], help="count negative eigenvalues at one coupling")
     pc.add_argument("--lambda", dest="lam", type=float, required=True, help="coupling strength")
     pc.add_argument("--method", choices=["phase", "matrix"], default="phase")
     pc.add_argument("--mesh", type=int, default=20000, help="interior mesh points for --method matrix")
 
-    pj = sub.add_parser("jumps", parents=[common], help="locate jump couplings lambda_n")
+    pj = sub.add_parser("jumps", parents=[common, root_opts], help="locate jump couplings lambda_n")
     pj.add_argument("--n-min", type=int, default=1)
     pj.add_argument("--n-max", type=int, required=True)
     pj.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -131,83 +110,74 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("transform", parents=[common], help="Liouville-Green data: D, U(xi), C")
     pt.add_argument("--grid", type=int, default=512, help="Chebyshev sample points")
 
-    pv = sub.add_parser("verify", parents=[common], help="run an asymptotic-law check suite")
+    pv = sub.add_parser("verify", parents=[common, phase_opts, root_opts], help="run an asymptotic-law check suite")
     pv.add_argument("--suite", choices=["theorem", "weyl", "bracket", "conjecture"], required=True)
     pv.add_argument("--n-min", type=int, default=None)
     pv.add_argument("--n-max", type=int, default=None)
     pv.add_argument("--samples", type=int, default=None, help="lambda draws (weyl) or grid size (bracket)")
     pv.add_argument("--lambda-min", type=float, default=10.0)
     pv.add_argument("--lambda-max", type=float, default=None)
-    pv.add_argument("--grid", type=int, default=512)
+    pv.add_argument("--grid", type=int, default=512, help="Chebyshev sample points (bracket)")
+    pv.add_argument("--seed", type=int, default=42, help="seed for the weyl suite's draws")
     return parser
 
 
-def _make_config(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        potential_text=args.potential,
-        a=args.a,
-        b=args.b,
-        klass=args.klass,
-        gamma_a=args.gamma_a,
-        gamma_b=args.gamma_b,
-        rtol=args.rtol,
-        quad_tol=args.quad_tol,
-        root_tol=args.root_tol,
-        delta_tol=args.delta_tol,
-        n_min=getattr(args, "n_min", None) or 1,
-        n_max=getattr(args, "n_max", None) or 0,
-        lam=getattr(args, "lam", None),
-        mesh=getattr(args, "mesh", 20000),
-        method=getattr(args, "method", "phase"),
-        out_path=args.out_path,
-        format=getattr(args, "format", "json"),
-        threads=_resolve_threads(args.threads),
-        seed=args.seed,
-        grid=getattr(args, "grid", 512),
-        suite=getattr(args, "suite", None),
-        samples=getattr(args, "samples", None) or 0,
-        lambda_min=getattr(args, "lambda_min", 10.0),
-        lambda_max=getattr(args, "lambda_max", None) or 0.0,
-    )
-
-
-def _validate_config(cfg: RunConfig):
-    if not cfg.a < cfg.b:
-        raise _UsageError(f"need a < b, got a={cfg.a}, b={cfg.b}")
-    for name in ("rtol", "quad_tol", "root_tol", "delta_tol"):
-        if getattr(cfg, name) <= 0:
+def _resolve(args: argparse.Namespace):
+    """Check the options and fill in the defaults the run will use, in place."""
+    opts = vars(args)
+    if not args.a < args.b:
+        raise _UsageError(f"need a < b, got a={args.a}, b={args.b}")
+    for name in ("rtol", "root_tol", "lambda_min", "lambda_max"):
+        if opts.get(name) is not None and not opts[name] > 0:
             raise _UsageError(f"--{name.replace('_', '-')} must be positive")
-    if cfg.subcommand == "jumps" and not 1 <= cfg.n_min <= cfg.n_max:
-        raise _UsageError("need 1 <= --n-min <= --n-max")
-    if cfg.subcommand == "count" and cfg.lam is not None and cfg.lam <= 0:
+    if "lam" in opts and not args.lam > 0:
         raise _UsageError("--lambda must be positive")
+    if "threads" in opts:
+        args.threads = _resolve_threads(args.threads)
+    if args.subcommand == "verify":
+        for name, value in _SUITE_DEFAULTS[args.suite].items():
+            if opts[name] is None:
+                opts[name] = value
+        if args.suite == "conjecture" and args.n_min is None:
+            args.n_min = max(20, args.n_max // 20)
+    for name, least in _MINIMA.items():
+        if opts.get(name) is not None and opts[name] < least:
+            raise _UsageError(f"--{name} must be at least {least}")
+    if opts.get("n_max") is not None and not 1 <= args.n_min <= args.n_max:
+        raise _UsageError("need 1 <= --n-min <= --n-max")
 
 
-def _build_potential(cfg: RunConfig) -> Potential:
+def _config(args: argparse.Namespace) -> dict:
+    """The subcommand and its options, keyed by option name."""
+    names = {"lam": "lambda", "klass": "class"}
+    return {names.get(k, k): v for k, v in vars(args).items()}
+
+
+def _build_potential(args: argparse.Namespace) -> Potential:
     try:
         return Potential.from_formula(
-            cfg.potential_text,
-            cfg.a,
-            cfg.b,
-            regularity=Regularity(cfg.klass),
-            gamma_a=cfg.gamma_a,
-            gamma_b=cfg.gamma_b,
+            args.potential,
+            args.a,
+            args.b,
+            regularity=Regularity(args.klass),
+            gamma_a=args.gamma_a,
+            gamma_b=args.gamma_b,
         )
     except (FormulaError, ValueError) as exc:
         raise _UsageError(f"bad potential: {exc}") from None
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: RunConfig, payload: dict):
-    _emit(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _emit_json(args: argparse.Namespace, payload: dict):
+    payload = dict(payload, config=_config(args))
+    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _summary(line: str):
@@ -219,21 +189,16 @@ def _summary(line: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_count(cfg: RunConfig, p: Potential) -> int:
-    if cfg.method == "matrix":
-        n = count_matrix(p, cfg.lam, cfg.mesh)
-        payload = {"lambda": cfg.lam, "theta_b": None, "count": n, "config": cfg.to_dict()}
-        _summary(f"N({cfg.lam}) = {n} (matrix inertia, mesh {cfg.mesh})")
+def _cmd_count(args: argparse.Namespace, p: Potential) -> int:
+    if args.method == "matrix":
+        n = count_matrix(p, args.lam, args.mesh)
+        payload = {"lambda": args.lam, "theta_b": None, "count": n}
+        _summary(f"N({args.lam}) = {n} (matrix inertia, mesh {args.mesh})")
     else:
-        res = phase(p, cfg.lam, rtol=cfg.rtol, delta_tol=cfg.delta_tol)
-        payload = {
-            "lambda": cfg.lam,
-            "theta_b": res.theta_b,
-            "count": res.count,
-            "config": cfg.to_dict(),
-        }
-        _summary(f"N({cfg.lam}) = {res.count} (theta_b/pi = {res.theta_b / math.pi:.6f})")
-    _emit_json(cfg, payload)
+        res = phase(p, args.lam, rtol=args.rtol)
+        payload = {"lambda": args.lam, "theta_b": res.theta_b, "count": res.count}
+        _summary(f"N({args.lam}) = {res.count} (theta_b/pi = {res.theta_b / math.pi:.6f})")
+    _emit_json(args, payload)
     return EXIT_OK
 
 
@@ -252,35 +217,30 @@ def _diagnostics(records, tol: float) -> dict:
     }
 
 
-def _cmd_jumps(cfg: RunConfig, p: Potential) -> int:
-    records = jump_sequence(
-        p,
-        cfg.n_min,
-        cfg.n_max,
-        tol=cfg.root_tol,
-        delta_tol=cfg.delta_tol,
-        quad_tol=cfg.quad_tol,
-        workers=cfg.threads,
-    )
-    if cfg.format == "json":
+def _records(args: argparse.Namespace, p: Potential):
+    return jump_sequence(p, args.n_min, args.n_max, tol=args.root_tol, workers=args.threads)
+
+
+def _cmd_jumps(args: argparse.Namespace, p: Potential) -> int:
+    records = _records(args, p)
+    if args.format == "json":
         payload = {
             "records": [dict(asdict(r), n_times_e_n=r.n * r.e_n) for r in records],
-            "diagnostics": _diagnostics(records, cfg.root_tol),
-            "config": cfg.to_dict(),
+            "diagnostics": _diagnostics(records, args.root_tol),
         }
-        _emit_json(cfg, payload)
+        _emit_json(args, payload)
     else:
         lines = ["n,lambda_n,e_n,n_times_e_n"]
         for r in records:
             lines.append(f"{r.n},{r.lambda_n:.17e},{r.e_n:.17e},{r.n * r.e_n:.17e}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     worst = max(abs(r.n * r.e_n) for r in records)
-    _summary(f"computed {len(records)} jumps for n in [{cfg.n_min}, {cfg.n_max}]; max |n e_n| = {worst:.3e}")
+    _summary(f"computed {len(records)} jumps for n in [{args.n_min}, {args.n_max}]; max |n e_n| = {worst:.3e}")
     return EXIT_OK
 
 
-def _cmd_transform(cfg: RunConfig, p: Potential) -> int:
-    lg = lg_data(p, grid_points=cfg.grid, quad_tol=cfg.quad_tol)
+def _cmd_transform(args: argparse.Namespace, p: Potential) -> int:
+    lg = lg_data(p, grid_points=args.grid)
     samples = [
         {"x": x, "xi": xi, "U": u}
         for (x, xi), (_, u) in zip(lg.grid, lg.u_samples)
@@ -294,29 +254,24 @@ def _cmd_transform(cfg: RunConfig, p: Potential) -> int:
             "xi_bisections": lg.xi_bisections,
             "d_evaluations": lg.d_evaluations,
         },
-        "config": cfg.to_dict(),
     }
-    _emit_json(cfg, payload)
-    _summary(f"D = {lg.d:.12g}, C = {lg.c:.6g} ({cfg.grid} samples)")
+    _emit_json(args, payload)
+    _summary(f"D = {lg.d:.12g}, C = {lg.c:.6g} ({args.grid} samples)")
     return EXIT_OK
 
 
-def _count_off_jump(p, lam, rtol, delta_tol):
+def _count_off_jump(p, lam, rtol):
     # retry with a relative nudge when lambda lands numerically on a jump
     for _ in range(8):
         try:
-            return lam, count_negative(p, lam, rtol=rtol, delta_tol=delta_tol)
+            return lam, count_negative(p, lam, rtol=rtol)
         except AtJumpAmbiguity:
             lam *= 1.0 + 3e-7
     raise AtJumpAmbiguity(lam, float("nan"))
 
 
-def _suite_theorem(cfg: RunConfig, p: Potential):
-    n_min = cfg.n_min if cfg.n_min > 1 else 10
-    n_max = cfg.n_max or 500
-    records = jump_sequence(
-        p, n_min, n_max, tol=cfg.root_tol, delta_tol=cfg.delta_tol, workers=cfg.threads
-    )
+def _suite_theorem(args: argparse.Namespace, p: Potential):
+    records = _records(args, p)
     chk = theorem_check(records)
     metrics = {
         "max_n_en": chk.max_n_en,
@@ -326,48 +281,41 @@ def _suite_theorem(cfg: RunConfig, p: Potential):
         "n_range": [chk.n_min, chk.n_max],
     }
     detail = f"max |n e_n| = {chk.max_n_en:.4g}, tail/head = {chk.tail_max_n_en:.3g}/{chk.head_max_n_en:.3g}"
-    return chk.consistent, metrics, detail, _diagnostics(records, cfg.root_tol)
+    return chk.consistent, metrics, detail, _diagnostics(records, args.root_tol)
 
 
-def _suite_weyl(cfg: RunConfig, p: Potential):
-    d = integrate_sqrt_v(p, p.a, p.b, cfg.quad_tol).value
-    samples = cfg.samples or 500
-    lam_lo = cfg.lambda_min
-    lam_hi = cfg.lambda_max or 1000.0
-    rng = random.Random(cfg.seed)
-    defects = []
+def _suite_weyl(args: argparse.Namespace, p: Potential):
+    d = integrate_sqrt_v(p, p.a, p.b).value
+    lam_lo, lam_hi = args.lambda_min, args.lambda_max
+    rng = random.Random(args.seed)
     worst = 0.0
     k_fit = 0.0
-    for _ in range(samples):
+    for _ in range(args.samples):
         lam = rng.uniform(lam_lo, lam_hi)
-        lam, n = _count_off_jump(p, lam, cfg.rtol, cfg.delta_tol)
-        defect = lam * d / math.pi - n
-        defects.append(abs(defect))
-        worst = max(worst, abs(defect))
-        k_fit = max(k_fit, (abs(defect) - 1.0) * lam)
-    k_fit = max(k_fit, 0.0)
+        lam, n = _count_off_jump(p, lam, args.rtol)
+        defect = abs(lam * d / math.pi - n)
+        worst = max(worst, defect)
+        k_fit = max(k_fit, (defect - 1.0) * lam)
     passed = worst <= 1.5
     metrics = {
         "weyl_defect_max": worst,
         "fitted_K": k_fit,
-        "samples": samples,
+        "samples": args.samples,
         "lambda_range": [lam_lo, lam_hi],
         "D": d,
     }
     return passed, metrics, f"max |defect| = {worst:.4f}, fitted K = {k_fit:.3g}", None
 
 
-def _suite_bracket(cfg: RunConfig, p: Potential):
-    lg = lg_data(p, grid_points=cfg.grid, quad_tol=cfg.quad_tol)
-    points = cfg.samples or 200
-    lam_hi = cfg.lambda_max or 500.0
-    lam_lo = 1.1 * math.sqrt(lg.c) if lg.c > 0 else max(1e-3, cfg.lambda_min / 100.0)
-    lams = np.geomspace(lam_lo * (1.0 + 1e-9), lam_hi, points)
+def _suite_bracket(args: argparse.Namespace, p: Potential):
+    lg = lg_data(p, grid_points=args.grid)
+    lam_lo = 1.1 * math.sqrt(lg.c) if lg.c > 0 else max(1e-3, args.lambda_min / 100.0)
+    lams = np.geomspace(lam_lo * (1.0 + 1e-9), args.lambda_max, args.samples)
     violations = 0
     wide = 0
     for lam in lams:
         lam = float(lam)
-        lam, n = _count_off_jump(p, lam, cfg.rtol, cfg.delta_tol)
+        lam, n = _count_off_jump(p, lam, args.rtol)
         lower, upper = count_bracket(lg, lam)
         if not lower <= n <= upper:
             violations += 1
@@ -377,19 +325,15 @@ def _suite_bracket(cfg: RunConfig, p: Potential):
     metrics = {
         "D": lg.d,
         "C": lg.c,
-        "points": points,
+        "points": args.samples,
         "inclusion_violations": violations,
         "wide_brackets_past_50": wide,
     }
     return passed, metrics, f"{violations} inclusion violations, {wide} over-wide brackets", None
 
 
-def _suite_conjecture(cfg: RunConfig, p: Potential):
-    n_max = cfg.n_max or 400
-    n_min = cfg.n_min if cfg.n_min > 1 else max(20, n_max // 20)
-    records = jump_sequence(
-        p, n_min, n_max, tol=cfg.root_tol, delta_tol=cfg.delta_tol, workers=cfg.threads
-    )
+def _suite_conjecture(args: argparse.Namespace, p: Potential):
+    records = _records(args, p)
     fit = conjecture_fit(records, p.gamma_a, p.gamma_b)
     metrics = {
         "constant_estimate": fit.constant_estimate,
@@ -402,7 +346,7 @@ def _suite_conjecture(cfg: RunConfig, p: Potential):
         f"kappa = {fit.constant_estimate:.5f} vs predicted "
         f"{fit.predicted:.5f} (stderr {fit.constant_stderr:.2g})"
     )
-    return fit.consistent, metrics, detail, _diagnostics(records, cfg.root_tol)
+    return fit.consistent, metrics, detail, _diagnostics(records, args.root_tol)
 
 
 _SUITES = {
@@ -413,34 +357,33 @@ _SUITES = {
 }
 
 
-def _cmd_verify(cfg: RunConfig, p: Potential) -> int:
-    passed, metrics, detail, diagnostics = _SUITES[cfg.suite](cfg, p)
-    payload = {"suite": cfg.suite, "passed": passed, "metrics": metrics, "config": cfg.to_dict()}
+def _cmd_verify(args: argparse.Namespace, p: Potential) -> int:
+    passed, metrics, detail, diagnostics = _SUITES[args.suite](args, p)
+    payload = {"suite": args.suite, "passed": passed, "metrics": metrics}
     if diagnostics is not None:
         payload["diagnostics"] = diagnostics
-    _emit_json(cfg, payload)
-    _summary(f"suite {cfg.suite}: {'PASS' if passed else 'FAIL'} ({detail})")
+    _emit_json(args, payload)
+    _summary(f"suite {args.suite}: {'PASS' if passed else 'FAIL'} ({detail})")
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
+_COMMANDS = {
+    "count": _cmd_count,
+    "jumps": _cmd_jumps,
+    "transform": _cmd_transform,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _make_config(args)
-        _validate_config(cfg)
+        args = build_parser().parse_args(argv)
+        _resolve(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        p = _build_potential(cfg)
-        if cfg.subcommand == "count":
-            return _cmd_count(cfg, p)
-        if cfg.subcommand == "jumps":
-            return _cmd_jumps(cfg, p)
-        if cfg.subcommand == "transform":
-            return _cmd_transform(cfg, p)
-        return _cmd_verify(cfg, p)
+        return _COMMANDS[args.subcommand](args, _build_potential(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

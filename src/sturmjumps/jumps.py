@@ -79,8 +79,6 @@ def find_jump(
     p: Potential,
     n: int,
     tol: float = 1e-10,
-    delta_tol: float = 1e-10,
-    rtol: Optional[float] = None,
     d_value: Optional[float] = None,
     max_expansions: int = 60,
 ) -> JumpRecord:
@@ -92,14 +90,14 @@ def find_jump(
     class's RK45 end slivers add none), and
     BracketingError is raised when no iterate does, or when
     ``max_expansions`` slope steps find no sign change.  The phase is
-    computed with rtol = tol/10 unless overridden.
+    computed with rtol = tol/10.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    phase_rtol = rtol if rtol is not None else tol / 10.0
-    d = d_value if d_value is not None else integrate_sqrt_v(p, p.a, p.b, 1e-12).value
+    phase_rtol = tol / 10.0
+    d = d_value if d_value is not None else integrate_sqrt_v(p, p.a, p.b).value
     target = n * _PI
     tol_theta = tol * n
     calls = steps = rejected = cells = 0
@@ -107,7 +105,7 @@ def find_jump(
 
     def residual_at(lam):
         nonlocal calls, steps, rejected, cells
-        res = phase(p, lam, rtol=phase_rtol, delta_tol=delta_tol)
+        res = phase(p, lam, rtol=phase_rtol)
         calls += 1
         steps += res.steps
         rejected += res.rejected_steps
@@ -176,8 +174,8 @@ def find_jump(
 
 
 def _sequence_chunk(payload):
-    p, ns, tol, delta_tol, rtol, d = payload
-    return [find_jump(p, n, tol=tol, delta_tol=delta_tol, rtol=rtol, d_value=d) for n in ns]
+    p, ns, tol, d = payload
+    return [find_jump(p, n, tol=tol, d_value=d) for n in ns]
 
 
 def jump_sequence(
@@ -185,9 +183,6 @@ def jump_sequence(
     n_min: int,
     n_max: int,
     tol: float = 1e-10,
-    delta_tol: float = 1e-10,
-    rtol: Optional[float] = None,
-    quad_tol: float = 1e-12,
     workers: int = 1,
 ) -> list[JumpRecord]:
     """Jump records for every n in [n_min, n_max], strictly increasing in lambda.
@@ -199,17 +194,17 @@ def jump_sequence(
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    d = integrate_sqrt_v(p, p.a, p.b, quad_tol).value
+    d = integrate_sqrt_v(p, p.a, p.b).value
     if p.regularity is Regularity.THEOREM:
         p.u_integral  # computed once here; the cached value is pickled to workers
     ns = list(range(n_min, n_max + 1))
     if workers <= 1 or len(ns) < 4:
-        records = _sequence_chunk((p, ns, tol, delta_tol, rtol, d))
+        records = _sequence_chunk((p, ns, tol, d))
     else:
         workers = min(workers, len(ns))
         size = (len(ns) + workers - 1) // workers
         chunks = [ns[i : i + size] for i in range(0, len(ns), size)]
-        payloads = [(p, chunk, tol, delta_tol, rtol, d) for chunk in chunks]
+        payloads = [(p, chunk, tol, d) for chunk in chunks]
         # imported here: the pool's import costs memory that one worker never uses
         from concurrent.futures import ProcessPoolExecutor
 

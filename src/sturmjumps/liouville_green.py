@@ -59,14 +59,14 @@ def transformed_potential(p: Potential, x: float) -> float:
     return -0.25 * j.d2 / (v * v) + 0.3125 * j.d1 * j.d1 / (v * v * v)
 
 
-def lg_data(p: Potential, grid_points: int = 512, quad_tol: float = 1e-12) -> LGData:
+def lg_data(p: Potential, grid_points: int = 512) -> LGData:
     """Sample U on a Chebyshev grid, map x to xi, and bound |U| by C.
 
     The grid includes the endpoints (where suprema often sit).  xi is
-    accumulated over the grid's segments, each integrated to ``quad_tol``
-    in one vectorized Gauss-Legendre pass, so it is increasing by
-    construction; D itself is one tanh-sinh integral over the whole
-    interval, the same one the root finder uses.  The record carries the
+    accumulated over the grid's segments, each integrated to 1e-12 in one
+    vectorized Gauss-Legendre pass, so it is increasing by construction;
+    D itself is one tanh-sinh integral over the whole interval, the same
+    one the root finder uses.  The record carries the
     evaluation and bisection counts of both.
     """
     if grid_points < 200:
@@ -75,9 +75,9 @@ def lg_data(p: Potential, grid_points: int = 512, quad_tol: float = 1e-12) -> LG
         raise ValueError("the count bracket applies to theorem-class potentials only")
     xs = chebyshev_grid(p.a, p.b, grid_points, include_endpoints=True)
     u_vals = [transformed_potential(p, float(x)) for x in xs]
-    seg = integrate_sqrt_v_segments(p, xs, quad_tol)
+    seg = integrate_sqrt_v_segments(p, xs)
     xis = np.concatenate([[0.0], np.cumsum(seg.values)])
-    whole = integrate_sqrt_v(p, p.a, p.b, quad_tol)
+    whole = integrate_sqrt_v(p, p.a, p.b)
     c = 1.05 * max(abs(u) for u in u_vals)
     return LGData(
         d=whole.value,

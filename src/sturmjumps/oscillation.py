@@ -8,7 +8,10 @@ so by Sturm oscillation the number of strictly negative eigenvalues is
 
     N(lambda) = ceil(theta_s(b)/pi) - 1
 
-away from the jump couplings where theta_s(b) is a multiple of pi.  The
+away from the jump couplings where theta_s(b) is a multiple of pi.  A
+theta_s(b)/pi within the call's own resolution rtol * max(theta_s(b)/pi, 1)
+of an integer k counts as that jump, N = k - 1: the new zero sits at b
+and the zero eigenvalue is not negative.  The
 cell propagator of ``propagator`` serves both classes:
 
 * Theorem class: the propagator covers all of [a, b].  On the
@@ -55,11 +58,11 @@ cell propagator of ``propagator`` serves both classes:
   |fine - coarse| alone: the slivers carry no estimate.
 
 Conjecture-class potentials are never evaluated at a singular endpoint:
-integration starts at a + delta with the phase seeded from the leading
-solution behaviour u ~ (x - a), theta(a + delta) = atan(S(a + delta)
-delta), and symmetrically stops at b - delta with the matching
-scale-s phase correction added (exact at the jumps, where the solution
-vanishes at b).  Where the offset reaches past the bulk's end, the seed
+integration starts at a + delta, with lambda^2 V(a + delta) delta^2 =
+_DELTA_TOL, and the phase seeded from the leading solution behaviour
+u ~ (x - a), theta(a + delta) = atan(S(a + delta) delta); it stops
+symmetrically at b - delta with the matching scale-s phase correction
+added (exact at the jumps, where the solution vanishes at b).  Where the offset reaches past the bulk's end, the seed
 or the correction is taken at that end instead.
 """
 
@@ -82,8 +85,14 @@ __all__ = [
 
 _PI = math.pi
 
-# at-jump guard: theta(b)/pi closer than this to an integer is ambiguous
+# count_negative's default at-jump guard: theta(b)/pi closer than this to an integer is ambiguous
 JUMP_GUARD = 1e-7
+
+# relative error of u ~ (x - a) allowed over the sliver skipped at a singular end
+_DELTA_TOL = 1e-10
+
+# RK45 steps allowed on the end slivers of one phase call
+_MAX_STEPS = 10_000_000
 
 
 class PhaseError(RuntimeError):
@@ -241,23 +250,6 @@ def _offset_delta(p: Potential, lam: float, delta_tol: float, end: str) -> float
     return delta
 
 
-def _start_point(p: Potential, lam: float, delta_tol: float = 1e-10, end: str = "a") -> float:
-    """First (or, for end='b', last) point at which integration touches V.
-
-    Regular endpoints (declared exponent 0) need no offset.  Singular ones
-    are approached to within the delta chosen by `_offset_delta`.
-    """
-    if p.regularity is not Regularity.CONJECTURE:
-        raise ValueError("offsets apply to conjecture-class potentials only")
-    if end not in ("a", "b"):
-        raise ValueError("end must be 'a' or 'b'")
-    gamma = p.gamma_a if end == "a" else p.gamma_b
-    if gamma == 0.0:
-        return p.a if end == "a" else p.b
-    delta = _offset_delta(p, lam, delta_tol, end)
-    return p.a + delta if end == "a" else p.b - delta
-
-
 # ---------------------------------------------------------------------------
 # phase and counting
 # ---------------------------------------------------------------------------
@@ -279,13 +271,7 @@ def _propagate(p, lam, rtol, entry, sigma):
         raise PhaseError(str(exc)) from None
 
 
-def phase(
-    p: Potential,
-    lam: float,
-    rtol: float = 1e-10,
-    delta_tol: float = 1e-10,
-    max_steps: int = 10_000_000,
-) -> PhaseResult:
+def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
     """Endpoint phase theta(b; lambda) and the derived count N(lambda)."""
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
@@ -295,11 +281,11 @@ def phase(
     if p.regularity is Regularity.THEOREM:
         s = lam * math.sqrt(max(p.c_lower, 1.0))
         theta_b, cells, estimate = _propagate(p, lam, rtol, _DIRICHLET, s)
-        return _result(lam, theta_b, 0, 0, cells, estimate)
-    return _result(lam, *_hybrid_phase(p, lam, rtol, delta_tol, max_steps))
+        return _result(lam, rtol, theta_b, 0, 0, cells, estimate)
+    return _result(lam, rtol, *_hybrid_phase(p, lam, rtol))
 
 
-def _hybrid_phase(p, lam, rtol, delta_tol, max_steps):
+def _hybrid_phase(p, lam, rtol):
     """theta(b) of a conjecture-class potential, its sliver RK steps and rejections, cells and estimate."""
     s = lam
     fv, fvd = p.value_fn, p.value_d1_fn
@@ -324,7 +310,7 @@ def _hybrid_phase(p, lam, rtol, delta_tol, max_steps):
 
     def rk(rhs, x0, theta, x1, tol):
         nonlocal steps, rejected
-        theta, more, more_rejected = _rk45(rhs, x0, theta, x1, tol, tol * _PI, max_steps - steps)
+        theta, more, more_rejected = _rk45(rhs, x0, theta, x1, tol, tol * _PI, _MAX_STEPS - steps)
         steps += more
         rejected += more_rejected
         return theta
@@ -333,7 +319,7 @@ def _hybrid_phase(p, lam, rtol, delta_tol, max_steps):
         entry = _DIRICHLET
         if x_l > p.a:
             # seeded from u ~ (x - a) at a + delta, or at x_l when the offset reaches it
-            x0 = min(p.a + _offset_delta(p, lam, delta_tol, "a"), x_l)
+            x0 = min(p.a + _offset_delta(p, lam, _DELTA_TOL, "a"), x_l)
             theta = math.atan(lam * sqrt(fv(x0)) * (x0 - p.a))
             if x0 < x_l:
                 theta = rk(lg_rhs, x0, theta, x_l, rtol)
@@ -353,7 +339,7 @@ def _hybrid_phase(p, lam, rtol, delta_tol, max_steps):
             return theta, steps, rejected, cells, estimate
         # the right sliver: a Liouville-Green stretch from x_r to x_m, then
         # the turning-point layer on the scale s to x1 = b - delta
-        x1 = max(p.b - _offset_delta(p, lam, delta_tol, "b"), x_r)
+        x1 = max(p.b - _offset_delta(p, lam, _DELTA_TOL, "b"), x_r)
         layer = _offset_delta(p, lam, (0.25 * p.gamma_b) ** 2, "b") if p.gamma_b > 0.0 else 0.0
         xm = max(min(p.b - layer, x1), x_r)
         if xm == x_r:
@@ -376,12 +362,12 @@ def _hybrid_phase(p, lam, rtol, delta_tol, max_steps):
     return theta + atan2(s * (p.b - x1), 1.0), steps, rejected, cells, estimate
 
 
-def _result(lam, theta_b, steps, rejected, cells, estimate):
+def _result(lam, rtol, theta_b, steps, rejected, cells, estimate):
     t = theta_b / _PI
     nearest = round(t)
-    if abs(t - nearest) < JUMP_GUARD:
-        # exactly at a jump the new zero sits at x = b and the zero
-        # eigenvalue is excluded from the count
+    if abs(t - nearest) < rtol * max(t, 1.0):
+        # at a jump, to the call's own tolerance, the new zero sits at
+        # x = b and the zero eigenvalue is excluded from the count
         count = int(nearest) - 1
     else:
         count = math.ceil(t) - 1
@@ -393,7 +379,6 @@ def count_negative(
     p: Potential,
     lam: float,
     rtol: float = 1e-10,
-    delta_tol: float = 1e-10,
     jump_guard: float = JUMP_GUARD,
 ) -> int:
     """N(lambda), guarding against lambda landing numerically on a jump.
@@ -401,10 +386,11 @@ def count_negative(
     Inside the guard band the count is genuinely ambiguous at the working
     tolerance and AtJumpAmbiguity (carrying theta_b) is raised so the
     caller can decide; tighten ``jump_guard`` together with ``rtol`` when
-    probing deliberately close to a jump.
+    probing deliberately close to a jump.  Outside it the count is
+    ``phase``'s.
     """
-    result = phase(p, lam, rtol=rtol, delta_tol=delta_tol)
+    result = phase(p, lam, rtol=rtol)
     t = result.theta_b / _PI
     if abs(t - round(t)) < jump_guard:
         raise AtJumpAmbiguity(lam, result.theta_b)
-    return max(math.ceil(t) - 1, 0)
+    return result.count

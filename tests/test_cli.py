@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sturmjumps
 from sturmjumps.cli import main
 
 PI = "3.141592653589793"
+
+# the options every subcommand takes, as config keys
+_COMMON = {"potential", "a", "b", "class", "gamma_a", "gamma_b", "out"}
 
 
 def run(args):
@@ -24,7 +31,7 @@ def test_count_constant_potential(tmp_path):
     assert payload["count"] == 2
     assert payload["theta_b"] == pytest.approx(2.5 * math.pi, rel=1e-10)
     assert payload["config"]["lambda"] == 2.5
-    assert payload["config"]["seed"] == 42
+    assert set(payload["config"]) == {"subcommand"} | _COMMON | {"lambda", "method", "mesh", "rtol"}
 
 
 def test_count_matrix_method(tmp_path):
@@ -182,6 +189,8 @@ def test_verify_conjecture_suite_passes(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
     assert payload["metrics"]["predicted"] == pytest.approx(-1.0 / 12.0, rel=1e-12)
+    # the suite's n_min default, max(20, n_max // 20), is recorded as run
+    assert (payload["config"]["n_min"], payload["config"]["n_max"]) == (20, 120)
     _check_root_diagnostics(payload, 101, theorem=False)
 
 
@@ -224,6 +233,9 @@ def test_computational_error_exit_code():
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "c.json"
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(sturmjumps.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "sturmjumps",
@@ -232,6 +244,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "N(2.5) = 2" in proc.stderr
@@ -246,3 +259,85 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(out.read_text().strip().split("\n")) == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jumps", "--n-max", "2", "--rtol", "1e-3"],
+        ["jumps", "--n-max", "2", "--seed", "7"],
+        ["jumps", "--n-max", "2", "--delta-tol", "5"],
+        ["count", "--lambda", "2", "--root-tol", "1e-9"],
+        ["count", "--lambda", "2", "--threads", "1"],
+        ["count", "--lambda", "2", "--quad-tol", "1e-9"],
+        ["transform", "--threads", "1"],
+        ["transform", "--rtol", "1e-9"],
+        ["verify", "--suite", "weyl", "--samples", "2", "--delta-tol", "1e-9"],
+        ["verify", "--suite", "weyl", "--samples", "2", "--quad-tol", "1e-9"],
+    ],
+)
+def test_unread_options_are_usage_errors(argv):
+    assert run(argv + ["--potential", "1", "--a", "0", "--b", PI]) == 64
+
+
+def test_config_holds_exactly_the_subcommand_options(tmp_path):
+    out = tmp_path / "a.json"
+    base = ["--potential", "1", "--a", "0", "--b", PI, "--out", str(out)]
+    cases = [
+        (["jumps", "--n-max", "2", "--format", "json", "--threads", "1"],
+         {"n_min", "n_max", "format", "root_tol", "threads"}),
+        (["transform", "--grid", "256"], {"grid"}),
+        (["verify", "--suite", "weyl", "--samples", "3", "--threads", "1"],
+         {"suite", "n_min", "n_max", "samples", "lambda_min", "lambda_max", "grid",
+          "rtol", "root_tol", "seed", "threads"}),
+    ]
+    for argv, own in cases:
+        assert run(argv + base) == 0
+        config = json.loads(out.read_text())["config"]
+        assert set(config) == {"subcommand"} | _COMMON | own
+        assert config["subcommand"] == argv[0] and config["out"] == str(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "weyl", "--samples", "-3"],
+        ["verify", "--suite", "bracket", "--samples", "0"],
+        ["verify", "--suite", "bracket", "--grid", "100"],
+        ["transform", "--grid", "100"],
+        ["count", "--lambda", "2", "--method", "matrix", "--mesh", "0"],
+        ["verify", "--suite", "theorem", "--n-min", "600"],
+        ["verify", "--suite", "weyl", "--lambda-max", "0"],
+    ],
+)
+def test_bad_counts_are_usage_errors(argv):
+    assert run(argv + ["--potential", "1", "--a", "0", "--b", PI]) == 64
+
+
+def test_verify_records_the_suite_defaults_it_ran(tmp_path):
+    out = tmp_path / "r.json"
+    base = ["--potential", "1", "--a", "0", "--b", PI, "--threads", "1", "--out", str(out)]
+    assert run(["verify", "--suite", "theorem", "--n-max", "40"] + base) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["config"]["n_min"], payload["config"]["n_max"]) == (10, 40)
+    assert payload["metrics"]["n_range"] == [10, 40]
+    assert run(["verify", "--suite", "weyl", "--lambda-max", "20"] + base) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["samples"] == payload["metrics"]["samples"] == 500
+    assert run(["verify", "--suite", "bracket", "--samples", "10"] + base) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["lambda_max"] == 500.0
+    assert payload["config"]["threads"] == 1
+
+
+def test_count_at_tight_rtol_just_past_a_jump():
+    # lambda_1(1 + 1e-8) of 2+sin(x) on [0, 3]: theta_b/pi - 1 ~ 1e-8, well
+    # outside the phase's 1e-12 resolution, so the first eigenvalue is negative
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(
+            ["count", "--potential", "2+sin(x)", "--a", "0", "--b", "3",
+             "--rtol", "1e-12", "--lambda", "0.6191778634899344"]
+        )
+    assert code == 0
+    assert json.loads(out.getvalue())["count"] == 1

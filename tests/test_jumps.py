@@ -97,7 +97,7 @@ def test_unconverged_root_raises(v_one, monkeypatch):
     import sturmjumps.jumps as jumps
     from sturmjumps.oscillation import PhaseResult
 
-    def leaping_phase(p, lam, rtol=1e-10, delta_tol=1e-10):
+    def leaping_phase(p, lam, rtol=1e-10):
         theta = 3.0 * math.pi + (1.0 if lam >= 3.0 else -1.0)
         return PhaseResult(lam, theta, 0, 1, 0)
 
@@ -125,7 +125,7 @@ def test_start_rule_phase_calls(v_sin, v_linear):
 def _fake_phase(theta, seen):
     from sturmjumps.oscillation import PhaseResult
 
-    def fake(p, lam, rtol=1e-10, delta_tol=1e-10):
+    def fake(p, lam, rtol=1e-10):
         seen.append(lam)
         return PhaseResult(lam, theta(lam), 0, 1, 2)
 

@@ -2,14 +2,16 @@ import math
 
 import pytest
 
+import sturmjumps.oscillation as oscillation
 from sturmjumps.oscillation import (
     AtJumpAmbiguity,
     PhaseError,
-    _start_point,
+    _offset_delta,
     count_negative,
     phase,
 )
 from sturmjumps.potential import Potential, Regularity
+from sturmjumps.propagator import bulk_interval
 from sturmjumps.spectra_oracle import count_matrix
 
 
@@ -60,6 +62,19 @@ def test_tolerance_convergence(v_sin):
     assert abs(t1 - t2) < 10.0 * rtol * t1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_count_band_follows_rtol(v_sin, n):
+    # criterion 8's rule at rtol 1e-12: theta_b/pi at lambda_n(1 +/- 1e-8) is about
+    # 1e-8 * n off the integer, far outside the call's resolution 1e-12 * n, so
+    # phase() counts it like count_negative does, as off the jump
+    from sturmjumps.jumps import find_jump
+
+    lam = find_jump(v_sin, n).lambda_n
+    for factor, want in ((1.0 - 1e-8, n - 1), (1.0 + 1e-8, n)):
+        assert phase(v_sin, lam * factor, rtol=1e-12).count == want
+        assert count_negative(v_sin, lam * factor, rtol=1e-12, jump_guard=1e-9) == want
+
+
 def test_at_jump_ambiguity_raised(v_one):
     with pytest.raises(AtJumpAmbiguity) as err:
         count_negative(v_one, 3.0)
@@ -83,45 +98,51 @@ def test_negative_potential_fails_cleanly():
 
 
 def test_start_point_regular_endpoint_needs_no_offset():
+    # declared exponents 0: the propagator covers [a, b] and no sliver is offset or stepped
     p = Potential.from_formula(
         "1+x", 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=0.0, gamma_b=0.0
     )
-    assert _start_point(p, 10.0) == 0.0
-    assert _start_point(p, 10.0, end="b") == 1.0
+    assert bulk_interval(p) == (0.0, 1.0)
+    res = phase(p, 10.0)
+    assert res.steps == 0 and res.cells > 0
 
 
 def test_start_point_offset_scale(v_linear):
-    x0 = _start_point(v_linear, 100.0, delta_tol=1e-10)
+    x0 = v_linear.a + _offset_delta(v_linear, 100.0, oscillation._DELTA_TOL, "a")
     assert 0.0 < x0 <= 1e-4
-    # the offset criterion itself: lambda^2 V(delta) delta^2 <= delta_tol
-    assert 100.0**2 * x0 * x0 * x0 <= 1e-10 * 1.0001
+    # the offset criterion itself: lambda^2 V(delta) delta^2 <= _DELTA_TOL
+    assert 100.0**2 * x0 * x0 * x0 <= oscillation._DELTA_TOL * 1.0001
 
 
 def test_start_point_only_for_conjecture_class(v_one):
-    with pytest.raises(ValueError):
-        _start_point(v_one, 10.0)
+    # a theorem-class phase starts at a itself: no offset, no RK45 sliver
+    assert bulk_interval(v_one) == (v_one.a, v_one.b)
+    assert phase(v_one, 10.0).steps == 0
 
 
-def test_offset_self_convergence_linear(v_linear):
+def test_offset_self_convergence_linear(v_linear, monkeypatch):
     # shrinking the offset tolerance (hence the offset) leaves theta(b) put
-    t1 = phase(v_linear, 100.0, rtol=1e-12, delta_tol=1e-10).theta_b
-    t2 = phase(v_linear, 100.0, rtol=1e-12, delta_tol=1.25e-11).theta_b
+    t1 = phase(v_linear, 100.0, rtol=1e-12).theta_b
+    monkeypatch.setattr(oscillation, "_DELTA_TOL", 1.25e-11)
+    t2 = phase(v_linear, 100.0, rtol=1e-12).theta_b
     assert abs(t1 - t2) < 1e-8
 
 
-def test_offset_self_convergence_rational(v_rational):
+def test_offset_self_convergence_rational(v_rational, monkeypatch):
     # the right-endpoint correction is exact at jumps and count-accurate
     # elsewhere, so the invariant across offset sizes is the count
-    c1 = count_negative(v_rational, 50.0, rtol=1e-11, delta_tol=1e-10)
-    c2 = count_negative(v_rational, 50.0, rtol=1e-11, delta_tol=1.25e-11)
+    c1 = count_negative(v_rational, 50.0, rtol=1e-11)
+    monkeypatch.setattr(oscillation, "_DELTA_TOL", 1.25e-11)
+    c2 = count_negative(v_rational, 50.0, rtol=1e-11)
     assert c1 == c2
 
 
-def test_offset_self_convergence_at_jump(v_rational):
+def test_offset_self_convergence_at_jump(v_rational, monkeypatch):
     from sturmjumps.jumps import find_jump
 
-    r1 = find_jump(v_rational, 12, delta_tol=1e-10)
-    r2 = find_jump(v_rational, 12, delta_tol=1.25e-11)
+    r1 = find_jump(v_rational, 12)
+    monkeypatch.setattr(oscillation, "_DELTA_TOL", 1.25e-11)
+    r2 = find_jump(v_rational, 12)
     assert r1.lambda_n == pytest.approx(r2.lambda_n, rel=1e-7)
 
 

@@ -16,7 +16,7 @@ import mpmath
 import pytest
 
 from sturmjumps.jumps import find_jump
-from sturmjumps.oscillation import _offset_delta, _rk45, _start_point, count_negative, phase
+from sturmjumps.oscillation import _DELTA_TOL, _offset_delta, _rk45, count_negative, phase
 from sturmjumps.potential import Potential, Regularity
 from sturmjumps.propagator import bulk_interval
 from sturmjumps.spectra_oracle import count_matrix
@@ -54,14 +54,16 @@ def test_root_tol_contract_bessel(source, gamma, n):
     assert d * abs(rec.lambda_n - _bessel_root(gamma, n)) <= TOL * n
 
 
-def _constant_scale_theta_b(p, lam, rtol, delta_tol=1e-10):
+def _constant_scale_theta_b(p, lam, rtol):
     """theta(b) from the constant-scale equation theta' = s cos^2 + (lam^2 V/s) sin^2."""
     theorem = p.regularity is Regularity.THEOREM
     s = lam * math.sqrt(max(p.c_lower, 1.0)) if theorem else lam
     x0, x1 = p.a, p.b
-    if not theorem:
-        x0 = _start_point(p, lam, delta_tol, "a")
-        x1 = _start_point(p, lam, delta_tol, "b")
+    # a singular conjecture-class end is approached to within the phase's own offset
+    if not theorem and p.gamma_a != 0.0:
+        x0 = p.a + _offset_delta(p, lam, _DELTA_TOL, "a")
+    if not theorem and p.gamma_b != 0.0:
+        x1 = p.b - _offset_delta(p, lam, _DELTA_TOL, "b")
     fv = p.value_fn
     q_scale = lam * lam / s
 
