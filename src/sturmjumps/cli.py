@@ -1,11 +1,11 @@
 """Command-line interface: count, jumps, transform, verify.
 
-Each subcommand takes only the options it reads; any other option is a
-usage error.  Every JSON artifact records those options, defaults
-resolved, as its ``config``, so a report is reproducible from its own
-header.  Randomized sweeps draw from a seeded generator (default seed
-42).  Exit codes: 0 success, 1 computational error, 2 verification
-failure, 64 usage error.
+Each subcommand, and each ``verify --suite``, takes only the options it
+reads; any other option is a usage error.  Every JSON artifact records
+those options, defaults resolved, as its ``config``, so a report is
+reproducible from its own header.  Randomized sweeps draw from a seeded
+generator (default seed 42).  Exit codes: 0 success, 1 computational
+error, 2 verification failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .asymptotics import conjecture_fit, theorem_check
 from .expr import FormulaError
 from .jumps import jump_sequence
 from .liouville_green import count_bracket, lg_data
-from .oscillation import AtJumpAmbiguity, count_negative, phase
+from .oscillation import phase
 from .potential import Potential, Regularity
 from .quadrature import integrate_sqrt_v
 from .spectra_oracle import count_matrix
@@ -38,13 +38,15 @@ EXIT_USAGE = 64
 
 THREADS_ENV = "STURM_JUMPS_THREADS"
 
-# what each verify suite runs when its options are not given
-_SUITE_DEFAULTS = {
-    "theorem": {"n_min": 10, "n_max": 500},
-    "weyl": {"samples": 500, "lambda_max": 1000.0},
-    "bracket": {"samples": 200, "lambda_max": 500.0},
-    "conjecture": {"n_max": 400},  # n_min: max(20, n_max // 20)
+# the options each verify suite reads, with what it runs when they are not
+# given; the conjecture suite's n_min defaults to max(20, n_max // 20)
+_SUITE_OPTIONS = {
+    "theorem": {"n_min": 10, "n_max": 500, "root_tol": 1e-10, "threads": None},
+    "weyl": {"samples": 500, "lambda_min": 10.0, "lambda_max": 1000.0, "rtol": 1e-10, "seed": 42},
+    "bracket": {"samples": 200, "lambda_min": 10.0, "lambda_max": 500.0, "grid": 512, "rtol": 1e-10},
+    "conjecture": {"n_min": None, "n_max": 400, "root_tol": 1e-10, "threads": None},
 }
+_SUITE_OPTION_NAMES = {name for reads in _SUITE_OPTIONS.values() for name in reads}
 
 # the least value each size option accepts
 _MINIMA = {"samples": 1, "grid": 200, "mesh": 1}
@@ -90,35 +92,37 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--gamma-b", type=float, default=None, help="right endpoint exponent")
     common.add_argument("--out", default=None, help="output artifact path")
 
-    phase_opts = _Parser(add_help=False)
-    phase_opts.add_argument("--rtol", type=float, default=1e-10, help="phase integration tolerance")
-
-    root_opts = _Parser(add_help=False)
-    root_opts.add_argument("--root-tol", type=float, default=1e-10, help="jump root tolerance (relative in theta)")
-    root_opts.add_argument("--threads", type=int, default=None, help=f"worker processes (default: {THREADS_ENV} or cpu count)")
-
-    pc = sub.add_parser("count", parents=[common, phase_opts], help="count negative eigenvalues at one coupling")
+    pc = sub.add_parser("count", parents=[common], help="count negative eigenvalues at one coupling")
     pc.add_argument("--lambda", dest="lam", type=float, required=True, help="coupling strength")
     pc.add_argument("--method", choices=["phase", "matrix"], default="phase")
     pc.add_argument("--mesh", type=int, default=20000, help="interior mesh points for --method matrix")
+    pc.add_argument("--rtol", type=float, default=1e-10, help="phase integration tolerance")
 
-    pj = sub.add_parser("jumps", parents=[common, root_opts], help="locate jump couplings lambda_n")
+    pj = sub.add_parser("jumps", parents=[common], help="locate jump couplings lambda_n")
     pj.add_argument("--n-min", type=int, default=1)
     pj.add_argument("--n-max", type=int, required=True)
     pj.add_argument("--format", choices=["csv", "json"], default="csv")
+    pj.add_argument("--root-tol", type=float, default=1e-10, help="jump root tolerance (relative in theta)")
+    pj.add_argument("--threads", type=int, default=None, help=f"worker processes (default: {THREADS_ENV} or cpu count)")
 
     pt = sub.add_parser("transform", parents=[common], help="Liouville-Green data: D, U(xi), C")
     pt.add_argument("--grid", type=int, default=512, help="Chebyshev sample points")
 
-    pv = sub.add_parser("verify", parents=[common, phase_opts, root_opts], help="run an asymptotic-law check suite")
-    pv.add_argument("--suite", choices=["theorem", "weyl", "bracket", "conjecture"], required=True)
-    pv.add_argument("--n-min", type=int, default=None)
-    pv.add_argument("--n-max", type=int, default=None)
-    pv.add_argument("--samples", type=int, default=None, help="lambda draws (weyl) or grid size (bracket)")
-    pv.add_argument("--lambda-min", type=float, default=10.0)
-    pv.add_argument("--lambda-max", type=float, default=None)
-    pv.add_argument("--grid", type=int, default=512, help="Chebyshev sample points (bracket)")
-    pv.add_argument("--seed", type=int, default=42, help="seed for the weyl suite's draws")
+    # an option left out stays out of the namespace, so one the suite does not read is seen
+    pv = sub.add_parser(
+        "verify", parents=[common], argument_default=argparse.SUPPRESS, help="run an asymptotic-law check suite"
+    )
+    pv.add_argument("--suite", choices=list(_SUITE_OPTIONS), required=True)
+    pv.add_argument("--n-min", type=int, help="theorem, conjecture")
+    pv.add_argument("--n-max", type=int, help="theorem, conjecture")
+    pv.add_argument("--samples", type=int, help="lambda draws (weyl) or grid size (bracket)")
+    pv.add_argument("--lambda-min", type=float, help="weyl, bracket")
+    pv.add_argument("--lambda-max", type=float, help="weyl, bracket")
+    pv.add_argument("--grid", type=int, help="Chebyshev sample points (bracket)")
+    pv.add_argument("--seed", type=int, help="seed for the weyl suite's draws")
+    pv.add_argument("--rtol", type=float, help="phase integration tolerance (weyl, bracket)")
+    pv.add_argument("--root-tol", type=float, help="jump root tolerance (theorem, conjecture)")
+    pv.add_argument("--threads", type=int, help="worker processes (theorem, conjecture)")
     return parser
 
 
@@ -132,14 +136,17 @@ def _resolve(args: argparse.Namespace):
             raise _UsageError(f"--{name.replace('_', '-')} must be positive")
     if "lam" in opts and not args.lam > 0:
         raise _UsageError("--lambda must be positive")
-    if "threads" in opts:
-        args.threads = _resolve_threads(args.threads)
     if args.subcommand == "verify":
-        for name, value in _SUITE_DEFAULTS[args.suite].items():
-            if opts[name] is None:
-                opts[name] = value
+        reads = _SUITE_OPTIONS[args.suite]
+        unread = [name for name in opts if name in _SUITE_OPTION_NAMES and name not in reads]
+        if unread:
+            raise _UsageError(f"--suite {args.suite} does not read --{unread[0].replace('_', '-')}")
+        for name, value in reads.items():
+            opts.setdefault(name, value)
         if args.suite == "conjecture" and args.n_min is None:
             args.n_min = max(20, args.n_max // 20)
+    if "threads" in opts:
+        args.threads = _resolve_threads(args.threads)
     for name, least in _MINIMA.items():
         if opts.get(name) is not None and opts[name] < least:
             raise _UsageError(f"--{name} must be at least {least}")
@@ -260,16 +267,6 @@ def _cmd_transform(args: argparse.Namespace, p: Potential) -> int:
     return EXIT_OK
 
 
-def _count_off_jump(p, lam, rtol):
-    # retry with a relative nudge when lambda lands numerically on a jump
-    for _ in range(8):
-        try:
-            return lam, count_negative(p, lam, rtol=rtol)
-        except AtJumpAmbiguity:
-            lam *= 1.0 + 3e-7
-    raise AtJumpAmbiguity(lam, float("nan"))
-
-
 def _suite_theorem(args: argparse.Namespace, p: Potential):
     records = _records(args, p)
     chk = theorem_check(records)
@@ -292,7 +289,7 @@ def _suite_weyl(args: argparse.Namespace, p: Potential):
     k_fit = 0.0
     for _ in range(args.samples):
         lam = rng.uniform(lam_lo, lam_hi)
-        lam, n = _count_off_jump(p, lam, args.rtol)
+        n = phase(p, lam, rtol=args.rtol).count
         defect = abs(lam * d / math.pi - n)
         worst = max(worst, defect)
         k_fit = max(k_fit, (defect - 1.0) * lam)
@@ -313,9 +310,8 @@ def _suite_bracket(args: argparse.Namespace, p: Potential):
     lams = np.geomspace(lam_lo * (1.0 + 1e-9), args.lambda_max, args.samples)
     violations = 0
     wide = 0
-    for lam in lams:
-        lam = float(lam)
-        lam, n = _count_off_jump(p, lam, args.rtol)
+    for lam in lams.tolist():
+        n = phase(p, lam, rtol=args.rtol).count
         lower, upper = count_bracket(lg, lam)
         if not lower <= n <= upper:
             violations += 1

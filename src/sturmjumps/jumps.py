@@ -2,8 +2,10 @@
 
 lambda_n is the smallest lambda with N(lambda) >= n, equivalently the
 lambda at which the Dirichlet solution gains its n-th zero at x = b, i.e.
-the root of f(lambda) = theta(b; lambda) - n*pi.  theta(b; .) is strictly
-increasing, and each root is found in three stages:
+the root of f(lambda) = theta_b(lambda) - n*pi, with theta_b the matched
+phase of ``oscillation.phase`` (theta(b) itself unless the right end is
+singular).  theta_b is strictly increasing, and each root is found in
+three stages:
 
 * Start.  On the Liouville-Green scale the problem is -g'' - U g =
   lambda^2 g on (0, D), whose Dirichlet eigenvalues are
@@ -14,9 +16,10 @@ increasing, and each root is found in three stages:
   unbounded there); (n+kappa)*pi/D when the radicand is not positive.
   It depends on (p, n) alone, so a root never depends on which other
   roots were computed with it.
-* Slope steps.  Since theta(b; lambda) ~ lambda*D, lambda <- lambda -
-  f/slope with the slope starting at D and then taken from the latest
-  secant when that is positive.  A step that would take lambda to 0 or
+* Slope steps.  Since theta_b(lambda) ~ lambda*D (its slope at the
+  roots of (1-x)/x is 0.86-1.16 D), lambda <- lambda - f/slope with the
+  slope starting at D and then taken from the latest secant when that
+  is positive.  A step that would take lambda to 0 or
   below is replaced by halving lambda; after three tries on the same
   side the step is doubled each time, so the sign change is reached.
 * Illinois.  Once f changes sign, a safeguarded Illinois secant on the
@@ -82,10 +85,10 @@ def find_jump(
     d_value: Optional[float] = None,
     max_expansions: int = 60,
 ) -> JumpRecord:
-    """Solve theta(b; lambda) = n*pi for the n-th jump coupling.
+    """Solve theta_b(lambda) = n*pi for the n-th jump coupling.
 
     ``tol`` is relative in theta: the returned root satisfies
-    |theta(b; lambda_n) - n*pi| + error_bar <= tol*n, where error_bar is
+    |theta_b(lambda_n) - n*pi| + error_bar <= tol*n, where error_bar is
     the phase's own error estimate (the propagator's; the conjecture
     class's RK45 end slivers add none), and
     BracketingError is raised when no iterate does, or when
@@ -167,7 +170,7 @@ def find_jump(
             break
     if bound(best_lam, best_f) > tol_theta:
         raise BracketingError(
-            f"no root within tolerance for n={n}: best |theta(b) - n*pi| = {abs(best_f)!r} "
+            f"no root within tolerance for n={n}: best |theta_b - n*pi| = {abs(best_f)!r} "
             f"with error bar {bars[best_lam]!r} at lambda={best_lam!r} exceeds {tol_theta!r}"
         )
     return record(best_lam, best_f)

@@ -1,69 +1,56 @@
 """Prüfer-phase counting of negative Dirichlet eigenvalues.
 
-For u'' = -lambda^2 V u with u(a) = 0 the phase theta(b) is the angle of
-(s u, u') at b on the constant scale s = lambda * sqrt(max(c_lower, 1))
-(theorem class; plain lambda otherwise), continued from theta(a) = 0.
-It crosses each multiple of pi exactly once, upward, at the zeros of u,
-so by Sturm oscillation the number of strictly negative eigenvalues is
+For u'' = -lambda^2 V u a Prüfer angle is the angle of (sigma u, u') on a
+scale sigma > 0, continued from 0 at an end where u vanishes; it crosses
+each multiple of pi once, upward, at a zero of u.  With [x_l, x_r] the
+bulk of ``propagator.bulk_interval``, the phase is the matched angle
 
-    N(lambda) = ceil(theta_s(b)/pi) - 1
+    theta_b = alpha(x_r) + beta(x_r),
 
-away from the jump couplings where theta_s(b) is a multiple of pi.  A
-theta_s(b)/pi within the call's own resolution rtol * max(theta_s(b)/pi, 1)
-of an integer k counts as that jump, N = k - 1: the new zero sits at b
-and the zero eigenvalue is not negative.  The
-cell propagator of ``propagator`` serves both classes:
+alpha the angle at x_r of the solution vanishing at a and beta that of
+the solution vanishing at b, shot from b toward x_r (in t = -x), both on
+the scale lambda sqrt(V(x_r)).  Where x_r = b, beta is 0 and alpha is
+taken on the constant scale s = lambda sqrt(max(c_lower, 1)),
+or lambda when no c_lower is declared: the usual theta(b).  theta_b is
+a multiple of pi exactly where the two solutions match at x_r, i.e. at
+the jump couplings, theta_b(lambda_n) = n pi, so by Sturm oscillation
+the number of strictly negative eigenvalues is
 
-* Theorem class: the propagator covers all of [a, b].  On the
-  Liouville-Green scale xi = int sqrt(V) the equation becomes
-  g'' = -(lambda^2 + U) g, which a fixed mesh of cells carries across
-  (0, D) in closed form (Ixaru's constant-perturbation method), at a cost
-  that does not grow with lambda.  ``rtol`` picks the mesh: it is built
-  once per potential and per decade of rtol, and every call also sweeps
-  it with each cell halved.  The halved sweep is theta_b and
-  |fine - coarse| its ``error_estimate``, which stays within
-  rtol * max(theta_b, pi): a call that misses refines a private copy of
-  the mesh or raises PhaseError.  ``steps`` and ``rejected_steps`` are 0.
-* Conjecture class: U is unbounded only at the singular ends (declared
-  exponent not 0), so the same propagator covers the bulk [x_l, x_r] of
-  ``propagator.bulk_interval``, which depends on the potential alone, and
-  RK45 (``_rk45``) covers the end slivers on the Liouville-Green scale
-  S = lambda sqrt(V), u = r sin(theta), u' = S r cos(theta),
+    N(lambda) = ceil(theta_b/pi) - 1
 
-      theta' = lambda sqrt(V) + (V' / (4 V)) sin(2 theta).
+away from them.  A theta_b/pi within the call's own resolution
+rtol * max(theta_b/pi, 1) of an integer k counts as that jump, N = k - 1:
+the new zero sits at b and the zero eigenvalue is not negative.
 
-  At theta = k*pi the sine vanishes and theta' > 0, so an accepted step
-  that crosses a multiple of pi downward is an integration failure and
-  raises PhaseError (between multiples theta may dip; that is harmless).
-  The left sliver runs from a + delta (below) to x_l, and its angle
-  enters the propagator as the direction of (g, dg/dxi).  The right one
-  starts at x_r, where the propagator hands over the angle on the scale
-  it needs: S(x_r) for a Liouville-Green stretch to x_m, or s directly
-  when the stretch is empty.  Where the stretch ends at x_m the angle is
-  converted to the scale s with k = round(theta/pi), phi = theta - k*pi,
+The cell propagator of ``propagator`` covers the bulk: all of [a, b] for
+the theorem class and for every end with declared exponent 0.  On the
+Liouville-Green scale xi = int sqrt(V) the equation becomes
+g'' = -(lambda^2 + U) g, which a fixed mesh of cells carries across in
+closed form (Ixaru's constant-perturbation method), at a cost that does
+not grow with lambda.  ``rtol`` picks the mesh: it is built once per
+potential and per decade of rtol, and every call also sweeps it with each
+cell halved.  The halved sweep is the answer and |fine - coarse| its
+``error_estimate``, which stays within rtol * max(theta, pi): a call that
+misses refines a private copy of the mesh or raises PhaseError.
 
-      theta_s = k*pi + atan2(s sin(phi), S cos(phi)),   S = S(x_m),
+At a singular end (conjecture class, declared exponent not 0) U is
+unbounded, and RK45 (``_rk45``) covers the sliver between the end and the
+bulk on the Liouville-Green scale S = lambda sqrt(V), u = r sin(theta),
+u' = S r cos(theta),
 
-  which keeps every multiple of pi and multiplies the raw angle's error
-  near one by s/S, so the stretch is integrated at rtol * min(1, S/s).
-  Where V tends to 0 at b (declared gamma_b > 0) the Liouville-Green
-  scale fails within the turning-point layer, where |V'|/(4V) ~
-  gamma_b/(4(b-x)) exceeds lambda sqrt(V): x_m is that layer's edge,
-  and the rest is integrated on the constant scale s,
+    theta' = lambda sqrt(V) + (V' / (4 V)) sin(2 theta),
 
-      theta' = s cos(theta)^2 + (lambda^2 V / s) sin(theta)^2.
-
-  ``steps`` and ``rejected_steps`` count the slivers' RK45 steps,
-  ``cells`` the propagator's.  ``error_estimate`` is the bulk's
-  |fine - coarse| alone: the slivers carry no estimate.
-
-Conjecture-class potentials are never evaluated at a singular endpoint:
-integration starts at a + delta, with lambda^2 V(a + delta) delta^2 =
-_DELTA_TOL, and the phase seeded from the leading solution behaviour
-u ~ (x - a), theta(a + delta) = atan(S(a + delta) delta); it stops
-symmetrically at b - delta with the matching scale-s phase correction
-added (exact at the jumps, where the solution vanishes at b).  Where the offset reaches past the bulk's end, the seed
-or the correction is taken at that end instead.
+with -V' in t = -x from b.  At theta = k*pi the sine vanishes and
+theta' > 0, so an accepted step that crosses a multiple of pi downward is
+an integration failure and raises PhaseError (between multiples theta may
+dip; that is harmless).  The left sliver's angle enters the propagator
+as the direction of (g, dg/dxi) at x_l; the right one's is beta.  A singular end is never evaluated: its sliver starts
+at end +/- delta, with lambda^2 V delta^2 = _DELTA_TOL and delta at least
+the one ulp that moves the end, seeded from the leading solution
+behaviour u ~ |x - end|, theta = atan(S delta), or at the bulk's end
+where the offset reaches past it.  ``steps`` and ``rejected_steps`` count
+the slivers' RK45 steps, ``cells`` the propagator's; ``error_estimate``
+is the bulk's alone: the slivers carry none.
 """
 
 from __future__ import annotations
@@ -72,7 +59,7 @@ import math
 from dataclasses import dataclass
 
 from .expr import EvalDomainError
-from .potential import Potential, Regularity
+from .potential import Potential
 from .propagator import bulk_interval, propagate
 
 __all__ = [
@@ -85,7 +72,7 @@ __all__ = [
 
 _PI = math.pi
 
-# count_negative's default at-jump guard: theta(b)/pi closer than this to an integer is ambiguous
+# count_negative's default at-jump guard: theta_b/pi closer than this to an integer is ambiguous
 JUMP_GUARD = 1e-7
 
 # relative error of u ~ (x - a) allowed over the sliver skipped at a singular end
@@ -100,7 +87,7 @@ class PhaseError(RuntimeError):
 
 
 class AtJumpAmbiguity(RuntimeError):
-    """theta(b)/pi sits inside the guard band around an integer; the caller decides."""
+    """theta_b/pi sits inside the guard band around an integer; the caller decides."""
 
     def __init__(self, lam: float, theta_b: float):
         super().__init__(
@@ -113,7 +100,7 @@ class AtJumpAmbiguity(RuntimeError):
 @dataclass(frozen=True)
 class PhaseResult:
     lam: float
-    theta_b: float
+    theta_b: float  # the matched angle: theta(b) itself unless the right end is singular
     count: int
     steps: int  # RK45 steps on the end slivers (conjecture class; 0 for the theorem class)
     rejected_steps: int
@@ -207,35 +194,38 @@ def _rk45(f, x, y, x_end, rtol, atol, max_steps):
 # ---------------------------------------------------------------------------
 
 
-def _offset_delta(p: Potential, lam: float, delta_tol: float, end: str) -> float:
-    """Offset delta with lam^2 * V(endpoint +/- delta) * delta^2 <= delta_tol.
+def _offset_delta(p: Potential, lam: float, end: str) -> float:
+    """Offset delta with lam^2 * V(end +/- delta) * delta^2 <= _DELTA_TOL.
 
     The bound is the relative error of the leading solution behaviour
-    u ~ (x - a) over the skipped sliver, found by bisection in log(delta).
+    u ~ (x - a) over the skipped sliver, found by bisection in log(delta)
+    between hi = (b - a)/8 and a lo that meets it.  lo steps down from
+    1e-30 (b - a) but not below the smallest offset that moves the end,
+    where V is evaluated next to the end rather than at it.
     """
     fv = p.value_fn
     width = p.b - p.a
+    anchor, inward = (p.a, p.b) if end == "a" else (p.b, p.a)
+    ulp = abs(math.nextafter(anchor, inward) - anchor)
 
     def excess(delta):
-        x = p.a + delta if end == "a" else p.b - delta
+        x = anchor + delta if end == "a" else anchor - delta
         try:
             v = fv(x)
         except (ValueError, ZeroDivisionError, OverflowError):
             return math.inf
         if not math.isfinite(v):
             return math.inf
-        return lam * lam * v * delta * delta - delta_tol
+        return lam * lam * v * delta * delta - _DELTA_TOL
 
     hi = width / 8.0
     if excess(hi) <= 0.0:
         return hi
-    lo = 1e-30 * width
-    attempts = 0
+    lo = max(1e-30 * width, ulp)
     while excess(lo) > 0.0:
-        lo *= 1e-30
-        attempts += 1
-        if attempts > 9:
+        if lo <= ulp:
             raise PhaseError(f"endpoint offset underflows machine precision near {end}")
+        lo = max(lo * 1e-30, ulp)
     log_lo, log_hi = math.log(lo), math.log(hi)
     for _ in range(120):
         log_mid = 0.5 * (log_lo + log_hi)
@@ -243,11 +233,7 @@ def _offset_delta(p: Potential, lam: float, delta_tol: float, end: str) -> float
             log_hi = log_mid
         else:
             log_lo = log_mid
-    delta = math.exp(log_lo)
-    anchor = p.a if end == "a" else p.b
-    if anchor + delta == anchor or anchor - delta == anchor:
-        raise PhaseError(f"endpoint offset underflows machine precision near {end}")
-    return delta
+    return math.exp(log_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -271,95 +257,69 @@ def _propagate(p, lam, rtol, entry, sigma):
         raise PhaseError(str(exc)) from None
 
 
+def _sliver(p, lam, rtol, end, x_stop):
+    """Angle at x_stop, on the scale lam sqrt(V), of the solution vanishing at ``end``.
+
+    RK45 runs toward the bulk in t = x from a, or t = -x from b, so the
+    angle grows from 0 at the end either way.  Returns (angle, steps, rejected).
+    """
+    fvd = p.value_d1_fn
+    sqrt, sin = math.sqrt, math.sin
+    sign = 1.0 if end == "a" else -1.0
+    anchor = p.a if end == "a" else p.b
+
+    def rhs(t, th):
+        x = sign * t
+        v, dv = fvd(x)
+        if not v > 0.0:
+            raise _fell(x, v)
+        return lam * sqrt(v) + sign * 0.25 * dv / v * sin(2.0 * th)
+
+    # seeded from u ~ |x - end| at the offset, or at x_stop when the offset reaches it
+    x0 = anchor + sign * _offset_delta(p, lam, end)
+    if sign * x0 >= sign * x_stop:
+        x0 = x_stop
+    theta = math.atan(lam * sqrt(p.value_fn(x0)) * abs(x0 - anchor))
+    if x0 == x_stop:
+        return theta, 0, 0
+    return _rk45(rhs, sign * x0, theta, sign * x_stop, rtol, rtol * _PI, _MAX_STEPS)
+
+
 def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
-    """Endpoint phase theta(b; lambda) and the derived count N(lambda)."""
+    """The matched phase theta_b(lambda) and the derived count N(lambda)."""
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
 
-    if p.regularity is Regularity.THEOREM:
-        s = lam * math.sqrt(max(p.c_lower, 1.0))
-        theta_b, cells, estimate = _propagate(p, lam, rtol, _DIRICHLET, s)
-        return _result(lam, rtol, theta_b, 0, 0, cells, estimate)
-    return _result(lam, rtol, *_hybrid_phase(p, lam, rtol))
-
-
-def _hybrid_phase(p, lam, rtol):
-    """theta(b) of a conjecture-class potential, its sliver RK steps and rejections, cells and estimate."""
-    s = lam
-    fv, fvd = p.value_fn, p.value_d1_fn
-    sqrt, sin, cos, atan2 = math.sqrt, math.sin, math.cos, math.atan2
     x_l, x_r = bulk_interval(p)
     steps = rejected = 0
-
-    def lg_rhs(x, th):
-        v, dv = fvd(x)
-        if not v > 0.0:
-            raise _fell(x, v)
-        return lam * sqrt(v) + 0.25 * dv / v * sin(2.0 * th)
-
-    lam2_over_s = lam * lam / s
-
-    def constant_scale_rhs(x, th):
-        v = fv(x)
-        if not v > 0.0:
-            raise _fell(x, v)
-        q = lam2_over_s * v
-        return 0.5 * (s + q) + 0.5 * (s - q) * cos(2.0 * th)
-
-    def rk(rhs, x0, theta, x1, tol):
-        nonlocal steps, rejected
-        theta, more, more_rejected = _rk45(rhs, x0, theta, x1, tol, tol * _PI, _MAX_STEPS - steps)
-        steps += more
-        rejected += more_rejected
-        return theta
-
+    entry, beta = _DIRICHLET, 0.0
+    sigma = lam * math.sqrt(max(p.c_lower or 0.0, 1.0))
     try:
-        entry = _DIRICHLET
         if x_l > p.a:
-            # seeded from u ~ (x - a) at a + delta, or at x_l when the offset reaches it
-            x0 = min(p.a + _offset_delta(p, lam, _DELTA_TOL, "a"), x_l)
-            theta = math.atan(lam * sqrt(fv(x0)) * (x0 - p.a))
-            if x0 < x_l:
-                theta = rk(lg_rhs, x0, theta, x_l, rtol)
+            theta, steps, rejected = _sliver(p, lam, rtol, "a", x_l)
             # the angle of (lam sqrt(V) u, u') as the direction of
             # (g, dg/dxi) ~ (sqrt(V) u, u' + V'/(4V) u), on the same branch
-            v, dv = fvd(x_l)
+            v, dv = p.value_d1_fn(x_l)
             if not v > 0.0:
                 raise _fell(x_l, v)
             k = round(theta / _PI)
             phi = theta - k * _PI
-            y0 = sqrt(v) * sin(phi)
-            y1 = lam * sqrt(v) * cos(phi) + 0.25 * dv / v * sin(phi)
+            y0 = math.sqrt(v) * math.sin(phi)
+            y1 = lam * math.sqrt(v) * math.cos(phi) + 0.25 * dv / v * math.sin(phi)
             sign = -1.0 if k % 2 else 1.0
-            entry = (k * _PI + atan2(y0, y1), sign * y0, sign * y1)
-        if x_r == p.b:
-            theta, cells, estimate = _propagate(p, lam, rtol, entry, s)
-            return theta, steps, rejected, cells, estimate
-        # the right sliver: a Liouville-Green stretch from x_r to x_m, then
-        # the turning-point layer on the scale s to x1 = b - delta
-        x1 = max(p.b - _offset_delta(p, lam, _DELTA_TOL, "b"), x_r)
-        layer = _offset_delta(p, lam, (0.25 * p.gamma_b) ** 2, "b") if p.gamma_b > 0.0 else 0.0
-        xm = max(min(p.b - layer, x1), x_r)
-        if xm == x_r:
-            theta, cells, estimate = _propagate(p, lam, rtol, entry, s)
-        else:
-            theta, cells, estimate = _propagate(p, lam, rtol, entry, lam * sqrt(fv(x_r)))
-            v_m = fv(xm)
-            if not v_m > 0.0:
-                raise _fell(xm, v_m)
-            # the conversion multiplies the angle's error by up to s/S(xm)
-            scale_m = lam * sqrt(v_m)
-            theta = rk(lg_rhs, x_r, theta, xm, rtol * min(1.0, scale_m / s))
-            k = round(theta / _PI)
-            phi = theta - k * _PI
-            theta = k * _PI + atan2(s * sin(phi), scale_m * cos(phi))
-        if xm < x1:
-            theta = rk(constant_scale_rhs, xm, theta, x1, rtol)
+            entry = (k * _PI + math.atan2(y0, y1), sign * y0, sign * y1)
+        if x_r < p.b:
+            # matched at x_r on the scale lam sqrt(V(x_r)) that beta ends on
+            beta, more, more_rejected = _sliver(p, lam, rtol, "b", x_r)
+            steps += more
+            rejected += more_rejected
+            sigma = lam * math.sqrt(p.value_d1_fn(x_r)[0])
+        theta, cells, estimate = _propagate(p, lam, rtol, entry, sigma)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-    return theta + atan2(s * (p.b - x1), 1.0), steps, rejected, cells, estimate
+    return _result(lam, rtol, theta + beta, steps, rejected, cells, estimate)
 
 
 def _result(lam, rtol, theta_b, steps, rejected, cells, estimate):

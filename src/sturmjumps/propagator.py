@@ -5,7 +5,8 @@ obeys g'' = -(lambda^2 + U(xi)) g, with U the transformed potential of
 liouville_green.  The propagator covers [x_l, x_r] = ``bulk_interval(p)``:
 all of [a, b] for the theorem class, and [a, b] less a sliver at each
 singular end for the conjecture class, where U is unbounded (the
-slivers are left to RK45 in ``oscillation``).  A mesh splits that
+slivers are left to RK45 in ``oscillation``, shot from each end toward
+the bulk).  A mesh splits that
 interval, of length D in xi, into cells, each stored as four numbers: its
 length h, the mean Ubar of U over it and U's Legendre P1 and P2
 coefficients c1, c2 in xi.  Over a cell
@@ -34,9 +35,9 @@ slow cells).  At each node the angle is rescaled to the next cell's scale
 by atan2, which keeps every multiple of pi.  The sweep enters at x_l with
 a given angle and direction of (g, g'), (0, 0, 1) for u(a) = 0, and at x_r
 the exit (g, g') is converted with V(x_r) and V'(x_r) to the angle of
-(sigma u, u') on the scale the caller asks for: the constant scale s at b,
-so theta_b means what it means on the RK path, or the scale a
-conjecture-class sliver goes on with.
+(sigma u, u') on the scale the caller asks for: the constant scale s
+where x_r = b, or lambda sqrt(V(x_r)), the scale on which the angle shot
+back from a singular right end arrives to be matched.
 
 The mesh depends on the potential and the decade of rtol only.  It is
 built once, vectorized over cells, by bisecting every cell whose

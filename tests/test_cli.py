@@ -274,6 +274,16 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
         ["transform", "--rtol", "1e-9"],
         ["verify", "--suite", "weyl", "--samples", "2", "--delta-tol", "1e-9"],
         ["verify", "--suite", "weyl", "--samples", "2", "--quad-tol", "1e-9"],
+        # each suite reads only its own options
+        ["verify", "--suite", "theorem", "--samples", "5"],
+        ["verify", "--suite", "theorem", "--seed", "3"],
+        ["verify", "--suite", "theorem", "--grid", "300"],
+        ["verify", "--suite", "theorem", "--lambda-max", "7"],
+        ["verify", "--suite", "theorem", "--rtol", "1e-3"],
+        ["verify", "--suite", "weyl", "--threads", "1"],
+        ["verify", "--suite", "weyl", "--n-max", "20"],
+        ["verify", "--suite", "bracket", "--seed", "3"],
+        ["verify", "--suite", "conjecture", "--rtol", "1e-3"],
     ],
 )
 def test_unread_options_are_usage_errors(argv):
@@ -287,9 +297,10 @@ def test_config_holds_exactly_the_subcommand_options(tmp_path):
         (["jumps", "--n-max", "2", "--format", "json", "--threads", "1"],
          {"n_min", "n_max", "format", "root_tol", "threads"}),
         (["transform", "--grid", "256"], {"grid"}),
-        (["verify", "--suite", "weyl", "--samples", "3", "--threads", "1"],
-         {"suite", "n_min", "n_max", "samples", "lambda_min", "lambda_max", "grid",
-          "rtol", "root_tol", "seed", "threads"}),
+        (["verify", "--suite", "weyl", "--samples", "3"],
+         {"suite", "samples", "lambda_min", "lambda_max", "rtol", "seed"}),
+        (["verify", "--suite", "theorem", "--n-max", "40", "--threads", "1"],
+         {"suite", "n_min", "n_max", "root_tol", "threads"}),
     ]
     for argv, own in cases:
         assert run(argv + base) == 0
@@ -316,18 +327,18 @@ def test_bad_counts_are_usage_errors(argv):
 
 def test_verify_records_the_suite_defaults_it_ran(tmp_path):
     out = tmp_path / "r.json"
-    base = ["--potential", "1", "--a", "0", "--b", PI, "--threads", "1", "--out", str(out)]
-    assert run(["verify", "--suite", "theorem", "--n-max", "40"] + base) == 0
+    base = ["--potential", "1", "--a", "0", "--b", PI, "--out", str(out)]
+    assert run(["verify", "--suite", "theorem", "--n-max", "40", "--threads", "1"] + base) == 0
     payload = json.loads(out.read_text())
     assert (payload["config"]["n_min"], payload["config"]["n_max"]) == (10, 40)
     assert payload["metrics"]["n_range"] == [10, 40]
+    assert payload["config"]["threads"] == 1
     assert run(["verify", "--suite", "weyl", "--lambda-max", "20"] + base) == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["samples"] == payload["metrics"]["samples"] == 500
     assert run(["verify", "--suite", "bracket", "--samples", "10"] + base) == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["lambda_max"] == 500.0
-    assert payload["config"]["threads"] == 1
 
 
 def test_count_at_tight_rtol_just_past_a_jump():

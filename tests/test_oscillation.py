@@ -108,7 +108,7 @@ def test_start_point_regular_endpoint_needs_no_offset():
 
 
 def test_start_point_offset_scale(v_linear):
-    x0 = v_linear.a + _offset_delta(v_linear, 100.0, oscillation._DELTA_TOL, "a")
+    x0 = v_linear.a + _offset_delta(v_linear, 100.0, "a")
     assert 0.0 < x0 <= 1e-4
     # the offset criterion itself: lambda^2 V(delta) delta^2 <= _DELTA_TOL
     assert 100.0**2 * x0 * x0 * x0 <= oscillation._DELTA_TOL * 1.0001
@@ -129,12 +129,13 @@ def test_offset_self_convergence_linear(v_linear, monkeypatch):
 
 
 def test_offset_self_convergence_rational(v_rational, monkeypatch):
-    # the right-endpoint correction is exact at jumps and count-accurate
-    # elsewhere, so the invariant across offset sizes is the count
-    c1 = count_negative(v_rational, 50.0, rtol=1e-11)
+    # both ends are seeded from u ~ |x - end|, so the matched angle, like
+    # the count, does not depend on the offset size
+    r1 = phase(v_rational, 50.0, rtol=1e-11)
     monkeypatch.setattr(oscillation, "_DELTA_TOL", 1.25e-11)
-    c2 = count_negative(v_rational, 50.0, rtol=1e-11)
-    assert c1 == c2
+    r2 = phase(v_rational, 50.0, rtol=1e-11)
+    assert r1.count == r2.count == count_negative(v_rational, 50.0, rtol=1e-11)
+    assert abs(r1.theta_b - r2.theta_b) < 1e-8
 
 
 def test_offset_self_convergence_at_jump(v_rational, monkeypatch):
@@ -144,6 +145,33 @@ def test_offset_self_convergence_at_jump(v_rational, monkeypatch):
     monkeypatch.setattr(oscillation, "_DELTA_TOL", 1.25e-11)
     r2 = find_jump(v_rational, 12)
     assert r1.lambda_n == pytest.approx(r2.lambda_n, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "source,a,b,gamma_a,gamma_b",
+    [
+        ("1/sqrt(1-x)", 0.0, 1.0, 0.0, -0.5),
+        ("1/sqrt(x-1)", 1.0, 2.0, -0.5, 0.0),
+        ("x/(1-x)", 0.0, 1.0, 1.0, -1.0),
+    ],
+)
+def test_blow_up_end_away_from_zero_matches_matrix(source, a, b, gamma_a, gamma_b):
+    # V is infinite at an end other than x = 0, where an offset of 1e-30 (b - a)
+    # rounds onto the end itself; the offset search starts one ulp inside
+    p = Potential.from_formula(
+        source, a, b, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b
+    )
+    for lam in (10.0, 37.3):
+        assert phase(p, lam).count == count_matrix(p, lam, 20000)
+
+
+def test_offset_that_breaks_the_bound_at_one_ulp_raises():
+    # lambda^2 V delta^2 ~ delta^0.1 is far above _DELTA_TOL even one ulp from b
+    p = Potential.from_formula(
+        "(1-x)^(-1.9)", 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=0.0, gamma_b=-1.9
+    )
+    with pytest.raises(PhaseError, match="near b"):
+        phase(p, 10.0)
 
 
 def test_randomized_oracle_equivalence(v_sin):
