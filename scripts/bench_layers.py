@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Layer-by-layer timings with stable case names, written as one JSON file.
+
+Cases (wall-clock milliseconds, the fastest of --repeat runs in one process:
+the host's speed drifts by up to 2x over seconds, and the fastest run is
+the steadiest figure):
+
+* phase.2+sin(x).lam=L: one-lambda ``phase`` at rtol 1e-11, L = 10, 100, 1000;
+* lanes.2+sin(x).23: one batched round of 23 couplings (``oscillation._phases``);
+* build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh;
+* jump_sequence.2+sin(x).1-500: criterion 4's table on one worker;
+* src_lines: the lines of the Python files under src/.
+
+Counts that explain the times (mesh cells, cells swept, phase calls per
+root) go beside them.  Usage: bench_layers.py --out BENCH_<n>.json
+"""
+
+import argparse
+import json
+import platform
+import time
+from pathlib import Path
+
+import numpy as np
+
+from sturmjumps import oscillation, propagator
+from sturmjumps.jumps import jump_sequence
+from sturmjumps.potential import Potential, Regularity
+
+ROOT = Path(__file__).resolve().parent.parent
+SINE = ("2+sin(x)", 0.0, 3.0)
+MESHES = [
+    ("x", 1.0, 0.0),
+    ("sqrt(x)", 0.5, 0.0),
+    ("(1-x)/x", -1.0, 1.0),
+    ("2+sin(x)", None, None),
+    ("1.2+sin(3*x)", None, None),
+    ("exp(x)", None, None),
+]
+
+
+def potential(source, gamma_a=None, gamma_b=None):
+    if gamma_a is None:
+        b = 3.0 if "sin" in source else 1.0
+        return Potential.from_formula(source, 0.0, b)
+    return Potential.from_formula(source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b)
+
+
+def fastest_ms(run, repeat):
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * min(times)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--repeat", type=int, default=15, help="runs per case (the sequence takes a third as many)")
+    args = ap.parse_args()
+    repeat = max(args.repeat, 1)
+    cases = {}
+
+    p = Potential.from_formula(*SINE)
+    for lam in (10.0, 100.0, 1000.0):
+        res = oscillation.phase(p, lam, rtol=1e-11)
+        ms = fastest_ms(lambda: oscillation.phase(p, lam, rtol=1e-11), repeat)
+        cases[f"phase.2+sin(x).lam={lam:g}"] = {"ms": ms, "cells": res.cells}
+
+    lams = np.geomspace(5.0, 40.0, 23).tolist()
+    ms = fastest_ms(lambda: oscillation._phases(p, lams, 1e-11), repeat)
+    cases["lanes.2+sin(x).23"] = {"ms": ms, "ms_per_lane": ms / len(lams)}
+
+    for source, gamma_a, gamma_b in MESHES:
+        q = potential(source, gamma_a, gamma_b)
+        interval = propagator.bulk_interval(q)
+        mesh = propagator.build_mesh(q, -11, *interval)
+        ms = fastest_ms(lambda: propagator.build_mesh(q, -11, *interval), repeat)
+        cases[f"build_mesh.{source}"] = {"ms": ms, "cells": mesh.cells}
+
+    p = Potential.from_formula(*SINE)
+    records = jump_sequence(p, 1, 500)
+    ms = fastest_ms(lambda: jump_sequence(p, 1, 500), max(repeat // 3, 1))
+    calls = sum(r.phase_calls for r in records)
+    cases["jump_sequence.2+sin(x).1-500"] = {"ms": ms, "phase_calls_per_root": calls / len(records)}
+
+    cases["src_lines"] = {"lines": sum(len(f.read_text().splitlines()) for f in sorted((ROOT / "src").rglob("*.py")))}
+
+    report = {
+        "host": {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine()},
+        "repeat": repeat,
+        "cases": cases,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for name, values in cases.items():
+        print(name, " ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in values.items()))
+
+
+if __name__ == "__main__":
+    main()

@@ -27,6 +27,14 @@ three stages:
 
 Any phase evaluation with |f| plus the phase's own error estimate at
 most tol*n is accepted at once; when none is, BracketingError is raised.
+
+The search is a generator (``_search``) that yields each lambda it wants
+the phase at.  ``find_jump`` feeds it one ``phase`` call at a time;
+``jump_sequence`` runs all the searches of a chunk in lockstep rounds,
+each round one batched phase evaluation (``oscillation._phases``) of
+every unfinished root's next lambda, whose bulk the propagator sweeps
+as lanes of one pass.  The batched phase is bit for bit ``phase``, so a
+record, counters included, is the same whichever roots share its rounds.
 That estimate is the cell propagator's |fine - coarse|; on the
 conjecture class it covers the bulk only, not the RK45 end slivers.
 Each record carries e_n = lambda_n * D / pi - n, the deviation of the
@@ -42,13 +50,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .oscillation import phase
+from .oscillation import _phases, phase
 from .potential import Potential, Regularity, endpoint_constant
 from .quadrature import integrate_sqrt_v
 
 __all__ = ["JumpRecord", "BracketingError", "find_jump", "jump_sequence"]
 
 _PI = math.pi
+_MAX_EXPANSIONS = 60
 
 
 class BracketingError(RuntimeError):
@@ -78,37 +87,25 @@ def _start(p: Potential, n: int, d: float) -> float:
     return math.sqrt(radicand) if radicand > 0.0 else k
 
 
-def find_jump(
-    p: Potential,
-    n: int,
-    tol: float = 1e-10,
-    d_value: Optional[float] = None,
-    max_expansions: int = 60,
-) -> JumpRecord:
-    """Solve theta_b(lambda) = n*pi for the n-th jump coupling.
+def _search(p: Potential, n: int, tol: float, d_value: Optional[float], max_expansions: int):
+    """``find_jump``'s search as a generator.
 
-    ``tol`` is relative in theta: the returned root satisfies
-    |theta_b(lambda_n) - n*pi| + error_bar <= tol*n, where error_bar is
-    the phase's own error estimate (the propagator's; the conjecture
-    class's RK45 end slivers add none), and
-    BracketingError is raised when no iterate does, or when
-    ``max_expansions`` slope steps find no sign change.  The phase is
-    computed with rtol = tol/10.
+    It yields each lambda it wants the phase at, at rtol = tol/10, and is
+    sent that phase's PhaseResult; it returns the JumpRecord, or raises
+    BracketingError.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    phase_rtol = tol / 10.0
     d = d_value if d_value is not None else integrate_sqrt_v(p, p.a, p.b).value
     target = n * _PI
     tol_theta = tol * n
     calls = steps = rejected = cells = 0
     bars = {}  # lambda -> the phase's error estimate there
 
-    def residual_at(lam):
+    def residual(lam, res):
         nonlocal calls, steps, rejected, cells
-        res = phase(p, lam, rtol=phase_rtol)
         calls += 1
         steps += res.steps
         rejected += res.rejected_steps
@@ -123,7 +120,8 @@ def find_jump(
         return JumpRecord(n, lam, abs(f), lam * d / _PI - n, calls, steps, rejected, cells, bars[lam])
 
     lam0 = _start(p, n, d)
-    lam, f = lam0, residual_at(lam0)
+    lam = lam0
+    f = residual(lam, (yield lam))
     slope, grow = d, 1.0
     for tries in range(max_expansions + 1):
         if bound(lam, f) <= tol_theta:
@@ -133,7 +131,7 @@ def find_jump(
         new = lam - grow * f / slope
         if not new > 0.0:
             new = 0.5 * lam
-        f_new = residual_at(new)
+        f_new = residual(new, (yield new))
         if (f_new < 0.0) != (f < 0.0):
             break
         secant = (f_new - f) / (new - lam) if new != lam else 0.0
@@ -153,7 +151,7 @@ def find_jump(
         mid = lo + (hi - lo) * (-flo / denom) if denom != 0.0 else 0.5 * (lo + hi)
         if not lo < mid < hi:
             mid = 0.5 * (lo + hi)
-        fmid = residual_at(mid)
+        fmid = residual(mid, (yield mid))
         if bound(mid, fmid) < bound(best_lam, best_f):
             best_lam, best_f = mid, fmid
         if fmid < 0.0:
@@ -176,9 +174,52 @@ def find_jump(
     return record(best_lam, best_f)
 
 
+def find_jump(
+    p: Potential,
+    n: int,
+    tol: float = 1e-10,
+    d_value: Optional[float] = None,
+    max_expansions: int = _MAX_EXPANSIONS,
+) -> JumpRecord:
+    """Solve theta_b(lambda) = n*pi for the n-th jump coupling.
+
+    ``tol`` is relative in theta: the returned root satisfies
+    |theta_b(lambda_n) - n*pi| + error_bar <= tol*n, where error_bar is
+    the phase's own error estimate (the propagator's; the conjecture
+    class's RK45 end slivers add none), and
+    BracketingError is raised when no iterate does, or when
+    ``max_expansions`` slope steps find no sign change.  The phase is
+    computed with rtol = tol/10.
+    """
+    search = _search(p, n, tol, d_value, max_expansions)
+    lam = next(search)
+    while True:
+        try:
+            lam = search.send(phase(p, lam, rtol=tol / 10.0))
+        except StopIteration as stop:
+            return stop.value
+
+
 def _sequence_chunk(payload):
+    """The records of every n in ns, their searches advanced in lockstep.
+
+    Each round evaluates the phase of every unfinished root in one
+    batched call; the phase is bit for bit the same in any batch.
+    """
     p, ns, tol, d = payload
-    return [find_jump(p, n, tol=tol, d_value=d) for n in ns]
+    searches = [_search(p, n, tol, d, _MAX_EXPANSIONS) for n in ns]
+    records = [None] * len(ns)
+    pending = [(i, next(search)) for i, search in enumerate(searches)]
+    while pending:
+        results = _phases(p, [lam for _, lam in pending], tol / 10.0)
+        running = []
+        for (i, _), res in zip(pending, results):
+            try:
+                running.append((i, searches[i].send(res)))
+            except StopIteration as stop:
+                records[i] = stop.value
+        pending = running
+    return records
 
 
 def jump_sequence(

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 from .expr import EvalDomainError
 from .potential import Potential
-from .propagator import bulk_interval, propagate
+from .propagator import bulk_interval, propagate, propagate_lanes
 
 __all__ = [
     "PhaseResult",
@@ -229,10 +229,14 @@ def _offset_delta(p: Potential, lam: float, end: str) -> float:
     log_lo, log_hi = math.log(lo), math.log(hi)
     for _ in range(120):
         log_mid = 0.5 * (log_lo + log_hi)
+        # a midpoint equal to an end is a fixed point once this update is made
+        fixed = log_mid == log_lo or log_mid == log_hi
         if excess(math.exp(log_mid)) > 0.0:
             log_hi = log_mid
         else:
             log_lo = log_mid
+        if fixed:
+            break
     return math.exp(log_lo)
 
 
@@ -248,13 +252,16 @@ def _fell(x: float, v: float) -> PhaseError:
 _DIRICHLET = (0.0, 0.0, 1.0)  # the propagator's entry at a regular end: u = 0, u' = 1
 
 
-def _propagate(p, lam, rtol, entry, sigma):
+def _propagate(run, *args):
+    """``run(*args)``, a propagator call, with its failures raised as PhaseError."""
     try:
-        return propagate(p, lam, rtol, entry, sigma)
+        return run(*args)
     except EvalDomainError as exc:
         raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
     except ArithmeticError as exc:
         raise PhaseError(str(exc)) from None
+    except ValueError as exc:
+        raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
 
 
 def _sliver(p, lam, rtol, end, x_stop):
@@ -285,14 +292,11 @@ def _sliver(p, lam, rtol, end, x_stop):
     return _rk45(rhs, sign * x0, theta, sign * x_stop, rtol, rtol * _PI, _MAX_STEPS)
 
 
-def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
-    """The matched phase theta_b(lambda) and the derived count N(lambda)."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    if rtol <= 0.0:
-        raise ValueError("rtol must be positive")
+def _ends(p, lam, rtol, x_l, x_r):
+    """The bulk's entry (theta, g, g') at x_l and exit scale sigma, and the angle beta shot back from b.
 
-    x_l, x_r = bulk_interval(p)
+    Returns (entry, sigma, beta, steps, rejected), with the slivers' RK45 counts.
+    """
     steps = rejected = 0
     entry, beta = _DIRICHLET, 0.0
     sigma = lam * math.sqrt(max(p.c_lower or 0.0, 1.0))
@@ -316,10 +320,39 @@ def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
             steps += more
             rejected += more_rejected
             sigma = lam * math.sqrt(p.value_d1_fn(x_r)[0])
-        theta, cells, estimate = _propagate(p, lam, rtol, entry, sigma)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
+    return entry, sigma, beta, steps, rejected
+
+
+def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
+    """The matched phase theta_b(lambda) and the derived count N(lambda)."""
+    if lam <= 0.0:
+        raise ValueError("lambda must be positive")
+    if rtol <= 0.0:
+        raise ValueError("rtol must be positive")
+    entry, sigma, beta, steps, rejected = _ends(p, lam, rtol, *bulk_interval(p))
+    theta, cells, estimate = _propagate(propagate, p, lam, rtol, entry, sigma)
     return _result(lam, rtol, theta + beta, steps, rejected, cells, estimate)
+
+
+def _phases(p: Potential, lams, rtol: float) -> list[PhaseResult]:
+    """``phase`` at every lambda of ``lams``, bit for bit.
+
+    Each lane's end slivers run one lane at a time; the propagator then
+    takes every lane's bulk at once (``propagate_lanes``).
+    """
+    if any(lam <= 0.0 for lam in lams):
+        raise ValueError("lambda must be positive")
+    if rtol <= 0.0:
+        raise ValueError("rtol must be positive")
+    x_l, x_r = bulk_interval(p)
+    entries, sigmas, betas, steps, rejected = zip(*(_ends(p, lam, rtol, x_l, x_r) for lam in lams))
+    bulk = _propagate(propagate_lanes, p, lams, rtol, entries, sigmas)
+    return [
+        _result(lam, rtol, theta + beta, n_steps, n_rejected, cells, estimate)
+        for lam, beta, n_steps, n_rejected, (theta, cells, estimate) in zip(lams, betas, steps, rejected, bulk)
+    ]
 
 
 def _result(lam, rtol, theta_b, steps, rejected, cells, estimate):

@@ -51,6 +51,17 @@ and the mesh with each cell halved: the fine sweep is the answer and
 |fine - coarse| its error estimate.  A call whose estimate exceeds
 rtol * max(theta_b, pi) refines a private copy, halving every cell, and
 fails after _MAX_REFINE such tries.
+
+The cell algebra does not depend on lambda, so ``propagate_lanes`` takes
+many couplings, the lanes, at once: one _transfer batch over lanes x
+cells, then a sweep whose node recursion runs on numpy rows across the
+lanes, with each lane's angles read by math.atan2 and summed in the
+scalar sweep's order, so that every lane has ``propagate``'s bits.  Lanes
+go in groups of at most _LANE_CELLS swept cells x lanes, which bounds the
+memory; a group of fewer than _MIN_LANES lanes, and every group on a mesh
+of more than _LANE_CELLS / _MIN_LANES swept cells (each conjecture-class
+mesh), is swept lane by lane, which is faster there.  The mesh build's
+refinement test is batched the same way, over its reference frequencies.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ from .expr import EvalDomainError
 from .potential import Potential
 from .quadrature import _GL_W, _GL_X
 
-__all__ = ["CellMesh", "build_mesh", "propagate"]
+__all__ = ["CellMesh", "build_mesh", "propagate", "propagate_lanes"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -76,9 +87,12 @@ _ROUNDING = 8 * 2.220446049250313e-16  # a gap this small is rounding, not trunc
 _MAX_DEPTH = 40
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
+_LANE_CELLS = 4096  # swept cells x lanes per group of lanes: bounds the sweep's arrays
+_MIN_LANES = 8  # fewer lanes than this are swept one at a time, which is faster
 _SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture-class end
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
+_CHUNK = 1024  # cells per _transfer call in a batch of calls
 
 
 def _legendre(t: np.ndarray, m: int) -> list[np.ndarray]:
@@ -253,8 +267,15 @@ def _etas(x: np.ndarray):
     return em1, e0, e1, e2
 
 
-def _transfer(lam2, h, ubar, c1, c2):
-    """The cells' (g, g') propagators t11, t12, t21, t22 at lambda^2 = lam2, and x."""
+def _transfer(lam2, h, ubar, c1, c2, group=None):
+    """The cells' (g, g') propagators t11, t12, t21, t22 at lambda^2 = lam2, and x.
+
+    The cells may be a batch of several calls' cells, ``group``
+    consecutive cells each, and each cell gets the bits it gets in a call
+    of its own: the arithmetic is elementwise except for the second-order
+    series, whose matrix product BLAS sums along another path for a
+    single row, so a call's lone near cell has its row summed alone.
+    """
     h2 = h * h
     x = (lam2 + ubar) * h2
     em1, e0, e1, e2 = _etas(x)
@@ -270,7 +291,13 @@ def _transfer(lam2, h, ubar, c1, c2):
         xn, hn = x[part], h[part]
         a, b = c1[part] * h2[part], c2[part] * h2[part]
         table = _second_order_table()
-        series = (np.vander(xn, len(table), increasing=True) @ table).reshape(-1, 4, 3)
+        powers = np.vander(xn, len(table), increasing=True)
+        series = powers @ table
+        if group is not None and len(xn) > 1:
+            lone = near & np.repeat(near.reshape(-1, group).sum(axis=1) == 1, group)
+            for i in np.flatnonzero(lone[near]):
+                series[i] = powers[i : i + 1] @ table
+        series = series.reshape(-1, 4, 3)
         terms = series[:, :, 0] * (a * a)[:, None] + series[:, :, 1] * (a * b)[:, None] + series[:, :, 2] * (b * b)[:, None]
         weight = 1.0
         if xn.max() > full or xn.min() < -full:
@@ -280,11 +307,36 @@ def _transfer(lam2, h, ubar, c1, c2):
     return (*t, x)
 
 
-def _mismatch(whole, halves, lam2, sig):
-    """Max-norm gap, on the scale sig, between each cell's propagator and its halves' product."""
-    t11, t12, t21, t22, _ = _transfer(lam2, *whole)
-    l11, l12, l21, l22, _ = _transfer(lam2, *(q[0::2] for q in halves))
-    r11, r12, r21, r22, _ = _transfer(lam2, *(q[1::2] for q in halves))
+def _transfers(lam2, h, ubar, c1, c2) -> np.ndarray:
+    """_transfer for several calls on the same cells, as an array (5, calls, cells).
+
+    Call k is at lambda^2 = lam2[k], a row of one value or one per cell.
+    The calls go to _transfer in runs of whole calls of at most _CHUNK
+    cells, which bounds the series' temporaries (np.vander's rows); a call
+    longer than _CHUNK is a run of its own.
+    """
+    calls, cells = len(lam2), len(h)
+    out = np.empty((5, calls, cells))
+    step = max(_CHUNK // cells, 1)
+    for i in range(0, calls, step):
+        k = min(step, calls - i)
+        run = _transfer(np.broadcast_to(lam2[i : i + k], (k, cells)).ravel(), *(np.tile(q, k) for q in (h, ubar, c1, c2)), cells)
+        out[:, i : i + k] = np.reshape(run, (5, k, cells))
+    return out
+
+
+def _mismatches(whole, halves, lam2s, sigs):
+    """Max-norm gaps, each at lam2s[k] on the scale sigs[k], between every cell's propagator and its halves' product.
+
+    The whole cells, the left halves and the right halves each take one
+    _transfers batch over all the frequencies.
+    """
+    m = len(whole[0])
+    lam2 = np.array([np.broadcast_to(q, m) for q in lam2s])
+    (t11, t12, t21, t22), (l11, l12, l21, l22), (r11, r12, r21, r22) = (
+        _transfers(lam2, *cells)[:4] for cells in (whole, [q[0::2] for q in halves], [q[1::2] for q in halves])
+    )
+    sig = np.array([np.broadcast_to(q, m) for q in sigs])
     return np.maximum.reduce([
         np.abs(r11 * l11 + r12 * l21 - t11),
         np.abs(r11 * l12 + r12 * l22 - t12) * sig,
@@ -319,10 +371,11 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
         # then omega = z/h on its own scale; a gap at rounding level passes
         allowed = np.maximum(floor * h, _ROUNDING)
         sig0 = np.maximum(math.pi / length, np.sqrt(np.abs(ubar)))
-        ok = _mismatch(whole, halves, 0.0, sig0) <= allowed
-        for z in _Z_REF:
-            lam2 = np.maximum((z / h) ** 2 - ubar, 0.0)
-            ok &= _mismatch(whole, halves, lam2, z / h) <= np.maximum(scale * z, allowed)
+        lam2s = [0.0] + [np.maximum((z / h) ** 2 - ubar, 0.0) for z in _Z_REF]
+        gaps = _mismatches(whole, halves, lam2s, [sig0] + [z / h for z in _Z_REF])
+        ok = gaps[0] <= allowed
+        for gap, z in zip(gaps[1:], _Z_REF):
+            ok &= gap <= np.maximum(scale * z, allowed)
         done.append((lo[ok], hi[ok], [q[ok] for q in whole], [q[np.repeat(ok, 2)] for q in halves]))
         if ok.all():
             break
@@ -368,27 +421,110 @@ def _sweep(m11, m12, m21, m22, adv, ratio, theta, w0, w1):
     return theta, w0, w1, a0
 
 
-def _theta_pair(mesh: CellMesh, lam: float, entry, sigma: float) -> tuple[float, float]:
-    """The exit angle on the scale sigma, on the coarse mesh and on its halves."""
-    theta, g, dg = entry
+def _atan2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """math.atan2 over two arrays, _CHUNK values at a time (np.arctan2 rounds differently)."""
+    out = np.empty(u.shape)
+    u, v, flat = u.ravel(), v.ravel(), out.reshape(-1)
+    for i in range(0, len(flat), _CHUNK):
+        flat[i : i + _CHUNK] = list(map(math.atan2, u[i : i + _CHUNK].tolist(), v[i : i + _CHUNK].tolist()))
+    return out
+
+
+def _sweep_lanes(m11, m12, m21, m22, adv, ratio, theta, w0, w1):
+    """_sweep for many lanes at once, with _sweep's bits in every lane.
+
+    The arguments are _sweep's with a row per lane: the cells' columns
+    (lanes x cells) and the entry values (one per lane).  The node
+    recursion runs on numpy rows across the lanes, a lane's two
+    components side by side; the angles are then read by math.atan2 and
+    summed by np.cumsum, which adds in _sweep's order.
+    """
+    lanes, cells = m11.shape
+    # per cell [[t11, t21], [t12, t22]] and [ratio, 1]: y = mat[0] w0 + mat[1] w1, w' = y [ratio, 1] / n
+    mat = np.empty((cells, 2, 2, lanes))
+    mat[:, 0, 0], mat[:, 0, 1], mat[:, 1, 0], mat[:, 1, 1] = m11.T, m21.T, m12.T, m22.T
+    scale = np.ones((cells, 2, lanes))
+    scale[:, 0] = ratio.T
+    y = np.empty((cells, 2, lanes))
+    w = np.empty((cells + 1, 2, lanes))
+    w[0] = w0, w1
+    # w[i] read as [[w0, w0], [w1, w1]], to meet mat[i] without broadcasting
+    pairs = np.lib.stride_tricks.as_strided(w, (cells + 1, 2, 2, lanes), (w.strides[0], w.strides[1], 0, w.strides[2]), writeable=False)
+    with np.errstate(all="ignore"):  # a lane that fails ends non-finite
+        for mi, wi, si, yi, wo in zip(mat, pairs, scale, y, w[1:]):
+            terms = mi * wi
+            np.add(terms[0], terms[1], out=yi)
+            size = np.abs(yi)
+            np.multiply(yi, si, out=wo)
+            wo /= size + size[::-1]  # |y0| + |y1| in both rows
+        a1, a0 = _atan2(y[:, 0], y[:, 1]), _atan2(w[:, 0], w[:, 1])
+        d = a1 - a0[:-1] - adv.T
+        steps = adv.T + d - _TWO_PI * np.round(d / _TWO_PI) + a0[1:] - a1
+    return np.cumsum(np.vstack([theta, steps]), axis=0)[-1], w[-1, 0], w[-1, 1], a0[-1]
+
+
+def _scales(mesh: CellMesh, x: np.ndarray):
+    """Each cell's Prüfer scale sigma, expected advance and rescale at its far end, from x (cells along the last axis)."""
     n = mesh.cells
-    t11, t12, t21, t22, x = _transfer(lam * lam, mesh.h, mesh.ubar, mesh.c1, mesh.c2)
-    sig = np.sqrt(np.maximum(x, 1.0)) / mesh.h  # each cell's Prüfer scale
+    sig = np.sqrt(np.maximum(x, 1.0)) / mesh.h
     adv = np.where(x >= 1.0, sig * mesh.h, 0.0)
     # rescale to the next cell's sigma at every node, and to sigma = 1 at x_r
-    ratio = np.append(sig[1:], 1.0) / sig
-    ratio[n - 1] = 1.0 / sig[n - 1]
+    ratio = np.concatenate([sig[..., 1:], np.ones_like(sig[..., :1])], axis=-1) / sig
+    ratio[..., n - 1] = 1.0 / sig[..., n - 1]
+    return sig, adv, ratio
+
+
+def _entry(entry, s: float):
+    """The entry's angle and direction (theta, w0, w1) on the first cell's scale s, from (theta, g, g')."""
+    theta, g, dg = entry
+    y0, y1 = s * g, dg
+    norm = abs(y0) + abs(y1)
+    y0, y1 = y0 / norm, y1 / norm
+    return theta + math.atan2(y0, y1) - math.atan2(g, dg), y0, y1
+
+
+def _exit(mesh: CellMesh, sigma: float, theta: float, g: float, dg: float, a: float) -> float:
+    """The angle at x_r on the scale sigma, from a sweep's end: its angle, (g, g') direction and last atan2."""
+    return theta + math.atan2(sigma * g, mesh.sqrt_vr * dg - mesh.beta_r * g) - a
+
+
+def _theta_pair(mesh: CellMesh, lam: float, entry, sigma: float) -> tuple[float, float]:
+    """The exit angle on the scale sigma, on the coarse mesh and on its halves."""
+    n = mesh.cells
+    t11, t12, t21, t22, x = _transfer(lam * lam, mesh.h, mesh.ubar, mesh.c1, mesh.c2)
+    sig, adv, ratio = _scales(mesh, x)
     cols = [a.tolist() for a in (t11, t12 * sig, t21 / sig, t22, adv, ratio)]
-    out = []
-    for part in (slice(0, n), slice(n, 3 * n)):
-        # the entry direction and its angle on the first cell's scale
-        y0, y1 = float(sig[part.start]) * g, dg
-        norm = abs(y0) + abs(y1)
-        y0, y1 = y0 / norm, y1 / norm
-        entry_theta = theta + math.atan2(y0, y1) - math.atan2(g, dg)
-        exit_theta, gr, dgr, a = _sweep(*(c[part] for c in cols), entry_theta, y0, y1)
-        out.append(exit_theta + math.atan2(sigma * gr, mesh.sqrt_vr * dgr - mesh.beta_r * gr) - a)
-    return out[0], out[1]
+    coarse, fine = (
+        _exit(mesh, sigma, *_sweep(*(c[part] for c in cols), *_entry(entry, float(sig[part.start]))))
+        for part in (slice(0, n), slice(n, 3 * n))
+    )
+    return coarse, fine
+
+
+def _theta_pairs(mesh: CellMesh, lams, entries, sigmas) -> list[tuple[float, float]]:
+    """_theta_pair for several lanes: one _transfers batch over lanes x cells, then the lanes swept together."""
+    n, lanes = mesh.cells, len(lams)
+    lam = np.array(lams)
+    t11, t12, t21, t22, x = _transfers((lam * lam)[:, None], mesh.h, mesh.ubar, mesh.c1, mesh.c2)
+    sig, adv, ratio = _scales(mesh, x)
+    cols = (t11, t12 * sig, t21 / sig, t22, adv, ratio)
+    starts = [_entry(entry, s) for first in (0, n) for entry, s in zip(entries, sig[:, first].tolist())]
+    # the coarse cells swept beside the first n halves, then the other n halves alone
+    theta, w0, w1, a = _sweep_lanes(*(np.vstack([c[:, :n], c[:, n : 2 * n]]) for c in cols), *map(np.array, zip(*starts)))
+    fine = _sweep_lanes(*(c[:, 2 * n :] for c in cols), theta[lanes:], w0[lanes:], w1[lanes:])
+    coarse = zip(*(q[:lanes].tolist() for q in (theta, w0, w1, a)))
+    fine = zip(*(q.tolist() for q in fine))
+    return [(_exit(mesh, s, *c), _exit(mesh, s, *f)) for s, c, f in zip(sigmas, coarse, fine)]
+
+
+def _mesh(p: Potential, rtol: float) -> CellMesh:
+    """The potential's mesh for the decade of rtol, built on first use."""
+    decade = _decade(rtol)
+    meshes = p.cell_meshes
+    mesh = meshes.get(decade)
+    if mesh is None:
+        mesh = meshes.setdefault(decade, build_mesh(p, decade, *bulk_interval(p)))
+    return mesh
 
 
 def propagate(p: Potential, lam: float, rtol: float, entry, sigma: float) -> tuple[float, int, float]:
@@ -400,11 +536,7 @@ def propagate(p: Potential, lam: float, rtol: float, entry, sigma: float) -> tup
     be evaluated or falls to the floor on the mesh, ArithmeticError when
     the estimate stays above rtol * max(theta, pi).
     """
-    decade = _decade(rtol)
-    meshes = p.cell_meshes
-    mesh = meshes.get(decade)
-    if mesh is None:
-        mesh = meshes.setdefault(decade, build_mesh(p, decade, *bulk_interval(p)))
+    mesh = _mesh(p, rtol)
     swept = 0
     for refinements in range(_MAX_REFINE + 1):
         coarse, fine = _theta_pair(mesh, lam, entry, sigma)
@@ -421,3 +553,34 @@ def propagate(p: Potential, lam: float, rtol: float, entry, sigma: float) -> tup
         f"cell propagator estimate {estimate!r} misses rtol={rtol!r} at lambda={lam!r} "
         f"after {refinements} refinements"
     )
+
+
+def propagate_lanes(p: Potential, lams, rtol: float, entries, sigmas) -> list[tuple[float, int, float]]:
+    """``propagate`` at every lambda of ``lams``, each lane with its own entry and scale.
+
+    The lanes are split into groups of at most _LANE_CELLS swept cells x
+    lanes, and each group is swept at once.  A group of fewer than
+    _MIN_LANES lanes, as on every mesh of more than _LANE_CELLS /
+    _MIN_LANES swept cells, goes lane by lane through ``propagate``, and
+    so does a lane whose estimate misses rtol, which ``propagate``
+    refines.  Every lane's result is bit for bit ``propagate``'s.
+    """
+    mesh = _mesh(p, rtol)
+    swept = 3 * mesh.cells
+    count = len(lams)
+    per_group = max(_LANE_CELLS // swept, 1)
+    groups = -(-count // per_group)
+    bounds = [count * k // groups for k in range(groups + 1)]
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        lanes = list(zip(lams[lo:hi], entries[lo:hi], sigmas[lo:hi]))
+        if len(lanes) < _MIN_LANES:
+            out += [propagate(p, lam, rtol, entry, sigma) for lam, entry, sigma in lanes]
+            continue
+        for (lam, entry, sigma), (coarse, fine) in zip(lanes, _theta_pairs(mesh, *zip(*lanes))):
+            estimate = abs(fine - coarse)
+            if math.isfinite(fine) and estimate <= rtol * max(abs(fine), math.pi):
+                out.append((fine, swept, estimate))
+            else:
+                out.append(propagate(p, lam, rtol, entry, sigma))
+    return out

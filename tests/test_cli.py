@@ -352,3 +352,19 @@ def test_count_at_tight_rtol_just_past_a_jump():
         )
     assert code == 0
     assert json.loads(out.getvalue())["count"] == 1
+
+
+def test_jumps_with_blow_up_end_away_from_zero(capsys):
+    # x/(1-x) is (1-x)/x mirrored, so its jumps are the same couplings
+    code = run([
+        "jumps", "--potential", "x/(1-x)", "--a", "0", "--b", "1", "--class", "conjecture",
+        "--gamma-a", "1", "--gamma-b", "-1", "--n-max", "3", "--threads", "1",
+    ])
+    assert code == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    mirror = sturmjumps.jump_sequence(
+        sturmjumps.Potential.from_formula("(1-x)/x", 0.0, 1.0, regularity="conjecture", gamma_a=-1.0, gamma_b=1.0), 1, 3
+    )
+    for row, rec in zip(rows, mirror):
+        n, lam = int(row.split(",")[0]), float(row.split(",")[1])
+        assert n == rec.n and abs(lam - rec.lambda_n) * math.pi / 2.0 <= 2e-10 * n

@@ -174,3 +174,55 @@ def test_no_sign_change_raises(v_one, monkeypatch):
     with pytest.raises(BracketingError, match="no sign change"):
         find_jump(v_one, 3, max_expansions=20)
     assert len(seen) == 21
+
+
+@pytest.mark.parametrize(
+    "source,gamma_a,gamma_b,n_min,n_max",
+    [("2+sin(x)", None, None, 1, 60), ("x", 1.0, 0.0, 70, 75), ("(1-x)/x", -1.0, 1.0, 95, 97)],
+)
+def test_lockstep_records_equal_find_jump(source, gamma_a, gamma_b, n_min, n_max):
+    # a sequence advances all its roots a round at a time, one batched phase
+    # call per round; each record, counters included, is the bare call's
+    if gamma_a is None:
+        p = Potential.from_formula(source, 0.0, 3.0)
+    else:
+        p = Potential.from_formula(source, 0.0, 1.0, regularity="conjecture", gamma_a=gamma_a, gamma_b=gamma_b)
+    records = jump_sequence(p, n_min, n_max)
+    assert records == [find_jump(p, n) for n in range(n_min, n_max + 1)]
+
+
+def test_phase_error_in_one_lane_propagates(v_linear, monkeypatch):
+    # the sliver fails above lambda = 336.5, between lambda_72 and lambda_73:
+    # the sequence raises what the bare root finder raises past it
+    import sturmjumps.oscillation as oscillation
+    from sturmjumps.oscillation import PhaseError
+
+    sliver = oscillation._sliver
+
+    def failing(p, lam, *args):
+        if lam > 336.5:
+            raise PhaseError(f"sliver failed at lambda={lam!r}")
+        return sliver(p, lam, *args)
+
+    monkeypatch.setattr(oscillation, "_sliver", failing)
+    assert find_jump(v_linear, 70).lambda_n < 336.5
+    with pytest.raises(PhaseError):
+        find_jump(v_linear, 75)
+    with pytest.raises(PhaseError):
+        jump_sequence(v_linear, 70, 75)
+
+
+def test_propagator_failure_in_one_lane_propagates(monkeypatch):
+    # a mesh too coarse for its decade and no refinement allowed: most lanes
+    # of the batched rounds miss rtol, a few (n = 3, 28) do not
+    from sturmjumps import propagator
+    from sturmjumps.oscillation import PhaseError
+
+    monkeypatch.setattr(propagator, "_SHARE", 300.0)
+    monkeypatch.setattr(propagator, "_MAX_REFINE", 0)
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    assert find_jump(p, 3).n == 3
+    with pytest.raises(PhaseError, match="refinements"):
+        find_jump(p, 4)
+    with pytest.raises(PhaseError, match="refinements"):
+        jump_sequence(p, 1, 30)

@@ -114,6 +114,46 @@ def test_start_point_offset_scale(v_linear):
     assert 100.0**2 * x0 * x0 * x0 <= oscillation._DELTA_TOL * 1.0001
 
 
+def _offset_delta_120(p, lam, end):
+    """_offset_delta's bisection run for all of its 120 iterations: the reference."""
+    anchor, inward = (p.a, p.b) if end == "a" else (p.b, p.a)
+    ulp = abs(math.nextafter(anchor, inward) - anchor)
+
+    def excess(delta):
+        try:
+            v = p.value_fn(anchor + delta if end == "a" else anchor - delta)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return math.inf
+        return lam * lam * v * delta * delta - oscillation._DELTA_TOL if math.isfinite(v) else math.inf
+
+    hi = (p.b - p.a) / 8.0
+    if excess(hi) <= 0.0:
+        return hi
+    lo = max(1e-30 * (p.b - p.a), ulp)
+    while excess(lo) > 0.0:
+        lo = max(lo * 1e-30, ulp)
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    for _ in range(120):
+        log_mid = 0.5 * (log_lo + log_hi)
+        if excess(math.exp(log_mid)) > 0.0:
+            log_hi = log_mid
+        else:
+            log_lo = log_mid
+    return math.exp(log_lo)
+
+
+@pytest.mark.parametrize(
+    "source,gamma_a,gamma_b", [("x", 1.0, 0.0), ("sqrt(x)", 0.5, 0.0), ("(1-x)/x", -1.0, 1.0), ("x/(1-x)", 1.0, -1.0)]
+)
+def test_offset_bisection_stops_at_its_fixed_point(source, gamma_a, gamma_b):
+    # the bisection stops once a midpoint equals an end; the offset is the
+    # one all 120 iterations give
+    p = Potential.from_formula(source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b)
+    for lam in (0.3, 7.0, 100.0, 470.0):
+        for end in "ab":
+            assert _offset_delta(p, lam, end) == _offset_delta_120(p, lam, end), (lam, end)
+
+
 def test_start_point_only_for_conjecture_class(v_one):
     # a theorem-class phase starts at a itself: no offset, no RK45 sliver
     assert bulk_interval(v_one) == (v_one.a, v_one.b)

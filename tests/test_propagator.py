@@ -2,12 +2,13 @@
 
 import math
 import pickle
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from sturmjumps import propagator
+from sturmjumps import oscillation, propagator
 from sturmjumps.oscillation import PhaseError, phase
 from sturmjumps.potential import Potential, Regularity
 from sturmjumps.quadrature import integrate_sqrt_v
@@ -201,3 +202,124 @@ def test_conjecture_phase_is_bit_identical_whatever_came_before():
     q = pickle.loads(pickle.dumps(p))
     assert "cell_meshes" not in q.__dict__
     assert phase(q, 50.0).theta_b == first
+
+
+# -- lanes: many couplings swept at once, bit for bit the one-lane path ------
+
+
+def _lane_case(name, monkeypatch):
+    """(potential, couplings, rtol) for one lane test, with its own mesh set-up."""
+    if name == "barrier":
+        # lambda <= 3: cells below the barrier in the steep dip
+        p = Potential.from_formula("1.2+1.0*sin(3*x)", 0.0, 4.0)
+        return p, np.geomspace(0.05, 3.0, 85), 1e-10
+    if name == "taper":
+        # lambda h across |x| = 16..25, where the second-order terms taper off
+        p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+        return p, np.geomspace(40.0, 400.0, 85), 1e-11
+    if name == "refine":
+        # a mesh too coarse for its decade: some lanes miss rtol and are refined
+        monkeypatch.setattr(propagator, "_SHARE", 300.0)
+        p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+        return p, np.geomspace(0.5, 2000.0, 85), 1e-11
+    if name == "linear":
+        return _conjecture("x", 1.0, 0.0), np.geomspace(5.0, 2000.0, 85), 1e-11
+    return _conjecture("(1-x)/x", -1.0, 1.0), np.geomspace(5.0, 2000.0, 85), 1e-11
+
+
+@pytest.mark.parametrize("case", ["barrier", "taper", "refine", "linear", "rational"])
+def test_lanes_match_one_lane_phase_bit_for_bit(case, monkeypatch):
+    p, lams, rtol = _lane_case(case, monkeypatch)
+    lams = lams.tolist()
+    want = [repr(phase(p, lam, rtol=rtol)) for lam in lams]
+    mesh = p.cell_meshes[propagator._decade(rtol)]
+    # one group holds every lane, whatever the mesh size
+    monkeypatch.setattr(propagator, "_LANE_CELLS", 10**6)
+    for lanes in (1, 7, 8, 23, 85):
+        got = oscillation._phases(p, lams[:lanes], rtol)
+        assert [repr(r) for r in got] == want[:lanes], lanes
+    x = (np.array(lams)[:, None] ** 2 + mesh.ubar) * mesh.h**2
+    if case == "barrier":
+        assert (x < 0.0).any()
+    if case == "taper":
+        assert ((np.abs(x) > 16.0) & (np.abs(x) < 25.0)).any()
+    if case == "refine":
+        cells = {r.cells for r in got}
+        assert 3 * mesh.cells in cells and max(cells) > 3 * mesh.cells
+
+
+def test_lane_groups_follow_the_mesh_size(monkeypatch):
+    # the default grouping, with the one-lane path below _MIN_LANES lanes
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    lams = np.geomspace(1.0, 500.0, 60).tolist()
+    want = [phase(p, lam, rtol=1e-11) for lam in lams]
+    swept = 3 * p.cell_meshes[-11].cells
+    groups = []
+    sweep_lanes = propagator._sweep_lanes
+    monkeypatch.setattr(propagator, "_sweep_lanes", lambda m11, *rest: groups.append(len(m11)) or sweep_lanes(m11, *rest))
+    assert oscillation._phases(p, lams, 1e-11) == want
+    # each group is swept twice: coarse beside fine cells, then the rest of the fine ones
+    assert groups[0::2] == [40, 40, 40] and groups[1::2] == [20, 20, 20]
+    assert 20 * swept <= propagator._LANE_CELLS
+    groups.clear()
+    assert oscillation._phases(p, lams[: propagator._MIN_LANES - 1], 1e-11) == want[: propagator._MIN_LANES - 1]
+    assert groups == []
+
+
+def test_batched_transfer_keeps_each_calls_bits(monkeypatch):
+    # BLAS sums a one-row series product along another path, so a call whose
+    # only near cell (|x| < 25) shares a batch must keep that path's bits
+    # (c1, c2 this large let a one-ulp change in the series reach the result)
+    rng = np.random.default_rng(11)
+    cells, calls = 6, 100
+    x = rng.uniform(30.0, 900.0, (calls, cells))
+    for i in range(calls):
+        near = rng.choice(cells, size=[0, 1, 1, 2, cells][i % 5], replace=False)
+        x[i, near] = rng.uniform(-20.0, 24.0, len(near))
+    h = rng.uniform(0.05, 1.0, cells)
+    ubar, c1, c2 = (rng.uniform(-50.0, 50.0, cells) for _ in range(3))
+    lam2 = x / h**2 - ubar
+    monkeypatch.setattr(propagator, "_CHUNK", 4 * cells)  # runs of four calls
+    got = propagator._transfers(lam2, h, ubar, c1, c2)
+    for i in range(calls):
+        want = propagator._transfer(lam2[i], h, ubar, c1, c2)
+        assert all(np.array_equal(g, w) for g, w in zip(got[:, i], want)), i
+
+
+@pytest.mark.parametrize("cells", [1, 2, 16])
+def test_batched_mesh_test_matches_one_transfer_per_frequency(cells):
+    # build_mesh's refinement test, batched over the five reference
+    # frequencies, against a _transfer call for each frequency and part
+    p = Potential.from_formula("1.2+1.0*sin(3*x)", 0.0, 4.0)
+    edges = np.linspace(0.0, 4.0, cells + 1)
+    whole, halves = propagator._cells(p, edges[:-1], edges[1:])
+    h, ubar = whole[0], whole[1]
+    lam2s = [0.0] + [np.maximum((z / h) ** 2 - ubar, 0.0) for z in propagator._Z_REF]
+    sigs = [np.maximum(math.pi / h.sum(), np.sqrt(np.abs(ubar)))] + [z / h for z in propagator._Z_REF]
+    got = propagator._mismatches(whole, halves, lam2s, sigs)
+    for k, (lam2, sig) in enumerate(zip(lam2s, sigs)):
+        t11, t12, t21, t22, _ = propagator._transfer(lam2, *whole)
+        l11, l12, l21, l22, _ = propagator._transfer(lam2, *(q[0::2] for q in halves))
+        r11, r12, r21, r22, _ = propagator._transfer(lam2, *(q[1::2] for q in halves))
+        want = np.maximum.reduce([
+            np.abs(r11 * l11 + r12 * l21 - t11),
+            np.abs(r11 * l12 + r12 * l22 - t12) * sig,
+            np.abs(r21 * l11 + r22 * l21 - t21) / sig,
+            np.abs(r21 * l12 + r22 * l22 - t22),
+        ])
+        assert np.array_equal(got[k], want), k
+
+
+def test_one_round_of_200_lanes_stays_small():
+    # lanes are grouped at _LANE_CELLS cells x lanes and _transfer runs in
+    # _CHUNK-cell pieces: 200 couplings on 2+sin(x) peak near 0.95 MB
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    phase(p, 1.0, rtol=1e-11)
+    lams = np.linspace(1.0, 300.0, 200).tolist()
+    tracemalloc.start()
+    try:
+        oscillation._phases(p, lams, 1e-11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_900_000

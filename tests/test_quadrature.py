@@ -50,6 +50,18 @@ def test_singular_integrand_vs_gauss_legendre_oracle(v_rational):
     assert abs(ts - math.pi / 2.0) < 1e-10
 
 
+def test_blow_up_end_away_from_zero_integrates():
+    # sqrt(x/(1-x)) holds about 2e-8 of its integral within the last ulp below
+    # b = 1, which no node can reach: the leading behaviour (1-x)**(-1/2)
+    # carries the last stretch, and D comes out as pi/2
+    p = Potential.from_formula("x/(1-x)", 0.0, 1.0, regularity="conjecture", gamma_a=1.0, gamma_b=-1.0)
+    res = integrate_sqrt_v(p, 0.0, 1.0, 1e-12)
+    assert abs(res.value - math.pi / 2.0) <= res.abs_error_estimate <= 1e-11
+    # a quadrature that converges does not take that path
+    q = Potential.from_formula("(1-x)/x", 0.0, 1.0, regularity="conjecture", gamma_a=-1.0, gamma_b=1.0)
+    assert integrate_sqrt_v(q, 0.0, 1.0, 1e-12).value == 1.5707963267948966
+
+
 def test_xi_of_x_values(v_one, v_four, v_linear):
     assert xi_of_x(v_one, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert xi_of_x(v_four, 0.5) == pytest.approx(1.0, abs=1e-12)

@@ -207,9 +207,10 @@ def test_steep_dip_counts_match_matrix(lam):
 
 @pytest.mark.parametrize("n", [27, 225, 400])
 def test_phase_accuracy_at_vanishing_right_end(v_rational, n):
-    # V = (1-x)/x tends to 0 at b, where converting the angle to the scale s
-    # magnifies its error; near lambda_n ~ 2n + 1/3 the error at find_jump's
-    # phase tolerance (tol/10) must stay below tol*n at every coupling
+    # V = (1-x)/x tends to 0 at b, where the angle is shot back from b by
+    # RK45 and matched to the propagator's at x_r; near lambda_n ~ 2n + 1/3
+    # the error at find_jump's phase tolerance (tol/10) must stay below
+    # tol*n at every coupling
     errors = []
     for k in range(8):
         lam = (2.0 * n + 1.0 / 3.0) * (1.0 + 1e-12 * k)

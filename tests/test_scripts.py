@@ -1,5 +1,6 @@
 """Smoke tests for the experiment scripts, run as subprocesses on short n-ranges."""
 
+import json
 import os
 import subprocess
 import sys
@@ -35,3 +36,16 @@ def test_conjecture_table_reproduces_kappa():
     for row in rows:
         gap = float(row.split()[4])
         assert gap < 0.01, row
+
+
+def test_bench_layers_writes_every_case(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    cases = json.loads(out.read_text())["cases"]
+    for lam in (10, 100, 1000):
+        assert cases[f"phase.2+sin(x).lam={lam}"]["cells"] == 177
+    for name in ("lanes.2+sin(x).23", "build_mesh.(1-x)/x", "build_mesh.2+sin(x)", "jump_sequence.2+sin(x).1-500"):
+        assert cases[name]["ms"] > 0.0, name
+    assert cases["build_mesh.2+sin(x)"]["cells"] == 59
+    assert cases["src_lines"]["lines"] > 1000
