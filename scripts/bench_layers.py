@@ -6,7 +6,12 @@ the host's speed drifts by up to 2x over seconds, and the fastest run is
 the steadiest figure):
 
 * phase.2+sin(x).lam=L: one-lambda ``phase`` at rtol 1e-11, L = 10, 100, 1000;
-* lanes.2+sin(x).23: one batched round of 23 couplings (``oscillation._phases``);
+* phase.<potential>.lam=L: the same on the conjecture class (x, sqrt(x),
+  (1-x)/x on [0, 1]), L = 100, 470, 1900;
+* lanes.<potential>.23: one batched round of 23 couplings
+  (``oscillation._phases``) on 2+sin(x) and (1+x)^(-4), against 23
+  one-lane ``phase`` calls at the same couplings, the two run alternately;
+* lg_data.<potential>: the Liouville-Green data on the 512-point grid;
 * build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh;
 * jump_sequence.2+sin(x).1-500: criterion 4's table on one worker;
 * src_lines: the lines of the Python files under src/.
@@ -25,6 +30,7 @@ import numpy as np
 
 from sturmjumps import oscillation, propagator
 from sturmjumps.jumps import jump_sequence
+from sturmjumps.liouville_green import lg_data
 from sturmjumps.potential import Potential, Regularity
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +43,8 @@ MESHES = [
     ("1.2+sin(3*x)", None, None),
     ("exp(x)", None, None),
 ]
+SINGULAR = MESHES[:3]
+LG_DATA = ["2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"]
 
 
 def potential(source, gamma_a=None, gamma_b=None):
@@ -55,6 +63,17 @@ def fastest_ms(run, repeat):
     return 1e3 * min(times)
 
 
+def fastest_pair_ms(run_a, run_b, repeat):
+    """fastest_ms of two runs, taken alternately so that both see the same drift of the host."""
+    times_a, times_b = [], []
+    for _ in range(repeat):
+        for run, times in ((run_a, times_a), (run_b, times_b)):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+    return 1e3 * min(times_a), 1e3 * min(times_b)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -69,9 +88,28 @@ def main():
         ms = fastest_ms(lambda: oscillation.phase(p, lam, rtol=1e-11), repeat)
         cases[f"phase.2+sin(x).lam={lam:g}"] = {"ms": ms, "cells": res.cells}
 
+    for source, gamma_a, gamma_b in SINGULAR:
+        q = potential(source, gamma_a, gamma_b)
+        for lam in (100.0, 470.0, 1900.0):
+            res = oscillation.phase(q, lam, rtol=1e-11)
+            ms = fastest_ms(lambda: oscillation.phase(q, lam, rtol=1e-11), repeat)
+            cases[f"phase.{source}.lam={lam:g}"] = {"ms": ms, "cells": res.cells, "rk_steps": res.steps}
+
     lams = np.geomspace(5.0, 40.0, 23).tolist()
-    ms = fastest_ms(lambda: oscillation._phases(p, lams, 1e-11), repeat)
-    cases["lanes.2+sin(x).23"] = {"ms": ms, "ms_per_lane": ms / len(lams)}
+    for source in ("2+sin(x)", "(1+x)^(-4)"):
+        q = potential(source)
+        oscillation._phases(q, lams, 1e-11)  # the mesh is built outside the timing
+        ms, one_lane = fastest_pair_ms(
+            lambda: oscillation._phases(q, lams, 1e-11),
+            lambda: [oscillation.phase(q, lam, rtol=1e-11) for lam in lams],
+            repeat,
+        )
+        cases[f"lanes.{source}.23"] = {"ms": ms, "ms_per_lane": ms / len(lams), "one_lane_ms": one_lane, "ratio": ms / one_lane}
+
+    for source in LG_DATA:
+        q = potential(source)
+        lg_data(q)  # the first call compiles the potential's evaluators
+        cases[f"lg_data.{source}"] = {"ms": fastest_ms(lambda: lg_data(q), repeat)}
 
     for source, gamma_a, gamma_b in MESHES:
         q = potential(source, gamma_a, gamma_b)

@@ -1,11 +1,12 @@
 """Command-line interface: count, jumps, transform, verify.
 
-Each subcommand, and each ``verify --suite``, takes only the options it
-reads; any other option is a usage error.  Every JSON artifact records
-those options, defaults resolved, as its ``config``, so a report is
-reproducible from its own header.  Randomized sweeps draw from a seeded
-generator (default seed 42).  Exit codes: 0 success, 1 computational
-error, 2 verification failure, 64 usage error.
+Each subcommand, each ``verify --suite`` and each ``count --method``
+takes only the options it reads; any other option is a usage error.
+Every JSON artifact records those options, defaults resolved, as its
+``config``, so a report is reproducible from its own header.  Randomized
+sweeps draw from a seeded generator (default seed 42).  Jump tables run
+on one worker unless ``--threads`` asks for more.  Exit codes: 0
+success, 1 computational error, 2 verification failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -13,18 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from .asymptotics import conjecture_fit, theorem_check
+from .asymptotics import conjecture_fit, theorem_check, weyl_defect
 from .expr import FormulaError
 from .jumps import jump_sequence
 from .liouville_green import count_bracket, lg_data
-from .oscillation import phase
+from .oscillation import AtJumpAmbiguity, phase
 from .potential import Potential, Regularity
 from .quadrature import integrate_sqrt_v
 from .spectra_oracle import count_matrix
@@ -36,20 +36,21 @@ EXIT_COMPUTATIONAL = 1
 EXIT_VERIFICATION = 2
 EXIT_USAGE = 64
 
-THREADS_ENV = "STURM_JUMPS_THREADS"
-
-# the options each verify suite reads, with what it runs when they are not
-# given; the conjecture suite's n_min defaults to max(20, n_max // 20)
-_SUITE_OPTIONS = {
-    "theorem": {"n_min": 10, "n_max": 500, "root_tol": 1e-10, "threads": None},
-    "weyl": {"samples": 500, "lambda_min": 10.0, "lambda_max": 1000.0, "rtol": 1e-10, "seed": 42},
-    "bracket": {"samples": 200, "lambda_min": 10.0, "lambda_max": 500.0, "grid": 512, "rtol": 1e-10},
-    "conjecture": {"n_min": None, "n_max": 400, "root_tol": 1e-10, "threads": None},
+# the options each choice of a selector (verify --suite, count --method)
+# reads, with what it runs when they are not given; the conjecture suite's
+# n_min defaults to max(20, n_max // 20)
+_SELECTED_OPTIONS = {
+    "suite": {
+        "theorem": {"n_min": 10, "n_max": 500, "root_tol": 1e-10, "threads": 1},
+        "weyl": {"samples": 500, "lambda_min": 10.0, "lambda_max": 1000.0, "rtol": 1e-10, "seed": 42},
+        "bracket": {"samples": 200, "lambda_min": 10.0, "lambda_max": 500.0, "grid": 512, "rtol": 1e-10},
+        "conjecture": {"n_min": None, "n_max": 400, "root_tol": 1e-10, "threads": 1},
+    },
+    "method": {"phase": {"rtol": 1e-10}, "matrix": {"mesh": 20000}},
 }
-_SUITE_OPTION_NAMES = {name for reads in _SUITE_OPTIONS.values() for name in reads}
 
 # the least value each size option accepts
-_MINIMA = {"samples": 1, "grid": 200, "mesh": 1}
+_MINIMA = {"samples": 1, "grid": 200, "mesh": 1, "threads": 1}
 
 
 class _UsageError(Exception):
@@ -59,18 +60,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _resolve_threads(value):
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise _UsageError(f"bad {THREADS_ENV}={env!r}: {exc}") from None
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,16 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("count", parents=[common], help="count negative eigenvalues at one coupling")
     pc.add_argument("--lambda", dest="lam", type=float, required=True, help="coupling strength")
-    pc.add_argument("--method", choices=["phase", "matrix"], default="phase")
-    pc.add_argument("--mesh", type=int, default=20000, help="interior mesh points for --method matrix")
-    pc.add_argument("--rtol", type=float, default=1e-10, help="phase integration tolerance")
+    pc.add_argument("--method", choices=list(_SELECTED_OPTIONS["method"]), default="phase")
+    # left out, these stay out of the namespace, so one the method does not read is seen
+    pc.add_argument("--mesh", type=int, default=argparse.SUPPRESS, help="interior mesh points (matrix)")
+    pc.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help="phase integration tolerance (phase)")
 
     pj = sub.add_parser("jumps", parents=[common], help="locate jump couplings lambda_n")
     pj.add_argument("--n-min", type=int, default=1)
     pj.add_argument("--n-max", type=int, required=True)
     pj.add_argument("--format", choices=["csv", "json"], default="csv")
     pj.add_argument("--root-tol", type=float, default=1e-10, help="jump root tolerance (relative in theta)")
-    pj.add_argument("--threads", type=int, default=None, help=f"worker processes (default: {THREADS_ENV} or cpu count)")
+    pj.add_argument("--threads", type=int, default=1, help="worker processes")
 
     pt = sub.add_parser("transform", parents=[common], help="Liouville-Green data: D, U(xi), C")
     pt.add_argument("--grid", type=int, default=512, help="Chebyshev sample points")
@@ -112,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser(
         "verify", parents=[common], argument_default=argparse.SUPPRESS, help="run an asymptotic-law check suite"
     )
-    pv.add_argument("--suite", choices=list(_SUITE_OPTIONS), required=True)
+    pv.add_argument("--suite", choices=list(_SELECTED_OPTIONS["suite"]), required=True)
     pv.add_argument("--n-min", type=int, help="theorem, conjecture")
     pv.add_argument("--n-max", type=int, help="theorem, conjecture")
     pv.add_argument("--samples", type=int, help="lambda draws (weyl) or grid size (bracket)")
@@ -136,22 +126,24 @@ def _resolve(args: argparse.Namespace):
             raise _UsageError(f"--{name.replace('_', '-')} must be positive")
     if "lam" in opts and not args.lam > 0:
         raise _UsageError("--lambda must be positive")
-    if args.subcommand == "verify":
-        reads = _SUITE_OPTIONS[args.suite]
-        unread = [name for name in opts if name in _SUITE_OPTION_NAMES and name not in reads]
+    for selector, choices in _SELECTED_OPTIONS.items():
+        if selector not in opts:
+            continue
+        reads = choices[opts[selector]]
+        unread = [name for name in opts if name not in reads and any(name in other for other in choices.values())]
         if unread:
-            raise _UsageError(f"--suite {args.suite} does not read --{unread[0].replace('_', '-')}")
+            raise _UsageError(f"--{selector} {opts[selector]} does not read --{unread[0].replace('_', '-')}")
         for name, value in reads.items():
             opts.setdefault(name, value)
-        if args.suite == "conjecture" and args.n_min is None:
-            args.n_min = max(20, args.n_max // 20)
-    if "threads" in opts:
-        args.threads = _resolve_threads(args.threads)
+    if opts.get("suite") == "conjecture" and args.n_min is None:
+        args.n_min = max(20, args.n_max // 20)
     for name, least in _MINIMA.items():
         if opts.get(name) is not None and opts[name] < least:
             raise _UsageError(f"--{name} must be at least {least}")
     if opts.get("n_max") is not None and not 1 <= args.n_min <= args.n_max:
         raise _UsageError("need 1 <= --n-min <= --n-max")
+    if "lambda_min" in opts and not args.lambda_min < args.lambda_max:
+        raise _UsageError("need --lambda-min < --lambda-max")
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -287,10 +279,18 @@ def _suite_weyl(args: argparse.Namespace, p: Potential):
     rng = random.Random(args.seed)
     worst = 0.0
     k_fit = 0.0
-    for _ in range(args.samples):
+    drawn = redrawn = 0
+    while drawn < args.samples:
         lam = rng.uniform(lam_lo, lam_hi)
-        n = phase(p, lam, rtol=args.rtol).count
-        defect = abs(lam * d / math.pi - n)
+        try:
+            defect = abs(weyl_defect(p, lam, rtol=args.rtol, d_value=d))
+        except AtJumpAmbiguity:
+            # a coupling at a jump has no defect: draw again, unless the range sits at jumps
+            redrawn += 1
+            if redrawn > args.samples:
+                raise
+            continue
+        drawn += 1
         worst = max(worst, defect)
         k_fit = max(k_fit, (defect - 1.0) * lam)
     passed = worst <= 1.5
@@ -298,6 +298,7 @@ def _suite_weyl(args: argparse.Namespace, p: Potential):
         "weyl_defect_max": worst,
         "fitted_K": k_fit,
         "samples": args.samples,
+        "redrawn_at_jumps": redrawn,
         "lambda_range": [lam_lo, lam_hi],
         "D": d,
     }

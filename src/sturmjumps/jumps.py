@@ -29,11 +29,11 @@ Any phase evaluation with |f| plus the phase's own error estimate at
 most tol*n is accepted at once; when none is, BracketingError is raised.
 
 The search is a generator (``_search``) that yields each lambda it wants
-the phase at.  ``find_jump`` feeds it one ``phase`` call at a time;
-``jump_sequence`` runs all the searches of a chunk in lockstep rounds,
-each round one batched phase evaluation (``oscillation._phases``) of
-every unfinished root's next lambda, whose bulk the propagator sweeps
-as lanes of one pass.  The batched phase is bit for bit ``phase``, so a
+the phase at.  A chunk of roots (``_sequence_chunk``) runs its searches
+in lockstep rounds, each round one batched phase evaluation
+(``oscillation._phases``) of every unfinished root's next lambda, whose
+bulk the propagator sweeps as lanes of one pass; ``find_jump`` is a chunk
+of one root.  No lane's phase depends on the lanes beside it, so a
 record, counters included, is the same whichever roots share its rounds.
 That estimate is the cell propagator's |fine - coarse|; on the
 conjecture class it covers the bulk only, not the RK45 end slivers.
@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .oscillation import _phases, phase
+from .oscillation import _phases
 from .potential import Potential, Regularity, endpoint_constant
 from .quadrature import integrate_sqrt_v
 
@@ -87,7 +87,7 @@ def _start(p: Potential, n: int, d: float) -> float:
     return math.sqrt(radicand) if radicand > 0.0 else k
 
 
-def _search(p: Potential, n: int, tol: float, d_value: Optional[float], max_expansions: int):
+def _search(p: Potential, n: int, tol: float, d_value: Optional[float]):
     """``find_jump``'s search as a generator.
 
     It yields each lambda it wants the phase at, at rtol = tol/10, and is
@@ -123,10 +123,10 @@ def _search(p: Potential, n: int, tol: float, d_value: Optional[float], max_expa
     lam = lam0
     f = residual(lam, (yield lam))
     slope, grow = d, 1.0
-    for tries in range(max_expansions + 1):
+    for tries in range(_MAX_EXPANSIONS + 1):
         if bound(lam, f) <= tol_theta:
             return record(lam, f)
-        if tries == max_expansions:
+        if tries == _MAX_EXPANSIONS:
             raise BracketingError(f"no sign change from lambda={lam0!r} for n={n}")
         new = lam - grow * f / slope
         if not new > 0.0:
@@ -174,30 +174,17 @@ def _search(p: Potential, n: int, tol: float, d_value: Optional[float], max_expa
     return record(best_lam, best_f)
 
 
-def find_jump(
-    p: Potential,
-    n: int,
-    tol: float = 1e-10,
-    d_value: Optional[float] = None,
-    max_expansions: int = _MAX_EXPANSIONS,
-) -> JumpRecord:
-    """Solve theta_b(lambda) = n*pi for the n-th jump coupling.
+def find_jump(p: Potential, n: int, tol: float = 1e-10, d_value: Optional[float] = None) -> JumpRecord:
+    """Solve theta_b(lambda) = n*pi for the n-th jump coupling: a chunk of one root.
 
     ``tol`` is relative in theta: the returned root satisfies
     |theta_b(lambda_n) - n*pi| + error_bar <= tol*n, where error_bar is
     the phase's own error estimate (the propagator's; the conjecture
-    class's RK45 end slivers add none), and
-    BracketingError is raised when no iterate does, or when
-    ``max_expansions`` slope steps find no sign change.  The phase is
-    computed with rtol = tol/10.
+    class's RK45 end slivers add none), and BracketingError is raised
+    when no iterate does, or when _MAX_EXPANSIONS slope steps find no
+    sign change.  The phase is computed with rtol = tol/10.
     """
-    search = _search(p, n, tol, d_value, max_expansions)
-    lam = next(search)
-    while True:
-        try:
-            lam = search.send(phase(p, lam, rtol=tol / 10.0))
-        except StopIteration as stop:
-            return stop.value
+    return _sequence_chunk((p, [n], tol, d_value))[0]
 
 
 def _sequence_chunk(payload):
@@ -207,7 +194,7 @@ def _sequence_chunk(payload):
     batched call; the phase is bit for bit the same in any batch.
     """
     p, ns, tol, d = payload
-    searches = [_search(p, n, tol, d, _MAX_EXPANSIONS) for n in ns]
+    searches = [_search(p, n, tol, d) for n in ns]
     records = [None] * len(ns)
     pending = [(i, next(search)) for i, search in enumerate(searches)]
     while pending:

@@ -10,11 +10,12 @@ bulk of ``propagator.bulk_interval``, the phase is the matched angle
 alpha the angle at x_r of the solution vanishing at a and beta that of
 the solution vanishing at b, shot from b toward x_r (in t = -x), both on
 the scale lambda sqrt(V(x_r)).  Where x_r = b, beta is 0 and alpha is
-taken on the constant scale s = lambda sqrt(max(c_lower, 1)),
-or lambda when no c_lower is declared: the usual theta(b).  theta_b is
-a multiple of pi exactly where the two solutions match at x_r, i.e. at
-the jump couplings, theta_b(lambda_n) = n pi, so by Sturm oscillation
-the number of strictly negative eigenvalues is
+on the constant scale s = lambda sqrt(max(c_lower, 1)), or lambda when
+no c_lower is declared: the usual theta(b).  The propagator picks that
+scale and returns alpha on it.  theta_b is a multiple of pi exactly
+where the two solutions match at x_r, i.e. at the jump couplings,
+theta_b(lambda_n) = n pi, so by Sturm oscillation the number of strictly
+negative eigenvalues is
 
     N(lambda) = ceil(theta_b/pi) - 1
 
@@ -32,6 +33,10 @@ potential and per decade of rtol, and every call also sweeps it with each
 cell halved.  The halved sweep is the answer and |fine - coarse| its
 ``error_estimate``, which stays within rtol * max(theta, pi): a call that
 misses refines a private copy of the mesh or raises PhaseError.
+``phase`` is the one-lane case of ``_phases``, which runs each lane's
+slivers and then sweeps every lane's bulk at once
+(``propagator.propagate_lanes``); a lane's result does not depend on the
+lanes beside it.
 
 At a singular end (conjecture class, declared exponent not 0) U is
 unbounded, and RK45 (``_rk45``) covers the sliver between the end and the
@@ -43,14 +48,16 @@ u' = S r cos(theta),
 with -V' in t = -x from b.  At theta = k*pi the sine vanishes and
 theta' > 0, so an accepted step that crosses a multiple of pi downward is
 an integration failure and raises PhaseError (between multiples theta may
-dip; that is harmless).  The left sliver's angle enters the propagator
-as the direction of (g, dg/dxi) at x_l; the right one's is beta.  A singular end is never evaluated: its sliver starts
-at end +/- delta, with lambda^2 V delta^2 = _DELTA_TOL and delta at least
-the one ulp that moves the end, seeded from the leading solution
-behaviour u ~ |x - end|, theta = atan(S delta), or at the bulk's end
-where the offset reaches past it.  ``steps`` and ``rejected_steps`` count
-the slivers' RK45 steps, ``cells`` the propagator's; ``error_estimate``
-is the bulk's alone: the slivers carry none.
+dip; that is harmless).  Both slivers end on the scale lambda sqrt(V) at
+the bulk's end: the left one's angle is the propagator's entry angle (0
+at a regular end), the right one's is beta.  A singular end is never
+evaluated: its sliver starts at end +/- delta, with lambda^2 V delta^2 =
+_DELTA_TOL and delta at least the one ulp that moves the end, seeded from
+the leading solution behaviour u ~ |x - end|, theta = atan(S delta), or
+at the bulk's end where the offset reaches past it.  ``steps`` and
+``rejected_steps`` count the slivers' RK45 steps, ``cells`` the
+propagator's; ``error_estimate`` is the bulk's alone: the slivers carry
+none.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from dataclasses import dataclass
 
 from .expr import EvalDomainError
 from .potential import Potential
-from .propagator import bulk_interval, propagate, propagate_lanes
+from .propagator import bulk_interval, propagate_lanes
 
 __all__ = [
     "PhaseResult",
@@ -245,25 +252,6 @@ def _offset_delta(p: Potential, lam: float, end: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fell(x: float, v: float) -> PhaseError:
-    return PhaseError(f"potential fell to V({x}) = {v}")
-
-
-_DIRICHLET = (0.0, 0.0, 1.0)  # the propagator's entry at a regular end: u = 0, u' = 1
-
-
-def _propagate(run, *args):
-    """``run(*args)``, a propagator call, with its failures raised as PhaseError."""
-    try:
-        return run(*args)
-    except EvalDomainError as exc:
-        raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-    except ArithmeticError as exc:
-        raise PhaseError(str(exc)) from None
-    except ValueError as exc:
-        raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-
-
 def _sliver(p, lam, rtol, end, x_stop):
     """Angle at x_stop, on the scale lam sqrt(V), of the solution vanishing at ``end``.
 
@@ -279,7 +267,7 @@ def _sliver(p, lam, rtol, end, x_stop):
         x = sign * t
         v, dv = fvd(x)
         if not v > 0.0:
-            raise _fell(x, v)
+            raise PhaseError(f"potential fell to V({x}) = {v}")
         return lam * sqrt(v) + sign * 0.25 * dv / v * sin(2.0 * th)
 
     # seeded from u ~ |x - end| at the offset, or at x_stop when the offset reaches it
@@ -293,65 +281,42 @@ def _sliver(p, lam, rtol, end, x_stop):
 
 
 def _ends(p, lam, rtol, x_l, x_r):
-    """The bulk's entry (theta, g, g') at x_l and exit scale sigma, and the angle beta shot back from b.
+    """The slivers' angles: at x_l from a, and beta at x_r shot back from b, each 0 where the bulk reaches the end.
 
-    Returns (entry, sigma, beta, steps, rejected), with the slivers' RK45 counts.
+    Both are on the scale lam sqrt(V) at the bulk's end.  Returns
+    (theta_l, beta, steps, rejected), with the slivers' RK45 counts.
     """
-    steps = rejected = 0
-    entry, beta = _DIRICHLET, 0.0
-    sigma = lam * math.sqrt(max(p.c_lower or 0.0, 1.0))
-    try:
-        if x_l > p.a:
-            theta, steps, rejected = _sliver(p, lam, rtol, "a", x_l)
-            # the angle of (lam sqrt(V) u, u') as the direction of
-            # (g, dg/dxi) ~ (sqrt(V) u, u' + V'/(4V) u), on the same branch
-            v, dv = p.value_d1_fn(x_l)
-            if not v > 0.0:
-                raise _fell(x_l, v)
-            k = round(theta / _PI)
-            phi = theta - k * _PI
-            y0 = math.sqrt(v) * math.sin(phi)
-            y1 = lam * math.sqrt(v) * math.cos(phi) + 0.25 * dv / v * math.sin(phi)
-            sign = -1.0 if k % 2 else 1.0
-            entry = (k * _PI + math.atan2(y0, y1), sign * y0, sign * y1)
-        if x_r < p.b:
-            # matched at x_r on the scale lam sqrt(V(x_r)) that beta ends on
-            beta, more, more_rejected = _sliver(p, lam, rtol, "b", x_r)
-            steps += more
-            rejected += more_rejected
-            sigma = lam * math.sqrt(p.value_d1_fn(x_r)[0])
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-    return entry, sigma, beta, steps, rejected
+    theta_l, steps, rejected = _sliver(p, lam, rtol, "a", x_l) if x_l > p.a else (0.0, 0, 0)
+    beta, more, more_rejected = _sliver(p, lam, rtol, "b", x_r) if x_r < p.b else (0.0, 0, 0)
+    return theta_l, beta, steps + more, rejected + more_rejected
 
 
 def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
-    """The matched phase theta_b(lambda) and the derived count N(lambda)."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    if rtol <= 0.0:
-        raise ValueError("rtol must be positive")
-    entry, sigma, beta, steps, rejected = _ends(p, lam, rtol, *bulk_interval(p))
-    theta, cells, estimate = _propagate(propagate, p, lam, rtol, entry, sigma)
-    return _result(lam, rtol, theta + beta, steps, rejected, cells, estimate)
+    """The matched phase theta_b(lambda) and the derived count N(lambda): one lane of ``_phases``."""
+    return _phases(p, [lam], rtol)[0]
 
 
 def _phases(p: Potential, lams, rtol: float) -> list[PhaseResult]:
-    """``phase`` at every lambda of ``lams``, bit for bit.
+    """``phase`` at every lambda of ``lams``; each result is the same in any batch.
 
     Each lane's end slivers run one lane at a time; the propagator then
     takes every lane's bulk at once (``propagate_lanes``).
     """
-    if any(lam <= 0.0 for lam in lams):
+    if min(lams) <= 0.0:
         raise ValueError("lambda must be positive")
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
     x_l, x_r = bulk_interval(p)
-    entries, sigmas, betas, steps, rejected = zip(*(_ends(p, lam, rtol, x_l, x_r) for lam in lams))
-    bulk = _propagate(propagate_lanes, p, lams, rtol, entries, sigmas)
+    try:
+        ends = [_ends(p, lam, rtol, x_l, x_r) for lam in lams]
+        bulk = propagate_lanes(p, lams, rtol, [end[0] for end in ends])
+    except (EvalDomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
+    except ArithmeticError as exc:
+        raise PhaseError(str(exc)) from None
     return [
-        _result(lam, rtol, theta + beta, n_steps, n_rejected, cells, estimate)
-        for lam, beta, n_steps, n_rejected, (theta, cells, estimate) in zip(lams, betas, steps, rejected, bulk)
+        _result(lam, rtol, theta + beta, steps, rejected, cells, estimate)
+        for lam, (_, beta, steps, rejected), (theta, cells, estimate) in zip(lams, ends, bulk)
     ]
 
 

@@ -33,11 +33,14 @@ elsewhere.  psi is read by atan2 at both ends of the cell and the change
 taken on the branch within pi of the expected advance sqrt(x) (0 on the
 slow cells).  At each node the angle is rescaled to the next cell's scale
 by atan2, which keeps every multiple of pi.  The sweep enters at x_l with
-a given angle and direction of (g, g'), (0, 0, 1) for u(a) = 0, and at x_r
-the exit (g, g') is converted with V(x_r) and V'(x_r) to the angle of
-(sigma u, u') on the scale the caller asks for: the constant scale s
-where x_r = b, or lambda sqrt(V(x_r)), the scale on which the angle shot
-back from a singular right end arrives to be matched.
+the angle of (lambda sqrt(V) u, u'), 0 for u(a) = 0 at a regular end,
+turned with V(x_l) and V'(x_l) into the direction of (g, g') on the same
+branch.  At x_r the exit (g, g') is turned with V(x_r) and V'(x_r) into
+the angle of (sigma u, u') on the scale sigma the propagator picks: the
+constant scale s = lambda sqrt(max(c_lower, 1)) where x_r = b, the usual
+theta(b), and lambda sqrt(V(x_r)) otherwise, the scale on which the angle
+shot back from a singular right end arrives to be matched.  V and V' at
+both ends are cached on the mesh.
 
 The mesh depends on the potential and the decade of rtol only.  It is
 built once, vectorized over cells, by bisecting every cell whose
@@ -48,20 +51,22 @@ and omega h = z for each z in _Z_REF on the scale omega.  At omega the
 tolerance is 10**decade * max(omega D, pi) in all, so a cell's share grows
 with z.  The mesh is cached on the Potential.  Every call sweeps the mesh
 and the mesh with each cell halved: the fine sweep is the answer and
-|fine - coarse| its error estimate.  A call whose estimate exceeds
-rtol * max(theta_b, pi) refines a private copy, halving every cell, and
-fails after _MAX_REFINE such tries.
+|fine - coarse| its error estimate.  A lane whose estimate exceeds
+rtol * max(theta, pi) is swept again on a private copy with every cell
+halved (``_settle``), and fails after _MAX_REFINE such tries.
 
-The cell algebra does not depend on lambda, so ``propagate_lanes`` takes
-many couplings, the lanes, at once: one _transfer batch over lanes x
-cells, then a sweep whose node recursion runs on numpy rows across the
-lanes, with each lane's angles read by math.atan2 and summed in the
-scalar sweep's order, so that every lane has ``propagate``'s bits.  Lanes
-go in groups of at most _LANE_CELLS swept cells x lanes, which bounds the
+The cell algebra does not depend on lambda, so ``propagate_lanes``, the
+only entry point, takes many couplings, the lanes, at once: one _transfer
+batch over lanes x cells, then a sweep whose node recursion runs on numpy
+rows across the lanes, with each lane's angles read by math.atan2 and
+summed in the one-lane sweep's order, so that no lane's bits depend on
+the lanes beside it; a single coupling is the one-lane case.  Lanes go in
+groups of at most _LANE_CELLS swept cells x lanes, which bounds the
 memory; a group of fewer than _MIN_LANES lanes, and every group on a mesh
 of more than _LANE_CELLS / _MIN_LANES swept cells (each conjecture-class
-mesh), is swept lane by lane, which is faster there.  The mesh build's
-refinement test is batched the same way, over its reference frequencies.
+mesh), is swept lane by lane (``_theta_pair``), which is faster there.
+The mesh build's refinement test is batched the same way, over its
+reference frequencies.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ from .expr import EvalDomainError
 from .potential import Potential
 from .quadrature import _GL_W, _GL_X
 
-__all__ = ["CellMesh", "build_mesh", "propagate", "propagate_lanes"]
+__all__ = ["CellMesh", "build_mesh", "propagate_lanes"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -123,7 +128,7 @@ def _series(n: int, terms: int = 6) -> list[float]:
     return [1.0 / (math.factorial(m) * math.prod(range(1, 2 * n + 2 * m + 2, 2))) for m in range(terms)]
 
 
-_ETA_SERIES = [_series(n) for n in (0, 1, 2)]
+_ETA_SERIES = np.array([_series(n) for n in (0, 1, 2)])[:, :, None]  # (eta, power, 1)
 
 
 @functools.cache  # built on first use, not at import
@@ -169,8 +174,11 @@ class CellMesh:
     ubar: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
+    sqrt_vl: float  # sqrt(V(x_l)); 1 at a regular end, where the entry u = 0 needs no V
+    beta_l: float  # V'(x_l) / (4 V(x_l)); 0 at a regular end
     sqrt_vr: float  # sqrt(V(x_r))
     beta_r: float  # V'(x_r) / (4 V(x_r))
+    scale_r: float  # the exit scale over lambda: sqrt(max(c_lower, 1)) where x_r = b, else sqrt(V(x_r))
 
     @property
     def cells(self) -> int:
@@ -246,7 +254,8 @@ def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
 
 def _etas(x: np.ndarray):
     """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign."""
-    r = np.sqrt(np.abs(x))
+    ax = np.abs(x)
+    r = np.sqrt(ax)
     with np.errstate(all="ignore"):  # x = 0 and the unused cosh branch
         if x.min() > 0.0:
             em1, e0 = np.cos(r), np.sin(r) / r
@@ -256,14 +265,14 @@ def _etas(x: np.ndarray):
             e0 = np.where(pos, np.sin(r), np.sinh(r)) / r
         e1 = (e0 - em1) / x
         e2 = (3.0 * e1 - e0) / x
-    small = np.abs(x) < _SMALL_X
+    small = ax < _SMALL_X
     if small.any():
+        # Horner's rule for the three series at once
         y = -0.5 * x[small]
-        for out, coeffs in zip((e0, e1, e2), _ETA_SERIES):
-            acc = np.full_like(y, coeffs[-1])
-            for c in reversed(coeffs[:-1]):
-                acc = acc * y + c
-            out[small] = acc
+        acc = _ETA_SERIES[:, -1] * np.ones_like(y)
+        for c in _ETA_SERIES.transpose(1, 0, 2)[-2::-1]:
+            acc = acc * y + c
+        e0[small], e1[small], e2[small] = acc
     return em1, e0, e1, e2
 
 
@@ -283,12 +292,13 @@ def _transfer(lam2, h, ubar, c1, c2, group=None):
     k2 = 0.5 * c2 * h2 * e2
     t = [em1 + k1, h * (e0 + k2), x * (k2 - e0) / h, em1 - k1]
     full, gone = _SECOND_ORDER_X
-    near = np.abs(x) < gone
+    ax = np.abs(x)
+    near = ax < gone
     if near.any():
         # second order in (c1, c2) from the unit cell's series, scaled by
         # h^4 (c h^2 squared) and by h, 1/h for the off-diagonal entries
         part = slice(None) if near.all() else near
-        xn, hn = x[part], h[part]
+        xn, axn, hn = x[part], ax[part], h[part]
         a, b = c1[part] * h2[part], c2[part] * h2[part]
         table = _second_order_table()
         powers = np.vander(xn, len(table), increasing=True)
@@ -300,8 +310,8 @@ def _transfer(lam2, h, ubar, c1, c2, group=None):
         series = series.reshape(-1, 4, 3)
         terms = series[:, :, 0] * (a * a)[:, None] + series[:, :, 1] * (a * b)[:, None] + series[:, :, 2] * (b * b)[:, None]
         weight = 1.0
-        if xn.max() > full or xn.min() < -full:
-            weight = np.cos(0.5 * math.pi * np.clip((np.abs(xn) - full) / (gone - full), 0.0, 1.0)) ** 2
+        if axn.max() > full:
+            weight = np.cos(0.5 * math.pi * np.clip((axn - full) / (gone - full), 0.0, 1.0)) ** 2
         for k, scale in enumerate((weight, weight * hn, weight / hn, weight)):
             t[k][part] += scale * terms[:, k]
     return (*t, x)
@@ -348,9 +358,12 @@ def _mismatches(whole, halves, lam2s, sigs):
 def _assemble(p: Potential, nodes: np.ndarray, whole=None, halves=None) -> CellMesh:
     if whole is None:
         whole, halves = _cells(p, nodes[:-1], nodes[1:])
-    vr, dvr = p.value_d1_fn(float(nodes[-1]))
+    x_l, x_r = float(nodes[0]), float(nodes[-1])
+    vl, dvl = p.value_d1_fn(x_l) if x_l > p.a else (1.0, 0.0)  # u(a) = 0 needs no V(a)
+    vr, dvr = p.value_d1_fn(x_r)
+    scale_r = math.sqrt(max(p.c_lower or 0.0, 1.0)) if x_r == p.b else math.sqrt(vr)
     arrays = [np.concatenate([w, q]) for w, q in zip(whole, halves)]
-    return CellMesh(nodes, *arrays, math.sqrt(vr), 0.25 * dvr / vr)
+    return CellMesh(nodes, *arrays, math.sqrt(vl), 0.25 * dvl / vl, math.sqrt(vr), 0.25 * dvr / vr, scale_r)
 
 
 def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
@@ -474,47 +487,63 @@ def _scales(mesh: CellMesh, x: np.ndarray):
     return sig, adv, ratio
 
 
-def _entry(entry, s: float):
-    """The entry's angle and direction (theta, w0, w1) on the first cell's scale s, from (theta, g, g')."""
-    theta, g, dg = entry
-    y0, y1 = s * g, dg
-    norm = abs(y0) + abs(y1)
-    y0, y1 = y0 / norm, y1 / norm
-    return theta + math.atan2(y0, y1) - math.atan2(g, dg), y0, y1
+def _entries(mesh: CellMesh, lam: float, theta_l: float, scales) -> list[tuple[float, float, float]]:
+    """The entry angle and direction (theta, w0, w1) on each first cell's scale s in ``scales``.
+
+    theta_l is the angle at x_l of (lam sqrt(V) u, u'); its direction is
+    that of (g, dg/dxi) ~ (sqrt(V) u, u' + V'/(4V) u), kept on theta_l's
+    branch.  theta_l = 0, u(a) = 0 at a regular end, enters as (0, 1).
+    """
+    atan2 = math.atan2
+    k = round(theta_l / math.pi)
+    phi = theta_l - k * math.pi
+    sin = math.sin(phi)
+    y0 = mesh.sqrt_vl * sin
+    y1 = lam * mesh.sqrt_vl * math.cos(phi) + mesh.beta_l * sin
+    g, dg = (-y0, -y1) if k % 2 else (y0, y1)
+    base, turn = k * math.pi + atan2(y0, y1), atan2(g, dg)
+    out = []
+    for s in scales:
+        w0 = s * g
+        norm = abs(w0) + abs(dg)
+        w0, w1 = w0 / norm, dg / norm
+        out.append((base + atan2(w0, w1) - turn, w0, w1))
+    return out
 
 
-def _exit(mesh: CellMesh, sigma: float, theta: float, g: float, dg: float, a: float) -> float:
-    """The angle at x_r on the scale sigma, from a sweep's end: its angle, (g, g') direction and last atan2."""
-    return theta + math.atan2(sigma * g, mesh.sqrt_vr * dg - mesh.beta_r * g) - a
+def _exit(mesh: CellMesh, lam: float, theta: float, g: float, dg: float, a: float) -> float:
+    """The angle at x_r on the scale lam * mesh.scale_r, from a sweep's end: its angle, (g, g') direction and last atan2."""
+    return theta + math.atan2(lam * mesh.scale_r * g, mesh.sqrt_vr * dg - mesh.beta_r * g) - a
 
 
-def _theta_pair(mesh: CellMesh, lam: float, entry, sigma: float) -> tuple[float, float]:
-    """The exit angle on the scale sigma, on the coarse mesh and on its halves."""
+def _theta_pair(mesh: CellMesh, lam: float, theta_l: float) -> tuple[float, float]:
+    """The exit angle on the coarse mesh and on its halves."""
     n = mesh.cells
     t11, t12, t21, t22, x = _transfer(lam * lam, mesh.h, mesh.ubar, mesh.c1, mesh.c2)
     sig, adv, ratio = _scales(mesh, x)
     cols = [a.tolist() for a in (t11, t12 * sig, t21 / sig, t22, adv, ratio)]
-    coarse, fine = (
-        _exit(mesh, sigma, *_sweep(*(c[part] for c in cols), *_entry(entry, float(sig[part.start]))))
-        for part in (slice(0, n), slice(n, 3 * n))
+    starts = _entries(mesh, lam, theta_l, (float(sig[0]), float(sig[n])))
+    return tuple(
+        _exit(mesh, lam, *_sweep(*(c[part] for c in cols), *start))
+        for part, start in zip((slice(0, n), slice(n, 3 * n)), starts)
     )
-    return coarse, fine
 
 
-def _theta_pairs(mesh: CellMesh, lams, entries, sigmas) -> list[tuple[float, float]]:
+def _theta_pairs(mesh: CellMesh, lams, thetas_l) -> list[tuple[float, float]]:
     """_theta_pair for several lanes: one _transfers batch over lanes x cells, then the lanes swept together."""
     n, lanes = mesh.cells, len(lams)
     lam = np.array(lams)
     t11, t12, t21, t22, x = _transfers((lam * lam)[:, None], mesh.h, mesh.ubar, mesh.c1, mesh.c2)
     sig, adv, ratio = _scales(mesh, x)
     cols = (t11, t12 * sig, t21 / sig, t22, adv, ratio)
-    starts = [_entry(entry, s) for first in (0, n) for entry, s in zip(entries, sig[:, first].tolist())]
+    entries = [_entries(mesh, *lane) for lane in zip(lams, thetas_l, zip(sig[:, 0].tolist(), sig[:, n].tolist()))]
+    starts = [start for column in zip(*entries) for start in column]  # every coarse start, then every fine one
     # the coarse cells swept beside the first n halves, then the other n halves alone
     theta, w0, w1, a = _sweep_lanes(*(np.vstack([c[:, :n], c[:, n : 2 * n]]) for c in cols), *map(np.array, zip(*starts)))
     fine = _sweep_lanes(*(c[:, 2 * n :] for c in cols), theta[lanes:], w0[lanes:], w1[lanes:])
     coarse = zip(*(q[:lanes].tolist() for q in (theta, w0, w1, a)))
     fine = zip(*(q.tolist() for q in fine))
-    return [(_exit(mesh, s, *c), _exit(mesh, s, *f)) for s, c, f in zip(sigmas, coarse, fine)]
+    return [(_exit(mesh, lam, *c), _exit(mesh, lam, *f)) for lam, c, f in zip(lams, coarse, fine)]
 
 
 def _mesh(p: Potential, rtol: float) -> CellMesh:
@@ -527,19 +556,15 @@ def _mesh(p: Potential, rtol: float) -> CellMesh:
     return mesh
 
 
-def propagate(p: Potential, lam: float, rtol: float, entry, sigma: float) -> tuple[float, int, float]:
-    """The Prüfer angle at x_r on the scale sigma, the cells swept and the estimate |fine - coarse|.
+def _settle(p: Potential, mesh: CellMesh, lam: float, rtol: float, theta_l: float, coarse: float, fine: float):
+    """A lane's (angle, cells swept, estimate |fine - coarse|) from its pair on the mesh.
 
-    ``entry`` is (theta, g, g') at x_l: the direction of (g, dg/dxi) and
-    its continuous angle; (0, 0, 1) is the Dirichlet start.  At x_r the
-    angle is that of (sigma u, u').  Raises EvalDomainError when V cannot
-    be evaluated or falls to the floor on the mesh, ArithmeticError when
-    the estimate stays above rtol * max(theta, pi).
+    A pair whose estimate misses rtol * max(theta, pi) is swept again on
+    a private copy of the mesh with every cell halved, up to _MAX_REFINE
+    times; a non-finite angle, or a miss after that, raises ArithmeticError.
     """
-    mesh = _mesh(p, rtol)
     swept = 0
     for refinements in range(_MAX_REFINE + 1):
-        coarse, fine = _theta_pair(mesh, lam, entry, sigma)
         swept += 3 * mesh.cells
         estimate = abs(fine - coarse)
         if not math.isfinite(fine):
@@ -549,38 +574,33 @@ def propagate(p: Potential, lam: float, rtol: float, entry, sigma: float) -> tup
         if refinements < _MAX_REFINE:
             nodes = mesh.nodes
             mesh = _assemble(p, np.insert(nodes, np.arange(1, len(nodes)), 0.5 * (nodes[:-1] + nodes[1:])))
+            coarse, fine = _theta_pair(mesh, lam, theta_l)
     raise ArithmeticError(
         f"cell propagator estimate {estimate!r} misses rtol={rtol!r} at lambda={lam!r} "
         f"after {refinements} refinements"
     )
 
 
-def propagate_lanes(p: Potential, lams, rtol: float, entries, sigmas) -> list[tuple[float, int, float]]:
-    """``propagate`` at every lambda of ``lams``, each lane with its own entry and scale.
+def propagate_lanes(p: Potential, lams, rtol: float, thetas_l) -> list[tuple[float, int, float]]:
+    """Each lane's exit angle at x_r, the cells it swept and its estimate |fine - coarse|.
 
-    The lanes are split into groups of at most _LANE_CELLS swept cells x
-    lanes, and each group is swept at once.  A group of fewer than
-    _MIN_LANES lanes, as on every mesh of more than _LANE_CELLS /
-    _MIN_LANES swept cells, goes lane by lane through ``propagate``, and
-    so does a lane whose estimate misses rtol, which ``propagate``
-    refines.  Every lane's result is bit for bit ``propagate``'s.
+    Lane k is the coupling lams[k] entering at x_l with the angle
+    thetas_l[k] on the scale lambda sqrt(V(x_l)); the exit scale is the
+    mesh's (module docstring).  Raises EvalDomainError when V cannot be
+    evaluated or falls to the floor on the mesh, ArithmeticError when an
+    estimate stays above rtol.
     """
     mesh = _mesh(p, rtol)
-    swept = 3 * mesh.cells
     count = len(lams)
-    per_group = max(_LANE_CELLS // swept, 1)
-    groups = -(-count // per_group)
-    bounds = [count * k // groups for k in range(groups + 1)]
+    groups = -(-count // max(_LANE_CELLS // (3 * mesh.cells), 1))
     out = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        lanes = list(zip(lams[lo:hi], entries[lo:hi], sigmas[lo:hi]))
-        if len(lanes) < _MIN_LANES:
-            out += [propagate(p, lam, rtol, entry, sigma) for lam, entry, sigma in lanes]
-            continue
-        for (lam, entry, sigma), (coarse, fine) in zip(lanes, _theta_pairs(mesh, *zip(*lanes))):
-            estimate = abs(fine - coarse)
-            if math.isfinite(fine) and estimate <= rtol * max(abs(fine), math.pi):
-                out.append((fine, swept, estimate))
-            else:
-                out.append(propagate(p, lam, rtol, entry, sigma))
+    for k in range(groups):
+        lo, hi = count * k // groups, count * (k + 1) // groups
+        if hi - lo < _MIN_LANES:
+            for lam, theta_l in zip(lams[lo:hi], thetas_l[lo:hi]):
+                out.append(_settle(p, mesh, lam, rtol, theta_l, *_theta_pair(mesh, lam, theta_l)))
+        else:
+            pairs = _theta_pairs(mesh, lams[lo:hi], thetas_l[lo:hi])
+            for lam, theta_l, pair in zip(lams[lo:hi], thetas_l[lo:hi], pairs):
+                out.append(_settle(p, mesh, lam, rtol, theta_l, *pair))
     return out

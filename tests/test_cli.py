@@ -31,7 +31,7 @@ def test_count_constant_potential(tmp_path):
     assert payload["count"] == 2
     assert payload["theta_b"] == pytest.approx(2.5 * math.pi, rel=1e-10)
     assert payload["config"]["lambda"] == 2.5
-    assert set(payload["config"]) == {"subcommand"} | _COMMON | {"lambda", "method", "mesh", "rtol"}
+    assert set(payload["config"]) == {"subcommand"} | _COMMON | {"lambda", "method", "rtol"}
 
 
 def test_count_matrix_method(tmp_path):
@@ -44,7 +44,9 @@ def test_count_matrix_method(tmp_path):
         ]
     )
     assert code == 0
-    assert json.loads(out.read_text())["count"] == 2
+    payload = json.loads(out.read_text())
+    assert payload["count"] == 2
+    assert set(payload["config"]) == {"subcommand"} | _COMMON | {"lambda", "method", "mesh"}
 
 
 def test_jumps_csv_schema_and_determinism(tmp_path):
@@ -207,6 +209,32 @@ def test_verify_weyl_suite_small(tmp_path):
     assert payload["metrics"]["weyl_defect_max"] <= 1.5
 
 
+def test_verify_weyl_redraws_a_coupling_at_a_jump(tmp_path, monkeypatch):
+    # V = 1 on [0, pi] jumps at lambda = n: a draw of 3 is redrawn, and the
+    # defects of 2.5 and 1.5 are 0.5; a range of draws all at jumps is an error
+    import sturmjumps.cli as cli
+
+    draws = []
+
+    class Draws:
+        def __init__(self, seed):
+            pass
+
+        def uniform(self, lo, hi):
+            return draws.pop(0)
+
+    monkeypatch.setattr(cli.random, "Random", Draws)
+    out = tmp_path / "r.json"
+    argv = ["verify", "--suite", "weyl", "--potential", "1", "--a", "0", "--b", PI, "--samples", "2", "--out", str(out)]
+    draws[:] = [3.0, 2.5, 1.5]
+    assert run(argv) == 0
+    metrics = json.loads(out.read_text())["metrics"]
+    assert (metrics["samples"], metrics["redrawn_at_jumps"]) == (2, 1)
+    assert metrics["weyl_defect_max"] == pytest.approx(0.5, abs=1e-9)
+    draws[:] = [3.0, 4.0, 5.0, 2.5]
+    assert run(argv) == 1
+
+
 def test_verify_bracket_suite_small(tmp_path):
     out = tmp_path / "r.json"
     code = run(
@@ -251,14 +279,30 @@ def test_console_entry_point(tmp_path):
     assert json.loads(out.read_text())["count"] == 2
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_default_to_one_worker(tmp_path, monkeypatch):
+    # neither the CPU count nor an environment variable picks the workers
     monkeypatch.setenv("STURM_JUMPS_THREADS", "2")
-    out = tmp_path / "j.csv"
-    code = run(
-        ["jumps", "--potential", "1", "--a", "0", "--b", PI, "--n-min", "1", "--n-max", "6", "--out", str(out)]
-    )
-    assert code == 0
-    assert len(out.read_text().strip().split("\n")) == 7
+    out = tmp_path / "j.json"
+    base = ["--potential", "1", "--a", "0", "--b", PI, "--out", str(out)]
+    assert run(["jumps", "--n-max", "6", "--format", "json"] + base) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["threads"] == 1
+    assert len(payload["records"]) == 6
+    assert run(["verify", "--suite", "theorem", "--n-max", "40"] + base) == 0
+    assert json.loads(out.read_text())["config"]["threads"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jumps", "--n-max", "2", "--threads", "0"],
+        ["jumps", "--n-max", "2", "--threads", "-5"],
+        ["verify", "--suite", "theorem", "--n-max", "40", "--threads", "0"],
+        ["verify", "--suite", "conjecture", "--n-max", "100", "--threads", "-1"],
+    ],
+)
+def test_threads_below_one_are_usage_errors(argv):
+    assert run(argv + ["--potential", "1", "--a", "0", "--b", PI]) == 64
 
 
 @pytest.mark.parametrize(
@@ -284,6 +328,10 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
         ["verify", "--suite", "weyl", "--n-max", "20"],
         ["verify", "--suite", "bracket", "--seed", "3"],
         ["verify", "--suite", "conjecture", "--rtol", "1e-3"],
+        # each count method reads only its own options
+        ["count", "--lambda", "2", "--mesh", "100"],
+        ["count", "--lambda", "2", "--method", "phase", "--mesh", "100"],
+        ["count", "--lambda", "2", "--method", "matrix", "--rtol", "1e-9"],
     ],
 )
 def test_unread_options_are_usage_errors(argv):
@@ -319,6 +367,9 @@ def test_config_holds_exactly_the_subcommand_options(tmp_path):
         ["count", "--lambda", "2", "--method", "matrix", "--mesh", "0"],
         ["verify", "--suite", "theorem", "--n-min", "600"],
         ["verify", "--suite", "weyl", "--lambda-max", "0"],
+        ["verify", "--suite", "weyl", "--lambda-min", "500", "--lambda-max", "10"],
+        ["verify", "--suite", "weyl", "--lambda-min", "2000"],
+        ["verify", "--suite", "bracket", "--lambda-min", "80", "--lambda-max", "80"],
     ],
 )
 def test_bad_counts_are_usage_errors(argv):

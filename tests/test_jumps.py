@@ -97,11 +97,10 @@ def test_unconverged_root_raises(v_one, monkeypatch):
     import sturmjumps.jumps as jumps
     from sturmjumps.oscillation import PhaseResult
 
-    def leaping_phase(p, lam, rtol=1e-10):
-        theta = 3.0 * math.pi + (1.0 if lam >= 3.0 else -1.0)
-        return PhaseResult(lam, theta, 0, 1, 0)
+    def leaping_phases(p, lams, rtol):
+        return [PhaseResult(lam, 3.0 * math.pi + (1.0 if lam >= 3.0 else -1.0), 0, 1, 0) for lam in lams]
 
-    monkeypatch.setattr(jumps, "phase", leaping_phase)
+    monkeypatch.setattr(jumps, "_phases", leaping_phases)
     with pytest.raises(BracketingError, match="n=3"):
         find_jump(v_one, 3)
 
@@ -122,12 +121,12 @@ def test_start_rule_phase_calls(v_sin, v_linear):
     assert _calls_per_root(jump_sequence(v_linear, 70, 100)) <= 2.2
 
 
-def _fake_phase(theta, seen):
+def _fake_phases(theta, seen):
     from sturmjumps.oscillation import PhaseResult
 
-    def fake(p, lam, rtol=1e-10):
-        seen.append(lam)
-        return PhaseResult(lam, theta(lam), 0, 1, 2)
+    def fake(p, lams, rtol):
+        seen.extend(lams)
+        return [PhaseResult(lam, theta(lam), 0, 1, 2) for lam in lams]
 
     return fake
 
@@ -139,7 +138,7 @@ def test_far_start_steps_below_zero_are_halved(v_one, monkeypatch):
 
     theta = lambda lam: math.pi * lam + 50.0 * math.pi * lam / (1.0 + lam)
     seen = []
-    monkeypatch.setattr(jumps, "phase", _fake_phase(theta, seen))
+    monkeypatch.setattr(jumps, "_phases", _fake_phases(theta, seen))
     rec = find_jump(v_one, 10)
     assert seen[:2] == [10.0, 5.0]
     root = 0.5 * (math.sqrt(41.0**2 + 40.0) - 41.0)  # lam^2 + 41 lam - 10 = 0
@@ -158,21 +157,23 @@ def test_far_start_below_a_flat_phase_doubles_steps(v_one, monkeypatch):
 
     theta = lambda lam: 10.0 * math.pi * math.log1p(lam) - 50.0 * math.pi
     seen = []
-    monkeypatch.setattr(jumps, "phase", _fake_phase(theta, seen))
-    rec = find_jump(v_one, 10, max_expansions=6)
+    monkeypatch.setattr(jumps, "_phases", _fake_phases(theta, seen))
+    monkeypatch.setattr(jumps, "_MAX_EXPANSIONS", 6)
+    rec = find_jump(v_one, 10)
     assert rec.lambda_n == pytest.approx(math.expm1(6.0), rel=1e-9)
     assert abs(theta(rec.lambda_n) - 10 * math.pi) <= 1e-10 * 10
     assert rec.phase_calls == len(seen) <= 12
 
 
 def test_no_sign_change_raises(v_one, monkeypatch):
-    # theta never reaches the target: the slope steps give up after max_expansions
+    # theta never reaches the target: the slope steps give up after _MAX_EXPANSIONS
     import sturmjumps.jumps as jumps
 
     seen = []
-    monkeypatch.setattr(jumps, "phase", _fake_phase(lambda lam: math.atan(lam), seen))
+    monkeypatch.setattr(jumps, "_phases", _fake_phases(lambda lam: math.atan(lam), seen))
+    monkeypatch.setattr(jumps, "_MAX_EXPANSIONS", 20)
     with pytest.raises(BracketingError, match="no sign change"):
-        find_jump(v_one, 3, max_expansions=20)
+        find_jump(v_one, 3)
     assert len(seen) == 21
 
 

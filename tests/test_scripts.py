@@ -48,4 +48,14 @@ def test_bench_layers_writes_every_case(tmp_path):
     for name in ("lanes.2+sin(x).23", "build_mesh.(1-x)/x", "build_mesh.2+sin(x)", "jump_sequence.2+sin(x).1-500"):
         assert cases[name]["ms"] > 0.0, name
     assert cases["build_mesh.2+sin(x)"]["cells"] == 59
+    # the conjecture class at rtol 1e-11: the bulk mesh and its halves, and RK45 on the slivers
+    for source, cells in (("x", 795), ("sqrt(x)", 738), ("(1-x)/x", 1743)):
+        for lam in (100, 470, 1900):
+            case = cases[f"phase.{source}.lam={lam}"]
+            assert case["cells"] == cells and case["rk_steps"] > 0 and case["ms"] > 0.0, (source, lam)
+    for source in ("2+sin(x)", "(1+x)^(-4)"):
+        case = cases[f"lanes.{source}.23"]
+        assert case["one_lane_ms"] > 0.0 and case["ratio"] == case["ms"] / case["one_lane_ms"], source
+    for source in ("2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"):
+        assert cases[f"lg_data.{source}"]["ms"] > 0.0, source
     assert cases["src_lines"]["lines"] > 1000
