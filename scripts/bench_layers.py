@@ -8,6 +8,9 @@ the steadiest figure):
 * phase.2+sin(x).lam=L: one-lambda ``phase`` at rtol 1e-11, L = 10, 100, 1000;
 * phase.<potential>.lam=L: the same on the conjecture class (x, sqrt(x),
   (1-x)/x on [0, 1]), L = 100, 470, 1900;
+* sliver.<potential>.lam=L: the end slivers of those calls alone
+  (``oscillation._ends``: the Bessel seeds, their halving checks and the
+  RK45 to the bulk's edges), with their RK45 steps and summed gaps;
 * lanes.<potential>.23: one batched round of 23 couplings
   (``oscillation._phases``) on 2+sin(x) and (1+x)^(-4), against 23
   one-lane ``phase`` calls at the same couplings, the two run alternately;
@@ -94,6 +97,11 @@ def main():
             res = oscillation.phase(q, lam, rtol=1e-11)
             ms = fastest_ms(lambda: oscillation.phase(q, lam, rtol=1e-11), repeat)
             cases[f"phase.{source}.lam={lam:g}"] = {"ms": ms, "cells": res.cells, "rk_steps": res.steps}
+            x_l, x_r = propagator.bulk_interval(q)
+            ends = (q, lam, 1e-11, x_l, x_r, propagator.bulk_mesh(q, 1e-11).length)
+            _, _, steps, _, gap = oscillation._ends(*ends)
+            ms = fastest_ms(lambda: oscillation._ends(*ends), repeat)
+            cases[f"sliver.{source}.lam={lam:g}"] = {"ms": ms, "rk_steps": steps, "gap": gap}
 
     lams = np.geomspace(5.0, 40.0, 23).tolist()
     for source in ("2+sin(x)", "(1+x)^(-4)"):

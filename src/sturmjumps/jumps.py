@@ -35,8 +35,8 @@ in lockstep rounds, each round one batched phase evaluation
 bulk the propagator sweeps as lanes of one pass; ``find_jump`` is a chunk
 of one root.  No lane's phase depends on the lanes beside it, so a
 record, counters included, is the same whichever roots share its rounds.
-That estimate is the cell propagator's |fine - coarse|; on the
-conjecture class it covers the bulk only, not the RK45 end slivers.
+That estimate is the cell propagator's |fine - coarse|, plus on the
+conjecture class the gaps of the end slivers' Bessel-seed checks.
 Each record carries e_n = lambda_n * D / pi - n, the deviation of the
 jump from its leading prediction n*pi/D with D the full integral of
 sqrt(V), the phase calls, RK steps, rejected RK steps and propagator
@@ -179,10 +179,10 @@ def find_jump(p: Potential, n: int, tol: float = 1e-10, d_value: Optional[float]
 
     ``tol`` is relative in theta: the returned root satisfies
     |theta_b(lambda_n) - n*pi| + error_bar <= tol*n, where error_bar is
-    the phase's own error estimate (the propagator's; the conjecture
-    class's RK45 end slivers add none), and BracketingError is raised
-    when no iterate does, or when _MAX_EXPANSIONS slope steps find no
-    sign change.  The phase is computed with rtol = tol/10.
+    the phase's own error estimate (the propagator's, plus the gaps of
+    the conjecture class's end-sliver seed checks), and BracketingError
+    is raised when no iterate does, or when _MAX_EXPANSIONS slope steps
+    find no sign change.  The phase is computed with rtol = tol/10.
     """
     return _sequence_chunk((p, [n], tol, d_value))[0]
 

@@ -51,23 +51,33 @@ an integration failure and raises PhaseError (between multiples theta may
 dip; that is harmless).  Both slivers end on the scale lambda sqrt(V) at
 the bulk's end: the left one's angle is the propagator's entry angle (0
 at a regular end), the right one's is beta.  A singular end is never
-evaluated: its sliver starts at end +/- delta, with lambda^2 V delta^2 =
-_DELTA_TOL and delta at least the one ulp that moves the end, seeded from
-the leading solution behaviour u ~ |x - end|, theta = atan(S delta), or
-at the bulk's end where the offset reaches past it.  ``steps`` and
-``rejected_steps`` count the slivers' RK45 steps, ``cells`` the
-propagator's; ``error_estimate`` is the bulk's alone: the slivers carry
-none.
+evaluated.  Where V ~ c |x - end|**gamma, U ~ (1/4 - nu^2)/xi^2 with
+nu = 1/(2 + gamma), and the solution vanishing at the end is close to
+its Bessel reference sqrt(xi) J_nu(lambda xi) (Olver, Asymptotics and
+Special Functions, ch. 12).  Each sliver is seeded from that reference
+on a ladder of offsets that halve from the bulk's edge toward the end
+(``_ladder``, built once per potential), at the widest offset where
+lambda xi <= _Z0, and the seed is checked by halving: RK45 carries the
+seed of the next offset in up to it, and the gap must stay below
+_SEED_SHARE of rtol * max(lambda D_bulk, pi), D_bulk the bulk's length
+in xi, or the check moves deeper; a sliver that reaches the end's ulp
+unchecked raises PhaseError.  ``steps`` and ``rejected_steps`` count the
+slivers' RK45 steps, checks included, ``cells`` the propagator's;
+``error_estimate`` is the bulk's |fine - coarse| plus the slivers' gaps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .expr import EvalDomainError
 from .potential import Potential
-from .propagator import bulk_interval, propagate_lanes
+from .propagator import bulk_interval, bulk_mesh, propagate_lanes
+from .quadrature import _GL_W, _GL_X
 
 __all__ = [
     "PhaseResult",
@@ -82,8 +92,17 @@ _PI = math.pi
 # count_negative's default at-jump guard: theta_b/pi closer than this to an integer is ambiguous
 JUMP_GUARD = 1e-7
 
-# relative error of u ~ (x - a) allowed over the sliver skipped at a singular end
-_DELTA_TOL = 1e-10
+# largest lambda xi a sliver is seeded at: below j_(nu,1) > j_(0,1) = 2.405 for every nu > 0
+_Z0 = 2.0
+
+# terms of the seed's series in -z^2/4, |.| <= 1: the last is below 1/(13!)^2 ~ 2.6e-20
+_SERIES_TERMS = 14
+
+# share of rtol * max(lambda D_bulk, pi) that a sliver's halving check may leave
+_SEED_SHARE = 0.25
+
+# the check's RK45 runs at this share of rtol, so its own error stays well below the gap it reads
+_CHECK_RTOL = 0.25
 
 # RK45 steps allowed on the end slivers of one phase call
 _MAX_STEPS = 10_000_000
@@ -112,7 +131,7 @@ class PhaseResult:
     steps: int  # RK45 steps on the end slivers (conjecture class; 0 for the theorem class)
     rejected_steps: int
     cells: int = 0  # propagator cells swept, the mesh's and their halves (both classes)
-    error_estimate: float = 0.0  # |fine - coarse| on the propagator; the slivers carry none
+    error_estimate: float = 0.0  # |fine - coarse| on the propagator plus the slivers' seed gaps
 
 
 # ---------------------------------------------------------------------------
@@ -197,71 +216,119 @@ def _rk45(f, x, y, x_end, rtol, atol, max_steps):
 
 
 # ---------------------------------------------------------------------------
-# singular-endpoint offsets
+# the end slivers: Bessel seeds on a ladder of offsets, checked by halving
 # ---------------------------------------------------------------------------
 
 
-def _offset_delta(p: Potential, lam: float, end: str) -> float:
-    """Offset delta with lam^2 * V(end +/- delta) * delta^2 <= _DELTA_TOL.
+@dataclass(frozen=True, eq=False)
+class _Ladder:
+    """A singular end's offsets x_k = end +/- w 2**-k, k = 0, 1, ..., and its Bessel reference there.
 
-    The bound is the relative error of the leading solution behaviour
-    u ~ (x - a) over the skipped sliver, found by bisection in log(delta)
-    between hi = (b - a)/8 and a lo that meets it.  lo steps down from
-    1e-30 (b - a) but not below the smallest offset that moves the end,
-    where V is evaluated next to the end rather than at it.
+    x_0 is the bulk's edge, so w is the sliver's width.  xi[k] is
+    int sqrt(V) from the end to x_k and q[k] = (V_t/(4V)) xi/sqrt(V) at
+    x_k, V_t the derivative in the distance t to the end; coef[m] =
+    1/(m! (nu+1)_m) with nu = 1/(2 + gamma).  None of it depends on lambda.
     """
-    fv = p.value_fn
-    width = p.b - p.a
-    anchor, inward = (p.a, p.b) if end == "a" else (p.b, p.a)
-    ulp = abs(math.nextafter(anchor, inward) - anchor)
 
-    def excess(delta):
-        x = anchor + delta if end == "a" else anchor - delta
-        try:
-            v = fv(x)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return math.inf
-        if not math.isfinite(v):
-            return math.inf
-        return lam * lam * v * delta * delta - _DELTA_TOL
+    x: list
+    xi: list
+    q: list
+    nu: float
+    coef: tuple
 
-    hi = width / 8.0
-    if excess(hi) <= 0.0:
-        return hi
-    lo = max(1e-30 * width, ulp)
-    while excess(lo) > 0.0:
-        if lo <= ulp:
-            raise PhaseError(f"endpoint offset underflows machine precision near {end}")
-        lo = max(lo * 1e-30, ulp)
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    for _ in range(120):
-        log_mid = 0.5 * (log_lo + log_hi)
-        # a midpoint equal to an end is a fixed point once this update is made
-        fixed = log_mid == log_lo or log_mid == log_hi
-        if excess(math.exp(log_mid)) > 0.0:
-            log_hi = log_mid
-        else:
-            log_lo = log_mid
-        if fixed:
+    def seed(self, lam: float, k: int) -> float:
+        """The angle at x_k, on the scale lam sqrt(V), of g = sqrt(xi) J_nu(lam xi) taken as the solution's (g, dg/dxi)."""
+        z = lam * self.xi[k]
+        return math.atan2(z, _log_derivative(z, self.nu, self.coef) - self.q[k])
+
+
+def _log_derivative(z: float, nu: float, coef) -> float:
+    """xi g'/g = 1/2 + z J_nu'(z)/J_nu(z) for g = sqrt(xi) J_nu(lam xi), z = lam xi <= _Z0.
+
+    Up to a constant g is xi**(nu+1/2) S0 with S0 = sum_m coef[m] (-z^2/4)**m,
+    so xi g'/g = nu + 1/2 + 2 S1/S0 with S1 = sum_m m coef[m] (-z^2/4)**m;
+    S0 > 0 below the first zero of J_nu, and no Gamma function is needed.
+    """
+    y = -0.25 * z * z
+    s0 = s1 = 0.0
+    for m in range(len(coef) - 1, -1, -1):
+        s0 = s0 * y + coef[m]
+        s1 = s1 * y + m * coef[m]
+    return nu + 0.5 + 2.0 * s1 / s0
+
+
+def _ladder(p: Potential, end: str) -> _Ladder:
+    """The end's ladder, built once per potential and cached on it.
+
+    x_k runs from the bulk's edge toward the end until the offset stops
+    moving x, or it, V, V' or xi leaves the normal range.  xi comes from
+    one vectorized 10-point Gauss pass, a panel per octave [t_(k+1), t_k],
+    down to the first level at or below (ulp(end) (b - a)**2)**(1/3), and
+    from there on from the leading power with its first correction,
+
+        xi ~ t sqrt(V)/(1 + a) * (1 - (a_t - a)/(a + 2)),
+
+    a = gamma/2 and a_t = t (sqrt V)_t/sqrt(V): deeper panels' nodes
+    round in x by more than that tail formula errs.
+    """
+    ladders = p.sliver_ladders
+    if end in ladders:
+        return ladders[end]
+    x_l, x_r = bulk_interval(p)
+    sign, anchor, gamma, x0 = (1.0, p.a, p.gamma_a, x_l) if end == "a" else (-1.0, p.b, p.gamma_b, x_r)
+    width = abs(x0 - anchor)
+    xs, ts, vs, betas = [], [], [], []
+    while True:
+        x = anchor + sign * math.ldexp(width, -len(xs)) if xs else x0
+        t = abs(x - anchor)
+        if not t >= sys.float_info.min or (ts and t == ts[-1]):
             break
-    return math.exp(log_lo)
+        try:
+            v, dv = p.value_d1_fn(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            break
+        if not (0.0 < v < math.inf and math.isfinite(dv)):
+            break
+        xs.append(x)
+        ts.append(t)
+        vs.append(v)
+        betas.append(sign * 0.25 * dv / v)
+    t, sq, beta = np.array(ts), np.sqrt(vs), np.array(betas)
+    alpha = 0.5 * gamma
+    xi = t * sq / (1.0 + alpha) * (1.0 - (2.0 * t * beta - alpha) / (alpha + 2.0))
+    floor = (abs(math.nextafter(anchor, sign * math.inf) - anchor) * (p.b - p.a) ** 2) ** (1.0 / 3.0)
+    deep = min(int(np.count_nonzero(t > floor)), len(t) - 1)
+    hi, lo = t[:deep], t[1 : deep + 1]
+    half = 0.5 * (hi - lo)
+    nodes = anchor + sign * ((0.5 * (hi + lo))[:, None] + half[:, None] * _GL_X)
+    panels = half * (np.sqrt(p.value_fn_np(nodes)) @ _GL_W)
+    xi[:deep] = xi[deep] + np.cumsum(panels[::-1])[::-1]
+    nu = 1.0 / (2.0 + gamma)
+    coef = [1.0]
+    for m in range(1, _SERIES_TERMS):
+        coef.append(coef[-1] / (m * (nu + m)))
+    levels = int(np.count_nonzero(xi >= sys.float_info.min))  # xi falls with t, and may underflow first
+    ladder = _Ladder(xs[:levels], xi[:levels].tolist(), (beta * xi / sq)[:levels].tolist(), nu, tuple(coef))
+    return ladders.setdefault(end, ladder)
 
 
-# ---------------------------------------------------------------------------
-# phase and counting
-# ---------------------------------------------------------------------------
+def _sliver(p, lam, rtol, end, target):
+    """Angle at the bulk's edge, on the scale lam sqrt(V), of the solution vanishing at ``end``.
 
-
-def _sliver(p, lam, rtol, end, x_stop):
-    """Angle at x_stop, on the scale lam sqrt(V), of the solution vanishing at ``end``.
-
-    RK45 runs toward the bulk in t = x from a, or t = -x from b, so the
-    angle grows from 0 at the end either way.  Returns (angle, steps, rejected).
+    The Bessel seed of the ladder's first level k with lam xi_k <= _Z0 is
+    checked by halving: RK45, at _CHECK_RTOL times rtol, carries the seed
+    of level k+1 to x_k, and the gap to level k's own seed must be below
+    ``target``.  Otherwise the check moves deeper, by one level or, once
+    two gaps fall by half a level or more, to the level where their rate
+    would meet the target.  RK45 then continues from x_k to the bulk's
+    edge, in t = x from a or t = -x from b, so the angle grows from 0 at
+    the end either way.  Returns (angle, steps, rejected, gap).
     """
+    ladder = _ladder(p, end)
+    xs, xi = ladder.x, ladder.xi
     fvd = p.value_d1_fn
     sqrt, sin = math.sqrt, math.sin
     sign = 1.0 if end == "a" else -1.0
-    anchor = p.a if end == "a" else p.b
 
     def rhs(t, th):
         x = sign * t
@@ -270,25 +337,51 @@ def _sliver(p, lam, rtol, end, x_stop):
             raise PhaseError(f"potential fell to V({x}) = {v}")
         return lam * sqrt(v) + sign * 0.25 * dv / v * sin(2.0 * th)
 
-    # seeded from u ~ |x - end| at the offset, or at x_stop when the offset reaches it
-    x0 = anchor + sign * _offset_delta(p, lam, end)
-    if sign * x0 >= sign * x_stop:
-        x0 = x_stop
-    theta = math.atan(lam * sqrt(p.value_fn(x0)) * abs(x0 - anchor))
-    if x0 == x_stop:
-        return theta, 0, 0
-    return _rk45(rhs, sign * x0, theta, sign * x_stop, rtol, rtol * _PI, _MAX_STEPS)
+    k = next((k for k, s in enumerate(xi) if lam * s <= _Z0), len(xi))
+    check = _CHECK_RTOL * rtol
+    steps = rejected = 0
+    failed = []
+    while True:
+        if k + 1 >= len(xs):
+            raise PhaseError(f"no Bessel seed of the sliver holds above one ulp of the end near {end}")
+        theta, more, more_rejected = _rk45(rhs, sign * xs[k + 1], ladder.seed(lam, k + 1), sign * xs[k], check, check * _PI, _MAX_STEPS)
+        steps += more
+        rejected += more_rejected
+        gap = abs(theta - ladder.seed(lam, k))
+        if gap < target:
+            break
+        failed.append((k, gap))
+        deeper = 1
+        if len(failed) > 1 and target > 0.0:
+            (k1, g1), (k2, g2) = failed[-2:]
+            rate = (g2 / g1) ** (1.0 / (k2 - k1))
+            if rate <= 0.5:
+                deeper = max(math.ceil(math.log(target / g2) / math.log(rate)), 1)
+        k = min(k + deeper, len(xs) - 1)
+    if k > 0:
+        theta, more, more_rejected = _rk45(rhs, sign * xs[k], theta, sign * xs[0], rtol, rtol * _PI, _MAX_STEPS)
+        steps += more
+        rejected += more_rejected
+    return theta, steps, rejected, gap
 
 
-def _ends(p, lam, rtol, x_l, x_r):
+def _ends(p, lam, rtol, x_l, x_r, length):
     """The slivers' angles: at x_l from a, and beta at x_r shot back from b, each 0 where the bulk reaches the end.
 
-    Both are on the scale lam sqrt(V) at the bulk's end.  Returns
-    (theta_l, beta, steps, rejected), with the slivers' RK45 counts.
+    Both are on the scale lam sqrt(V) at the bulk's end, and each
+    sliver's check must meet _SEED_SHARE of rtol * max(lam * length, pi),
+    ``length`` the bulk's xi-length.  Returns (theta_l, beta, steps,
+    rejected, gap), with the slivers' RK45 counts and their gaps summed.
     """
-    theta_l, steps, rejected = _sliver(p, lam, rtol, "a", x_l) if x_l > p.a else (0.0, 0, 0)
-    beta, more, more_rejected = _sliver(p, lam, rtol, "b", x_r) if x_r < p.b else (0.0, 0, 0)
-    return theta_l, beta, steps + more, rejected + more_rejected
+    target = _SEED_SHARE * rtol * max(lam * length, _PI)
+    theta_l, steps, rejected, gap = _sliver(p, lam, rtol, "a", target) if x_l > p.a else (0.0, 0, 0, 0.0)
+    beta, more, more_rejected, more_gap = _sliver(p, lam, rtol, "b", target) if x_r < p.b else (0.0, 0, 0, 0.0)
+    return theta_l, beta, steps + more, rejected + more_rejected, gap + more_gap
+
+
+# ---------------------------------------------------------------------------
+# phase and counting
+# ---------------------------------------------------------------------------
 
 
 def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
@@ -308,15 +401,16 @@ def _phases(p: Potential, lams, rtol: float) -> list[PhaseResult]:
         raise ValueError("rtol must be positive")
     x_l, x_r = bulk_interval(p)
     try:
-        ends = [_ends(p, lam, rtol, x_l, x_r) for lam in lams]
+        length = bulk_mesh(p, rtol).length if (x_l, x_r) != (p.a, p.b) else 0.0
+        ends = [_ends(p, lam, rtol, x_l, x_r, length) for lam in lams]
         bulk = propagate_lanes(p, lams, rtol, [end[0] for end in ends])
     except (EvalDomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
     except ArithmeticError as exc:
         raise PhaseError(str(exc)) from None
     return [
-        _result(lam, rtol, theta + beta, steps, rejected, cells, estimate)
-        for lam, (_, beta, steps, rejected), (theta, cells, estimate) in zip(lams, ends, bulk)
+        _result(lam, rtol, theta + beta, steps, rejected, cells, estimate + gap)
+        for lam, (_, beta, steps, rejected, gap), (theta, cells, estimate) in zip(lams, ends, bulk)
     ]
 
 

@@ -142,6 +142,11 @@ class Potential:
         return {}
 
     @cached_property
+    def sliver_ladders(self) -> dict:
+        """The phase's Bessel-seed ladders by singular end, "a" or "b", each built on first use; not pickled."""
+        return {}
+
+    @cached_property
     def u_integral(self) -> float:
         """Integral of the Liouville-Green potential U over (0, D); theorem class only.
 
@@ -158,6 +163,7 @@ class Potential:
         state.pop("value_d1_fn", None)
         state.pop("jet2_fn", None)
         state.pop("cell_meshes", None)
+        state.pop("sliver_ladders", None)
         return state
 
     def __setstate__(self, state):

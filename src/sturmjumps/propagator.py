@@ -5,8 +5,8 @@ obeys g'' = -(lambda^2 + U(xi)) g, with U the transformed potential of
 liouville_green.  The propagator covers [x_l, x_r] = ``bulk_interval(p)``:
 all of [a, b] for the theorem class, and [a, b] less a sliver at each
 singular end for the conjecture class, where U is unbounded (the
-slivers are left to RK45 in ``oscillation``, shot from each end toward
-the bulk).  A mesh splits that
+slivers are left to ``oscillation``: a Bessel seed near each end, then
+RK45 toward the bulk).  A mesh splits that
 interval, of length D in xi, into cells, each stored as four numbers: its
 length h, the mean Ubar of U over it and U's Legendre P1 and P2
 coefficients c1, c2 in xi.  Over a cell
@@ -81,7 +81,7 @@ from .expr import EvalDomainError
 from .potential import Potential
 from .quadrature import _GL_W, _GL_X
 
-__all__ = ["CellMesh", "build_mesh", "propagate_lanes"]
+__all__ = ["CellMesh", "build_mesh", "bulk_mesh", "propagate_lanes"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -183,6 +183,11 @@ class CellMesh:
     @property
     def cells(self) -> int:
         return len(self.nodes) - 1
+
+    @property
+    def length(self) -> float:
+        """D_bulk, the xi-length of [x_l, x_r]: the coarse cells' lengths summed."""
+        return float(self.h[: self.cells].sum())
 
 
 def _decade(rtol: float) -> int:
@@ -546,7 +551,7 @@ def _theta_pairs(mesh: CellMesh, lams, thetas_l) -> list[tuple[float, float]]:
     return [(_exit(mesh, lam, *c), _exit(mesh, lam, *f)) for lam, c, f in zip(lams, coarse, fine)]
 
 
-def _mesh(p: Potential, rtol: float) -> CellMesh:
+def bulk_mesh(p: Potential, rtol: float) -> CellMesh:
     """The potential's mesh for the decade of rtol, built on first use."""
     decade = _decade(rtol)
     meshes = p.cell_meshes
@@ -590,7 +595,7 @@ def propagate_lanes(p: Potential, lams, rtol: float, thetas_l) -> list[tuple[flo
     evaluated or falls to the floor on the mesh, ArithmeticError when an
     estimate stays above rtol.
     """
-    mesh = _mesh(p, rtol)
+    mesh = bulk_mesh(p, rtol)
     count = len(lams)
     groups = -(-count // max(_LANE_CELLS // (3 * mesh.cells), 1))
     out = []

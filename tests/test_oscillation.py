@@ -1,17 +1,17 @@
 import math
 
+import mpmath
 import pytest
 
 import sturmjumps.oscillation as oscillation
 from sturmjumps.oscillation import (
     AtJumpAmbiguity,
     PhaseError,
-    _offset_delta,
     count_negative,
     phase,
 )
 from sturmjumps.potential import Potential, Regularity
-from sturmjumps.propagator import bulk_interval
+from sturmjumps.propagator import bulk_interval, bulk_mesh, propagate_lanes
 from sturmjumps.spectra_oracle import count_matrix
 
 
@@ -108,50 +108,46 @@ def test_start_point_regular_endpoint_needs_no_offset():
 
 
 def test_start_point_offset_scale(v_linear):
-    x0 = v_linear.a + _offset_delta(v_linear, 100.0, "a")
-    assert 0.0 < x0 <= 1e-4
-    # the offset criterion itself: lambda^2 V(delta) delta^2 <= _DELTA_TOL
-    assert 100.0**2 * x0 * x0 * x0 <= oscillation._DELTA_TOL * 1.0001
-
-
-def _offset_delta_120(p, lam, end):
-    """_offset_delta's bisection run for all of its 120 iterations: the reference."""
-    anchor, inward = (p.a, p.b) if end == "a" else (p.b, p.a)
-    ulp = abs(math.nextafter(anchor, inward) - anchor)
-
-    def excess(delta):
-        try:
-            v = p.value_fn(anchor + delta if end == "a" else anchor - delta)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return math.inf
-        return lam * lam * v * delta * delta - oscillation._DELTA_TOL if math.isfinite(v) else math.inf
-
-    hi = (p.b - p.a) / 8.0
-    if excess(hi) <= 0.0:
-        return hi
-    lo = max(1e-30 * (p.b - p.a), ulp)
-    while excess(lo) > 0.0:
-        lo = max(lo * 1e-30, ulp)
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    for _ in range(120):
-        log_mid = 0.5 * (log_lo + log_hi)
-        if excess(math.exp(log_mid)) > 0.0:
-            log_hi = log_mid
-        else:
-            log_lo = log_mid
-    return math.exp(log_lo)
+    # V = x: the ladder's offsets halve from the bulk's edge, xi = (2/3) t^1.5
+    # and q = (V'/(4V)) xi/sqrt(V) = 1/6 at every level; at lambda = 100 the
+    # bulk's edge itself is seeded, lambda xi_0 <= _Z0, at 1900 a deeper level
+    ladder = oscillation._ladder(v_linear, "a")
+    x_l, _ = bulk_interval(v_linear)
+    assert ladder.x[0] == x_l and ladder.x[5] == x_l / 32.0
+    assert ladder.nu == pytest.approx(1.0 / 3.0, rel=1e-15)
+    for k in (0, 1, 5, 40, 400, len(ladder.x) - 1):
+        t = ladder.x[k]
+        assert ladder.xi[k] == pytest.approx(2.0 / 3.0 * t**1.5, rel=1e-13), k
+        assert ladder.q[k] == pytest.approx(1.0 / 6.0, rel=1e-13), k
+    assert 100.0 * ladder.xi[0] <= oscillation._Z0 < 1900.0 * ladder.xi[0]
 
 
 @pytest.mark.parametrize(
     "source,gamma_a,gamma_b", [("x", 1.0, 0.0), ("sqrt(x)", 0.5, 0.0), ("(1-x)/x", -1.0, 1.0), ("x/(1-x)", 1.0, -1.0)]
 )
-def test_offset_bisection_stops_at_its_fixed_point(source, gamma_a, gamma_b):
-    # the bisection stops once a midpoint equals an end; the offset is the
-    # one all 120 iterations give
+def test_seed_ladder_matches_quadrature(source, gamma_a, gamma_b):
+    # xi at every few levels of each singular end against mpmath's quadrature
+    # of sqrt(V) from the end; near b = 1 the Gauss nodes round in x, which
+    # costs the widest levels a few 1e-13
     p = Potential.from_formula(source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b)
-    for lam in (0.3, 7.0, 100.0, 470.0):
-        for end in "ab":
-            assert _offset_delta(p, lam, end) == _offset_delta_120(p, lam, end), (lam, end)
+    for end, gamma in (("a", gamma_a), ("b", gamma_b)):
+        if gamma == 0.0:
+            continue
+        ladder = oscillation._ladder(p, end)
+        anchor = mpmath.mpf(0 if end == "a" else 1)
+        with mpmath.workdps(30):
+            for k in range(0, len(ladder.x), 7):
+                t = abs(mpmath.mpf(ladder.x[k]) - anchor)
+                want = mpmath.quad(lambda s: mpmath.sqrt(_mp_value(source, end, s)), [0, t])
+                assert abs(ladder.xi[k] - want) <= 2e-12 * want, (end, k)
+        # the ladder runs to the end's ulp, or to the normal range at x = 0
+        assert abs(ladder.x[-1] - float(anchor)) < 1e-15
+
+
+def _mp_value(source, end, s):
+    """V at the distance s from the end, with no rounding of x = 1 - s."""
+    x, y = (s, 1 - s) if end == "a" else (1 - s, s)  # x and 1 - x
+    return {"x": x, "sqrt(x)": mpmath.sqrt(x), "(1-x)/x": y / x, "x/(1-x)": x / y}[source]
 
 
 def test_start_point_only_for_conjecture_class(v_one):
@@ -161,18 +157,19 @@ def test_start_point_only_for_conjecture_class(v_one):
 
 
 def test_offset_self_convergence_linear(v_linear, monkeypatch):
-    # shrinking the offset tolerance (hence the offset) leaves theta(b) put
+    # halving the share the seed's halving check may leave leaves theta(b) put
     t1 = phase(v_linear, 100.0, rtol=1e-12).theta_b
-    monkeypatch.setattr(oscillation, "_DELTA_TOL", 1.25e-11)
+    monkeypatch.setattr(oscillation, "_SEED_SHARE", 0.5 * oscillation._SEED_SHARE)
     t2 = phase(v_linear, 100.0, rtol=1e-12).theta_b
     assert abs(t1 - t2) < 1e-8
 
 
 def test_offset_self_convergence_rational(v_rational, monkeypatch):
-    # both ends are seeded from u ~ |x - end|, so the matched angle, like
-    # the count, does not depend on the offset size
+    # both ends are Bessel-seeded, the right one (V ~ 1 - x) with a seed
+    # that its next term biases; whichever level a halved share's check
+    # settles on, the matched angle, like the count, does not move
     r1 = phase(v_rational, 50.0, rtol=1e-11)
-    monkeypatch.setattr(oscillation, "_DELTA_TOL", 1.25e-11)
+    monkeypatch.setattr(oscillation, "_SEED_SHARE", 0.5 * oscillation._SEED_SHARE)
     r2 = phase(v_rational, 50.0, rtol=1e-11)
     assert r1.count == r2.count == count_negative(v_rational, 50.0, rtol=1e-11)
     assert abs(r1.theta_b - r2.theta_b) < 1e-8
@@ -182,9 +179,96 @@ def test_offset_self_convergence_at_jump(v_rational, monkeypatch):
     from sturmjumps.jumps import find_jump
 
     r1 = find_jump(v_rational, 12)
-    monkeypatch.setattr(oscillation, "_DELTA_TOL", 1.25e-11)
+    monkeypatch.setattr(oscillation, "_SEED_SHARE", 0.5 * oscillation._SEED_SHARE)
     r2 = find_jump(v_rational, 12)
-    assert r1.lambda_n == pytest.approx(r2.lambda_n, rel=1e-7)
+    # both within the --root-tol contract, tol*n/D in lambda with D = pi/2
+    assert abs(r1.lambda_n - r2.lambda_n) <= 2.0 * 1e-10 * 12 / (math.pi / 2.0)
+
+
+@pytest.mark.parametrize("nu", [0.25, 1.0 / 3.0, 0.4, 1.0, 10.0])
+def test_seed_series_matches_mpmath_besselj(nu):
+    # xi g'/g = 1/2 + z J_nu'(z)/J_nu(z) on (0, _Z0]; it crosses 0 for small nu,
+    # so the error is taken relative to its size or its value nu + 1/2 at z = 0
+    coef = [1.0]
+    for m in range(1, oscillation._SERIES_TERMS):
+        coef.append(coef[-1] / (m * (nu + m)))
+    zs = [1e-300, 1e-20, 1e-8] + [oscillation._Z0 * k / 200.0 for k in range(1, 201)]
+    with mpmath.workdps(40):
+        for z in zs:
+            got = oscillation._log_derivative(z, nu, coef)
+            zm = mpmath.mpf(z)
+            want = 0.5 + zm * mpmath.besselj(nu, zm, derivative=1) / mpmath.besselj(nu, zm)
+            assert abs(got - want) <= 1e-14 * max(abs(want), nu + 0.5), z
+
+
+def _closed_form_angle(gamma, lam, x):
+    """The Prüfer angle on the scale lam sqrt(V) at x of u = sqrt(x) J_nu(lam xi), V = x^gamma, by mpmath."""
+    nu = mpmath.mpf(1) / (gamma + 2)
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        u = lambda s: mpmath.sqrt(s) * mpmath.besselj(nu, lam * 2 * nu * s ** (1 / (2 * nu)))
+        phi = mpmath.atan2(lam * xm ** (gamma / 2) * u(xm), mpmath.diff(u, xm))
+        z = lam * 2 * nu * xm ** (1 / (2 * nu))
+        zeros = 0
+        while mpmath.besseljzero(nu, zeros + 1) < z:
+            zeros += 1
+        return float(phi + mpmath.pi * (zeros + (phi < 0)))
+
+
+@pytest.mark.parametrize("lam", [100.0, 470.0, 1900.0])
+@pytest.mark.parametrize("fixture", ["v_linear", "v_sqrt"])
+def test_sliver_angle_matches_closed_form(fixture, lam, request):
+    # a pure power end: the Bessel reference is the solution itself
+    p = request.getfixturevalue(fixture)
+    rtol = 1e-11
+    x_l, _ = bulk_interval(p)
+    target = oscillation._SEED_SHARE * rtol * max(lam * bulk_mesh(p, rtol).length, math.pi)
+    theta, steps, _, gap = oscillation._sliver(p, lam, rtol, "a", target)
+    assert abs(theta - _closed_form_angle(p.gamma_a, lam, x_l)) <= rtol * math.pi
+    assert 0.0 < gap < target and 0 < steps <= 100
+
+
+def test_sliver_whose_check_never_passes_raises(v_linear, monkeypatch):
+    # with no share to leave, no level's gap passes: the sliver raises at the
+    # end's ulp instead of returning a best guess
+    monkeypatch.setattr(oscillation, "_SEED_SHARE", 0.0)
+    with pytest.raises(PhaseError, match="near a"):
+        phase(v_linear, 100.0)
+
+
+def test_error_estimate_adds_the_slivers_gaps(v_rational):
+    lam, rtol = 200.0, 1e-11
+    x_l, x_r = bulk_interval(v_rational)
+    theta_l, _, steps, _, gap = oscillation._ends(v_rational, lam, rtol, x_l, x_r, bulk_mesh(v_rational, rtol).length)
+    ((_, _, estimate),) = propagate_lanes(v_rational, [lam], rtol, [theta_l])
+    res = phase(v_rational, lam, rtol)
+    assert gap > 0.0 and res.error_estimate == estimate + gap and res.steps == steps
+
+
+@pytest.mark.parametrize(
+    "source,gamma_a,gamma_b,lam,most",
+    [("x", 1.0, 0.0, 100.0, 30), ("x", 1.0, 0.0, 470.0, 30), ("sqrt(x)", 0.5, 0.0, 100.0, 30), ("sqrt(x)", 0.5, 0.0, 470.0, 30),
+     ("(1-x)/x", -1.0, 1.0, 100.0, 281), ("(1-x)/x", -1.0, 1.0, 470.0, 393), ("(1-x)/x", -1.0, 1.0, 1900.0, 587)],
+)
+def test_sliver_steps_at_rtol_1e_11(source, gamma_a, gamma_b, lam, most):
+    # the RK45 seeded u ~ |x - end| took 94-122 steps on x and sqrt(x) and
+    # 282/394/588 on (1-x)/x at lambda = 100/470/1900
+    p = Potential.from_formula(source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b)
+    assert 0 < phase(p, lam, rtol=1e-11).steps <= most
+
+
+def test_vanishing_mirror_runs_to_lambda_2000(v_rational):
+    # x/(1-x) is (1-x)/x mirrored: its right sliver is Bessel-seeded some 1e-6
+    # from b, where the RK45 seeded u ~ |x - end| started a few ulps from b and
+    # failed from lambda ~ 596 on; the jumps agree with the mirror's
+    from sturmjumps.jumps import find_jump
+
+    p = Potential.from_formula("x/(1-x)", 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=1.0, gamma_b=-1.0)
+    for lam in range(50, 2001, 50):
+        phase(p, float(lam), rtol=1e-11)
+    for n in (300, 600):
+        got, want = find_jump(p, n), find_jump(v_rational, n)
+        assert abs(got.lambda_n - want.lambda_n) <= 2.0 * 1e-10 * n / (math.pi / 2.0), n
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,9 @@ checked as D*|lambda_n - lambda*_n| <= tol*n against roots known in closed
 form (Bessel and Whittaker zeros among them), and at lambda ~ 1000
 against theta(b) from the RK oracle.  The phase itself is cross-checked
 against two RK45 oracles built on the same Dormand-Prince stepper: the
-constant-scale Prüfer equation, for both classes, and for the theorem
-class the Liouville-Green-scale equation that the cell propagator
-replaced.
+constant-scale Prüfer equation, for both classes, started from u ~ |x - end|
+at an offset of its own (``_offset_delta``), and for the theorem class the
+Liouville-Green-scale equation that the cell propagator replaced.
 """
 
 import math
@@ -17,7 +17,7 @@ import mpmath
 import pytest
 
 from sturmjumps.jumps import find_jump
-from sturmjumps.oscillation import _offset_delta, _rk45, count_negative, phase
+from sturmjumps.oscillation import _rk45, count_negative, phase
 from sturmjumps.potential import Potential, Regularity
 from sturmjumps.propagator import bulk_interval
 from sturmjumps.spectra_oracle import count_matrix
@@ -70,13 +70,57 @@ def test_root_tol_contract_whittaker(v_rational, n):
     assert d * abs(rec.lambda_n - _whittaker_root(n)) <= TOL * n
 
 
+_DELTA_TOL = 1e-10  # relative error of u ~ |x - end| allowed over the sliver the oracle skips
+
+
+def _offset_delta(p, lam, end):
+    """Offset delta with lam^2 * V(end +/- delta) * delta^2 <= _DELTA_TOL.
+
+    The bound is the relative error of the leading solution behaviour
+    u ~ |x - end| over the skipped sliver, found by bisection in log(delta)
+    between hi = (b - a)/8 and a lo that meets it.  lo steps down from
+    1e-30 (b - a) but not below the smallest offset that moves the end.
+    """
+    width = p.b - p.a
+    anchor, inward = (p.a, p.b) if end == "a" else (p.b, p.a)
+    ulp = abs(math.nextafter(anchor, inward) - anchor)
+
+    def excess(delta):
+        try:
+            v = p.value_fn(anchor + delta if end == "a" else anchor - delta)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return math.inf
+        return lam * lam * v * delta * delta - _DELTA_TOL if math.isfinite(v) else math.inf
+
+    hi = width / 8.0
+    if excess(hi) <= 0.0:
+        return hi
+    lo = max(1e-30 * width, ulp)
+    while excess(lo) > 0.0:
+        if lo <= ulp:
+            raise ArithmeticError(f"endpoint offset underflows machine precision near {end}")
+        lo = max(lo * 1e-30, ulp)
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    for _ in range(120):
+        log_mid = 0.5 * (log_lo + log_hi)
+        fixed = log_mid == log_lo or log_mid == log_hi
+        if excess(math.exp(log_mid)) > 0.0:
+            log_hi = log_mid
+        else:
+            log_lo = log_mid
+        if fixed:
+            break
+    return math.exp(log_lo)
+
+
 def _constant_scale_theta_b(p, lam, rtol):
     """theta(b) from the constant-scale equation theta' = s cos^2 + (lam^2 V/s) sin^2.
 
     At a singular right end this is the matched angle: the solution
     vanishing at a, shot forward to x_r, and the one vanishing at b, shot
     backward (in t = -x) to x_r, both on the scale s = lam sqrt(V(x_r)).
-    A singular end is approached to within the phase's own offset.
+    A singular end is approached to within ``_offset_delta`` and seeded
+    from u ~ |x - end|, independently of the phase's Bessel seeds.
     """
     x_l, x_r = bulk_interval(p)
     if x_r < p.b:

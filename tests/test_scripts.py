@@ -48,11 +48,15 @@ def test_bench_layers_writes_every_case(tmp_path):
     for name in ("lanes.2+sin(x).23", "build_mesh.(1-x)/x", "build_mesh.2+sin(x)", "jump_sequence.2+sin(x).1-500"):
         assert cases[name]["ms"] > 0.0, name
     assert cases["build_mesh.2+sin(x)"]["cells"] == 59
-    # the conjecture class at rtol 1e-11: the bulk mesh and its halves, and RK45 on the slivers
+    # the conjecture class at rtol 1e-11: the bulk mesh and its halves, and RK45 on the slivers,
+    # which are also timed alone, with the same steps and a gap from their checks
     for source, cells in (("x", 795), ("sqrt(x)", 738), ("(1-x)/x", 1743)):
         for lam in (100, 470, 1900):
             case = cases[f"phase.{source}.lam={lam}"]
             assert case["cells"] == cells and case["rk_steps"] > 0 and case["ms"] > 0.0, (source, lam)
+            sliver = cases[f"sliver.{source}.lam={lam}"]
+            assert sliver["rk_steps"] == case["rk_steps"] and sliver["gap"] > 0.0, (source, lam)
+            assert sliver["ms"] > 0.0, (source, lam)
     for source in ("2+sin(x)", "(1+x)^(-4)"):
         case = cases[f"lanes.{source}.23"]
         assert case["one_lane_ms"] > 0.0 and case["ratio"] == case["ms"] / case["one_lane_ms"], source
