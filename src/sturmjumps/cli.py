@@ -43,7 +43,7 @@ _SELECTED_OPTIONS = {
     "suite": {
         "theorem": {"n_min": 10, "n_max": 500, "root_tol": 1e-10, "threads": 1},
         "weyl": {"samples": 500, "lambda_min": 10.0, "lambda_max": 1000.0, "rtol": 1e-10, "seed": 42},
-        "bracket": {"samples": 200, "lambda_min": 10.0, "lambda_max": 500.0, "grid": 512, "rtol": 1e-10},
+        "bracket": {"samples": 200, "lambda_max": 500.0, "grid": 512, "rtol": 1e-10},
         "conjecture": {"n_min": None, "n_max": 400, "root_tol": 1e-10, "threads": 1},
     },
     "method": {"phase": {"rtol": 1e-10}, "matrix": {"mesh": 20000}},
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n-min", type=int, help="theorem, conjecture")
     pv.add_argument("--n-max", type=int, help="theorem, conjecture")
     pv.add_argument("--samples", type=int, help="lambda draws (weyl) or grid size (bracket)")
-    pv.add_argument("--lambda-min", type=float, help="weyl, bracket")
+    pv.add_argument("--lambda-min", type=float, help="weyl")
     pv.add_argument("--lambda-max", type=float, help="weyl, bracket")
     pv.add_argument("--grid", type=int, help="Chebyshev sample points (bracket)")
     pv.add_argument("--seed", type=int, help="seed for the weyl suite's draws")
@@ -307,7 +307,10 @@ def _suite_weyl(args: argparse.Namespace, p: Potential):
 
 def _suite_bracket(args: argparse.Namespace, p: Potential):
     lg = lg_data(p, grid_points=args.grid)
-    lam_lo = 1.1 * math.sqrt(lg.c) if lg.c > 0 else max(1e-3, args.lambda_min / 100.0)
+    # the bracket holds only above sqrt(C)
+    lam_lo = 1.1 * math.sqrt(lg.c) if lg.c > 0 else 0.1
+    if not lam_lo < args.lambda_max:
+        raise _UsageError(f"--lambda-max must exceed the sweep's start {lam_lo!r}")
     lams = np.geomspace(lam_lo * (1.0 + 1e-9), args.lambda_max, args.samples)
     violations = 0
     wide = 0
@@ -323,6 +326,7 @@ def _suite_bracket(args: argparse.Namespace, p: Potential):
         "D": lg.d,
         "C": lg.c,
         "points": args.samples,
+        "lambda_range": [float(lams[0]), float(lams[-1])],
         "inclusion_violations": violations,
         "wide_brackets_past_50": wide,
     }

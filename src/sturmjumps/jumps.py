@@ -14,6 +14,9 @@ three stages:
   kappa = 0 for theorem-class potentials, and for conjecture-class ones
   kappa = endpoint_constant(gamma_a, gamma_b) and Ubar = 0 (U is
   unbounded there); (n+kappa)*pi/D when the radicand is not positive.
+  The integral of U is the sum of h * Ubar over the coarse cells of the
+  mesh the root's phase calls sweep (``bulk_mesh`` at rtol tol/10); a
+  mesh that cannot be built raises PhaseError, as the phase would.
   It depends on (p, n) alone, so a root never depends on which other
   roots were computed with it.
 * Slope steps.  Since theta_b(lambda) ~ lambda*D (its slope at the
@@ -50,8 +53,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .oscillation import _phases
+from .oscillation import _phase_errors, _phases
 from .potential import Potential, Regularity, endpoint_constant
+from .propagator import bulk_mesh
 from .quadrature import integrate_sqrt_v
 
 __all__ = ["JumpRecord", "BracketingError", "find_jump", "jump_sequence"]
@@ -77,10 +81,13 @@ class JumpRecord:
     error_bar: float = 0.0
 
 
-def _start(p: Potential, n: int, d: float) -> float:
+def _start(p: Potential, n: int, d: float, tol: float) -> float:
     if p.regularity is Regularity.THEOREM:
+        with _phase_errors():
+            mesh = bulk_mesh(p, tol / 10.0)
+        coarse = slice(0, mesh.cells)
         k = n * _PI / d
-        radicand = k * k - p.u_integral / d
+        radicand = k * k - float(mesh.h[coarse] @ mesh.ubar[coarse]) / d
     else:
         k = (n + endpoint_constant(p.gamma_a, p.gamma_b)) * _PI / d
         radicand = k * k
@@ -119,7 +126,7 @@ def _search(p: Potential, n: int, tol: float, d_value: Optional[float]):
     def record(lam, f):
         return JumpRecord(n, lam, abs(f), lam * d / _PI - n, calls, steps, rejected, cells, bars[lam])
 
-    lam0 = _start(p, n, d)
+    lam0 = _start(p, n, d, tol)
     lam = lam0
     f = residual(lam, (yield lam))
     slope, grow = d, 1.0
@@ -226,8 +233,6 @@ def jump_sequence(
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     d = integrate_sqrt_v(p, p.a, p.b).value
-    if p.regularity is Regularity.THEOREM:
-        p.u_integral  # computed once here; the cached value is pickled to workers
     ns = list(range(n_min, n_max + 1))
     if workers <= 1 or len(ns) < 4:
         records = _sequence_chunk((p, ns, tol, d))

@@ -5,9 +5,12 @@ equation u'' = -lambda^2 V u becomes g'' = (-lambda^2 - U(xi)) g on
 (0, D), where D = integral of sqrt(V) over the whole interval and
 
     U = V**(-3/4) * (V**(-1/4))''
-      = -V''/(4 V^2) + 5 V'^2 / (16 V^3)       (expanded to avoid
+      = (-V''/4 + 5 V'^2 / (16 V)) / V^2       (expanded to avoid
                                                  cancellation in tiny
                                                  fourth-root differences)
+
+``u_from_jet`` is that one expression, used here and by the propagator's
+cells; the integral of U over (0, D) is the cells' sum of h * Ubar.
 
 For theorem-class potentials U is bounded, |U| <= C, and comparing
 against the constant-coefficient problems at -lambda^2 -/+ C brackets
@@ -30,9 +33,9 @@ import numpy as np
 
 from .expr import eval_jet2
 from .potential import Potential, Regularity, chebyshev_grid
-from .quadrature import integrate_sqrt_v, integrate_sqrt_v_segments, tanh_sinh
+from .quadrature import integrate_sqrt_v, integrate_sqrt_v_segments
 
-__all__ = ["LGData", "transformed_potential", "lg_data", "u_integral", "count_bracket"]
+__all__ = ["LGData", "u_from_jet", "transformed_potential", "lg_data", "count_bracket"]
 
 _PI = math.pi
 
@@ -48,15 +51,18 @@ class LGData:
     d_evaluations: int = 0  # tanh-sinh evaluations of D
 
 
+def u_from_jet(v, d1, d2):
+    """U from V, V' and V'' at the same points, scalars or arrays."""
+    return (-0.25 * d2 + 0.3125 * d1 * d1 / v) / (v * v)
+
+
 def transformed_potential(p: Potential, x: float) -> float:
     """U at x, from exact first and second derivatives of the formula."""
     if p.regularity is not Regularity.THEOREM:
         raise ValueError("the transformed potential is bounded only for theorem-class potentials")
     if not (p.a <= x <= p.b):
         raise ValueError(f"x={x} outside [{p.a}, {p.b}]")
-    j = eval_jet2(p.ast, x)
-    v = j.v
-    return -0.25 * j.d2 / (v * v) + 0.3125 * j.d1 * j.d1 / (v * v * v)
+    return u_from_jet(*eval_jet2(p.ast, x))
 
 
 def lg_data(p: Potential, grid_points: int = 512) -> LGData:
@@ -88,35 +94,6 @@ def lg_data(p: Potential, grid_points: int = 512) -> LGData:
         xi_bisections=seg.bisections,
         d_evaluations=whole.evaluations,
     )
-
-
-def u_integral(p: Potential) -> float:
-    """Integral of U over (0, D) in xi, from V and V' alone.
-
-    With f = V**(-1/4), U dxi = f f'' dx, and integrating by parts
-
-        int U dxi = [-V'/(4 V**(3/2))]_a^b - int_a^b V'^2/(16 V**(5/2)) dx.
-
-    The quadrature tolerance is 1e-10, far below what the root finder's
-    start needs.  A total within it of zero is returned as exactly 0: the
-    two terms cancel there to rounding, e.g. for V = (1+x)**(-4), whose U
-    vanishes identically.
-    """
-    tol = 1e-10
-    if p.regularity is not Regularity.THEOREM:
-        raise ValueError("U is integrable only for theorem-class potentials")
-    fvd = p.value_d1_fn
-
-    def edge(x):
-        v, dv = fvd(x)
-        return -0.25 * dv / (v * math.sqrt(v))
-
-    def integrand(x):
-        v, dv = fvd(x)
-        return 0.0625 * dv * dv / (v * v * math.sqrt(v))
-
-    total = edge(p.b) - edge(p.a) - tanh_sinh(integrand, p.a, p.b, tol).value
-    return 0.0 if abs(total) <= tol else total
 
 
 def count_bracket(lg: LGData, lam: float) -> tuple[int, int]:

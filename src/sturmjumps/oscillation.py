@@ -68,6 +68,7 @@ slivers' RK45 steps, checks included, ``cells`` the propagator's;
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -384,6 +385,17 @@ def _ends(p, lam, rtol, x_l, x_r, length):
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _phase_errors():
+    """Raise a failure to evaluate V, or to meet a tolerance, as PhaseError."""
+    try:
+        yield
+    except (EvalDomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
+    except ArithmeticError as exc:
+        raise PhaseError(str(exc)) from None
+
+
 def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
     """The matched phase theta_b(lambda) and the derived count N(lambda): one lane of ``_phases``."""
     return _phases(p, [lam], rtol)[0]
@@ -400,14 +412,10 @@ def _phases(p: Potential, lams, rtol: float) -> list[PhaseResult]:
     if rtol <= 0.0:
         raise ValueError("rtol must be positive")
     x_l, x_r = bulk_interval(p)
-    try:
+    with _phase_errors():
         length = bulk_mesh(p, rtol).length if (x_l, x_r) != (p.a, p.b) else 0.0
         ends = [_ends(p, lam, rtol, x_l, x_r, length) for lam in lams]
         bulk = propagate_lanes(p, lams, rtol, [end[0] for end in ends])
-    except (EvalDomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-    except ArithmeticError as exc:
-        raise PhaseError(str(exc)) from None
     return [
         _result(lam, rtol, theta + beta, steps, rejected, cells, estimate + gap)
         for lam, (_, beta, steps, rejected, gap), (theta, cells, estimate) in zip(lams, ends, bulk)

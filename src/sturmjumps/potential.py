@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -146,25 +146,9 @@ class Potential:
         """The phase's Bessel-seed ladders by singular end, "a" or "b", each built on first use; not pickled."""
         return {}
 
-    @cached_property
-    def u_integral(self) -> float:
-        """Integral of the Liouville-Green potential U over (0, D); theorem class only.
-
-        Cached because the root finder's start rule reads it for every root.
-        """
-        from .liouville_green import u_integral  # liouville_green imports this module
-
-        return u_integral(self)
-
     def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("value_fn", None)
-        state.pop("value_fn_np", None)
-        state.pop("value_d1_fn", None)
-        state.pop("jet2_fn", None)
-        state.pop("cell_meshes", None)
-        state.pop("sliver_ladders", None)
-        return state
+        # the fields alone: every cached_property is a function of them, rebuilt on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __setstate__(self, state):
         for key, value in state.items():

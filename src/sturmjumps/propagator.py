@@ -2,8 +2,9 @@
 
 On the Liouville-Green scale xi = int sqrt(V) a solution u = V**(-1/4) g
 obeys g'' = -(lambda^2 + U(xi)) g, with U the transformed potential of
-liouville_green.  The propagator covers [x_l, x_r] = ``bulk_interval(p)``:
-all of [a, b] for the theorem class, and [a, b] less a sliver at each
+liouville_green (``u_from_jet``).  The propagator covers
+[x_l, x_r] = ``bulk_interval(p)``: all of [a, b] for the theorem
+class, and [a, b] less a sliver at each
 singular end for the conjecture class, where U is unbounded (the
 slivers are left to ``oscillation``: a Bessel seed near each end, then
 RK45 toward the bulk).  A mesh splits that
@@ -78,6 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import EvalDomainError
+from .liouville_green import u_from_jet
 from .potential import Potential
 from .quadrature import _GL_W, _GL_X
 
@@ -244,7 +246,7 @@ def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
         i = np.flatnonzero(bad)[0]
         raise EvalDomainError(f"potential fell to {v.flat[i]!r} (floor {floor!r})", p.source, float(x.flat[i]))
     sq = np.sqrt(v)
-    u = (-0.25 * d2 + 0.3125 * d1 * d1 / v) / (v * v)
+    u = u_from_jet(v, d1, d2)
     dxi = half[:, None] * sq  # d xi / d t at the nodes
     xi = dxi @ _S.T
     hh = dxi @ _GL_W

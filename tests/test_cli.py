@@ -244,7 +244,11 @@ def test_verify_bracket_suite_small(tmp_path):
         ]
     )
     assert code == 0
-    assert json.loads(out.read_text())["metrics"]["inclusion_violations"] == 0
+    metrics = json.loads(out.read_text())["metrics"]
+    assert metrics["inclusion_violations"] == 0
+    # the sweep starts just above sqrt(C), where the bracket begins to hold
+    lo, hi = metrics["lambda_range"]
+    assert lo == pytest.approx(1.1 * math.sqrt(metrics["C"]), rel=1e-8) and hi == pytest.approx(80.0)
 
 
 def test_usage_errors():
@@ -327,6 +331,7 @@ def test_threads_below_one_are_usage_errors(argv):
         ["verify", "--suite", "weyl", "--threads", "1"],
         ["verify", "--suite", "weyl", "--n-max", "20"],
         ["verify", "--suite", "bracket", "--seed", "3"],
+        ["verify", "--suite", "bracket", "--lambda-min", "10"],
         ["verify", "--suite", "conjecture", "--rtol", "1e-3"],
         # each count method reads only its own options
         ["count", "--lambda", "2", "--mesh", "100"],
@@ -349,6 +354,8 @@ def test_config_holds_exactly_the_subcommand_options(tmp_path):
          {"suite", "samples", "lambda_min", "lambda_max", "rtol", "seed"}),
         (["verify", "--suite", "theorem", "--n-max", "40", "--threads", "1"],
          {"suite", "n_min", "n_max", "root_tol", "threads"}),
+        (["verify", "--suite", "bracket", "--samples", "3", "--lambda-max", "5"],
+         {"suite", "samples", "lambda_max", "grid", "rtol"}),
     ]
     for argv, own in cases:
         assert run(argv + base) == 0
@@ -369,7 +376,8 @@ def test_config_holds_exactly_the_subcommand_options(tmp_path):
         ["verify", "--suite", "weyl", "--lambda-max", "0"],
         ["verify", "--suite", "weyl", "--lambda-min", "500", "--lambda-max", "10"],
         ["verify", "--suite", "weyl", "--lambda-min", "2000"],
-        ["verify", "--suite", "bracket", "--lambda-min", "80", "--lambda-max", "80"],
+        # V = 1 has C = 0, so the bracket suite's sweep starts at 0.1
+        ["verify", "--suite", "bracket", "--lambda-max", "0.05"],
     ],
 )
 def test_bad_counts_are_usage_errors(argv):

@@ -227,3 +227,18 @@ def test_propagator_failure_in_one_lane_propagates(monkeypatch):
         find_jump(p, 4)
     with pytest.raises(PhaseError, match="refinements"):
         jump_sequence(p, 1, 30)
+
+
+def test_start_that_cannot_build_its_mesh_raises_phase_error(monkeypatch):
+    # the theorem-class start reads the U integral from the mesh its phase
+    # calls sweep, and fails there as the phase would
+    from sturmjumps import propagator
+    from sturmjumps.oscillation import PhaseError
+
+    # c_lower and D are given, so nothing evaluates V below x = 1 until the mesh does
+    p = Potential.from_formula("1+sqrt(x-1)", 0.0, 2.0, c_lower=1.0)
+    with pytest.raises(PhaseError, match="evaluation failed"):
+        find_jump(p, 1, d_value=2.0)
+    monkeypatch.setattr(propagator, "_MAX_CELLS", 20)
+    with pytest.raises(PhaseError, match="more than 20 cells"):
+        find_jump(Potential.from_formula("1.2+sin(3*x)", 0.0, 3.0), 1)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import fd_derivatives
-from sturmjumps.liouville_green import count_bracket, lg_data, transformed_potential, u_integral
+from sturmjumps.liouville_green import count_bracket, lg_data, transformed_potential
 from sturmjumps.oscillation import AtJumpAmbiguity, count_negative
 from sturmjumps.potential import Potential, chebyshev_grid
+from sturmjumps.propagator import bulk_mesh
 from sturmjumps.quadrature import integrate_sqrt_v
 
 
@@ -94,29 +95,29 @@ def test_lg_data_guards(v_one, v_rational):
         lg_data(v_rational, 512)
 
 
+def _u_integral(p, rtol=1e-11):
+    # the root finder's start: sum of h * Ubar over the coarse cells of the
+    # mesh its phase calls sweep (find_jump's default tol 1e-10 over 10)
+    mesh = bulk_mesh(p, rtol)
+    return float(mesh.h[: mesh.cells] @ mesh.ubar[: mesh.cells])
+
+
 def test_u_integral_matches_trapezoid_over_samples(v_sin, v_exp):
-    # the integration by parts uses V and V' only; the oracle integrates the
-    # sampled U (from V'') over xi
+    # the oracle integrates lg_data's sampled U over xi by the trapezoid rule
     for p in (v_sin, v_exp):
         lg = lg_data(p, 512)
         xi = np.array([s[0] for s in lg.u_samples])
         u = np.array([s[1] for s in lg.u_samples])
         trapezoid = float(np.sum(0.5 * (u[1:] + u[:-1]) * np.diff(xi)))
-        assert u_integral(p) / lg.d == pytest.approx(trapezoid / lg.d, abs=1e-6)
-        assert p.u_integral == u_integral(p)
+        assert _u_integral(p) / lg.d == pytest.approx(trapezoid / lg.d, abs=1e-6)
     # V = e^x: U = e^{-x}/16 and dxi = e^{x/2} dx, so the integral is (1 - e^{-1/2})/8
-    assert u_integral(v_exp) == pytest.approx((1.0 - math.exp(-0.5)) / 8.0, rel=1e-9)
+    assert _u_integral(v_exp) == pytest.approx((1.0 - math.exp(-0.5)) / 8.0, rel=1e-9)
 
 
-def test_u_integral_exactly_zero_where_u_vanishes(v_one):
-    # V = (1+x)^(-4) has U = 0 identically, though the two by-parts terms are 1 each
-    assert u_integral(v_one) == 0.0
-    assert u_integral(Potential.from_formula("(1+x)^(-4)", 0.0, 1.0)) == 0.0
-
-
-def test_u_integral_requires_theorem_class(v_rational):
-    with pytest.raises(ValueError):
-        u_integral(v_rational)
+def test_u_integral_vanishes_where_u_vanishes(v_one):
+    # V = (1+x)^(-4) has U = 0 identically, though its two terms in U are not 0
+    assert abs(_u_integral(v_one)) <= 1e-15
+    assert abs(_u_integral(Potential.from_formula("(1+x)^(-4)", 0.0, 1.0))) <= 1e-15
 
 
 def test_bracket_constant_potential(v_one):

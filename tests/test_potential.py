@@ -112,3 +112,27 @@ def test_pickle_after_phase_keeps_theta():
     before = phase(p, 40.0).theta_b  # fills the compiled-function caches
     clone = pickle.loads(pickle.dumps(p))
     assert phase(clone, 40.0).theta_b == before
+
+
+def test_pickle_carries_the_fields_and_no_cache():
+    import pickle
+    from dataclasses import fields
+    from functools import cached_property
+
+    from sturmjumps.oscillation import phase
+
+    caches = {name for name, attr in vars(Potential).items() if isinstance(attr, cached_property)}
+    assert caches >= {"value_fn", "value_fn_np", "value_d1_fn", "jet2_fn", "cell_meshes", "sliver_ladders"}
+    for p in (
+        Potential.from_formula("2+sin(x)", 0.0, 3.0),
+        Potential.from_formula("x", 0.0, 1.0, regularity="conjecture", gamma_a=1.0, gamma_b=0.0),
+    ):
+        phase(p, 40.0)  # a mesh, and on the conjecture class the ladder of its singular end
+        for name in caches:
+            getattr(p, name)
+        assert p.cell_meshes
+        assert bool(p.sliver_ladders) == (p.regularity is Regularity.CONJECTURE)
+        clone = pickle.loads(pickle.dumps(p))
+        assert clone == p
+        assert set(clone.__dict__) == {f.name for f in fields(Potential)}
+        assert phase(clone, 40.0).theta_b == phase(p, 40.0).theta_b
