@@ -14,6 +14,9 @@ the steadiest figure):
 * lanes.<potential>.23: one batched round of 23 couplings
   (``oscillation._phases``) on 2+sin(x) and (1+x)^(-4), against 23
   one-lane ``phase`` calls at the same couplings, the two run alternately;
+* lanes.<potential>.<k>: the same on the conjecture class at the
+  couplings of its jump tables, 31 lanes on x and sqrt(x) (n = 70..100)
+  and 6 on (1-x)/x (n = 95..100), with the round's tracemalloc peak;
 * lg_data.<potential>: the Liouville-Green data on the 512-point grid;
 * build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh;
 * jump_sequence.2+sin(x).1-500: criterion 4's table on one worker;
@@ -27,6 +30,7 @@ import argparse
 import json
 import platform
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +51,8 @@ MESHES = [
     ("exp(x)", None, None),
 ]
 SINGULAR = MESHES[:3]
+# conjecture-class rounds: the couplings of the jump table's first round, lambda_n for its n
+ROUNDS = [(MESHES[0], 329.5, 470.8, 31), (MESHES[1], 274.7, 392.5, 31), (MESHES[2], 190.3, 200.3, 6)]
 LG_DATA = ["2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"]
 
 
@@ -77,6 +83,27 @@ def fastest_pair_ms(run_a, run_b, repeat):
     return 1e3 * min(times_a), 1e3 * min(times_b)
 
 
+def peak_kb(run):
+    """The tracemalloc peak of one run, in KB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e3
+    finally:
+        tracemalloc.stop()
+
+
+def lanes_case(q, lams, repeat):
+    """One round of lanes against one-lane calls at the same couplings, its mesh built outside the timing."""
+    oscillation._phases(q, lams, 1e-11)
+    ms, one_lane = fastest_pair_ms(
+        lambda: oscillation._phases(q, lams, 1e-11),
+        lambda: [oscillation.phase(q, lam, rtol=1e-11) for lam in lams],
+        repeat,
+    )
+    return {"ms": ms, "ms_per_lane": ms / len(lams), "one_lane_ms": one_lane, "ratio": ms / one_lane}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -105,14 +132,13 @@ def main():
 
     lams = np.geomspace(5.0, 40.0, 23).tolist()
     for source in ("2+sin(x)", "(1+x)^(-4)"):
-        q = potential(source)
-        oscillation._phases(q, lams, 1e-11)  # the mesh is built outside the timing
-        ms, one_lane = fastest_pair_ms(
-            lambda: oscillation._phases(q, lams, 1e-11),
-            lambda: [oscillation.phase(q, lam, rtol=1e-11) for lam in lams],
-            repeat,
-        )
-        cases[f"lanes.{source}.23"] = {"ms": ms, "ms_per_lane": ms / len(lams), "one_lane_ms": one_lane, "ratio": ms / one_lane}
+        cases[f"lanes.{source}.23"] = lanes_case(potential(source), lams, repeat)
+    for (source, gamma_a, gamma_b), lo, hi, count in ROUNDS:
+        q = potential(source, gamma_a, gamma_b)
+        lams = np.linspace(lo, hi, count).tolist()
+        case = lanes_case(q, lams, repeat)
+        case["peak_kb"] = peak_kb(lambda: oscillation._phases(q, lams, 1e-11))
+        cases[f"lanes.{source}.{count}"] = case
 
     for source in LG_DATA:
         q = potential(source)

@@ -15,8 +15,9 @@ three stages:
   kappa = endpoint_constant(gamma_a, gamma_b) and Ubar = 0 (U is
   unbounded there); (n+kappa)*pi/D when the radicand is not positive.
   The integral of U is the sum of h * Ubar over the coarse cells of the
-  mesh the root's phase calls sweep (``bulk_mesh`` at rtol tol/10); a
-  mesh that cannot be built raises PhaseError, as the phase would.
+  mesh the root's phase calls sweep (``bulk_mesh`` at rtol tol/10).
+  That mesh is built before D is integrated, on both classes, so a mesh
+  that cannot be built raises PhaseError, as the phase would.
   It depends on (p, n) alone, so a root never depends on which other
   roots were computed with it.
 * Slope steps.  Since theta_b(lambda) ~ lambda*D (its slope at the
@@ -81,6 +82,18 @@ class JumpRecord:
     error_bar: float = 0.0
 
 
+def _length(p: Potential, tol: float) -> float:
+    """D, the integral of sqrt(V) over [a, b], once the roots' phase mesh is built.
+
+    The mesh (``bulk_mesh`` at rtol tol/10) comes first, so a V that
+    cannot be evaluated on it raises PhaseError, as the phase would;
+    D's own failures raise QuadratureError.
+    """
+    with _phase_errors():
+        bulk_mesh(p, tol / 10.0)
+    return integrate_sqrt_v(p, p.a, p.b).value
+
+
 def _start(p: Potential, n: int, d: float, tol: float) -> float:
     if p.regularity is Regularity.THEOREM:
         with _phase_errors():
@@ -105,7 +118,7 @@ def _search(p: Potential, n: int, tol: float, d_value: Optional[float]):
         raise ValueError("n must be a positive integer")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    d = d_value if d_value is not None else integrate_sqrt_v(p, p.a, p.b).value
+    d = d_value if d_value is not None else _length(p, tol)
     target = n * _PI
     tol_theta = tol * n
     calls = steps = rejected = cells = 0
@@ -232,7 +245,7 @@ def jump_sequence(
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    d = integrate_sqrt_v(p, p.a, p.b).value
+    d = _length(p, tol)
     ns = list(range(n_min, n_max + 1))
     if workers <= 1 or len(ns) < 4:
         records = _sequence_chunk((p, ns, tol, d))

@@ -57,17 +57,17 @@ rtol * max(theta, pi) is swept again on a private copy with every cell
 halved (``_settle``), and fails after _MAX_REFINE such tries.
 
 The cell algebra does not depend on lambda, so ``propagate_lanes``, the
-only entry point, takes many couplings, the lanes, at once: one _transfer
-batch over lanes x cells, then a sweep whose node recursion runs on numpy
-rows across the lanes, with each lane's angles read by math.atan2 and
-summed in the one-lane sweep's order, so that no lane's bits depend on
-the lanes beside it; a single coupling is the one-lane case.  Lanes go in
-groups of at most _LANE_CELLS swept cells x lanes, which bounds the
-memory; a group of fewer than _MIN_LANES lanes, and every group on a mesh
-of more than _LANE_CELLS / _MIN_LANES swept cells (each conjecture-class
-mesh), is swept lane by lane (``_theta_pair``), which is faster there.
-The mesh build's refinement test is batched the same way, over its
-reference frequencies.
+only entry point, takes many couplings, the lanes, at once.  A round of
+lanes is one pass over the mesh in blocks of columns, each of at most
+_BLOCK lane-cells: per block one _transfer batch over lanes x cells and
+a sweep whose node recursion runs on numpy rows across the lanes, with
+each lane's angles read by math.atan2 and summed in the one-lane sweep's
+order, so that no lane's bits depend on the lanes beside it or on the
+blocks.  The lanes' sweep state carries from block to block, so memory
+depends on the block, not on lanes x cells.  A round of fewer than
+_MIN_LANES lanes, a single coupling included, is swept lane by lane
+(``_theta_pair``), which is faster there.  The mesh build's refinement
+test is batched the same way, over its reference frequencies.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ _ROUNDING = 8 * 2.220446049250313e-16  # a gap this small is rounding, not trunc
 _MAX_DEPTH = 40
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
-_LANE_CELLS = 4096  # swept cells x lanes per group of lanes: bounds the sweep's arrays
+_BLOCK = 4096  # lane-cells per block of a round's sweep: bounds the sweep's arrays
 _MIN_LANES = 8  # fewer lanes than this are swept one at a time, which is faster
 _SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture-class end
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
@@ -283,14 +283,22 @@ def _etas(x: np.ndarray):
     return em1, e0, e1, e2
 
 
-def _transfer(lam2, h, ubar, c1, c2, group=None):
+def _near(lam2, h, ubar):
+    """Where _transfer adds the second-order terms: |x| < 25 at x = (lambda^2 + Ubar) h^2."""
+    return np.abs((lam2 + ubar) * (h * h)) < _SECOND_ORDER_X[1]
+
+
+def _transfer(lam2, h, ubar, c1, c2, single=None):
     """The cells' (g, g') propagators t11, t12, t21, t22 at lambda^2 = lam2, and x.
 
-    The cells may be a batch of several calls' cells, ``group``
-    consecutive cells each, and each cell gets the bits it gets in a call
-    of its own: the arithmetic is elementwise except for the second-order
-    series, whose matrix product BLAS sums along another path for a
-    single row, so a call's lone near cell has its row summed alone.
+    The cells may be a batch of pieces of several calls, and each cell
+    gets the bits it gets in a call of its own: the arithmetic is
+    elementwise except for the second-order series, whose matrix product
+    BLAS sums along another path for a single row.  ``single`` marks the
+    cells whose call, over all its cells, holds one near cell: that cell's
+    row is summed alone, and every other near cell's in a product of
+    several rows, even where it is the batch's only near cell.  None
+    means the batch is one call.
     """
     h2 = h * h
     x = (lam2 + ubar) * h2
@@ -309,10 +317,11 @@ def _transfer(lam2, h, ubar, c1, c2, group=None):
         a, b = c1[part] * h2[part], c2[part] * h2[part]
         table = _second_order_table()
         powers = np.vander(xn, len(table), increasing=True)
-        series = powers @ table
-        if group is not None and len(xn) > 1:
-            lone = near & np.repeat(near.reshape(-1, group).sum(axis=1) == 1, group)
-            for i in np.flatnonzero(lone[near]):
+        if single is None:
+            series = powers @ table
+        else:
+            series = ((powers if len(xn) > 1 else np.repeat(powers, 2, axis=0)) @ table)[: len(xn)]
+            for i in np.flatnonzero(single[part]):
                 series[i] = powers[i : i + 1] @ table
         series = series.reshape(-1, 4, 3)
         terms = series[:, :, 0] * (a * a)[:, None] + series[:, :, 1] * (a * b)[:, None] + series[:, :, 2] * (b * b)[:, None]
@@ -324,20 +333,28 @@ def _transfer(lam2, h, ubar, c1, c2, group=None):
     return (*t, x)
 
 
-def _transfers(lam2, h, ubar, c1, c2) -> np.ndarray:
-    """_transfer for several calls on the same cells, as an array (5, calls, cells).
+def _transfers(lam2, h, ubar, c1, c2, single=None) -> np.ndarray:
+    """_transfer for several rows on the same cells, as an array (5, rows, cells).
 
-    Call k is at lambda^2 = lam2[k], a row of one value or one per cell.
-    The calls go to _transfer in runs of whole calls of at most _CHUNK
-    cells, which bounds the series' temporaries (np.vander's rows); a call
-    longer than _CHUNK is a run of its own.
+    Row k is at lambda^2 = lam2[k], one value or one per cell; ``single``,
+    _transfer's, broadcasts to (rows, cells), and by default each row is
+    one call.  The rows go to _transfer in runs of whole rows of at most
+    _CHUNK cells, which bounds the series' temporaries (np.vander's
+    rows); a row longer than _CHUNK is a run of its own.
     """
-    calls, cells = len(lam2), len(h)
-    out = np.empty((5, calls, cells))
+    rows, cells = len(lam2), len(h)
+    if single is None:
+        single = (_near(lam2, h, ubar).sum(axis=1) == 1)[:, None]
+    single = np.broadcast_to(single, (rows, cells))
+    out = np.empty((5, rows, cells))
     step = max(_CHUNK // cells, 1)
-    for i in range(0, calls, step):
-        k = min(step, calls - i)
-        run = _transfer(np.broadcast_to(lam2[i : i + k], (k, cells)).ravel(), *(np.tile(q, k) for q in (h, ubar, c1, c2)), cells)
+    for i in range(0, rows, step):
+        k = min(step, rows - i)
+        run = _transfer(
+            np.broadcast_to(lam2[i : i + k], (k, cells)).ravel(),
+            *(np.tile(q, k) for q in (h, ubar, c1, c2)),
+            single[i : i + k].ravel(),
+        )
         out[:, i : i + k] = np.reshape(run, (5, k, cells))
     return out
 
@@ -345,14 +362,16 @@ def _transfers(lam2, h, ubar, c1, c2) -> np.ndarray:
 def _mismatches(whole, halves, lam2s, sigs):
     """Max-norm gaps, each at lam2s[k] on the scale sigs[k], between every cell's propagator and its halves' product.
 
-    The whole cells, the left halves and the right halves each take one
-    _transfers batch over all the frequencies.
+    One _transfers batch over all the frequencies takes the whole cells
+    and both halves together; at each frequency the whole cells, the left
+    halves and the right halves are each a call of their own.
     """
     m = len(whole[0])
-    lam2 = np.array([np.broadcast_to(q, m) for q in lam2s])
-    (t11, t12, t21, t22), (l11, l12, l21, l22), (r11, r12, r21, r22) = (
-        _transfers(lam2, *cells)[:4] for cells in (whole, [q[0::2] for q in halves], [q[1::2] for q in halves])
-    )
+    cells = [np.concatenate([w, q[0::2], q[1::2]]) for w, q in zip(whole, halves)]
+    lam2 = np.tile([np.broadcast_to(q, m) for q in lam2s], 3)
+    single = np.repeat(_near(lam2, cells[0], cells[1]).reshape(len(lam2s), 3, m).sum(axis=2) == 1, m, axis=1)
+    parts = _transfers(lam2, *cells, single)[:4].reshape(4, -1, 3, m).transpose(2, 0, 1, 3)
+    (t11, t12, t21, t22), (l11, l12, l21, l22), (r11, r12, r21, r22) = parts
     sig = np.array([np.broadcast_to(q, m) for q in sigs])
     return np.maximum.reduce([
         np.abs(r11 * l11 + r12 * l21 - t11),
@@ -418,16 +437,15 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
     return _assemble(p, nodes, whole, halves)
 
 
-def _sweep(m11, m12, m21, m22, adv, ratio, theta, w0, w1):
+def _sweep(m11, m12, m21, m22, adv, ratio, theta, w0, w1, a0):
     """Continuous Prüfer angle over a run of cells, and the final (g, g') direction.
 
     The m's are the cells' propagators in their own scale, ``adv`` the
     expected advance, ``ratio`` the rescale at each cell's far end;
-    ``theta`` is the entry angle and (w0, w1) its direction on the first
-    cell's scale.
+    ``theta`` is the entry angle, (w0, w1) its direction on the first
+    cell's scale and a0 = atan2(w0, w1).
     """
     atan2 = math.atan2
-    a0 = atan2(w0, w1)
     for t11, t12, t21, t22, e, r in zip(m11, m12, m21, m22, adv, ratio):
         y0 = t11 * w0 + t12 * w1
         y1 = t21 * w0 + t22 * w1
@@ -450,14 +468,16 @@ def _atan2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_lanes(m11, m12, m21, m22, adv, ratio, theta, w0, w1):
+def _sweep_lanes(m11, m12, m21, m22, adv, ratio, theta, w0, w1, a0):
     """_sweep for many lanes at once, with _sweep's bits in every lane.
 
     The arguments are _sweep's with a row per lane: the cells' columns
     (lanes x cells) and the entry values (one per lane).  The node
-    recursion runs on numpy rows across the lanes, a lane's two
-    components side by side; the angles are then read by math.atan2 and
-    summed by np.cumsum, which adds in _sweep's order.
+    recursion runs on numpy rows across the
+    lanes, a lane's two components side by side; the angles are then read
+    by math.atan2 and summed by np.cumsum from theta, which adds in
+    _sweep's order.  Returns the exit (theta, w0, w1, a0), so that a sweep
+    may go on from there.
     """
     lanes, cells = m11.shape
     # per cell [[t11, t21], [t12, t22]] and [ratio, 1]: y = mat[0] w0 + mat[1] w1, w' = y [ratio, 1] / n
@@ -477,25 +497,37 @@ def _sweep_lanes(m11, m12, m21, m22, adv, ratio, theta, w0, w1):
             size = np.abs(yi)
             np.multiply(yi, si, out=wo)
             wo /= size + size[::-1]  # |y0| + |y1| in both rows
-        a1, a0 = _atan2(y[:, 0], y[:, 1]), _atan2(w[:, 0], w[:, 1])
-        d = a1 - a0[:-1] - adv.T
-        steps = adv.T + d - _TWO_PI * np.round(d / _TWO_PI) + a0[1:] - a1
-    return np.cumsum(np.vstack([theta, steps]), axis=0)[-1], w[-1, 0], w[-1, 1], a0[-1]
+        a1, a = _atan2(y[:, 0], y[:, 1]), _atan2(w[1:, 0], w[1:, 1])
+        d = a1 - np.vstack([a0, a[:-1]]) - adv.T
+        steps = adv.T + d - _TWO_PI * np.round(d / _TWO_PI) + a - a1
+    return np.cumsum(np.vstack([theta, steps]), axis=0)[-1], w[-1, 0], w[-1, 1], a[-1]
 
 
-def _scales(mesh: CellMesh, x: np.ndarray):
-    """Each cell's Prüfer scale sigma, expected advance and rescale at its far end, from x (cells along the last axis)."""
-    n = mesh.cells
-    sig = np.sqrt(np.maximum(x, 1.0)) / mesh.h
-    adv = np.where(x >= 1.0, sig * mesh.h, 0.0)
-    # rescale to the next cell's sigma at every node, and to sigma = 1 at x_r
-    ratio = np.concatenate([sig[..., 1:], np.ones_like(sig[..., :1])], axis=-1) / sig
-    ratio[..., n - 1] = 1.0 / sig[..., n - 1]
+def _sigma(x, h):
+    """The Prüfer scale of cells of length h at x = (lambda^2 + Ubar) h^2."""
+    return np.sqrt(np.maximum(x, 1.0)) / h
+
+
+def _sigma_at(mesh: CellMesh, lam2, i: int):
+    """Cell i's sigma at each lambda^2 in lam2, with the bits _scales reads from _transfer's x."""
+    h = mesh.h[i]
+    return _sigma((lam2 + mesh.ubar[i]) * (h * h), h)
+
+
+def _scales(x, h, after):
+    """Each cell's Prüfer scale sigma, expected advance and rescale at its far end, from x (cells along the last axis).
+
+    A cell rescales to the next one's sigma, the last one to ``after``:
+    the sigma of the cell beyond it, or 1 at the end of its sweep.
+    """
+    sig = _sigma(x, h)
+    adv = np.where(x >= 1.0, sig * h, 0.0)
+    ratio = np.concatenate([sig[..., 1:], after], axis=-1) / sig
     return sig, adv, ratio
 
 
-def _entries(mesh: CellMesh, lam: float, theta_l: float, scales) -> list[tuple[float, float, float]]:
-    """The entry angle and direction (theta, w0, w1) on each first cell's scale s in ``scales``.
+def _entries(mesh: CellMesh, lam: float, theta_l: float, scales) -> list[tuple[float, float, float, float]]:
+    """The entry angle and direction (theta, w0, w1) on each first cell's scale s in ``scales``, and atan2(w0, w1).
 
     theta_l is the angle at x_l of (lam sqrt(V) u, u'); its direction is
     that of (g, dg/dxi) ~ (sqrt(V) u, u' + V'/(4V) u), kept on theta_l's
@@ -514,7 +546,8 @@ def _entries(mesh: CellMesh, lam: float, theta_l: float, scales) -> list[tuple[f
         w0 = s * g
         norm = abs(w0) + abs(dg)
         w0, w1 = w0 / norm, dg / norm
-        out.append((base + atan2(w0, w1) - turn, w0, w1))
+        a0 = atan2(w0, w1)
+        out.append((base + a0 - turn, w0, w1, a0))
     return out
 
 
@@ -527,7 +560,8 @@ def _theta_pair(mesh: CellMesh, lam: float, theta_l: float) -> tuple[float, floa
     """The exit angle on the coarse mesh and on its halves."""
     n = mesh.cells
     t11, t12, t21, t22, x = _transfer(lam * lam, mesh.h, mesh.ubar, mesh.c1, mesh.c2)
-    sig, adv, ratio = _scales(mesh, x)
+    sig, adv, ratio = _scales(x, mesh.h, np.ones(1))
+    ratio[n - 1] = 1.0 / sig[n - 1]  # the coarse sweep ends there
     cols = [a.tolist() for a in (t11, t12 * sig, t21 / sig, t22, adv, ratio)]
     starts = _entries(mesh, lam, theta_l, (float(sig[0]), float(sig[n])))
     return tuple(
@@ -536,20 +570,55 @@ def _theta_pair(mesh: CellMesh, lam: float, theta_l: float) -> tuple[float, floa
     )
 
 
+def _sweep_block(mesh: CellMesh, lam2, single, runs, k0: int, k1: int, state):
+    """The lanes' sweep state carried over columns k0 .. k1 - 1 of the runs of cells in ``runs``.
+
+    Each run is (first cell, end of its sweep) in the mesh's arrays, and a
+    lane has a row per run, side by side in ``state``; lam2 and single
+    hold a row per lane.  One _transfers batch and one _scales cover the
+    block; the last column rescales to the sigma of each run's next cell.
+    """
+    lanes, k, b = len(lam2), len(runs), k1 - k0
+    cells = np.concatenate([np.arange(s + k0, s + k1) for s, _ in runs])
+    h = mesh.h[cells]
+    t11, t12, t21, t22, x = _transfers(lam2, h, mesh.ubar[cells], mesh.c1[cells], mesh.c2[cells], single)
+    after = np.ones((lanes, k, 1))
+    for j, (s, end) in enumerate(runs):
+        if s + k1 < end:
+            after[:, j] = _sigma_at(mesh, lam2, s + k1)
+    sig, adv, ratio = _scales(x.reshape(lanes, k, b), h.reshape(k, b), after)
+    rows = [q.reshape(lanes, k, b) for q in (t11, t12, t21, t22)]
+    cols = (rows[0], rows[1] * sig, rows[2] / sig, rows[3], adv, ratio)
+    return _sweep_lanes(*(c.reshape(lanes * k, b) for c in cols), *state)
+
+
 def _theta_pairs(mesh: CellMesh, lams, thetas_l) -> list[tuple[float, float]]:
-    """_theta_pair for several lanes: one _transfers batch over lanes x cells, then the lanes swept together."""
+    """_theta_pair for several lanes, swept together in blocks of columns.
+
+    Column j < n holds a lane's coarse cell j beside half j, column
+    n + j half n + j alone; a block holds at most _BLOCK lane-cells and
+    ends at column n, and the lanes' (theta, w0, w1, a0) carry from block
+    to block, so memory does not grow with the mesh.
+    """
     n, lanes = mesh.cells, len(lams)
     lam = np.array(lams)
-    t11, t12, t21, t22, x = _transfers((lam * lam)[:, None], mesh.h, mesh.ubar, mesh.c1, mesh.c2)
-    sig, adv, ratio = _scales(mesh, x)
-    cols = (t11, t12 * sig, t21 / sig, t22, adv, ratio)
-    entries = [_entries(mesh, *lane) for lane in zip(lams, thetas_l, zip(sig[:, 0].tolist(), sig[:, n].tolist()))]
-    starts = [start for column in zip(*entries) for start in column]  # every coarse start, then every fine one
-    # the coarse cells swept beside the first n halves, then the other n halves alone
-    theta, w0, w1, a = _sweep_lanes(*(np.vstack([c[:, :n], c[:, n : 2 * n]]) for c in cols), *map(np.array, zip(*starts)))
-    fine = _sweep_lanes(*(c[:, 2 * n :] for c in cols), theta[lanes:], w0[lanes:], w1[lanes:])
-    coarse = zip(*(q[:lanes].tolist() for q in (theta, w0, w1, a)))
-    fine = zip(*(q.tolist() for q in fine))
+    lam2 = (lam * lam)[:, None]
+    # the lanes with one near cell in all their 3n, whose row _theta_pair's _transfer sums alone
+    step = max(_BLOCK // (3 * n), 1)
+    single = np.concatenate([_near(lam2[i : i + step], mesh.h, mesh.ubar).sum(axis=1) == 1 for i in range(0, lanes, step)])
+    single = single[:, None]
+    first = zip(*(_sigma_at(mesh, lam2[:, 0], i).tolist() for i in (0, n)))
+    starts = [s for lane in zip(lams, thetas_l, first) for s in _entries(mesh, *lane)]  # each lane's coarse then fine start
+    state = [np.array(q) for q in zip(*starts)]
+    width = max(_BLOCK // (2 * lanes), 1)
+    for k0 in range(0, n, width):
+        state = _sweep_block(mesh, lam2, single, ((0, n), (n, 3 * n)), k0, min(k0 + width, n), state)
+    coarse = zip(*(q[0::2].tolist() for q in state))
+    state = [q[1::2] for q in state]
+    width = max(_BLOCK // lanes, 1)
+    for k0 in range(0, n, width):
+        state = _sweep_block(mesh, lam2, single, ((2 * n, 3 * n),), k0, min(k0 + width, n), state)
+    fine = zip(*(q.tolist() for q in state))
     return [(_exit(mesh, lam, *c), _exit(mesh, lam, *f)) for lam, c, f in zip(lams, coarse, fine)]
 
 
@@ -593,21 +662,15 @@ def propagate_lanes(p: Potential, lams, rtol: float, thetas_l) -> list[tuple[flo
 
     Lane k is the coupling lams[k] entering at x_l with the angle
     thetas_l[k] on the scale lambda sqrt(V(x_l)); the exit scale is the
-    mesh's (module docstring).  Raises EvalDomainError when V cannot be
-    evaluated or falls to the floor on the mesh, ArithmeticError when an
-    estimate stays above rtol.
+    mesh's (module docstring).  A round of at least _MIN_LANES lanes is
+    swept together in blocks of at most _BLOCK lane-cells
+    (``_theta_pairs``), a smaller one lane by lane.  Raises
+    EvalDomainError when V cannot be evaluated or falls to the floor on
+    the mesh, ArithmeticError when an estimate stays above rtol.
     """
     mesh = bulk_mesh(p, rtol)
-    count = len(lams)
-    groups = -(-count // max(_LANE_CELLS // (3 * mesh.cells), 1))
-    out = []
-    for k in range(groups):
-        lo, hi = count * k // groups, count * (k + 1) // groups
-        if hi - lo < _MIN_LANES:
-            for lam, theta_l in zip(lams[lo:hi], thetas_l[lo:hi]):
-                out.append(_settle(p, mesh, lam, rtol, theta_l, *_theta_pair(mesh, lam, theta_l)))
-        else:
-            pairs = _theta_pairs(mesh, lams[lo:hi], thetas_l[lo:hi])
-            for lam, theta_l, pair in zip(lams[lo:hi], thetas_l[lo:hi], pairs):
-                out.append(_settle(p, mesh, lam, rtol, theta_l, *pair))
-    return out
+    if len(lams) < _MIN_LANES:
+        pairs = [_theta_pair(mesh, lam, theta_l) for lam, theta_l in zip(lams, thetas_l)]
+    else:
+        pairs = _theta_pairs(mesh, lams, thetas_l)
+    return [_settle(p, mesh, lam, rtol, theta_l, *pair) for lam, theta_l, pair in zip(lams, thetas_l, pairs)]

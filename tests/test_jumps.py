@@ -242,3 +242,26 @@ def test_start_that_cannot_build_its_mesh_raises_phase_error(monkeypatch):
     monkeypatch.setattr(propagator, "_MAX_CELLS", 20)
     with pytest.raises(PhaseError, match="more than 20 cells"):
         find_jump(Potential.from_formula("1.2+sin(3*x)", 0.0, 3.0), 1)
+
+
+def test_potential_that_fails_on_the_mesh_raises_phase_error_everywhere(monkeypatch):
+    # V cannot be evaluated below x = 1: every entry point builds the phase's
+    # mesh before it integrates D, and fails there as the phase does; D's own
+    # failures stay QuadratureError
+    from sturmjumps import jumps
+    from sturmjumps.oscillation import PhaseError, phase
+    from sturmjumps.quadrature import QuadratureError
+
+    p = Potential.from_formula("1+sqrt(x-1)", 0.0, 2.0, c_lower=1.0)
+    for run in (lambda: phase(p, 1.0), lambda: find_jump(p, 1), lambda: jump_sequence(p, 1, 2)):
+        with pytest.raises(PhaseError, match="evaluation failed"):
+            run()
+
+    def unconverged(*args, **kwargs):
+        raise QuadratureError("tanh-sinh did not converge")
+
+    monkeypatch.setattr(jumps, "integrate_sqrt_v", unconverged)
+    v_sin = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    for run in (lambda: find_jump(v_sin, 1), lambda: jump_sequence(v_sin, 1, 2)):
+        with pytest.raises(QuadratureError, match="converge"):
+            run()

@@ -233,11 +233,15 @@ def test_lanes_match_one_lane_phase_bit_for_bit(case, monkeypatch):
     lams = lams.tolist()
     want = [repr(phase(p, lam, rtol=rtol)) for lam in lams]
     mesh = p.cell_meshes[propagator._decade(rtol)]
-    # one group holds every lane, whatever the mesh size
-    monkeypatch.setattr(propagator, "_LANE_CELLS", 10**6)
-    for lanes in (1, 7, 8, 23, 85):
-        got = oscillation._phases(p, lams[:lanes], rtol)
-        assert [repr(r) for r in got] == want[:lanes], lanes
+    for lanes in (1, 7):
+        assert [repr(r) for r in oscillation._phases(p, lams[:lanes], rtol)] == want[:lanes], lanes
+    # blocks of one column, of two columns beside the coarse cells and five
+    # after them, and one block each side of column n
+    for lanes in (8, 23, 85):
+        for block in (1, 5 * lanes, 10**7):
+            monkeypatch.setattr(propagator, "_BLOCK", block)
+            got = oscillation._phases(p, lams[:lanes], rtol)
+            assert [repr(r) for r in got] == want[:lanes], (lanes, block)
     x = (np.array(lams)[:, None] ** 2 + mesh.ubar) * mesh.h**2
     if case == "barrier":
         assert (x < 0.0).any()
@@ -248,22 +252,28 @@ def test_lanes_match_one_lane_phase_bit_for_bit(case, monkeypatch):
         assert 3 * mesh.cells in cells and max(cells) > 3 * mesh.cells
 
 
-def test_lane_groups_follow_the_mesh_size(monkeypatch):
-    # the default grouping, with the one-lane path below _MIN_LANES lanes
-    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
-    lams = np.geomspace(1.0, 500.0, 60).tolist()
+def test_rounds_sweep_in_blocks_of_bounded_lane_cells(monkeypatch):
+    # a 31-lane round on x (265 cells): blocks of at most _BLOCK lane-cells,
+    # the coarse cells beside the first n halves, then the other n halves,
+    # and a round below _MIN_LANES lanes one lane at a time
+    p = _conjecture("x", 1.0, 0.0)
+    lams = np.geomspace(300.0, 450.0, 31).tolist()
     want = [phase(p, lam, rtol=1e-11) for lam in lams]
-    swept = 3 * p.cell_meshes[-11].cells
-    groups = []
+    n = p.cell_meshes[-11].cells
+    blocks = []
     sweep_lanes = propagator._sweep_lanes
-    monkeypatch.setattr(propagator, "_sweep_lanes", lambda m11, *rest: groups.append(len(m11)) or sweep_lanes(m11, *rest))
+    monkeypatch.setattr(propagator, "_sweep_lanes", lambda m11, *rest: blocks.append(m11.shape) or sweep_lanes(m11, *rest))
     assert oscillation._phases(p, lams, 1e-11) == want
-    # each group is swept twice: coarse beside fine cells, then the rest of the fine ones
-    assert groups[0::2] == [40, 40, 40] and groups[1::2] == [20, 20, 20]
-    assert 20 * swept <= propagator._LANE_CELLS
-    groups.clear()
-    assert oscillation._phases(p, lams[: propagator._MIN_LANES - 1], 1e-11) == want[: propagator._MIN_LANES - 1]
-    assert groups == []
+    assert all(rows * cols <= propagator._BLOCK for rows, cols in blocks)
+    beside = [cols for rows, cols in blocks if rows == 62]
+    alone = [cols for rows, cols in blocks if rows == 31]
+    assert len(beside) + len(alone) == len(blocks) and sum(beside) == sum(alone) == n
+    assert blocks[: len(beside)] == [(62, cols) for cols in beside]
+    assert max(beside) == propagator._BLOCK // 62 and max(alone) == propagator._BLOCK // 31
+    blocks.clear()
+    few = propagator._MIN_LANES - 1
+    assert oscillation._phases(p, lams[:few], 1e-11) == want[:few]
+    assert blocks == []
 
 
 def test_batched_transfer_keeps_each_calls_bits(monkeypatch):
@@ -284,6 +294,32 @@ def test_batched_transfer_keeps_each_calls_bits(monkeypatch):
     for i in range(calls):
         want = propagator._transfer(lam2[i], h, ubar, c1, c2)
         assert all(np.array_equal(g, w) for g, w in zip(got[:, i], want)), i
+
+
+def test_block_keeps_each_lanes_bits():
+    # a block of cells is a piece of each lane's call: a near cell is summed
+    # alone only if its lane has no other near cell, and in a product of
+    # several rows otherwise, also where it is the block's only near row
+    # (c1, c2 this large let a one-ulp change in the series reach the result)
+    rng = np.random.default_rng(12)
+    cells, lanes = 24, 8
+    lam2 = 1e5 * np.arange(1.0, lanes + 1.0)[:, None]  # one coupling per lane
+    h = rng.uniform(0.05, 1.0, cells)
+    ubar, c1, c2 = (rng.uniform(-50.0, 50.0, cells) for _ in range(3))
+    # lane i is near (|x| < 25) on cells of its own only: 1, 2 or 3 of them
+    owner = np.repeat(np.arange(lanes), [1, 2, 3] * 2 + [1, 2])
+    cell = rng.permutation(cells)[: len(owner)]
+    ubar[cell] = rng.uniform(-20.0, 15.0, len(cell)) / h[cell] ** 2 - lam2[owner, 0]
+    near = propagator._near(lam2, h, ubar)
+    assert near.sum(axis=0).max() == 1 and near.sum(axis=1).tolist() == [1, 2, 3] * 2 + [1, 2]
+    want = [propagator._transfer(lam2[i, 0], h, ubar, c1, c2) for i in range(lanes)]
+    single = (near.sum(axis=1) == 1)[:, None]
+    for width in (1, 5, cells):
+        for k in range(0, cells, width):
+            block = slice(k, k + width)
+            got = propagator._transfers(lam2, *(q[block] for q in (h, ubar, c1, c2)), single)
+            for i in range(lanes):
+                assert all(np.array_equal(g, w[block]) for g, w in zip(got[:, i], want[i])), (width, k, i)
 
 
 @pytest.mark.parametrize("cells", [1, 2, 16])
@@ -310,16 +346,33 @@ def test_batched_mesh_test_matches_one_transfer_per_frequency(cells):
         assert np.array_equal(got[k], want), k
 
 
+def _peak(run):
+    """The traced peak bytes of one run."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_one_round_of_200_lanes_stays_small():
-    # lanes are grouped at _LANE_CELLS cells x lanes and _transfer runs in
-    # _CHUNK-cell pieces: 200 couplings on 2+sin(x) peak near 0.95 MB
+    # a round sweeps blocks of at most _BLOCK lane-cells and _transfer runs
+    # in _CHUNK-cell pieces: 200 couplings on 2+sin(x)
     p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
     phase(p, 1.0, rtol=1e-11)
     lams = np.linspace(1.0, 300.0, 200).tolist()
-    tracemalloc.start()
-    try:
-        oscillation._phases(p, lams, 1e-11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1_900_000
+    assert _peak(lambda: oscillation._phases(p, lams, 1e-11)) <= 1_900_000
+
+
+def test_one_round_of_100_lanes_on_a_long_mesh_stays_small():
+    # the blocks bound the memory whatever the mesh: the bulk of 100
+    # couplings on (1-x)/x, 1 743 swept cells (the slivers, untraced, run
+    # lane by lane either way)
+    p = _conjecture("(1-x)/x", -1.0, 1.0)
+    lams = np.geomspace(50.0, 2000.0, 100).tolist()
+    x_l, x_r = propagator.bulk_interval(p)
+    length = propagator.bulk_mesh(p, 1e-11).length
+    thetas_l = [oscillation._ends(p, lam, 1e-11, x_l, x_r, length)[0] for lam in lams]
+    assert 3 * p.cell_meshes[-11].cells == 1743
+    assert _peak(lambda: propagator.propagate_lanes(p, lams, 1e-11, thetas_l)) <= 1_900_000

@@ -57,9 +57,12 @@ def test_bench_layers_writes_every_case(tmp_path):
             sliver = cases[f"sliver.{source}.lam={lam}"]
             assert sliver["rk_steps"] == case["rk_steps"] and sliver["gap"] > 0.0, (source, lam)
             assert sliver["ms"] > 0.0, (source, lam)
-    for source in ("2+sin(x)", "(1+x)^(-4)"):
-        case = cases[f"lanes.{source}.23"]
-        assert case["one_lane_ms"] > 0.0 and case["ratio"] == case["ms"] / case["one_lane_ms"], source
+    for name in ("2+sin(x).23", "(1+x)^(-4).23", "x.31", "sqrt(x).31", "(1-x)/x.6"):
+        case = cases[f"lanes.{name}"]
+        assert case["one_lane_ms"] > 0.0 and case["ratio"] == case["ms"] / case["one_lane_ms"], name
+    # a conjecture-class round's traced peak stays within the round tests' 1.9 MB
+    for name in ("x.31", "sqrt(x).31", "(1-x)/x.6"):
+        assert 0.0 < cases[f"lanes.{name}"]["peak_kb"] <= 1900.0, name
     for source in ("2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"):
         assert cases[f"lg_data.{source}"]["ms"] > 0.0, source
     assert cases["src_lines"]["lines"] > 1000
