@@ -62,9 +62,11 @@ lanes is one pass over the mesh in blocks of columns, each of at most
 _BLOCK lane-cells: per block one _transfer batch over lanes x cells and
 a sweep whose node recursion runs on numpy rows across the lanes, with
 each lane's angles read by math.atan2 and summed in the one-lane sweep's
-order, so that no lane's bits depend on the lanes beside it or on the
-blocks.  The lanes' sweep state carries from block to block, so memory
-depends on the block, not on lanes x cells.  A round of fewer than
+order.  _transfer's series product always has at least two rows, since
+BLAS sums one row along another path, so a cell's bits do not depend on
+the cells beside it, nor a lane's on the lanes beside it or the blocks.
+The lanes' sweep state carries from block to block, so memory depends
+on the block, not on lanes x cells.  A round of fewer than
 _MIN_LANES lanes, a single coupling included, is swept lane by lane
 (``_theta_pair``), which is faster there.  The mesh build's refinement
 test is batched the same way, over its reference frequencies.
@@ -283,22 +285,12 @@ def _etas(x: np.ndarray):
     return em1, e0, e1, e2
 
 
-def _near(lam2, h, ubar):
-    """Where _transfer adds the second-order terms: |x| < 25 at x = (lambda^2 + Ubar) h^2."""
-    return np.abs((lam2 + ubar) * (h * h)) < _SECOND_ORDER_X[1]
-
-
-def _transfer(lam2, h, ubar, c1, c2, single=None):
+def _transfer(lam2, h, ubar, c1, c2):
     """The cells' (g, g') propagators t11, t12, t21, t22 at lambda^2 = lam2, and x.
 
-    The cells may be a batch of pieces of several calls, and each cell
-    gets the bits it gets in a call of its own: the arithmetic is
-    elementwise except for the second-order series, whose matrix product
-    BLAS sums along another path for a single row.  ``single`` marks the
-    cells whose call, over all its cells, holds one near cell: that cell's
-    row is summed alone, and every other near cell's in a product of
-    several rows, even where it is the batch's only near cell.  None
-    means the batch is one call.
+    A cell's bits do not depend on the other cells of the call: the
+    arithmetic is elementwise, and the second-order series' matrix product
+    always has at least two rows, since BLAS sums one row along another path.
     """
     h2 = h * h
     x = (lam2 + ubar) * h2
@@ -317,13 +309,8 @@ def _transfer(lam2, h, ubar, c1, c2, single=None):
         a, b = c1[part] * h2[part], c2[part] * h2[part]
         table = _second_order_table()
         powers = np.vander(xn, len(table), increasing=True)
-        if single is None:
-            series = powers @ table
-        else:
-            series = ((powers if len(xn) > 1 else np.repeat(powers, 2, axis=0)) @ table)[: len(xn)]
-            for i in np.flatnonzero(single[part]):
-                series[i] = powers[i : i + 1] @ table
-        series = series.reshape(-1, 4, 3)
+        series = (np.repeat(powers, 2, axis=0) if len(xn) == 1 else powers) @ table
+        series = series[: len(xn)].reshape(-1, 4, 3)
         terms = series[:, :, 0] * (a * a)[:, None] + series[:, :, 1] * (a * b)[:, None] + series[:, :, 2] * (b * b)[:, None]
         weight = 1.0
         if axn.max() > full:
@@ -333,19 +320,15 @@ def _transfer(lam2, h, ubar, c1, c2, single=None):
     return (*t, x)
 
 
-def _transfers(lam2, h, ubar, c1, c2, single=None) -> np.ndarray:
+def _transfers(lam2, h, ubar, c1, c2) -> np.ndarray:
     """_transfer for several rows on the same cells, as an array (5, rows, cells).
 
-    Row k is at lambda^2 = lam2[k], one value or one per cell; ``single``,
-    _transfer's, broadcasts to (rows, cells), and by default each row is
-    one call.  The rows go to _transfer in runs of whole rows of at most
-    _CHUNK cells, which bounds the series' temporaries (np.vander's
-    rows); a row longer than _CHUNK is a run of its own.
+    Row k is at lambda^2 = lam2[k], one value or one per cell.  The rows
+    go to _transfer in runs of whole rows of at most _CHUNK cells, which
+    bounds the series' temporaries (np.vander's rows); a row longer than
+    _CHUNK is a run of its own.  A cell's bits do not depend on its run.
     """
     rows, cells = len(lam2), len(h)
-    if single is None:
-        single = (_near(lam2, h, ubar).sum(axis=1) == 1)[:, None]
-    single = np.broadcast_to(single, (rows, cells))
     out = np.empty((5, rows, cells))
     step = max(_CHUNK // cells, 1)
     for i in range(0, rows, step):
@@ -353,7 +336,6 @@ def _transfers(lam2, h, ubar, c1, c2, single=None) -> np.ndarray:
         run = _transfer(
             np.broadcast_to(lam2[i : i + k], (k, cells)).ravel(),
             *(np.tile(q, k) for q in (h, ubar, c1, c2)),
-            single[i : i + k].ravel(),
         )
         out[:, i : i + k] = np.reshape(run, (5, k, cells))
     return out
@@ -363,14 +345,12 @@ def _mismatches(whole, halves, lam2s, sigs):
     """Max-norm gaps, each at lam2s[k] on the scale sigs[k], between every cell's propagator and its halves' product.
 
     One _transfers batch over all the frequencies takes the whole cells
-    and both halves together; at each frequency the whole cells, the left
-    halves and the right halves are each a call of their own.
+    and both halves together.
     """
     m = len(whole[0])
     cells = [np.concatenate([w, q[0::2], q[1::2]]) for w, q in zip(whole, halves)]
     lam2 = np.tile([np.broadcast_to(q, m) for q in lam2s], 3)
-    single = np.repeat(_near(lam2, cells[0], cells[1]).reshape(len(lam2s), 3, m).sum(axis=2) == 1, m, axis=1)
-    parts = _transfers(lam2, *cells, single)[:4].reshape(4, -1, 3, m).transpose(2, 0, 1, 3)
+    parts = _transfers(lam2, *cells)[:4].reshape(4, -1, 3, m).transpose(2, 0, 1, 3)
     (t11, t12, t21, t22), (l11, l12, l21, l22), (r11, r12, r21, r22) = parts
     sig = np.array([np.broadcast_to(q, m) for q in sigs])
     return np.maximum.reduce([
@@ -570,18 +550,18 @@ def _theta_pair(mesh: CellMesh, lam: float, theta_l: float) -> tuple[float, floa
     )
 
 
-def _sweep_block(mesh: CellMesh, lam2, single, runs, k0: int, k1: int, state):
+def _sweep_block(mesh: CellMesh, lam2, runs, k0: int, k1: int, state):
     """The lanes' sweep state carried over columns k0 .. k1 - 1 of the runs of cells in ``runs``.
 
     Each run is (first cell, end of its sweep) in the mesh's arrays, and a
-    lane has a row per run, side by side in ``state``; lam2 and single
-    hold a row per lane.  One _transfers batch and one _scales cover the
-    block; the last column rescales to the sigma of each run's next cell.
+    lane has a row per run, side by side in ``state``; lam2 holds a row
+    per lane.  One _transfers batch and one _scales cover the block; the
+    last column rescales to the sigma of each run's next cell.
     """
     lanes, k, b = len(lam2), len(runs), k1 - k0
     cells = np.concatenate([np.arange(s + k0, s + k1) for s, _ in runs])
     h = mesh.h[cells]
-    t11, t12, t21, t22, x = _transfers(lam2, h, mesh.ubar[cells], mesh.c1[cells], mesh.c2[cells], single)
+    t11, t12, t21, t22, x = _transfers(lam2, h, mesh.ubar[cells], mesh.c1[cells], mesh.c2[cells])
     after = np.ones((lanes, k, 1))
     for j, (s, end) in enumerate(runs):
         if s + k1 < end:
@@ -603,21 +583,17 @@ def _theta_pairs(mesh: CellMesh, lams, thetas_l) -> list[tuple[float, float]]:
     n, lanes = mesh.cells, len(lams)
     lam = np.array(lams)
     lam2 = (lam * lam)[:, None]
-    # the lanes with one near cell in all their 3n, whose row _theta_pair's _transfer sums alone
-    step = max(_BLOCK // (3 * n), 1)
-    single = np.concatenate([_near(lam2[i : i + step], mesh.h, mesh.ubar).sum(axis=1) == 1 for i in range(0, lanes, step)])
-    single = single[:, None]
     first = zip(*(_sigma_at(mesh, lam2[:, 0], i).tolist() for i in (0, n)))
     starts = [s for lane in zip(lams, thetas_l, first) for s in _entries(mesh, *lane)]  # each lane's coarse then fine start
     state = [np.array(q) for q in zip(*starts)]
     width = max(_BLOCK // (2 * lanes), 1)
     for k0 in range(0, n, width):
-        state = _sweep_block(mesh, lam2, single, ((0, n), (n, 3 * n)), k0, min(k0 + width, n), state)
+        state = _sweep_block(mesh, lam2, ((0, n), (n, 3 * n)), k0, min(k0 + width, n), state)
     coarse = zip(*(q[0::2].tolist() for q in state))
     state = [q[1::2] for q in state]
     width = max(_BLOCK // lanes, 1)
     for k0 in range(0, n, width):
-        state = _sweep_block(mesh, lam2, single, ((2 * n, 3 * n),), k0, min(k0 + width, n), state)
+        state = _sweep_block(mesh, lam2, ((2 * n, 3 * n),), k0, min(k0 + width, n), state)
     fine = zip(*(q.tolist() for q in state))
     return [(_exit(mesh, lam, *c), _exit(mesh, lam, *f)) for lam, c, f in zip(lams, coarse, fine)]
 

@@ -92,9 +92,7 @@ def _screen(p: Potential, x: float, v: float, v_floor: float) -> None:
         )
 
 
-def integrate_sqrt_v(
-    p: Potential, x0: float, x1: float, tol: float = 1e-12, max_level: int = 12
-) -> QuadResult:
+def integrate_sqrt_v(p: Potential, x0: float, x1: float, tol: float = 1e-12) -> QuadResult:
     """Integrate sqrt(V) over [x0, x1] to absolute tolerance ``tol``.
 
     Parameters
@@ -104,9 +102,8 @@ def integrate_sqrt_v(
         Sub-interval of [p.a, p.b] with x0 < x1.
     tol : float
         Absolute tolerance; levels are doubled until two successive
-        trapezoid refinements differ by less than ``tol``.
-    max_level : int
-        Hard cap on refinements; exceeding it is an error, not a warning.
+        trapezoid refinements differ by less than ``tol``, and missing
+        it is an error, not a warning.
 
     Returns
     -------
@@ -141,7 +138,7 @@ def integrate_sqrt_v(
         return math.sqrt(v)
 
     try:
-        return tanh_sinh(f, x0, x1, tol, max_level)
+        return tanh_sinh(f, x0, x1, tol)
     except QuadratureError:
         if not (x0 == p.a and p.gamma_a < 0.0 or x1 == p.b and p.gamma_b < 0.0):
             raise
@@ -157,7 +154,7 @@ def integrate_sqrt_v(
             error += part * r / width
             cuts += 1
             x0, x1 = (cut, x1) if inward > 0.0 else (x0, cut)
-    res = tanh_sinh(f, x0, x1, tol, max_level)
+    res = tanh_sinh(f, x0, x1, tol)
     return QuadResult(res.value + tail, res.abs_error_estimate + error, res.evaluations + cuts)
 
 

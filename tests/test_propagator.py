@@ -277,8 +277,8 @@ def test_rounds_sweep_in_blocks_of_bounded_lane_cells(monkeypatch):
 
 
 def test_batched_transfer_keeps_each_calls_bits(monkeypatch):
-    # BLAS sums a one-row series product along another path, so a call whose
-    # only near cell (|x| < 25) shares a batch must keep that path's bits
+    # a cell gets the same bits in its call, in a run of calls and in a call
+    # of its own, also where it is its call's only near cell (|x| < 25)
     # (c1, c2 this large let a one-ulp change in the series reach the result)
     rng = np.random.default_rng(11)
     cells, calls = 6, 100
@@ -294,12 +294,14 @@ def test_batched_transfer_keeps_each_calls_bits(monkeypatch):
     for i in range(calls):
         want = propagator._transfer(lam2[i], h, ubar, c1, c2)
         assert all(np.array_equal(g, w) for g, w in zip(got[:, i], want)), i
+        for j in range(cells):
+            one = propagator._transfer(lam2[i, j : j + 1], *(q[j : j + 1] for q in (h, ubar, c1, c2)))
+            assert all(np.array_equal(g[j : j + 1], w) for g, w in zip(got[:, i], one)), (i, j)
 
 
 def test_block_keeps_each_lanes_bits():
-    # a block of cells is a piece of each lane's call: a near cell is summed
-    # alone only if its lane has no other near cell, and in a product of
-    # several rows otherwise, also where it is the block's only near row
+    # a block of cells is a piece of each lane's call, and its near cells
+    # keep their bits whether the block holds one of them or several
     # (c1, c2 this large let a one-ulp change in the series reach the result)
     rng = np.random.default_rng(12)
     cells, lanes = 24, 8
@@ -310,14 +312,13 @@ def test_block_keeps_each_lanes_bits():
     owner = np.repeat(np.arange(lanes), [1, 2, 3] * 2 + [1, 2])
     cell = rng.permutation(cells)[: len(owner)]
     ubar[cell] = rng.uniform(-20.0, 15.0, len(cell)) / h[cell] ** 2 - lam2[owner, 0]
-    near = propagator._near(lam2, h, ubar)
+    near = np.abs((lam2 + ubar) * h**2) < propagator._SECOND_ORDER_X[1]
     assert near.sum(axis=0).max() == 1 and near.sum(axis=1).tolist() == [1, 2, 3] * 2 + [1, 2]
     want = [propagator._transfer(lam2[i, 0], h, ubar, c1, c2) for i in range(lanes)]
-    single = (near.sum(axis=1) == 1)[:, None]
     for width in (1, 5, cells):
         for k in range(0, cells, width):
             block = slice(k, k + width)
-            got = propagator._transfers(lam2, *(q[block] for q in (h, ubar, c1, c2)), single)
+            got = propagator._transfers(lam2, *(q[block] for q in (h, ubar, c1, c2)))
             for i in range(lanes):
                 assert all(np.array_equal(g, w[block]) for g, w in zip(got[:, i], want[i])), (width, k, i)
 
