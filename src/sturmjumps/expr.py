@@ -1,12 +1,13 @@
 """Formula parsing and second-order forward-mode differentiation.
 
 Potentials are supplied as text formulas in the variable ``x``, e.g.
-``"2+sin(x)"`` or ``"(1-x)/x"``.  ``parse`` builds an immutable AST,
-``eval_jet2`` evaluates value, first and second derivative in a single
-pass by propagating ``(v, d1, d2)`` jets with exact chain rules, and
+``"2+sin(x)"`` or ``"(1-x)/x"``.  ``parse`` builds an immutable AST.
+One emitter turns an AST into straight-line code for its ``(v, d1, d2)``
+jet, the value and first two derivatives by exact chain rules, with a
+domain check at every node.  Two backends run that code: ``eval_jet2``
+on floats, compiled once per AST, and ``compile_jet2`` on numpy arrays.
 ``compile_value`` / ``compile_value_d1`` emit fast plain-value and
-value-and-slope callables for inner loops, and ``compile_jet2`` emits the
-``(v, d1, d2)`` jets over whole numpy arrays of points.
+value-and-slope callables for inner loops.
 
 Grammar (whitespace ignored)::
 
@@ -23,6 +24,7 @@ would silently break twice-differentiability.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -258,136 +260,6 @@ def serialize(node: ExprAst) -> str:
 
 
 # ---------------------------------------------------------------------------
-# jet evaluation
-# ---------------------------------------------------------------------------
-
-
-def _domain(message, node, x):
-    return EvalDomainError(message, serialize(node), x)
-
-
-def _jet_log(a, node, x):
-    if a.v <= 0.0:
-        raise _domain("logarithm of a non-positive value", node, x)
-    r = a.d1 / a.v
-    return Jet2(math.log(a.v), r, a.d2 / a.v - r * r)
-
-
-def _jet_exp(a, node, x):
-    try:
-        e = math.exp(a.v)
-    except OverflowError:
-        raise _domain("exp overflow", node, x) from None
-    return Jet2(e, e * a.d1, e * (a.d2 + a.d1 * a.d1))
-
-
-def _jet_mul(a, b):
-    return Jet2(
-        a.v * b.v,
-        a.d1 * b.v + a.v * b.d1,
-        a.d2 * b.v + 2.0 * a.d1 * b.d1 + a.v * b.d2,
-    )
-
-
-def _apply_unary(node, a, x):
-    op = node.op
-    if op == "neg":
-        return Jet2(-a.v, -a.d1, -a.d2)
-    if op == "sqrt":
-        if a.v < 0.0:
-            raise _domain("square root of a negative value", node, x)
-        if a.v == 0.0:
-            if a.d1 == 0.0 and a.d2 == 0.0:
-                return Jet2(0.0, 0.0, 0.0)
-            raise _domain("square root not differentiable at zero", node, x)
-        s = math.sqrt(a.v)
-        d1 = a.d1 / (2.0 * s)
-        return Jet2(s, d1, (a.d2 - 2.0 * d1 * d1) / (2.0 * s))
-    if op == "exp":
-        return _jet_exp(a, node, x)
-    if op == "log":
-        return _jet_log(a, node, x)
-    if op == "sin":
-        s, c = math.sin(a.v), math.cos(a.v)
-        return Jet2(s, c * a.d1, c * a.d2 - s * a.d1 * a.d1)
-    if op == "cos":
-        s, c = math.sin(a.v), math.cos(a.v)
-        return Jet2(c, -s * a.d1, -s * a.d2 - c * a.d1 * a.d1)
-    raise _domain(f"unknown function '{op}'", node, x)
-
-
-def _apply_power(node, a, b, x):
-    if b.d1 == 0.0 and b.d2 == 0.0:
-        p = b.v
-        if p == 0.0:
-            return Jet2(1.0, 0.0, 0.0)
-        if p == 1.0:
-            return a
-        if a.v == 0.0:
-            if a.d1 == 0.0 and a.d2 == 0.0:
-                if p < 0.0:
-                    raise _domain("zero raised to a negative power", node, x)
-                return Jet2(0.0, 0.0, 0.0)
-            if p >= 2.0:
-                d2 = 2.0 * a.d1 * a.d1 if p == 2.0 else 0.0
-                return Jet2(0.0, 0.0, d2)
-            raise _domain("power not twice differentiable at zero base", node, x)
-        if a.v < 0.0 and not float(p).is_integer():
-            raise _domain("negative base with non-integer exponent", node, x)
-        try:
-            vp = math.pow(a.v, p)
-            vp1 = math.pow(a.v, p - 1.0)
-            vp2 = math.pow(a.v, p - 2.0)
-        except (ValueError, OverflowError):
-            raise _domain("power out of domain", node, x) from None
-        d1 = p * vp1 * a.d1
-        d2 = p * (p - 1.0) * vp2 * a.d1 * a.d1 + p * vp1 * a.d2
-        return Jet2(vp, d1, d2)
-    # x-dependent exponent: a^b = exp(b*log(a)), base must stay positive
-    if a.v <= 0.0:
-        raise _domain("variable exponent requires a positive base", node, x)
-    return _jet_exp(_jet_mul(b, _jet_log(a, node, x)), node, x)
-
-
-def _jet(node, x):
-    if isinstance(node, Number):
-        return Jet2(node.value, 0.0, 0.0)
-    if isinstance(node, Symbol):
-        if node.name == "x":
-            return Jet2(x, 1.0, 0.0)
-        return Jet2(NAMED_CONSTANTS[node.name], 0.0, 0.0)
-    if isinstance(node, Unary):
-        out = _apply_unary(node, _jet(node.arg, x), x)
-    else:
-        a = _jet(node.lhs, x)
-        b = _jet(node.rhs, x)
-        op = node.op
-        if op == "+":
-            out = Jet2(a.v + b.v, a.d1 + b.d1, a.d2 + b.d2)
-        elif op == "-":
-            out = Jet2(a.v - b.v, a.d1 - b.d1, a.d2 - b.d2)
-        elif op == "*":
-            out = _jet_mul(a, b)
-        elif op == "/":
-            if b.v == 0.0:
-                raise _domain("division by zero", node, x)
-            q = a.v / b.v
-            q1 = (a.d1 - q * b.d1) / b.v
-            q2 = (a.d2 - 2.0 * q1 * b.d1 - q * b.d2) / b.v
-            out = Jet2(q, q1, q2)
-        else:
-            out = _apply_power(node, a, b, x)
-    if not (math.isfinite(out.v) and math.isfinite(out.d1) and math.isfinite(out.d2)):
-        raise _domain("overflow to non-finite", node, x)
-    return out
-
-
-def eval_jet2(ast: ExprAst, x: float) -> Jet2:
-    """Evaluate (V(x), V'(x), V''(x)); the seed for 'x' is (x, 1, 0)."""
-    return _jet(ast, x)
-
-
-# ---------------------------------------------------------------------------
 # compilation to a plain-value callable
 # ---------------------------------------------------------------------------
 
@@ -532,53 +404,73 @@ def compile_value_d1(ast: ExprAst) -> Callable[[float], tuple[float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# compilation to a vectorized (v, d1, d2) callable
+# compilation to (v, d1, d2) jets: one emitter, a numpy and a scalar backend
 # ---------------------------------------------------------------------------
 
 
-def _emit_jet2(node, lines: list[str], checks: list[tuple[str, str]]):
-    """Append numpy straight-line code for ``node``; return its (v, d1, d2) names.
+def _emit_jet2(node, lines: list[str], checks: list[tuple[str, str]], vectorized: bool):
+    """Append straight-line code for ``node``; return its (v, d1, d2) names and x-freedom.
 
-    Subtrees that do not depend on x come back inline with derivatives
-    None.  Every domain test of ``_jet`` becomes a masked check line
-    ``_fail(mask, k, x)``, ``checks[k]`` holding its message and subexpression.
+    Leaves come back inline, with derivatives None where they do not
+    depend on x.  Every other node gets temps, x-free ones included, so
+    constant subtrees keep their domain checks and their signed-zero
+    derivatives.  A check line raises ``checks[k]``, its message and
+    subexpression, where its mask holds.  The numpy backend
+    (``vectorized``) masks arrays and selects with ``where``; the scalar
+    one tests floats with ``if`` and selects lazily.
     """
-    if isinstance(node, (Number, Symbol)):
-        return (_emit(node), "1.0", "0.0") if node == Symbol("x") else (_emit(node), None, None)
+    if isinstance(node, Number):
+        return repr(node.value), None, None, True
+    if isinstance(node, Symbol):
+        return (node.name, "1.0", "0.0", False) if node.name == "x" else (node.name, None, None, True)
     if isinstance(node, Unary):
-        (a, da, ea), (b, db, eb) = _emit_jet2(node.arg, lines, checks), (None, None, None)
+        a, da, ea, x_free = _emit_jet2(node.arg, lines, checks, vectorized)
+        b, db, eb, x_free_b = None, None, None, True
     else:
-        (a, da, ea), (b, db, eb) = _emit_jet2(node.lhs, lines, checks), _emit_jet2(node.rhs, lines, checks)
-    if da is None and db is None:
-        return _emit(node), None, None
+        a, da, ea, x_free_a = _emit_jet2(node.lhs, lines, checks, vectorized)
+        b, db, eb, x_free_b = _emit_jet2(node.rhs, lines, checks, vectorized)
+        x_free = x_free_a and x_free_b
     da, ea, db, eb = da or "0.0", ea or "0.0", db or "0.0", eb or "0.0"
     i = len(lines)
     v, d, e = f"v{i}", f"d{i}", f"e{i}"
 
     def check(mask, message):
         checks.append((message, serialize(node)))
-        lines.append(f"_fail({mask}, {len(checks) - 1}, x)")
+        k = len(checks) - 1
+        lines.append(f"_fail({mask}, {k}, x)" if vectorized else f"if {mask}: _fail({k}, x)")
+
+    def pick(cond, then, other):
+        return f"where({cond}, {then}, {other})" if vectorized else f"{then} if {cond} else {other}"
 
     def jet(value, slope, curvature):
         lines.extend([f"{v} = {value}", f"{d} = {slope}", f"{e} = {curvature}"])
 
-    op = node.op
+    op, p = node.op, None
+    if op == "^" and x_free_b:
+        try:
+            p = eval_jet2(node.rhs, 0.0).v  # any x: the exponent does not depend on it
+        except EvalDomainError:
+            return b, None, None, True  # unreachable: the exponent's own checks fail first
+        if p == 0.0:
+            return "1.0", None, None, True
     if op == "neg":
         jet(f"-{a}", f"-{da}", f"-{ea}")
     elif op == "sqrt":
         check(f"{a} < 0.0", "square root of a negative value")
         lines.append(f"z{i} = {a} == 0.0")
         check(f"z{i} & (({da} != 0.0) | ({ea} != 0.0))", "square root not differentiable at zero")
-        lines.append(f"s{i} = sqrt({a})")
-        jet(f"s{i}", f"where(z{i}, 0.0, {da}/(2.0*s{i}))", f"where(z{i}, 0.0, ({ea}-2.0*{d}*{d})/(2.0*s{i}))")
+        jet(
+            pick(f"z{i}", "0.0", f"sqrt({a})"),  # +0.0 at a zero base, -0.0 included
+            pick(f"z{i}", "0.0", f"{da}/(2.0*{v})"),
+            pick(f"z{i}", "0.0", f"({ea}-2.0*{d}*{d})/(2.0*{v})"),
+        )
     elif op == "exp":
-        lines.append(f"{v} = exp({a})")
-        check(f"isinf({v})", "exp overflow")
-        lines.extend([f"{d} = {v}*{da}", f"{e} = {v}*({ea}+{da}*{da})"])
+        jet(f"exp({a})", f"{v}*{da}", f"{v}*({ea}+{da}*{da})")
+        # an infinite argument is no overflow: its jet is merely non-finite
+        check(f"isinf({v}) & isfinite({a})", "exp overflow")
     elif op == "log":
         check(f"{a} <= 0.0", "logarithm of a non-positive value")
-        lines.append(f"r{i} = {da}/{a}")
-        jet(f"log({a})", f"r{i}", f"{ea}/{a}-r{i}*r{i}")
+        jet(f"log({a})", f"{da}/{a}", f"{ea}/{a}-{d}*{d}")
     elif op == "sin":
         jet(f"sin({a})", f"cos({a})*{da}", f"cos({a})*{ea}-{v}*{da}*{da}")
     elif op == "cos":
@@ -590,68 +482,110 @@ def _emit_jet2(node, lines: list[str], checks: list[tuple[str, str]]):
     elif op == "/":
         check(f"{b} == 0.0", "division by zero")
         jet(f"{a}/{b}", f"({da}-{v}*{db})/{b}", f"({ea}-2.0*{d}*{db}-{v}*{eb})/{b}")
-    elif db == "0.0":
-        # constant exponent p, with _apply_power's special cases at a zero base
-        p = float(eval(b, dict(_SCALAR_ENV, __builtins__={})))
-        if p == 0.0:
-            return "1.0", None, None
-        if p == 1.0:
-            return a, da, ea
+    elif p == 1.0:
+        jet(a, da, ea)
+    elif p is not None:
+        # constant exponent p, with special cases at a zero base
         lines.append(f"z{i} = {a} == 0.0")
-        flat = f"z{i} & ({da} == 0.0) & ({ea} == 0.0)"
         if p < 0.0:
-            check(flat, "zero raised to a negative power")
+            check(f"z{i} & ({da} == 0.0) & ({ea} == 0.0)", "zero raised to a negative power")
         if p < 2.0:
-            check(f"z{i} & ~({flat})", "power not twice differentiable at zero base")
+            check(f"z{i} & (({da} != 0.0) | ({ea} != 0.0))", "power not twice differentiable at zero base")
         if not p.is_integer():
             check(f"{a} < 0.0", "negative base with non-integer exponent")
-        lines.append(f"w{i} = pow({a}, {p - 1.0!r})")
+        lines.extend([f"u{i} = pow({a}, {p!r})", f"w{i} = pow({a}, {p - 1.0!r})", f"y{i} = pow({a}, {p - 2.0!r})"])
         jet(
-            f"pow({a}, {p!r})",
-            f"where(z{i}, 0.0, {p!r}*w{i}*{da})",
-            f"where(z{i}, {'2.0*' + da + '*' + da if p == 2.0 else '0.0'}, "
-            f"{p * (p - 1.0)!r}*pow({a}, {p - 2.0!r})*{da}*{da}+{p!r}*w{i}*{ea})",
+            pick(f"z{i}", "0.0", f"u{i}"),
+            pick(f"z{i}", "0.0", f"{p!r}*w{i}*{da}"),
+            pick(f"z{i}", f"2.0*{da}*{da}" if p == 2.0 else "0.0", f"{p!r}*{p - 1.0!r}*y{i}*{da}*{da}+{p!r}*w{i}*{ea}"),
         )
-    else:
+        # a power that overflows from a finite non-zero base; a zero base takes none
+        check(f"({a} != 0.0) & isfinite({a}) & (isinf(u{i}) | isinf(w{i}) | isinf(y{i}))", "power out of domain")
+    elif op == "^":
         # variable exponent: a^b = exp(b log a), the base must stay positive
         check(f"{a} <= 0.0", "variable exponent requires a positive base")
         lines.extend([f"l{i} = log({a})", f"m{i} = {da}/{a}", f"n{i} = {ea}/{a}-m{i}*m{i}"])
-        lines.extend([f"f{i} = {db}*l{i}+{b}*m{i}", f"g{i} = {eb}*l{i}+2.0*{db}*m{i}+{b}*n{i}"])
-        lines.append(f"{v} = exp({b}*l{i})")
-        check(f"isinf({v})", "exp overflow")
-        lines.extend([f"{d} = {v}*f{i}", f"{e} = {v}*(g{i}+f{i}*f{i})"])
-    check(f"~(isfinite({v}) & isfinite({d}) & isfinite({e}))", "overflow to non-finite")
-    return v, d, e
+        lines.extend([f"f{i} = {db}*l{i}+{b}*m{i}", f"g{i} = {eb}*l{i}+2.0*{db}*m{i}+{b}*n{i}", f"t{i} = {b}*l{i}"])
+        jet(f"exp(t{i})", f"{v}*f{i}", f"{v}*(g{i}+f{i}*f{i})")
+        check(f"isinf({v}) & isfinite(t{i})", "exp overflow")
+    else:
+        check("True", f"unknown function '{op}'")
+        return a, None, None, True
+    finite = f"isfinite({v}) & isfinite({d}) & isfinite({e})"
+    check(f"~({finite})" if vectorized else f"not ({finite})", "overflow to non-finite")
+    return v, d, e, x_free
+
+
+def _overflow_to_inf(f):
+    """``f`` from math, giving numpy's infinity where math raises on an overflow or a pole."""
+
+    def g(*args):
+        try:
+            return f(*args)
+        except (OverflowError, ValueError):
+            return math.inf
+
+    return g
+
+
+_EXP, _POW = _overflow_to_inf(math.exp), _overflow_to_inf(math.pow)
+
+
+def _compile_jet2(ast: ExprAst, vectorized: bool) -> Callable:
+    lines: list[str] = []
+    checks: list[tuple[str, str]] = []
+    jet = [t or "0.0" for t in _emit_jet2(ast, lines, checks, vectorized)[:3]]
+    if vectorized:
+        import numpy as np
+
+        def fail(mask, k, x):
+            bad = np.broadcast_to(mask, np.shape(x))
+            if bad.any():
+                raise EvalDomainError(*checks[k], float(np.ravel(x)[np.argmax(bad)]))
+
+        env = {
+            "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+            "pow": np.power, "where": np.where, "isinf": np.isinf, "isfinite": np.isfinite,
+            "errstate": np.errstate,
+            "full": lambda t, x: np.broadcast_to(np.asarray(t, dtype=float), np.shape(x)),
+        }
+        head, indent = "def jet2(x):\n    with errstate(all='ignore'):\n", " " * 8
+        jet = [f"full({t}, x)" for t in jet]
+    else:
+
+        def fail(k, x):
+            raise EvalDomainError(*checks[k], x)
+
+        env = {
+            "sqrt": math.sqrt, "exp": _EXP, "log": math.log, "sin": math.sin, "cos": math.cos,
+            "pow": _POW, "isinf": math.isinf, "isfinite": math.isfinite,
+        }
+        head, indent = "def jet2(x):\n", " " * 4
+    env.update(pi=math.pi, e=math.e, _fail=fail, Jet2=Jet2, __builtins__={})
+    body = "".join(f"{indent}{line}\n" for line in lines)
+    # the source is generated from our own AST nodes only
+    exec(f"{head}{body}{indent}return Jet2({', '.join(jet)})\n", env)
+    return env["jet2"]
 
 
 def compile_jet2(ast: ExprAst) -> Callable:
     """Compile an AST to x -> Jet2(V, V', V'') over a numpy array of points.
 
-    The callable returns arrays shaped like x and raises EvalDomainError,
-    naming the first failing point, on the inputs where ``eval_jet2``
-    raises.
+    It runs the straight-line code of ``eval_jet2`` on numpy arrays, so it
+    returns arrays shaped like x and raises ``eval_jet2``'s EvalDomainError
+    at the first point that fails the first failing check.
     """
-    import numpy as np
+    return _compile_jet2(ast, vectorized=True)
 
-    lines: list[str] = []
-    checks: list[tuple[str, str]] = []
-    v, d, e = _emit_jet2(ast, lines, checks)
 
-    def fail(mask, k, x):
-        if np.any(mask):
-            i = np.flatnonzero(np.broadcast_to(mask, np.shape(x)))[0]
-            raise EvalDomainError(checks[k][0], checks[k][1], float(np.ravel(x)[i]))
+@functools.lru_cache(maxsize=64)
+def _scalar_jet2(ast: ExprAst) -> Callable[[float], Jet2]:
+    return _compile_jet2(ast, vectorized=False)
 
-    body = "".join(f"        {line}\n" for line in lines)
-    out = ", ".join(f"full({t or '0.0'}, x)" for t in (v, d, e))
-    env = {
-        "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
-        "pow": np.power, "pi": math.pi, "e": math.e, "where": np.where, "isinf": np.isinf,
-        "isfinite": np.isfinite, "errstate": np.errstate, "_fail": fail, "Jet2": Jet2,
-        "full": lambda t, x: np.broadcast_to(np.asarray(t, dtype=float), np.shape(x)),
-        "__builtins__": {},
-    }
-    # the source is generated from our own AST nodes only
-    src = f"def jet2(x):\n    with errstate(all='ignore'):\n{body}        return Jet2({out})\n"
-    exec(src, env)
-    return env["jet2"]
+
+def eval_jet2(ast: ExprAst, x: float) -> Jet2:
+    """Evaluate (V(x), V'(x), V''(x)); the seed for 'x' is (x, 1, 0).
+
+    Runs the AST's jet code on floats, compiled once per AST.
+    """
+    return _scalar_jet2(ast)(x)

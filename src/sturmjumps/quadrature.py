@@ -55,6 +55,9 @@ _GL_W = np.array(list(reversed(_GL_POS_W)) + list(_GL_POS_W))
 # when the tolerance sits below rounding, where every piece keeps failing
 _MAX_DEPTH = 8
 
+# tanh-sinh step halvings past which an integral is an error
+_MAX_LEVEL = 12
+
 
 class QuadratureError(RuntimeError):
     pass
@@ -235,11 +238,11 @@ def integrate_sqrt_v_segments(p: Potential, xs, tol: float = 1e-12) -> SegmentsR
         owner = np.concatenate([owner[miss], owner[miss]])
 
 
-def tanh_sinh(f, x0: float, x1: float, tol: float, max_level: int = 12) -> QuadResult:
+def tanh_sinh(f, x0: float, x1: float, tol: float) -> QuadResult:
     """Integrate f over [x0, x1] to absolute tolerance ``tol``, never sampling x0 or x1.
 
     Levels halve the step until two successive trapezoid sums differ by
-    less than ``tol``; exceeding ``max_level`` raises QuadratureError.
+    less than ``tol``; exceeding ``_MAX_LEVEL`` raises QuadratureError.
     """
     half = 0.5 * (x1 - x0)
     evals = 0
@@ -299,7 +302,7 @@ def tanh_sinh(f, x0: float, x1: float, tol: float, max_level: int = 12) -> QuadR
 
     h = 1.0
     total = h * sweep(h, 1, 0)
-    for level in range(1, max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         h *= 0.5
         total_new = 0.5 * total + h * sweep(h, 2, 1)
         err = abs(total_new - total)
@@ -307,7 +310,7 @@ def tanh_sinh(f, x0: float, x1: float, tol: float, max_level: int = 12) -> QuadR
         if level >= 2 and err < tol:
             return QuadResult(total, err, evals)
     raise QuadratureError(
-        f"tanh-sinh did not reach tol={tol} after level {max_level} on [{x0}, {x1}]"
+        f"tanh-sinh did not reach tol={tol} after level {_MAX_LEVEL} on [{x0}, {x1}]"
     )
 
 

@@ -89,6 +89,12 @@ def mp_value(node, x):
     return a ** b
 
 
+def mp_jet(node, x):
+    """(V, V', V'') at x from mpmath.diff of mp_value at 40 digits, rounded to floats."""
+    with mpmath.workdps(40):
+        return tuple(float(mpmath.diff(lambda t: mp_value(node, t), mpmath.mpf(x), k)) for k in range(3))
+
+
 def fd_derivatives(source, x, h=None):
     """Central finite differences of the formula value at 40-digit precision."""
     ast = parse(source)

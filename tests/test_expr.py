@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import fd_derivatives
+from conftest import fd_derivatives, mp_jet
 from sturmjumps.expr import (
     Binary,
     EvalDomainError,
@@ -101,6 +102,14 @@ def test_domain_error_reports_subexpression_and_x():
     assert err.value.x == 0.5
 
 
+def test_unknown_function_in_a_built_ast_is_a_domain_error():
+    ast = Binary("+", Unary("abs", Symbol("x")), Number(1.0))
+    for evaluate in (lambda: eval_jet2(ast, 0.5), lambda: compile_jet2(ast)(np.array([0.5]))):
+        with pytest.raises(EvalDomainError, match="unknown function 'abs'") as err:
+            evaluate()
+        assert (err.value.subexpr, err.value.x) == ("abs(x)", 0.5)
+
+
 _FD_CASES = [
     ("sqrt(x)", 0.3, 40.0),
     ("exp(x)", -3.0, 3.0),
@@ -164,8 +173,6 @@ def test_compiled_value_d1_domain_errors(source, x, error):
 
 
 def test_compiled_vectorized_matches_scalar():
-    import numpy as np
-
     ast = parse("2+sin(3*x)/(1+x^2)")
     fn = compile_value(ast)
     fnp = compile_value(ast, vectorized=True)
@@ -175,13 +182,30 @@ def test_compiled_vectorized_matches_scalar():
         assert v == pytest.approx(fn(float(x)), rel=1e-14)
 
 
-@pytest.mark.parametrize(
-    "source,lo,hi",
-    _FD_CASES + [("x^2", -2.0, 2.0), ("(1+x)^(-4)", 0.0, 1.0), ("x^x", 0.1, 3.0), ("1", 0.0, 1.0)],
-)
-def test_compiled_jet2_matches_jets(source, lo, hi):
-    import numpy as np
+_JET_CASES = _FD_CASES + [("x^2", -2.0, 2.0), ("(1+x)^(-4)", 0.0, 1.0), ("x^x", 0.1, 3.0), ("1", 0.0, 1.0)]
 
+
+def _near(got, want):
+    """Within 1e-13 of a 40-digit reference, relative to its size, or absolute below 1."""
+    return all(abs(g - w) <= 1e-13 * max(1.0, abs(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("source,lo,hi", _JET_CASES)
+def test_jets_match_mpmath(source, lo, hi):
+    # mp_jet differentiates the formula in mpmath, independently of the jet code
+    ast = parse(source)
+    xs = lo + (hi - lo) * (np.arange(25) + 0.5) / 25
+    arrays = compile_jet2(ast)(xs)
+    value_d1 = compile_value_d1(ast)
+    for i, x in enumerate(xs.tolist()):
+        want = mp_jet(ast, x)
+        assert _near(eval_jet2(ast, x), want), (x, eval_jet2(ast, x), want)
+        assert _near([float(part[i]) for part in arrays], want), x
+        assert _near(value_d1(x), want[:2]), x
+
+
+@pytest.mark.parametrize("source,lo,hi", _JET_CASES)
+def test_compiled_jet2_matches_jets(source, lo, hi):
     ast = parse(source)
     xs = lo + (hi - lo) * (np.arange(25) + 0.5) / 25
     got = compile_jet2(ast)(xs.reshape(5, 5))
@@ -191,29 +215,36 @@ def test_compiled_jet2_matches_jets(source, lo, hi):
         assert (v, d1, d2) == pytest.approx(tuple(jet), rel=1e-13, abs=1e-300)
 
 
-@pytest.mark.parametrize(
-    "source,x",
-    [
-        ("log(x)", -1.0),
-        ("sqrt(x)", -2.0),
-        ("sqrt(x)", 0.0),  # zero value with a non-zero slope
-        ("1/x", 0.0),
-        ("(-2)^x", 0.5),
-        ("x^0.5", -2.0),
-        ("x^0.5", 0.0),
-        ("x^(-2)", 0.0),
-        ("(x-x)^(-1)", 0.3),
-        ("exp(x)", 1e6),
-        ("exp(x)^10", 100.0),
-        ("x^x", 0.0),
-        ("2+log(x-1)", 0.5),
-    ],
-)
-def test_compiled_jet2_raises_where_jets_raise(source, x):
-    import numpy as np
+# (message, subexpression) of each failure, as the tree-walking evaluator
+# that the compiled jets replaced reported them
+_DOMAIN_ERRORS = {
+    ("log(x)", -1.0): ("logarithm of a non-positive value", "log(x)"),
+    ("sqrt(x)", -2.0): ("square root of a negative value", "sqrt(x)"),
+    ("sqrt(x)", 0.0): ("square root not differentiable at zero", "sqrt(x)"),
+    ("1/x", 0.0): ("division by zero", "1.0/x"),
+    ("(-2)^x", 0.5): ("variable exponent requires a positive base", "-2.0^x"),
+    ("x^0.5", -2.0): ("negative base with non-integer exponent", "x^0.5"),
+    ("x^0.5", 0.0): ("power not twice differentiable at zero base", "x^0.5"),
+    ("x^(-2)", 0.0): ("power not twice differentiable at zero base", "x^-2.0"),
+    ("(x-x)^(-1)", 0.3): ("zero raised to a negative power", "(x-x)^-1.0"),
+    ("exp(x)", 1e6): ("exp overflow", "exp(x)"),
+    ("exp(x)^10", 100.0): ("power out of domain", "exp(x)^10.0"),
+    ("x^x", 0.0): ("variable exponent requires a positive base", "x^x"),
+    ("2+log(x-1)", 0.5): ("logarithm of a non-positive value", "log(x-1.0)"),
+    # subtrees without x fail at every x, where they stand in the evaluation order
+    ("log(0-1)", 0.5): ("logarithm of a non-positive value", "log(0.0-1.0)"),
+    ("1/(1-1)+x", 0.5): ("division by zero", "1.0/(1.0-1.0)"),
+    ("x+log(0-1)", 0.5): ("logarithm of a non-positive value", "log(0.0-1.0)"),
+    ("x*sqrt(0-2)", 0.5): ("square root of a negative value", "sqrt(0.0-2.0)"),
+    ("exp(1000)+x", 0.5): ("exp overflow", "exp(1000.0)"),
+}
 
+
+@pytest.mark.parametrize("source,x", list(_DOMAIN_ERRORS))
+def test_compiled_jet2_raises_where_jets_raise(source, x):
     ast = parse(source)
-    with pytest.raises(EvalDomainError) as want:
+    message, subexpr = _DOMAIN_ERRORS[source, x]
+    with pytest.raises(EvalDomainError) as scalar:
         eval_jet2(ast, x)
 
     def fine(point):
@@ -225,22 +256,24 @@ def test_compiled_jet2_raises_where_jets_raise(source, x):
 
     # the failing point is named among points where the jets are fine
     xs = [pt for pt in (3.0, 2.0) if fine(pt)]
-    with pytest.raises(EvalDomainError) as got:
+    with pytest.raises(EvalDomainError) as arrays:
         compile_jet2(ast)(np.array(xs[:1] + [x] + xs[1:]))
-    assert got.value.x == x
-    # the same failure, unless numpy overflows where math.pow refused the power
-    assert str(got.value).split(" in ")[0] in (str(want.value).split(" in ")[0], "overflow to non-finite")
+    for err in (scalar.value, arrays.value):
+        assert (str(err), err.subexpr, err.x) == (f"{message} in '{subexpr}' at x={x!r}", subexpr, x)
 
 
 def test_compiled_jet2_special_zero_bases():
-    import numpy as np
-
-    # flat zero bases are allowed where eval_jet2 allows them
-    for source in ("x^2", "(x-x)^0.5", "sqrt(x-x)", "x^3", "(x^2)^2+1"):
+    # flat zero bases are allowed where the tree-walking evaluator allowed them
+    for source, want in (
+        ("x^2", (0.0, 0.0, 2.0)),
+        ("(x-x)^0.5", (0.0, 0.0, 0.0)),
+        ("sqrt(x-x)", (0.0, 0.0, 0.0)),
+        ("x^3", (0.0, 0.0, 0.0)),
+        ("(x^2)^2+1", (1.0, 0.0, 0.0)),
+    ):
         ast = parse(source)
         got = compile_jet2(ast)(np.array([0.0]))
-        want = eval_jet2(ast, 0.0)
-        assert tuple(float(part[0]) for part in got) == tuple(want)
+        assert tuple(float(part[0]) for part in got) == tuple(eval_jet2(ast, 0.0)) == want
 
 
 # -- structural round-trip ---------------------------------------------------

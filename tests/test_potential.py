@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from sturmjumps.expr import EvalDomainError
 from sturmjumps.potential import (
     Potential,
     Regularity,
@@ -30,6 +31,13 @@ def test_zero_potential_rejected_upstream():
     p = Potential.from_formula("0", 0.0, 1.0)
     with pytest.raises(ValidationError):
         p.validate()
+
+
+def test_constant_domain_error_fails_construction():
+    # the lower-bound probe must raise, not read a NaN from the x-free subtree
+    with pytest.raises(EvalDomainError) as err:
+        Potential.from_formula("log(0-1)", 0.0, 1.0)
+    assert err.value.subexpr == "log(0.0-1.0)"
 
 
 def test_theorem_class_flags_undercut_lower_bound():
