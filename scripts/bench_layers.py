@@ -23,25 +23,28 @@ the steadiest figure):
 * src_lines: the lines of the Python files under src/.
 
 Counts that explain the times (mesh cells, cells swept, phase calls per
-root) go beside them.  Usage: bench_layers.py --out BENCH_<n>.json
+root) go beside them.  With --against PATH, PATH's src/sturmjumps is
+imported too, as the package ``against``, and every phase.*, lanes.* and
+lg_data.* case runs on both trees in turn in this process, so that both
+see the same drift of the host; the case then also holds ``against_ms``
+and ``against_ratio``, its ms over PATH's.
+
+Usage: bench_layers.py --out BENCH_<n>.json [--against PATH]
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import platform
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from sturmjumps import oscillation, propagator
-from sturmjumps.jumps import jump_sequence
-from sturmjumps.liouville_green import lg_data
-from sturmjumps.potential import Potential, Regularity
-
 ROOT = Path(__file__).resolve().parent.parent
-SINE = ("2+sin(x)", 0.0, 3.0)
 MESHES = [
     ("x", 1.0, 0.0),
     ("sqrt(x)", 0.5, 0.0),
@@ -56,31 +59,50 @@ ROUNDS = [(MESHES[0], 329.5, 470.8, 31), (MESHES[1], 274.7, 392.5, 31), (MESHES[
 LG_DATA = ["2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"]
 
 
-def potential(source, gamma_a=None, gamma_b=None):
-    if gamma_a is None:
-        b = 3.0 if "sin" in source else 1.0
-        return Potential.from_formula(source, 0.0, b)
-    return Potential.from_formula(source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b)
+class Tree:
+    """The modules of one checkout's package, imported as ``package``."""
+
+    def __init__(self, package):
+        for name in ("oscillation", "propagator", "jumps", "liouville_green"):
+            setattr(self, name, importlib.import_module(f"{package}.{name}"))
+        self.potential_module = importlib.import_module(f"{package}.potential")
+
+    def potential(self, source, gamma_a=None, gamma_b=None):
+        Potential = self.potential_module.Potential
+        if gamma_a is None:
+            b = 3.0 if "sin" in source else 1.0
+            return Potential.from_formula(source, 0.0, b)
+        regularity = self.potential_module.Regularity.CONJECTURE
+        return Potential.from_formula(source, 0.0, 1.0, regularity=regularity, gamma_a=gamma_a, gamma_b=gamma_b)
 
 
-def fastest_ms(run, repeat):
-    times = []
+def load_against(path):
+    """PATH's src/sturmjumps, imported as the package ``against`` beside this tree's."""
+    init = Path(path).resolve() / "src" / "sturmjumps" / "__init__.py"
+    spec = importlib.util.spec_from_file_location("against", init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules["against"] = package
+    spec.loader.exec_module(package)
+    return Tree("against")
+
+
+def fastest_ms(runs, repeat):
+    """The fastest of ``repeat`` runs of each callable, taken in turn so that all see the same drift of the host."""
+    times = [[] for _ in runs]
     for _ in range(repeat):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    return 1e3 * min(times)
-
-
-def fastest_pair_ms(run_a, run_b, repeat):
-    """fastest_ms of two runs, taken alternately so that both see the same drift of the host."""
-    times_a, times_b = [], []
-    for _ in range(repeat):
-        for run, times in ((run_a, times_a), (run_b, times_b)):
+        for run, spent in zip(runs, times):
             t0 = time.perf_counter()
             run()
-            times.append(time.perf_counter() - t0)
-    return 1e3 * min(times_a), 1e3 * min(times_b)
+            spent.append(time.perf_counter() - t0)
+    return [1e3 * min(spent) for spent in times]
+
+
+def with_against(case, ms, others):
+    """The case, with PATH's ms and the ratio to it when --against ran ``others``."""
+    if others:
+        case["against_ms"] = others[0]
+        case["against_ratio"] = ms / others[0]
+    return case
 
 
 def peak_kb(run):
@@ -93,68 +115,82 @@ def peak_kb(run):
         tracemalloc.stop()
 
 
-def lanes_case(q, lams, repeat):
-    """One round of lanes against one-lane calls at the same couplings, its mesh built outside the timing."""
-    oscillation._phases(q, lams, 1e-11)
-    ms, one_lane = fastest_pair_ms(
-        lambda: oscillation._phases(q, lams, 1e-11),
-        lambda: [oscillation.phase(q, lam, rtol=1e-11) for lam in lams],
-        repeat,
-    )
-    return {"ms": ms, "ms_per_lane": ms / len(lams), "one_lane_ms": one_lane, "ratio": ms / one_lane}
+def phase_case(trees, spec, lam, repeat):
+    """One-lane ``phase`` on each tree, its mesh built outside the timing: our potential and result, and the ms."""
+    potentials = [tree.potential(*spec) for tree in trees]
+    results = [tree.oscillation.phase(q, lam, rtol=1e-11) for tree, q in zip(trees, potentials)]
+    runs = [lambda tree=tree, q=q: tree.oscillation.phase(q, lam, rtol=1e-11) for tree, q in zip(trees, potentials)]
+    ms, *others = fastest_ms(runs, repeat)
+    return potentials[0], results[0], ms, others
+
+
+def lanes_case(trees, spec, lams, repeat):
+    """One round of lanes against one-lane calls at the same couplings, and the round on PATH's tree; our potential."""
+    potentials = [tree.potential(*spec) for tree in trees]
+    for tree, q in zip(trees, potentials):
+        tree.oscillation._phases(q, lams, 1e-11)  # builds the mesh
+    rounds = [lambda tree=tree, q=q: tree.oscillation._phases(q, lams, 1e-11) for tree, q in zip(trees, potentials)]
+    ours, q = trees[0], potentials[0]
+    one_lane = lambda: [ours.oscillation.phase(q, lam, rtol=1e-11) for lam in lams]
+    ms, one_lane_ms, *others = fastest_ms([rounds[0], one_lane, *rounds[1:]], repeat)
+    case = {"ms": ms, "ms_per_lane": ms / len(lams), "one_lane_ms": one_lane_ms, "ratio": ms / one_lane_ms}
+    return with_against(case, ms, others), q
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--repeat", type=int, default=15, help="runs per case (the sequence takes a third as many)")
+    ap.add_argument("--against", metavar="PATH", help="a checkout whose phase, lanes and lg_data cases run beside these")
     args = ap.parse_args()
     repeat = max(args.repeat, 1)
+    ours = Tree("sturmjumps")
+    trees = [ours] + ([load_against(args.against)] if args.against else [])
     cases = {}
 
-    p = Potential.from_formula(*SINE)
     for lam in (10.0, 100.0, 1000.0):
-        res = oscillation.phase(p, lam, rtol=1e-11)
-        ms = fastest_ms(lambda: oscillation.phase(p, lam, rtol=1e-11), repeat)
-        cases[f"phase.2+sin(x).lam={lam:g}"] = {"ms": ms, "cells": res.cells}
+        _, res, ms, others = phase_case(trees, ("2+sin(x)",), lam, repeat)
+        cases[f"phase.2+sin(x).lam={lam:g}"] = with_against({"ms": ms, "cells": res.cells}, ms, others)
 
-    for source, gamma_a, gamma_b in SINGULAR:
-        q = potential(source, gamma_a, gamma_b)
+    for spec in SINGULAR:
         for lam in (100.0, 470.0, 1900.0):
-            res = oscillation.phase(q, lam, rtol=1e-11)
-            ms = fastest_ms(lambda: oscillation.phase(q, lam, rtol=1e-11), repeat)
-            cases[f"phase.{source}.lam={lam:g}"] = {"ms": ms, "cells": res.cells, "rk_steps": res.steps}
-            x_l, x_r = propagator.bulk_interval(q)
-            ends = (q, lam, 1e-11, x_l, x_r, propagator.bulk_mesh(q, 1e-11).length)
-            _, _, steps, _, gap = oscillation._ends(*ends)
-            ms = fastest_ms(lambda: oscillation._ends(*ends), repeat)
-            cases[f"sliver.{source}.lam={lam:g}"] = {"ms": ms, "rk_steps": steps, "gap": gap}
+            q, res, ms, others = phase_case(trees, spec, lam, repeat)
+            case = {"ms": ms, "cells": res.cells, "rk_steps": res.steps}
+            cases[f"phase.{spec[0]}.lam={lam:g}"] = with_against(case, ms, others)
+            x_l, x_r = ours.propagator.bulk_interval(q)
+            ends = (q, lam, 1e-11, x_l, x_r, ours.propagator.bulk_mesh(q, 1e-11).length)
+            _, _, steps, _, gap = ours.oscillation._ends(*ends)
+            ms = fastest_ms([lambda: ours.oscillation._ends(*ends)], repeat)[0]
+            cases[f"sliver.{spec[0]}.lam={lam:g}"] = {"ms": ms, "rk_steps": steps, "gap": gap}
 
     lams = np.geomspace(5.0, 40.0, 23).tolist()
     for source in ("2+sin(x)", "(1+x)^(-4)"):
-        cases[f"lanes.{source}.23"] = lanes_case(potential(source), lams, repeat)
-    for (source, gamma_a, gamma_b), lo, hi, count in ROUNDS:
-        q = potential(source, gamma_a, gamma_b)
+        cases[f"lanes.{source}.23"] = lanes_case(trees, (source,), lams, repeat)[0]
+    for spec, lo, hi, count in ROUNDS:
         lams = np.linspace(lo, hi, count).tolist()
-        case = lanes_case(q, lams, repeat)
-        case["peak_kb"] = peak_kb(lambda: oscillation._phases(q, lams, 1e-11))
-        cases[f"lanes.{source}.{count}"] = case
+        case, q = lanes_case(trees, spec, lams, repeat)
+        case["peak_kb"] = peak_kb(lambda: ours.oscillation._phases(q, lams, 1e-11))
+        cases[f"lanes.{spec[0]}.{count}"] = case
 
     for source in LG_DATA:
-        q = potential(source)
-        lg_data(q)  # the first call compiles the potential's evaluators
-        cases[f"lg_data.{source}"] = {"ms": fastest_ms(lambda: lg_data(q), repeat)}
+        runs = []
+        for tree in trees:
+            q = tree.potential(source)
+            tree.liouville_green.lg_data(q)  # the first call compiles the potential's evaluators
+            runs.append(lambda tree=tree, q=q: tree.liouville_green.lg_data(q))
+        ms, *others = fastest_ms(runs, repeat)
+        cases[f"lg_data.{source}"] = with_against({"ms": ms}, ms, others)
 
-    for source, gamma_a, gamma_b in MESHES:
-        q = potential(source, gamma_a, gamma_b)
-        interval = propagator.bulk_interval(q)
-        mesh = propagator.build_mesh(q, -11, *interval)
-        ms = fastest_ms(lambda: propagator.build_mesh(q, -11, *interval), repeat)
-        cases[f"build_mesh.{source}"] = {"ms": ms, "cells": mesh.cells}
+    for spec in MESHES:
+        q = ours.potential(*spec)
+        interval = ours.propagator.bulk_interval(q)
+        mesh = ours.propagator.build_mesh(q, -11, *interval)
+        ms = fastest_ms([lambda: ours.propagator.build_mesh(q, -11, *interval)], repeat)[0]
+        cases[f"build_mesh.{spec[0]}"] = {"ms": ms, "cells": mesh.cells}
 
-    p = Potential.from_formula(*SINE)
-    records = jump_sequence(p, 1, 500)
-    ms = fastest_ms(lambda: jump_sequence(p, 1, 500), max(repeat // 3, 1))
+    p = ours.potential("2+sin(x)")
+    records = ours.jumps.jump_sequence(p, 1, 500)
+    ms = fastest_ms([lambda: ours.jumps.jump_sequence(p, 1, 500)], max(repeat // 3, 1))[0]
     calls = sum(r.phase_calls for r in records)
     cases["jump_sequence.2+sin(x).1-500"] = {"ms": ms, "phase_calls_per_root": calls / len(records)}
 
@@ -165,6 +201,8 @@ def main():
         "repeat": repeat,
         "cases": cases,
     }
+    if args.against:
+        report["against"] = args.against
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for name, values in cases.items():
         print(name, " ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in values.items()))

@@ -30,18 +30,20 @@ one mesh serves every lambda.
 
 Within cell i the Prüfer angle psi, tan(psi) = sigma g/g', uses the scale
 sigma = sqrt(x)/h where the cell spans more than a radian of phase and 1/h
-elsewhere.  psi is read by atan2 at both ends of the cell and the change
-taken on the branch within pi of the expected advance sqrt(x) (0 on the
-slow cells).  At each node the angle is rescaled to the next cell's scale
-by atan2, which keeps every multiple of pi.  The sweep enters at x_l with
-the angle of (lambda sqrt(V) u, u'), 0 for u(a) = 0 at a regular end,
-turned with V(x_l) and V'(x_l) into the direction of (g, g') on the same
-branch.  At x_r the exit (g, g') is turned with V(x_r) and V'(x_r) into
-the angle of (sigma u, u') on the scale sigma the propagator picks: the
-constant scale s = lambda sqrt(max(c_lower, 1)) where x_r = b, the usual
-theta(b), and lambda sqrt(V(x_r)) otherwise, the scale on which the angle
-shot back from a singular right end arrives to be matched.  V and V' at
-both ends are cached on the mesh.
+elsewhere.  A sweep carries the direction of (sigma g, g') from node to
+node, rescaled at each to the next cell's scale.  One np.arctan2 call
+(``_angles``) reads psi at both ends of every cell, the change is taken
+on the branch within pi of the expected advance sqrt(x) (0 on the slow
+cells), which keeps every multiple of pi, and np.add.accumulate sums the
+changes in cell order.  The sweep enters at x_l with the angle of (lambda
+sqrt(V) u, u'), 0 for u(a) = 0 at a regular end, turned with V(x_l) and
+V'(x_l) into the direction of (g, g') on the same branch.  At x_r the
+exit (g, g') is turned with V(x_r) and V'(x_r) into the angle of (sigma
+u, u') on the scale sigma the propagator picks: the constant scale s =
+lambda sqrt(max(c_lower, 1)) where x_r = b, the usual theta(b), and
+lambda sqrt(V(x_r)) otherwise, the scale on which the angle shot back
+from a singular right end arrives to be matched.  V and V' at both ends
+are cached on the mesh.
 
 The mesh depends on the potential and the decade of rtol only.  It is
 built once, vectorized over cells, by bisecting every cell whose
@@ -61,15 +63,15 @@ only entry point, takes many couplings, the lanes, at once.  A round of
 lanes is one pass over the mesh in blocks of columns, each of at most
 _BLOCK lane-cells: per block one _transfer batch over lanes x cells and
 a sweep whose node recursion runs on numpy rows across the lanes, with
-each lane's angles read by math.atan2 and summed in the one-lane sweep's
-order.  _transfer's series product always has at least two rows, since
-BLAS sums one row along another path, so a cell's bits do not depend on
-the cells beside it, nor a lane's on the lanes beside it or the blocks.
-The lanes' sweep state carries from block to block, so memory depends
-on the block, not on lanes x cells.  A round of fewer than
-_MIN_LANES lanes, a single coupling included, is swept lane by lane
-(``_theta_pair``), which is faster there.  The mesh build's refinement
-test is batched the same way, over its reference frequencies.
+the one-lane recursion's bits.  _transfer's series product always has at
+least two rows, since BLAS sums one row along another path, and
+np.arctan2 gives an element the same bits in any array, so a cell's bits
+do not depend on the cells beside it, nor a lane's on the lanes beside
+it or the blocks.  The lanes' sweep state carries from block to block,
+so memory depends on the block, not on lanes x cells.  A round of fewer
+than _MIN_LANES lanes, a single coupling included, is swept lane by lane
+(``_theta_pair``).  The mesh build's refinement test is batched the same
+way, over its reference frequencies.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ _MAX_DEPTH = 40
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
 _BLOCK = 4096  # lane-cells per block of a round's sweep: bounds the sweep's arrays
-_MIN_LANES = 8  # fewer lanes than this are swept one at a time, which is faster
+_MIN_LANES = 8  # fewer lanes go one at a time: the least worst case over short and long meshes
 _SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture-class end
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
@@ -417,47 +419,29 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
     return _assemble(p, nodes, whole, halves)
 
 
-def _sweep(m11, m12, m21, m22, adv, ratio, theta, w0, w1, a0):
-    """Continuous Prüfer angle over a run of cells, and the final (g, g') direction.
+def _angles(g, dg, adv, theta, a0):
+    """The exit angles of sweeps whose node directions are known, and their last nodes' angles.
 
-    The m's are the cells' propagators in their own scale, ``adv`` the
-    expected advance, ``ratio`` the rescale at each cell's far end;
-    ``theta`` is the entry angle, (w0, w1) its direction on the first
-    cell's scale and a0 = atan2(w0, w1).
+    g and dg hold each cell's far-end direction (2, cells, sweeps...), row
+    0 before the rescale to the next cell's scale and row 1 after it; adv
+    is the expected advance, theta the entry angle, a0 its direction's atan2.
     """
-    atan2 = math.atan2
-    for t11, t12, t21, t22, e, r in zip(m11, m12, m21, m22, adv, ratio):
-        y0 = t11 * w0 + t12 * w1
-        y1 = t21 * w0 + t22 * w1
-        a1 = atan2(y0, y1)
-        d = a1 - a0 - e
-        n = abs(y0) + abs(y1)
-        w0 = y0 * r / n
-        w1 = y1 / n
-        a0 = atan2(w0, w1)
-        theta += e + d - _TWO_PI * round(d / _TWO_PI) + a0 - a1
-    return theta, w0, w1, a0
-
-
-def _atan2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """math.atan2 over two arrays, _CHUNK values at a time (np.arctan2 rounds differently)."""
-    out = np.empty(u.shape)
-    u, v, flat = u.ravel(), v.ravel(), out.reshape(-1)
-    for i in range(0, len(flat), _CHUNK):
-        flat[i : i + _CHUNK] = list(map(math.atan2, u[i : i + _CHUNK].tolist(), v[i : i + _CHUNK].tolist()))
-    return out
+    a1, a = np.arctan2(g, dg)
+    d = a1 - np.concatenate([[a0], a[:-1]]) - adv
+    steps = adv + d - _TWO_PI * np.rint(d / _TWO_PI) + a - a1
+    steps[0] += theta
+    return np.add.accumulate(steps)[-1], a[-1]
 
 
 def _sweep_lanes(m11, m12, m21, m22, adv, ratio, theta, w0, w1, a0):
-    """_sweep for many lanes at once, with _sweep's bits in every lane.
+    """A run of cells swept for many lanes at once: the Prüfer angle and the final (g, g') direction.
 
-    The arguments are _sweep's with a row per lane: the cells' columns
-    (lanes x cells) and the entry values (one per lane).  The node
-    recursion runs on numpy rows across the
-    lanes, a lane's two components side by side; the angles are then read
-    by math.atan2 and summed by np.cumsum from theta, which adds in
-    _sweep's order.  Returns the exit (theta, w0, w1, a0), so that a sweep
-    may go on from there.
+    The m's are the cells' propagators in their own scale, ``adv`` the
+    expected advance and ``ratio`` the rescale at each cell's far end, a
+    row per lane; theta, (w0, w1) and a0 are the entry angle, its direction
+    on the first cell's scale and its atan2, one per lane.  The recursion
+    runs on numpy rows across the lanes.  Returns the exit (theta, w0, w1,
+    a0), so that a sweep may go on.
     """
     lanes, cells = m11.shape
     # per cell [[t11, t21], [t12, t22]] and [ratio, 1]: y = mat[0] w0 + mat[1] w1, w' = y [ratio, 1] / n
@@ -465,22 +449,21 @@ def _sweep_lanes(m11, m12, m21, m22, adv, ratio, theta, w0, w1, a0):
     mat[:, 0, 0], mat[:, 0, 1], mat[:, 1, 0], mat[:, 1, 1] = m11.T, m21.T, m12.T, m22.T
     scale = np.ones((cells, 2, lanes))
     scale[:, 0] = ratio.T
-    y = np.empty((cells, 2, lanes))
-    w = np.empty((cells + 1, 2, lanes))
-    w[0] = w0, w1
+    # nodes[i + 1] holds cell i's y and w; nodes[0, 1] the entry direction
+    nodes = np.empty((cells + 1, 2, 2, lanes))
+    nodes[0, 1] = w0, w1
+    w = nodes[:, 1]
     # w[i] read as [[w0, w0], [w1, w1]], to meet mat[i] without broadcasting
     pairs = np.lib.stride_tricks.as_strided(w, (cells + 1, 2, 2, lanes), (w.strides[0], w.strides[1], 0, w.strides[2]), writeable=False)
     with np.errstate(all="ignore"):  # a lane that fails ends non-finite
-        for mi, wi, si, yi, wo in zip(mat, pairs, scale, y, w[1:]):
+        for mi, wi, si, (yi, wo) in zip(mat, pairs, scale, nodes[1:]):
             terms = mi * wi
             np.add(terms[0], terms[1], out=yi)
             size = np.abs(yi)
             np.multiply(yi, si, out=wo)
             wo /= size + size[::-1]  # |y0| + |y1| in both rows
-        a1, a = _atan2(y[:, 0], y[:, 1]), _atan2(w[1:, 0], w[1:, 1])
-        d = a1 - np.vstack([a0, a[:-1]]) - adv.T
-        steps = adv.T + d - _TWO_PI * np.round(d / _TWO_PI) + a - a1
-    return np.cumsum(np.vstack([theta, steps]), axis=0)[-1], w[-1, 0], w[-1, 1], a[-1]
+        theta, a = _angles(*nodes[1:].transpose(2, 1, 0, 3), adv.T, theta, a0)
+    return theta, w[-1, 0], w[-1, 1], a
 
 
 def _sigma(x, h):
@@ -537,17 +520,34 @@ def _exit(mesh: CellMesh, lam: float, theta: float, g: float, dg: float, a: floa
 
 
 def _theta_pair(mesh: CellMesh, lam: float, theta_l: float) -> tuple[float, float]:
-    """The exit angle on the coarse mesh and on its halves."""
+    """The exit angle on the coarse mesh and on its halves, both read by one _angles call."""
     n = mesh.cells
     t11, t12, t21, t22, x = _transfer(lam * lam, mesh.h, mesh.ubar, mesh.c1, mesh.c2)
     sig, adv, ratio = _scales(x, mesh.h, np.ones(1))
     ratio[n - 1] = 1.0 / sig[n - 1]  # the coarse sweep ends there
-    cols = [a.tolist() for a in (t11, t12 * sig, t21 / sig, t22, adv, ratio)]
+    cols = [a.tolist() for a in (t11, t12 * sig, t21 / sig, t22, ratio)]
     starts = _entries(mesh, lam, theta_l, (float(sig[0]), float(sig[n])))
-    return tuple(
-        _exit(mesh, lam, *_sweep(*(c[part] for c in cols), *start))
-        for part, start in zip((slice(0, n), slice(n, 3 * n)), starts)
-    )
+    g, dg = [], []  # each cell's far-end y
+    for part, (_, w0, w1, _) in zip((slice(0, n), slice(n, 3 * n)), starts):
+        for t11, t12, t21, t22, r in zip(*(c[part] for c in cols)):
+            y0 = t11 * w0 + t12 * w1
+            y1 = t21 * w0 + t22 * w1
+            size = abs(y0) + abs(y1)
+            w0 = y0 * r / size
+            w1 = y1 / size
+            g.append(y0)
+            dg.append(y1)
+    yg, ydg = np.fromiter(g, float, 3 * n), np.fromiter(dg, float, 3 * n)
+    with np.errstate(all="ignore"):  # a call that fails ends non-finite
+        size = np.abs(yg) + np.abs(ydg)
+        yw = np.array([[yg, yg * ratio / size], [ydg, ydg / size]])  # (g, g'), (y, w), cells; w has the loop's bits
+    nodes = np.empty((2, 2, 2 * n, 2))  # (coarse, fine); the coarse sweep holds its last node over n more cells
+    nodes[..., 1], nodes[:, :, :n, 0], nodes[:, :, n:, 0] = yw[:, :, n:], yw[:, :, :n], yw[:, 1:, n - 1 : n]
+    advance = np.zeros((2 * n, 2))
+    advance[:n, 0], advance[:, 1] = adv[:n], adv[n:]
+    start = np.array(starts)
+    thetas, a = (q.tolist() for q in _angles(*nodes, advance, start[:, 0], start[:, 3]))
+    return tuple(_exit(mesh, lam, thetas[k], *yw[:, 1, end].tolist(), a[k]) for k, end in enumerate((n - 1, -1)))
 
 
 def _sweep_block(mesh: CellMesh, lam2, runs, k0: int, k1: int, state):

@@ -138,7 +138,7 @@ _PINNED = {
     ("2+sin(x)", 3.0): [
         (0.7, 1e-10, 3.4884129058912765), (30.0, 1e-10, 146.67004910845748),
         (1000.0, 1e-10, 4888.4513632717335), (0.7, 1e-12, 3.4884129058912565),
-        (30.0, 1e-12, 146.67004910846393), (1000.0, 1e-12, 4888.451363271734),
+        (30.0, 1e-12, 146.6700491084639), (1000.0, 1e-12, 4888.451363271734),
     ],
     ("exp(x)", 1.0): [
         (0.7, 1e-10, 0.8404900320854238), (30.0, 1e-10, 38.74007529891223),
@@ -250,6 +250,45 @@ def test_lanes_match_one_lane_phase_bit_for_bit(case, monkeypatch):
     if case == "refine":
         cells = {r.cells for r in got}
         assert 3 * mesh.cells in cells and max(cells) > 3 * mesh.cells
+
+
+def test_arctan2_bits_do_not_depend_on_the_array():
+    # lanes match one-lane calls because _angles reads every node with
+    # np.arctan2, whose bits for an element must not depend on the length,
+    # stride or layout of the array it is in, nor on a scalar call
+    rng = np.random.default_rng(13)
+    u, v = rng.standard_normal((2, 4200)) * np.exp(rng.uniform(-30.0, 30.0, (2, 4200)))
+    want = np.arctan2(u, v)
+    for length in range(1, 71):
+        for i in range(0, len(u) - length, 997):
+            assert np.array_equal(np.arctan2(u[i : i + length], v[i : i + length]), want[i : i + length]), (length, i)
+    for stride in (2, 3, 7):
+        assert np.array_equal(np.arctan2(u[::stride], v[::stride]), want[::stride]), stride
+    for rows in (2, 6, 60):
+        grid = (rows, len(u) // rows)
+        assert np.array_equal(np.arctan2(u.reshape(grid).T, v.reshape(grid).T), want.reshape(grid).T), rows
+        assert np.array_equal(np.arctan2(u.reshape(grid), v.reshape(grid)), want.reshape(grid)), rows
+    assert [np.arctan2(a, b) for a, b in zip(u[:500].tolist(), v[:500].tolist())] == want[:500].tolist()
+
+
+def test_angles_match_a_per_cell_math_atan2_sweep():
+    # the reference is the per-cell loop that read each angle by
+    # math.atan2; np.arctan2 may round each angle one ulp apart from it
+    rng = np.random.default_rng(14)
+    cells = 300
+    y = rng.standard_normal((cells, 2))
+    w = y * np.stack([rng.uniform(0.5, 2.0, cells), np.ones(cells)], axis=1)
+    w /= np.abs(y).sum(axis=1)[:, None]
+    adv = rng.uniform(0.0, 3.0, cells)
+    theta, a = 1.0, 0.3
+    for (y0, y1), (w0, w1), e in zip(y.tolist(), w.tolist(), adv.tolist()):
+        a1 = math.atan2(y0, y1)
+        d = a1 - a - e
+        a = math.atan2(w0, w1)
+        theta += e + d - 2.0 * math.pi * round(d / (2.0 * math.pi)) + a - a1
+    got, last = propagator._angles(np.array([y[:, 0], w[:, 0]]), np.array([y[:, 1], w[:, 1]]), adv, 1.0, 0.3)
+    assert abs(got - theta) <= 4.0 * cells * np.finfo(float).eps * theta
+    assert abs(last - a) <= 2.0 * np.finfo(float).eps * math.pi
 
 
 def test_rounds_sweep_in_blocks_of_bounded_lane_cells(monkeypatch):

@@ -3,8 +3,9 @@
 ``find_jump(p, n, tol)`` promises |theta(b; lambda_n) - n*pi| <= tol*n.
 Near a root theta(b; .) has slope about D = int sqrt(V), so the promise is
 checked as D*|lambda_n - lambda*_n| <= tol*n against roots known in closed
-form (Bessel and Whittaker zeros among them), and at lambda ~ 1000
-against theta(b) from the RK oracle.  The phase itself is cross-checked
+form (Bessel and Whittaker zeros among them), for exp(x) as the exact
+angle at lambda_n, and at lambda ~ 1000 against theta(b) from the RK
+oracle.  The phase itself is cross-checked
 against two RK45 oracles built on the same Dormand-Prince stepper: the
 constant-scale Prüfer equation, for both classes, started from u ~ |x - end|
 at an offset of its own (``_offset_delta``), and for the theorem class the
@@ -16,7 +17,7 @@ import math
 import mpmath
 import pytest
 
-from sturmjumps.jumps import find_jump
+from sturmjumps.jumps import find_jump, jump_sequence
 from sturmjumps.oscillation import _rk45, count_negative, phase
 from sturmjumps.potential import Potential, Regularity
 from sturmjumps.propagator import bulk_interval
@@ -68,6 +69,36 @@ def test_root_tol_contract_whittaker(v_rational, n):
     d = math.pi / 2.0
     rec = find_jump(v_rational, n, tol=TOL, d_value=d)
     assert d * abs(rec.lambda_n - _whittaker_root(n)) <= TOL * n
+
+
+def _exp_solution(lam):
+    """u(1) and u'(1) for V = exp(x) on [0, 1], at 40 digits.
+
+    u = J0(2 lam) Y0(s) - Y0(2 lam) J0(s) with s = 2 lam e^(x/2) vanishes
+    at 0 and solves -u'' = lam^2 e^x u, and u' = -(s/2) (J0(2 lam) Y1(s) -
+    Y0(2 lam) J1(s)); so lambda_n is the n-th zero of u(1).
+    """
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        s = 2 * lam * mpmath.sqrt(mpmath.e)
+        j, y = mpmath.besselj(0, 2 * lam), mpmath.bessely(0, 2 * lam)
+        u = j * mpmath.bessely(0, s) - y * mpmath.besselj(0, s)
+        return u, -s / 2 * (j * mpmath.bessely(1, s) - y * mpmath.besselj(1, s))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("n", [1, 10, 100, 600, 1200])
+def test_root_tol_contract_exp_exact_angle(v_exp, n, tol):
+    # U = exp(-x)/16 varies, so no cell is exact.  The true angle at
+    # jump_sequence's lambda_n (up to lambda ~ 2906) is n pi + atan(s u/u')
+    # on the exit scale s = lambda sqrt(max(c_lower, 1)) = lambda
+    assert v_exp.c_lower == 1.0
+    lam = jump_sequence(v_exp, n, n, tol=tol)[0].lambda_n
+    u, du = _exp_solution(lam)
+    assert abs(mpmath.atan(lam * u / du)) <= tol * n
+    # and the zero of u(1) beside lambda_n is the n-th: about n pi / D
+    root = mpmath.findroot(lambda x: _exp_solution(x)[0], mpmath.mpf(lam))
+    assert round(float(root) * 2.0 * (math.sqrt(math.e) - 1.0) / math.pi) == n
 
 
 _DELTA_TOL = 1e-10  # relative error of u ~ |x - end| allowed over the sliver the oracle skips

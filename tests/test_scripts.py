@@ -49,3 +49,20 @@ def test_bench_layers_writes_every_case(tmp_path):
     for source in ("2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"):
         assert cases[f"lg_data.{source}"]["ms"] > 0.0, source
     assert cases["src_lines"]["lines"] > 1000
+
+
+def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
+    # --against imports a checkout's package under another name; here the
+    # repository itself, so both trees run the same code
+    out = tmp_path / "bench.json"
+    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1", "--against", str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["against"] == str(ROOT)
+    cases = report["cases"]
+    assert cases["phase.2+sin(x).lam=10"]["cells"] == 177 and cases["src_lines"]["lines"] > 1000
+    for name, case in cases.items():
+        paired = name.split(".")[0] in ("phase", "lanes", "lg_data")
+        assert ("against_ratio" in case) == paired, name
+        if paired:
+            assert case["against_ms"] > 0.0 and case["against_ratio"] == case["ms"] / case["against_ms"], name
