@@ -16,7 +16,14 @@ the steadiest figure):
   one-lane ``phase`` calls at the same couplings, the two run alternately;
 * lanes.<potential>.<k>: the same on the conjecture class at the
   couplings of its jump tables, 31 lanes on x and sqrt(x) (n = 70..100)
-  and 6 on (1-x)/x (n = 95..100), with the round's tracemalloc peak;
+  and 8 on (1-x)/x (n = 93..100, enough lanes to be batched), with the
+  round's tracemalloc peak;
+* transfer.<potential>.<k>: the cell-transfer kernel alone, with its
+  lane-cells and ns per lane-cell: one block of a round's first sweep
+  (``propagator._transfers``, 31 lanes on x at n = 70..100 and 60 lanes
+  on 2+sin(x) at lambda 3..41, about 4 096 lane-cells each), and one
+  one-lane call (``propagator._transfer``) on the 96 swept cells of
+  exp(x) at lambda = 30;
 * lg_data.<potential>: the Liouville-Green data on the 512-point grid;
 * build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh;
 * jump_sequence.2+sin(x).1-500: criterion 4's table on one worker;
@@ -24,10 +31,10 @@ the steadiest figure):
 
 Counts that explain the times (mesh cells, cells swept, phase calls per
 root) go beside them.  With --against PATH, PATH's src/sturmjumps is
-imported too, as the package ``against``, and every phase.*, lanes.* and
-lg_data.* case runs on both trees in turn in this process, so that both
-see the same drift of the host; the case then also holds ``against_ms``
-and ``against_ratio``, its ms over PATH's.
+imported too, as the package ``against``, and every phase.*, lanes.*,
+transfer.*, lg_data.* and build_mesh.* case runs on both trees in turn
+in this process, so that both see the same drift of the host; the case
+then also holds ``against_ms`` and ``against_ratio``, its ms over PATH's.
 
 Usage: bench_layers.py --out BENCH_<n>.json [--against PATH]
 """
@@ -55,7 +62,9 @@ MESHES = [
 ]
 SINGULAR = MESHES[:3]
 # conjecture-class rounds: the couplings of the jump table's first round, lambda_n for its n
-ROUNDS = [(MESHES[0], 329.5, 470.8, 31), (MESHES[1], 274.7, 392.5, 31), (MESHES[2], 190.3, 200.3, 6)]
+ROUNDS = [(MESHES[0], 329.5, 470.8, 31), (MESHES[1], 274.7, 392.5, 31), (MESHES[2], 186.3, 200.3, 8)]
+# kernel blocks: a round's lanes on the first columns of its first sweep, coarse cells beside halves
+TRANSFER_BLOCKS = [(MESHES[0], 329.5, 470.8, 31), (("2+sin(x)",), 3.0, 41.0, 60)]
 LG_DATA = ["2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"]
 
 
@@ -137,11 +146,38 @@ def lanes_case(trees, spec, lams, repeat):
     return with_against(case, ms, others), q
 
 
+def transfer_block_case(trees, spec, lams, repeat):
+    """One _transfers block of the round ``lams`` on each tree: the ms, lane-cells and ns per lane-cell."""
+    args = []
+    for tree in trees:
+        mesh = tree.propagator.bulk_mesh(tree.potential(*spec), 1e-11)
+        n, width = mesh.cells, min(tree.propagator._BLOCK // (2 * len(lams)), mesh.cells)
+        cells = np.concatenate([np.arange(width), np.arange(n, n + width)])
+        lam2 = (np.array(lams) ** 2)[:, None]
+        args.append((lam2, *(q[cells] for q in (mesh.h, mesh.ubar, mesh.c1, mesh.c2))))
+    runs = [lambda tree=tree, a=a: tree.propagator._transfers(*a) for tree, a in zip(trees, args)]
+    ms, *others = fastest_ms(runs, repeat)
+    lane_cells = len(lams) * len(args[0][1])
+    return with_against({"ms": ms, "lane_cells": lane_cells, "ns_per_lane_cell": 1e6 * ms / lane_cells}, ms, others)
+
+
+def one_lane_transfer_case(trees, source, lam, repeat):
+    """One one-lane _transfer over every swept cell of the mesh, as ``phase`` calls it."""
+    meshes = [tree.propagator.bulk_mesh(tree.potential(source), 1e-11) for tree in trees]
+    runs = [
+        lambda tree=tree, m=m: tree.propagator._transfer(lam * lam, m.h, m.ubar, m.c1, m.c2)
+        for tree, m in zip(trees, meshes)
+    ]
+    ms, *others = fastest_ms(runs, 10 * repeat)
+    lane_cells = len(meshes[0].h)
+    return with_against({"ms": ms, "lane_cells": lane_cells, "ns_per_lane_cell": 1e6 * ms / lane_cells}, ms, others)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--repeat", type=int, default=15, help="runs per case (the sequence takes a third as many)")
-    ap.add_argument("--against", metavar="PATH", help="a checkout whose phase, lanes and lg_data cases run beside these")
+    ap.add_argument("--against", metavar="PATH", help="a checkout whose paired cases run beside these")
     args = ap.parse_args()
     repeat = max(args.repeat, 1)
     ours = Tree("sturmjumps")
@@ -172,6 +208,11 @@ def main():
         case["peak_kb"] = peak_kb(lambda: ours.oscillation._phases(q, lams, 1e-11))
         cases[f"lanes.{spec[0]}.{count}"] = case
 
+    for spec, lo, hi, count in TRANSFER_BLOCKS:
+        lams = np.linspace(lo, hi, count).tolist()
+        cases[f"transfer.{spec[0]}.{count}"] = transfer_block_case(trees, spec, lams, repeat)
+    cases["transfer.exp(x).1"] = one_lane_transfer_case(trees, "exp(x)", 30.0, repeat)
+
     for source in LG_DATA:
         runs = []
         for tree in trees:
@@ -182,11 +223,14 @@ def main():
         cases[f"lg_data.{source}"] = with_against({"ms": ms}, ms, others)
 
     for spec in MESHES:
-        q = ours.potential(*spec)
-        interval = ours.propagator.bulk_interval(q)
-        mesh = ours.propagator.build_mesh(q, -11, *interval)
-        ms = fastest_ms([lambda: ours.propagator.build_mesh(q, -11, *interval)], repeat)[0]
-        cases[f"build_mesh.{spec[0]}"] = {"ms": ms, "cells": mesh.cells}
+        runs = []
+        for tree in trees:
+            q = tree.potential(*spec)
+            interval = tree.propagator.bulk_interval(q)
+            runs.append(lambda tree=tree, q=q, interval=interval: tree.propagator.build_mesh(q, -11, *interval))
+        cells = runs[0]().cells
+        ms, *others = fastest_ms(runs, repeat)
+        cases[f"build_mesh.{spec[0]}"] = with_against({"ms": ms, "cells": cells}, ms, others)
 
     p = ours.potential("2+sin(x)")
     records = ours.jumps.jump_sequence(p, 1, 500)

@@ -15,7 +15,8 @@ three stages:
   kappa = endpoint_constant(gamma_a, gamma_b) and Ubar = 0 (U is
   unbounded there); (n+kappa)*pi/D when the radicand is not positive.
   The integral of U is the sum of h * Ubar over the coarse cells of the
-  mesh the root's phase calls sweep (``bulk_mesh`` at rtol tol/10).
+  mesh the root's phase calls sweep (``bulk_mesh`` at rtol tol/10),
+  formed once with the mesh (``CellMesh.u_integral``).
   That mesh is built before D is integrated, on both classes, so a mesh
   that cannot be built raises PhaseError, as the phase would.
   It depends on (p, n) alone, so a root never depends on which other
@@ -98,9 +99,8 @@ def _start(p: Potential, n: int, d: float, tol: float) -> float:
     if p.regularity is Regularity.THEOREM:
         with _phase_errors():
             mesh = bulk_mesh(p, tol / 10.0)
-        coarse = slice(0, mesh.cells)
         k = n * _PI / d
-        radicand = k * k - float(mesh.h[coarse] @ mesh.ubar[coarse]) / d
+        radicand = k * k - mesh.u_integral / d
     else:
         k = (n + endpoint_constant(p.gamma_a, p.gamma_b)) * _PI / d
         radicand = k * k

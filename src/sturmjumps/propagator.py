@@ -61,17 +61,22 @@ halved (``_settle``), and fails after _MAX_REFINE such tries.
 The cell algebra does not depend on lambda, so ``propagate_lanes``, the
 only entry point, takes many couplings, the lanes, at once.  A round of
 lanes is one pass over the mesh in blocks of columns, each of at most
-_BLOCK lane-cells: per block one _transfer batch over lanes x cells and
-a sweep whose node recursion runs on numpy rows across the lanes, with
-the one-lane recursion's bits.  _transfer's series product always has at
-least two rows, since BLAS sums one row along another path, and
-np.arctan2 gives an element the same bits in any array, so a cell's bits
-do not depend on the cells beside it, nor a lane's on the lanes beside
-it or the blocks.  The lanes' sweep state carries from block to block,
-so memory depends on the block, not on lanes x cells.  A round of fewer
-than _MIN_LANES lanes, a single coupling included, is swept lane by lane
-(``_theta_pair``).  The mesh build's refinement test is batched the same
-way, over its reference frequencies.
+_BLOCK lane-cells: per block one _transfers batch, lambda^2 a column of
+lanes broadcast against the block's cells, so that each cell's
+lambda-free factors are formed once, and a sweep whose node recursion
+runs on numpy rows across the lanes, with the one-lane recursion's bits.
+One kernel, _transfer, serves lane rounds, one-lane calls and the mesh
+build.  Its arithmetic is elementwise, and its second-order series is
+the product of C-ordered arrays powers @ table (``_powers``) with at
+least two rows, since BLAS sums a single row, or a transposed operand,
+along other paths; np.arctan2 gives an element the same bits in any
+array.  So a cell's bits do not depend on the cells beside it, nor a
+lane's on the lanes beside it or the blocks.  The lanes' sweep state
+carries from block to block, so memory depends on the block, not on
+lanes x cells.  A round of fewer than _MIN_LANES lanes, a single
+coupling included, is swept lane by lane (``_theta_pair``).  The mesh
+build's refinement test is batched the same way, over its reference
+frequencies.
 """
 
 from __future__ import annotations
@@ -99,11 +104,12 @@ _MAX_DEPTH = 40
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
 _BLOCK = 4096  # lane-cells per block of a round's sweep: bounds the sweep's arrays
-_MIN_LANES = 8  # fewer lanes go one at a time: the least worst case over short and long meshes
+_MIN_LANES = 7  # fewer lanes go one at a time: the least worst case, ~1.2x, over 177- to 1 743-cell sweeps
 _SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture-class end
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
 _CHUNK = 1024  # cells per _transfer call in a batch of calls
+_ROW_POWERS = 128  # from this many near cells on, _powers forms the series' powers row by row
 
 
 def _legendre(t: np.ndarray, m: int) -> list[np.ndarray]:
@@ -185,6 +191,7 @@ class CellMesh:
     sqrt_vr: float  # sqrt(V(x_r))
     beta_r: float  # V'(x_r) / (4 V(x_r))
     scale_r: float  # the exit scale over lambda: sqrt(max(c_lower, 1)) where x_r = b, else sqrt(V(x_r))
+    u_integral: float  # sum of h * Ubar over the coarse cells: the integral of U over the bulk in xi
 
     @property
     def cells(self) -> int:
@@ -263,83 +270,143 @@ def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
     return whole, halves
 
 
-def _etas(x: np.ndarray):
-    """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign."""
-    ax = np.abs(x)
+def _eta_series(x: np.ndarray) -> np.ndarray:
+    """eta_0, eta_1, eta_2 at small |x| from their Taylor series, by Horner's rule for the three at once."""
+    y = -0.5 * x
+    acc = np.empty((3, len(y)))
+    acc[:] = _ETA_SERIES[:, -1]
+    for c in _ETA_SERIES.transpose(1, 0, 2)[-2::-1]:
+        acc *= y
+        acc += c
+    return acc
+
+
+def _etas(x: np.ndarray, ax=None, low=None, top=None):
+    """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign.
+
+    ax = |x|, low = min x and top = max |x| may come from the caller;
+    top is only compared with _SMALL_X.
+    """
+    if ax is None:
+        ax = np.abs(x)
+        low, top = x.min(), ax.max()
     r = np.sqrt(ax)
     with np.errstate(all="ignore"):  # x = 0 and the unused cosh branch
-        if x.min() > 0.0:
-            em1, e0 = np.cos(r), np.sin(r) / r
-        else:
-            pos = x > 0.0
-            em1 = np.where(pos, np.cos(r), np.cosh(r))
-            e0 = np.where(pos, np.sin(r), np.sinh(r)) / r
+        pos = None if low > 0.0 else x > 0.0
+        em1 = np.cos(r) if pos is None else np.where(pos, np.cos(r), np.cosh(r))
+        if top < _SMALL_X:  # all from the series
+            return em1, *_eta_series(x.reshape(-1)).reshape(3, *x.shape)
+        e0 = (np.sin(r) if pos is None else np.where(pos, np.sin(r), np.sinh(r))) / r
         e1 = (e0 - em1) / x
         e2 = (3.0 * e1 - e0) / x
-    small = ax < _SMALL_X
-    if small.any():
-        # Horner's rule for the three series at once
-        y = -0.5 * x[small]
-        acc = _ETA_SERIES[:, -1] * np.ones_like(y)
-        for c in _ETA_SERIES.transpose(1, 0, 2)[-2::-1]:
-            acc = acc * y + c
-        e0[small], e1[small], e2[small] = acc
+    if not low >= _SMALL_X:  # else no |x| is small
+        small = (ax < _SMALL_X).nonzero()
+        if small[0].size:
+            e0[small], e1[small], e2[small] = _eta_series(x[small])
     return em1, e0, e1, e2
 
 
-def _transfer(lam2, h, ubar, c1, c2):
-    """The cells' (g, g') propagators t11, t12, t21, t22 at lambda^2 = lam2, and x.
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x**0 .. x**(n-1) in the columns of a C-ordered (max(len(x), 2), n) array, a lone x in two rows.
 
-    A cell's bits do not depend on the other cells of the call: the
-    arithmetic is elementwise, and the second-order series' matrix product
-    always has at least two rows, since BLAS sums one row along another path.
+    Power k is power k-1 times x, the products np.vander forms: in one
+    accumulate call for a short x, and row by row, then transposed, for a
+    long one, where the accumulate call is slow.
     """
+    m = max(len(x), 2)
+    if m < _ROW_POWERS:
+        powers = np.empty((m, n))
+        powers[:, 0] = 1.0
+        powers[:, 1:] = x[:, None]
+        np.multiply.accumulate(powers[:, 1:], axis=1, out=powers[:, 1:])
+        return powers
+    powers = np.empty((n, m))
+    powers[0] = 1.0
+    powers[1] = x
+    for before, row in zip(powers[1:], powers[2:]):
+        np.multiply(before, x, out=row)
+    return np.ascontiguousarray(powers.T)
+
+
+def _transfer(lam2, h, ubar, c1, c2, out=None):
+    """The cells' (g, g') propagators t11, t12, t21, t22 at lambda^2 = lam2, and x, as an array (5, ...).
+
+    h, ubar, c1 and c2 hold one value per cell; lam2 broadcasts against
+    them: one value, one per cell, or (rows, 1) or (rows, cells) for rows
+    of lanes, so the lambda-free factors are formed once per cell.  The
+    result goes to ``out`` if given.  A cell's bits do not depend on the
+    other cells or rows of the call: the arithmetic is elementwise, and
+    the second-order series is the product of C-ordered arrays
+    (m, 16) @ (16, 12) with m >= 2 (``_powers``), since BLAS sums a
+    single row, or a transposed operand, along other paths.
+    """
+    s = lam2 + ubar
+    if out is None:
+        out = np.empty((5, *s.shape))
+    t11, t12, t21, t22, x = out
     h2 = h * h
-    x = (lam2 + ubar) * h2
-    em1, e0, e1, e2 = _etas(x)
-    k1 = 0.5 * c1 * h2 * e1
-    k2 = 0.5 * c2 * h2 * e2
-    t = [em1 + k1, h * (e0 + k2), x * (k2 - e0) / h, em1 - k1]
+    np.multiply(s, h2, out=x)
     full, gone = _SECOND_ORDER_X
-    ax = np.abs(x)
-    near = ax < gone
-    if near.any():
-        # second order in (c1, c2) from the unit cell's series, scaled by
-        # h^4 (c h^2 squared) and by h, 1/h for the off-diagonal entries
-        part = slice(None) if near.all() else near
-        xn, axn, hn = x[part], ax[part], h[part]
-        a, b = c1[part] * h2[part], c2[part] * h2[part]
-        table = _second_order_table()
-        powers = np.vander(xn, len(table), increasing=True)
-        series = (np.repeat(powers, 2, axis=0) if len(xn) == 1 else powers) @ table
-        series = series[: len(xn)].reshape(-1, 4, 3)
-        terms = series[:, :, 0] * (a * a)[:, None] + series[:, :, 1] * (a * b)[:, None] + series[:, :, 2] * (b * b)[:, None]
-        weight = 1.0
-        if axn.max() > full:
-            weight = np.cos(0.5 * math.pi * np.clip((axn - full) / (gone - full), 0.0, 1.0)) ** 2
-        for k, scale in enumerate((weight, weight * hn, weight / hn, weight)):
-            t[k][part] += scale * terms[:, k]
-    return (*t, x)
+    low = x.min()
+    ax = x if low > 0.0 else np.abs(x)
+    top = low if low >= gone else ax.max()  # max |x|, needed only where a cell is near
+    em1, e0, e1, e2 = _etas(x, ax, low, top)
+    k1 = 0.5 * c1 * h2 * e1  # 0.5 c1 h^2 per cell, then times e1
+    k2 = 0.5 * c2 * h2 * e2
+    np.add(em1, k1, out=t11)
+    np.multiply(h, e0 + k2, out=t12)
+    np.divide(x * (k2 - e0), h, out=t21)
+    np.subtract(em1, k1, out=t22)
+    if low >= gone:
+        return out
+    # near: the indices of the lane-cells with |x| < gone, () for all of them
+    if top < gone:  # the per-cell factors broadcast
+        near, xn, axn, hn, a, b = (), x, ax, h, c1 * h2, c2 * h2
+    else:
+        near = (ax < gone).nonzero()
+        cell = near[-1]
+        if not cell.size:
+            return out
+        xn, axn, hn, h2n = x[near], ax[near], h[cell], h2[cell]
+        a, b = c1[cell] * h2n, c2[cell] * h2n
+        top = axn.max()
+    # second order in (c1, c2) from the unit cell's series, scaled by
+    # h^4 (c h^2 squared) and by h, 1/h for the off-diagonal entries
+    table = _second_order_table()
+    m = xn.size
+    series = (_powers(xn.reshape(-1), len(table)) @ table)[:m].reshape(*xn.shape, 4, 3)
+    s0, s1, s2 = series.transpose(xn.ndim + 1, xn.ndim, *range(xn.ndim))  # (monomial, entry, ...)
+    terms = s0 * (a * a)
+    terms += s1 * (a * b)
+    terms += s2 * (b * b)
+    if top > full:
+        weight = np.cos(0.5 * math.pi * ((axn - full) / (gone - full)).clip(0.0, 1.0)) ** 2
+        for term, scale in zip(terms, (weight, weight * hn, weight / hn, weight)):
+            term *= scale
+    else:  # the weight 1 leaves the diagonal entries as they are
+        terms[1] *= hn
+        terms[2] *= 1.0 / hn
+    out[(slice(4), *near)] += terms
+    return out
 
 
 def _transfers(lam2, h, ubar, c1, c2) -> np.ndarray:
     """_transfer for several rows on the same cells, as an array (5, rows, cells).
 
-    Row k is at lambda^2 = lam2[k], one value or one per cell.  The rows
-    go to _transfer in runs of whole rows of at most _CHUNK cells, which
-    bounds the series' temporaries (np.vander's rows); a row longer than
-    _CHUNK is a run of its own.  A cell's bits do not depend on its run.
+    Row k is at lambda^2 = lam2[k], shape (rows, 1) or (rows, cells), and
+    the cells' arrays are 1-D.  The rows go to _transfer in the fewest
+    runs of whole rows, as even as whole rows allow, so that each holds
+    less than _CHUNK cells plus one row, which bounds the series'
+    temporaries; a row longer than _CHUNK is a run of its own.  Each run
+    is written straight into the result.  A cell's bits do not depend on
+    its run (``_transfer``).
     """
     rows, cells = len(lam2), len(h)
     out = np.empty((5, rows, cells))
-    step = max(_CHUNK // cells, 1)
+    runs = -(-rows * cells // _CHUNK)  # the fewest runs of _CHUNK cells
+    step = -(-rows // runs)  # rows per run, as even as whole rows allow
     for i in range(0, rows, step):
-        k = min(step, rows - i)
-        run = _transfer(
-            np.broadcast_to(lam2[i : i + k], (k, cells)).ravel(),
-            *(np.tile(q, k) for q in (h, ubar, c1, c2)),
-        )
-        out[:, i : i + k] = np.reshape(run, (5, k, cells))
+        _transfer(lam2[i : i + step], h, ubar, c1, c2, out[:, i : i + step])
     return out
 
 
@@ -351,10 +418,12 @@ def _mismatches(whole, halves, lam2s, sigs):
     """
     m = len(whole[0])
     cells = [np.concatenate([w, q[0::2], q[1::2]]) for w, q in zip(whole, halves)]
-    lam2 = np.tile([np.broadcast_to(q, m) for q in lam2s], 3)
-    parts = _transfers(lam2, *cells)[:4].reshape(4, -1, 3, m).transpose(2, 0, 1, 3)
+    lam2, sig = np.empty((len(lam2s), 3, m)), np.empty((len(sigs), m))
+    for rows, values in ((lam2, lam2s), (sig, sigs)):
+        for row, value in zip(rows, values):
+            row[...] = value  # one value, or one per cell
+    parts = _transfers(lam2.reshape(len(lam2s), -1), *cells)[:4].reshape(4, -1, 3, m).transpose(2, 0, 1, 3)
     (t11, t12, t21, t22), (l11, l12, l21, l22), (r11, r12, r21, r22) = parts
-    sig = np.array([np.broadcast_to(q, m) for q in sigs])
     return np.maximum.reduce([
         np.abs(r11 * l11 + r12 * l21 - t11),
         np.abs(r11 * l12 + r12 * l22 - t12) * sig,
@@ -371,7 +440,10 @@ def _assemble(p: Potential, nodes: np.ndarray, whole=None, halves=None) -> CellM
     vr, dvr = p.value_d1_fn(x_r)
     scale_r = math.sqrt(max(p.c_lower or 0.0, 1.0)) if x_r == p.b else math.sqrt(vr)
     arrays = [np.concatenate([w, q]) for w, q in zip(whole, halves)]
-    return CellMesh(nodes, *arrays, math.sqrt(vl), 0.25 * dvl / vl, math.sqrt(vr), 0.25 * dvr / vr, scale_r)
+    coarse = slice(0, len(nodes) - 1)
+    u_integral = float(arrays[0][coarse] @ arrays[1][coarse])
+    ends = (math.sqrt(vl), 0.25 * dvl / vl, math.sqrt(vr), 0.25 * dvr / vr, scale_r)
+    return CellMesh(nodes, *arrays, *ends, u_integral)
 
 
 def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
@@ -455,13 +527,17 @@ def _sweep_lanes(m11, m12, m21, m22, adv, ratio, theta, w0, w1, a0):
     w = nodes[:, 1]
     # w[i] read as [[w0, w0], [w1, w1]], to meet mat[i] without broadcasting
     pairs = np.lib.stride_tricks.as_strided(w, (cells + 1, 2, 2, lanes), (w.strides[0], w.strides[1], 0, w.strides[2]), writeable=False)
+    # the loop's buffers: y's two terms, |y| and the norm |y0| + |y1|
+    terms, size, norm = np.empty((2, 2, lanes)), np.empty((2, lanes)), np.empty(lanes)
+    (t0, t1), (s0, s1) = terms, size
     with np.errstate(all="ignore"):  # a lane that fails ends non-finite
-        for mi, wi, si, (yi, wo) in zip(mat, pairs, scale, nodes[1:]):
-            terms = mi * wi
-            np.add(terms[0], terms[1], out=yi)
-            size = np.abs(yi)
+        for mi, wi, si, yi, wo in zip(mat, pairs, scale, nodes[1:, 0], nodes[1:, 1]):
+            np.multiply(mi, wi, out=terms)
+            np.add(t0, t1, out=yi)
+            np.abs(yi, out=size)
             np.multiply(yi, si, out=wo)
-            wo /= size + size[::-1]  # |y0| + |y1| in both rows
+            np.add(s0, s1, out=norm)
+            np.divide(wo, norm, out=wo)
         theta, a = _angles(*nodes[1:].transpose(2, 1, 0, 3), adv.T, theta, a0)
     return theta, w[-1, 0], w[-1, 1], a
 

@@ -386,6 +386,118 @@ def test_batched_mesh_test_matches_one_transfer_per_frequency(cells):
         assert np.array_equal(got[k], want), k
 
 
+def _reference_etas(x):
+    # the eta functions as they were before the batched kernel
+    ax = np.abs(x)
+    r = np.sqrt(ax)
+    with np.errstate(all="ignore"):
+        if x.min() > 0.0:
+            em1, e0 = np.cos(r), np.sin(r) / r
+        else:
+            pos = x > 0.0
+            em1 = np.where(pos, np.cos(r), np.cosh(r))
+            e0 = np.where(pos, np.sin(r), np.sinh(r)) / r
+        e1 = (e0 - em1) / x
+        e2 = (3.0 * e1 - e0) / x
+    small = ax < propagator._SMALL_X
+    if small.any():
+        y = -0.5 * x[small]
+        acc = propagator._ETA_SERIES[:, -1] * np.ones_like(y)
+        for c in propagator._ETA_SERIES.transpose(1, 0, 2)[-2::-1]:
+            acc = acc * y + c
+        e0[small], e1[small], e2[small] = acc
+    return em1, e0, e1, e2
+
+
+def _reference_transfer(lam2, h, ubar, c1, c2):
+    # the cell transfer as it was before the batched kernel: the lambda-free
+    # factors per lane-cell, the series' powers from np.vander
+    h2 = h * h
+    x = (lam2 + ubar) * h2
+    em1, e0, e1, e2 = _reference_etas(x)
+    k1 = 0.5 * c1 * h2 * e1
+    k2 = 0.5 * c2 * h2 * e2
+    t = [em1 + k1, h * (e0 + k2), x * (k2 - e0) / h, em1 - k1]
+    full, gone = propagator._SECOND_ORDER_X
+    ax = np.abs(x)
+    near = ax < gone
+    if near.any():
+        part = slice(None) if near.all() else near
+        xn, axn, hn = x[part], ax[part], h[part]
+        a, b = c1[part] * h2[part], c2[part] * h2[part]
+        table = propagator._second_order_table()
+        powers = np.vander(xn, len(table), increasing=True)
+        series = (np.repeat(powers, 2, axis=0) if len(xn) == 1 else powers) @ table
+        series = series[: len(xn)].reshape(-1, 4, 3)
+        terms = series[:, :, 0] * (a * a)[:, None] + series[:, :, 1] * (a * b)[:, None] + series[:, :, 2] * (b * b)[:, None]
+        weight = 1.0
+        if axn.max() > full:
+            weight = np.cos(0.5 * math.pi * np.clip((axn - full) / (gone - full), 0.0, 1.0)) ** 2
+        for k, scale in enumerate((weight, weight * hn, weight / hn, weight)):
+            t[k][part] += scale * terms[:, k]
+    return (*t, x)
+
+
+def _reference_transfers(lam2, h, ubar, c1, c2, chunk=1024):
+    # the rows tiled into one 1-D call per run of whole rows
+    rows, cells = len(lam2), len(h)
+    out = np.empty((5, rows, cells))
+    step = max(chunk // cells, 1)
+    for i in range(0, rows, step):
+        k = min(step, rows - i)
+        run = _reference_transfer(
+            np.broadcast_to(lam2[i : i + k], (k, cells)).ravel(),
+            *(np.tile(q, k) for q in (h, ubar, c1, c2)),
+        )
+        out[:, i : i + k] = np.reshape(run, (5, k, cells))
+    return out
+
+
+_X_RANGES = {
+    "barrier": [(-60.0, -0.05), (0.05, 30.0)],
+    "series": [(-0.05, 0.05)],
+    "taper": [(16.0, 25.0), (-25.0, -16.0)],
+    "far": [(25.0, 3000.0), (-200.0, -25.0)],
+    "all_near": [(-25.0, 25.0), (-0.05, 0.05), (16.0, 25.0)],
+    "one_near": [(25.0, 3000.0)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_X_RANGES))
+def test_transfer_matches_the_vander_and_tile_reference(kind):
+    # the batched kernel keeps every bit of the per-lane-cell kernel it
+    # replaced, for lanes (rows, 1), per-cell rows (rows, cells) as in the
+    # mesh build, 1-D per-cell calls and one-value calls
+    # (c1, c2 this large let a one-ulp change in the series reach the result)
+    rng = np.random.default_rng(sorted(_X_RANGES).index(kind) + 21)
+    cells, rows = 45, 7
+    ranges = _X_RANGES[kind]
+    pick = rng.integers(len(ranges), size=(rows, cells))
+    x = np.choose(pick, [rng.uniform(lo, hi, (rows, cells)) for lo, hi in ranges])
+    if kind == "one_near":
+        x[0, rng.integers(cells)] = rng.uniform(-24.0, 24.0)
+    h = rng.uniform(0.05, 1.0, cells)
+    ubar, c1, c2 = (rng.uniform(-50.0, 50.0, cells) for _ in range(3))
+    per_cell = x / h**2 - ubar
+    # lanes: one lambda^2 per row, close enough that every cell keeps its kind
+    base = rng.uniform(1e3, 1e4)
+    lanes = base * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (rows, 1)))
+    lane_ubar = x[0] / h**2 - base
+    for lam2, u in ((per_cell, ubar), (lanes, lane_ubar)):
+        near = np.abs((lam2 + u) * h**2) < propagator._SECOND_ORDER_X[1]
+        if kind == "all_near":
+            assert near.all()
+        if kind == "one_near":  # one near cell: one lane-cell of the rows, one cell of every lane
+            assert near.sum() == (1 if lam2 is per_cell else rows) and near.any(axis=0).sum() == 1
+        got = propagator._transfers(lam2, h, u, c1, c2)
+        assert np.array_equal(got, _reference_transfers(lam2, h, u, c1, c2)), kind
+    for i in range(rows):
+        for lam2, u in ((per_cell[i], ubar), (float(lanes[i, 0]), lane_ubar)):
+            got = propagator._transfer(lam2, h, u, c1, c2)
+            want = _reference_transfer(lam2, h, u, c1, c2)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (kind, i)
+
+
 def _peak(run):
     """The traced peak bytes of one run."""
     tracemalloc.start()

@@ -40,12 +40,17 @@ def test_bench_layers_writes_every_case(tmp_path):
             sliver = cases[f"sliver.{source}.lam={lam}"]
             assert sliver["rk_steps"] == case["rk_steps"] and sliver["gap"] > 0.0, (source, lam)
             assert sliver["ms"] > 0.0, (source, lam)
-    for name in ("2+sin(x).23", "(1+x)^(-4).23", "x.31", "sqrt(x).31", "(1-x)/x.6"):
+    for name in ("2+sin(x).23", "(1+x)^(-4).23", "x.31", "sqrt(x).31", "(1-x)/x.8"):
         case = cases[f"lanes.{name}"]
         assert case["one_lane_ms"] > 0.0 and case["ratio"] == case["ms"] / case["one_lane_ms"], name
     # a conjecture-class round's traced peak stays within the round tests' 1.9 MB
-    for name in ("x.31", "sqrt(x).31", "(1-x)/x.6"):
+    for name in ("x.31", "sqrt(x).31", "(1-x)/x.8"):
         assert 0.0 < cases[f"lanes.{name}"]["peak_kb"] <= 1900.0, name
+    # the kernel alone: a block of about 4 096 lane-cells, and exp(x)'s 96 swept cells in one call
+    for name, lane_cells in (("x.31", 31 * 132), ("2+sin(x).60", 60 * 68), ("exp(x).1", 96)):
+        case = cases[f"transfer.{name}"]
+        assert case["lane_cells"] == lane_cells, name
+        assert case["ns_per_lane_cell"] == 1e6 * case["ms"] / lane_cells > 0.0, name
     for source in ("2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"):
         assert cases[f"lg_data.{source}"]["ms"] > 0.0, source
     assert cases["src_lines"]["lines"] > 1000
@@ -62,7 +67,7 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
     cases = report["cases"]
     assert cases["phase.2+sin(x).lam=10"]["cells"] == 177 and cases["src_lines"]["lines"] > 1000
     for name, case in cases.items():
-        paired = name.split(".")[0] in ("phase", "lanes", "lg_data")
+        paired = name.split(".")[0] in ("phase", "lanes", "transfer", "lg_data", "build_mesh")
         assert ("against_ratio" in case) == paired, name
         if paired:
             assert case["against_ms"] > 0.0 and case["against_ratio"] == case["ms"] / case["against_ms"], name
