@@ -109,7 +109,10 @@ _SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
 _CHUNK = 1024  # cells per _transfer call in a batch of calls
-_ROW_POWERS = 128  # from this many near cells on, _powers forms the series' powers row by row
+# from this many near cells on, _powers forms the series' powers row by row: the
+# two forms cost the same at about 144 cells (rows over accumulate 1.27x at 96,
+# 1.01x at 144, 0.78x at 224 on a 2-vCPU Xeon guest)
+_ROW_POWERS = 144
 
 
 def _legendre(t: np.ndarray, m: int) -> list[np.ndarray]:
@@ -281,15 +284,12 @@ def _eta_series(x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _etas(x: np.ndarray, ax=None, low=None, top=None):
+def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
     """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign.
 
-    ax = |x|, low = min x and top = max |x| may come from the caller;
-    top is only compared with _SMALL_X.
+    ax = |x|, low = min x and top = max |x| come from the caller, which
+    needs them too; top is only compared with _SMALL_X.
     """
-    if ax is None:
-        ax = np.abs(x)
-        low, top = x.min(), ax.max()
     r = np.sqrt(ax)
     with np.errstate(all="ignore"):  # x = 0 and the unused cosh branch
         pos = None if low > 0.0 else x > 0.0
@@ -310,8 +310,10 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     """x**0 .. x**(n-1) in the columns of a C-ordered (max(len(x), 2), n) array, a lone x in two rows.
 
     Power k is power k-1 times x, the products np.vander forms: in one
-    accumulate call for a short x, and row by row, then transposed, for a
-    long one, where the accumulate call is slow.
+    accumulate call for a short x, where the row loop's 14 calls cost more
+    (one-lane calls on short meshes), and row by row, then transposed, for
+    a long one, where the accumulate call's short inner loops are slow
+    (lane rounds).  Both give the same bits.
     """
     m = max(len(x), 2)
     if m < _ROW_POWERS:

@@ -16,7 +16,8 @@ from sturmjumps.quadrature import integrate_sqrt_v
 
 def test_eta_functions_on_both_sides_of_the_barrier():
     xs = [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.049, 0.051, -0.051, 0.3, -0.3, 4.0, -4.0, 2500.0, -900.0]
-    got = propagator._etas(np.array(xs))
+    xa = np.array(xs)
+    got = propagator._etas(xa, np.abs(xa), xa.min(), np.abs(xa).max())
     mpmath.mp.dps = 40
     for i, x in enumerate(xs):
         x = mpmath.mpf(x)
