@@ -25,18 +25,26 @@ the steadiest figure):
   one-lane call (``propagator._transfer``) on the 96 swept cells of
   exp(x) at lambda = 30;
 * lg_data.<potential>: the Liouville-Green data on the 512-point grid;
-* build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh;
+* build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh,
+  with its cells and its batches (``propagator._cells`` calls); on the
+  conjecture class also build_mesh.<potential>.decade=-10 and -12;
+* count.(1-x)/x.lam=300.fresh: one ``count_negative`` at rtol 1e-10 on a
+  new Potential, so that the call builds its mesh;
 * jump_sequence.2+sin(x).1-500: criterion 4's table on one worker;
 * src_lines: the lines of the Python files under src/.
 
 Counts that explain the times (mesh cells, cells swept, phase calls per
 root) go beside them.  With --against PATH, PATH's src/sturmjumps is
 imported too, as the package ``against``, and every phase.*, lanes.*,
-transfer.*, lg_data.* and build_mesh.* case runs on both trees in turn
-in this process, so that both see the same drift of the host; the case
-then also holds ``against_ms`` and ``against_ratio``, its ms over PATH's.
+transfer.*, lg_data.*, build_mesh.* and count.* case runs on both trees
+in turn in this process, so that both see the same drift of the host; the
+case then also holds ``against_ms`` and ``against_ratio``, its ms over
+PATH's.  The fastest of a few runs swings with the hour, so the phase.*,
+build_mesh.* and count.* cases also hold ``median_ratio``: the median of
+--calls calls on this tree over the median on PATH's, the calls
+alternating between the trees and which goes first.
 
-Usage: bench_layers.py --out BENCH_<n>.json [--against PATH]
+Usage: bench_layers.py --out BENCH_<n>.json [--against PATH] [--calls N]
 """
 
 import argparse
@@ -106,12 +114,46 @@ def fastest_ms(runs, repeat):
     return [1e3 * min(spent) for spent in times]
 
 
-def with_against(case, ms, others):
-    """The case, with PATH's ms and the ratio to it when --against ran ``others``."""
+def median_ms(runs, calls):
+    """The median ms of ``calls`` calls of each callable, alternating between them and which goes first."""
+    times = [[] for _ in runs]
+    for k in range(calls):
+        for run, spent in (zip(runs, times) if k % 2 == 0 else reversed(list(zip(runs, times)))):
+            t0 = time.perf_counter()
+            run()
+            spent.append(time.perf_counter() - t0)
+    return [1e3 * float(np.median(spent)) for spent in times]
+
+
+def with_against(case, ms, others, runs=(), calls=0):
+    """The case, with PATH's ms and the ratio to it when --against ran ``others``.
+
+    Given both trees' ``runs`` and ``calls``, also the medians of that many
+    alternating calls on each and their ratio.
+    """
     if others:
         case["against_ms"] = others[0]
         case["against_ratio"] = ms / others[0]
+        if calls:
+            case["median_ms"], case["against_median_ms"] = median_ms(runs, calls)
+            case["median_ratio"] = case["median_ms"] / case["against_median_ms"]
     return case
+
+
+def batches(tree, build):
+    """The ``propagator._cells`` calls of one ``build()`` on the tree: a mesh build's batches."""
+    cells, calls = tree.propagator._cells, []
+
+    def counted(*args):
+        calls.append(1)
+        return cells(*args)
+
+    tree.propagator._cells = counted
+    try:
+        build()
+    finally:
+        tree.propagator._cells = cells
+    return len(calls)
 
 
 def peak_kb(run):
@@ -125,12 +167,30 @@ def peak_kb(run):
 
 
 def phase_case(trees, spec, lam, repeat):
-    """One-lane ``phase`` on each tree, its mesh built outside the timing: our potential and result, and the ms."""
+    """One-lane ``phase`` on each tree, its mesh built outside the timing.
+
+    Returns our potential and result, the ms and both trees' runs.
+    """
     potentials = [tree.potential(*spec) for tree in trees]
     results = [tree.oscillation.phase(q, lam, rtol=1e-11) for tree, q in zip(trees, potentials)]
     runs = [lambda tree=tree, q=q: tree.oscillation.phase(q, lam, rtol=1e-11) for tree, q in zip(trees, potentials)]
     ms, *others = fastest_ms(runs, repeat)
-    return potentials[0], results[0], ms, others
+    return potentials[0], results[0], ms, others, runs
+
+
+def build_mesh_case(trees, spec, decade, repeat, calls):
+    """One mesh build afresh on each tree at ``decade``: the ms, cells and batches."""
+    runs = []
+    for tree in trees:
+        q = tree.potential(*spec)
+        interval = tree.propagator.bulk_interval(q)
+        runs.append(lambda tree=tree, q=q, interval=interval: tree.propagator.build_mesh(q, decade, *interval))
+    case = {"cells": runs[0]().cells, "batches": batches(trees[0], runs[0])}
+    if len(trees) > 1:
+        case["against_batches"] = batches(trees[1], runs[1])
+    ms, *others = fastest_ms(runs, repeat)
+    case["ms"] = ms
+    return with_against(case, ms, others, runs, calls)
 
 
 def lanes_case(trees, spec, lams, repeat):
@@ -178,21 +238,23 @@ def main():
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--repeat", type=int, default=15, help="runs per case (the sequence takes a third as many)")
     ap.add_argument("--against", metavar="PATH", help="a checkout whose paired cases run beside these")
+    ap.add_argument("--calls", type=int, default=200, help="alternating calls per tree behind each median_ratio")
     args = ap.parse_args()
-    repeat = max(args.repeat, 1)
+    repeat, calls = max(args.repeat, 1), max(args.calls, 1)
     ours = Tree("sturmjumps")
     trees = [ours] + ([load_against(args.against)] if args.against else [])
     cases = {}
 
     for lam in (10.0, 100.0, 1000.0):
-        _, res, ms, others = phase_case(trees, ("2+sin(x)",), lam, repeat)
-        cases[f"phase.2+sin(x).lam={lam:g}"] = with_against({"ms": ms, "cells": res.cells}, ms, others)
+        _, res, ms, others, runs = phase_case(trees, ("2+sin(x)",), lam, repeat)
+        case = {"ms": ms, "cells": res.cells}
+        cases[f"phase.2+sin(x).lam={lam:g}"] = with_against(case, ms, others, runs, calls)
 
     for spec in SINGULAR:
         for lam in (100.0, 470.0, 1900.0):
-            q, res, ms, others = phase_case(trees, spec, lam, repeat)
+            q, res, ms, others, runs = phase_case(trees, spec, lam, repeat)
             case = {"ms": ms, "cells": res.cells, "rk_steps": res.steps}
-            cases[f"phase.{spec[0]}.lam={lam:g}"] = with_against(case, ms, others)
+            cases[f"phase.{spec[0]}.lam={lam:g}"] = with_against(case, ms, others, runs, calls)
             x_l, x_r = ours.propagator.bulk_interval(q)
             ends = (q, lam, 1e-11, x_l, x_r, ours.propagator.bulk_mesh(q, 1e-11).length)
             _, _, steps, _, gap = ours.oscillation._ends(*ends)
@@ -223,14 +285,19 @@ def main():
         cases[f"lg_data.{source}"] = with_against({"ms": ms}, ms, others)
 
     for spec in MESHES:
-        runs = []
-        for tree in trees:
-            q = tree.potential(*spec)
-            interval = tree.propagator.bulk_interval(q)
-            runs.append(lambda tree=tree, q=q, interval=interval: tree.propagator.build_mesh(q, -11, *interval))
-        cells = runs[0]().cells
-        ms, *others = fastest_ms(runs, repeat)
-        cases[f"build_mesh.{spec[0]}"] = with_against({"ms": ms, "cells": cells}, ms, others)
+        cases[f"build_mesh.{spec[0]}"] = build_mesh_case(trees, spec, -11, repeat, calls)
+    for spec in SINGULAR:
+        for decade in (-10, -12):
+            cases[f"build_mesh.{spec[0]}.decade={decade}"] = build_mesh_case(trees, spec, decade, repeat, calls)
+
+    # a one-shot answer: the Potential is new, so the call builds its mesh
+    runs = [
+        lambda tree=tree: tree.oscillation.count_negative(tree.potential(*MESHES[2]), 300.0, rtol=1e-10)
+        for tree in trees
+    ]
+    count = runs[0]()
+    ms, *others = fastest_ms(runs, repeat)
+    cases["count.(1-x)/x.lam=300.fresh"] = with_against({"ms": ms, "count": count}, ms, others, runs, calls)
 
     p = ours.potential("2+sin(x)")
     records = ours.jumps.jump_sequence(p, 1, 500)

@@ -539,15 +539,21 @@ def _compile_jet2(ast: ExprAst, vectorized: bool) -> Callable:
         import numpy as np
 
         def fail(mask, k, x):
-            bad = np.broadcast_to(mask, np.shape(x))
-            if bad.any():
+            # an x-free check gives a bool; the mask is broadcast only to find the point
+            if mask is True or (mask is not False and mask.any()):
+                bad = np.broadcast_to(mask, np.shape(x))
                 raise EvalDomainError(*checks[k], float(np.ravel(x)[np.argmax(bad)]))
+
+        def full(t, x):
+            # an output that is already a float array of x's shape goes back as it is
+            if type(t) is np.ndarray and t.dtype == np.float64 and t.shape == np.shape(x):
+                return t
+            return np.broadcast_to(np.asarray(t, dtype=float), np.shape(x))
 
         env = {
             "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
             "pow": np.power, "where": np.where, "isinf": np.isinf, "isfinite": np.isfinite,
-            "errstate": np.errstate,
-            "full": lambda t, x: np.broadcast_to(np.asarray(t, dtype=float), np.shape(x)),
+            "errstate": np.errstate, "full": full,
         }
         head, indent = "def jet2(x):\n    with errstate(all='ignore'):\n", " " * 8
         jet = [f"full({t}, x)" for t in jet]
@@ -572,8 +578,9 @@ def compile_jet2(ast: ExprAst) -> Callable:
     """Compile an AST to x -> Jet2(V, V', V'') over a numpy array of points.
 
     It runs the straight-line code of ``eval_jet2`` on numpy arrays, so it
-    returns arrays shaped like x and raises ``eval_jet2``'s EvalDomainError
-    at the first point that fails the first failing check.
+    returns arrays shaped like x (read-only broadcasts for the parts that
+    do not vary, and x itself for V = x) and raises ``eval_jet2``'s
+    EvalDomainError at the first point that fails the first failing check.
     """
     return _compile_jet2(ast, vectorized=True)
 

@@ -52,11 +52,18 @@ share of the decade's tolerance, in the max norm on a scale natural to
 each reference frequency: lambda = 0 on the scale max(pi/D, sqrt|Ubar|),
 and omega h = z for each z in _Z_REF on the scale omega.  At omega the
 tolerance is 10**decade * max(omega D, pi) in all, so a cell's share grows
-with z.  The mesh is cached on the Potential.  Every call sweeps the mesh
-and the mesh with each cell halved: the fine sweep is the answer and
-|fine - coarse| its error estimate.  A lane whose estimate exceeds
-rtol * max(theta, pi) is swept again on a private copy with every cell
-halved (``_settle``), and fails after _MAX_REFINE such tries.
+with z.  The bisection runs in batches that settle several levels each
+(``build_mesh``): a cell far over its allowance at omega h = 2, the
+frequency that fails nearly every failing cell, sends its halves' halves
+along with its halves, and a batch that guesses many such cells tests
+omega h = 2 first.  A cell's arrays and verdict keep their bits in any
+batch of an even number of cells, so the mesh is bisection's level by
+level, array for array.  The mesh is cached on the Potential.  Every
+call sweeps the mesh and the mesh with each cell halved: the fine sweep
+is the answer and |fine - coarse| its error estimate.  A lane whose
+estimate exceeds rtol * max(theta, pi) is swept again on a private copy
+with every cell halved (``_settle``), and fails after _MAX_REFINE such
+tries.
 
 The cell algebra does not depend on lambda, so ``propagate_lanes``, the
 only entry point, takes many couplings, the lanes, at once.  A round of
@@ -101,6 +108,17 @@ _Z_REF = (1.0, 2.0, 4.0, 8.0)  # reference frequencies besides lambda = 0, in ra
 _SHARE = 0.5  # fraction of the decade's tolerance the mesh's cells may use
 _ROUNDING = 8 * 2.220446049250313e-16  # a gap this small is rounding, not truncation
 _MAX_DEPTH = 40
+# the halves of a cell whose omega h = 2 gap is over _SURE allowances fail
+# too, and gaps fall about _FALL-fold per halving: on x, sqrt(x), (1-x)/x,
+# 2+sin(x), 1.2+sin(3x) and exp(x) at decades -10..-12 the halves of cells
+# over 64 allowances failed in 99.9 % of 4 572 cases, 93 % in (32, 64], 6 %
+# in (16, 32] and at most 0.2 % at or below 16
+_SURE = 32.0
+_FALL = 32.0
+# a batch that guesses at least this many failing cells tests omega h = 2
+# on its own first: the extra call costs about what the other four
+# frequencies cost on that many cells
+_STAGE = 24
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
 _BLOCK = 4096  # lane-cells per block of a round's sweep: bounds the sweep's arrays
@@ -109,6 +127,10 @@ _SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
 _CHUNK = 1024  # cells per _transfer call in a batch of calls
+# halves per matrix-vector product in _cells: OpenBLAS's dgemv takes 4 rows at a
+# time and the 2 or 3 left over on another path with other bits, and from about
+# 920 rows on splits the rows between threads, each share ending in its own left-over
+_GEMV_ROWS = 512
 # from this many near cells on, _powers forms the series' powers row by row: the
 # two forms cost the same at about 144 cells (rows over accumulate 1.27x at 96,
 # 1.01x at 144, 0.78x at 224 on a 2-vCPU Xeon guest)
@@ -144,6 +166,7 @@ def _series(n: int, terms: int = 6) -> list[float]:
 
 
 _ETA_SERIES = np.array([_series(n) for n in (0, 1, 2)])[:, :, None]  # (eta, power, 1)
+_ETA_HORNER = tuple(_ETA_SERIES.transpose(1, 0, 2)[-2::-1])  # the columns below the top one, top down
 
 
 @functools.cache  # built on first use, not at import
@@ -245,7 +268,10 @@ def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
     """(h, Ubar, c1, c2) of the cells [lo, hi] and, interleaved, of their halves.
 
     V, V' and V'' come from one vectorized jet call at the 10 Gauss nodes
-    of every half; xi at the nodes from the Gauss integration matrix.
+    of every half; xi at the nodes from the Gauss integration matrix.  A
+    cell's numbers do not depend on the other cells of a call of an even
+    number of cells: the halves' lengths are summed in pieces of
+    _GEMV_ROWS rows, each a multiple of 4.
     """
     n = len(lo)
     mid = 0.5 * (lo + hi)
@@ -263,7 +289,9 @@ def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
     u = u_from_jet(v, d1, d2)
     dxi = half[:, None] * sq  # d xi / d t at the nodes
     xi = dxi @ _S.T
-    hh = dxi @ _GL_W
+    hh = np.empty(len(dxi))
+    for i in range(0, len(dxi), _GEMV_ROWS):  # each piece on one thread, in blocks of 4 rows
+        np.matmul(dxi[i : i + _GEMV_ROWS], _GL_W, out=hh[i : i + _GEMV_ROWS])
     w = dxi * _GL_W
     halves = (hh, *_moments(w, u, xi, hh))
     # a whole cell integrates over both halves' nodes, the right ones shifted by the left length
@@ -278,7 +306,7 @@ def _eta_series(x: np.ndarray) -> np.ndarray:
     y = -0.5 * x
     acc = np.empty((3, len(y)))
     acc[:] = _ETA_SERIES[:, -1]
-    for c in _ETA_SERIES.transpose(1, 0, 2)[-2::-1]:
+    for c in _ETA_HORNER:
         acc *= y
         acc += c
     return acc
@@ -291,18 +319,20 @@ def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
     needs them too; top is only compared with _SMALL_X.
     """
     r = np.sqrt(ax)
-    with np.errstate(all="ignore"):  # x = 0 and the unused cosh branch
-        pos = None if low > 0.0 else x > 0.0
+    pos = None if low > 0.0 else x > 0.0
+    if top < _SMALL_X:  # all from the series, and no cosh can overflow
         em1 = np.cos(r) if pos is None else np.where(pos, np.cos(r), np.cosh(r))
-        if top < _SMALL_X:  # all from the series
-            return em1, *_eta_series(x.reshape(-1)).reshape(3, *x.shape)
+        return em1, *_eta_series(x.reshape(-1)).reshape(3, *x.shape)
+    with np.errstate(all="ignore"):  # x = 0 and the unused cosh branch
+        em1 = np.cos(r) if pos is None else np.where(pos, np.cos(r), np.cosh(r))
         e0 = (np.sin(r) if pos is None else np.where(pos, np.sin(r), np.sinh(r))) / r
         e1 = (e0 - em1) / x
         e2 = (3.0 * e1 - e0) / x
     if not low >= _SMALL_X:  # else no |x| is small
-        small = (ax < _SMALL_X).nonzero()
-        if small[0].size:
-            e0[small], e1[small], e2[small] = _eta_series(x[small])
+        small = (ax < _SMALL_X).ravel().nonzero()[0]
+        if small.size:  # x and the new e's are C-ordered: flat indices reach their elements
+            for e, series in zip((e0, e1, e2), _eta_series(x.ravel()[small])):
+                e.ravel()[small] = series
     return em1, e0, e1, e2
 
 
@@ -416,7 +446,8 @@ def _mismatches(whole, halves, lam2s, sigs):
     """Max-norm gaps, each at lam2s[k] on the scale sigs[k], between every cell's propagator and its halves' product.
 
     One _transfers batch over all the frequencies takes the whole cells
-    and both halves together.
+    and both halves together; the 2 x 2 products are formed for all the
+    entries at once, each as r_i1 l_1j + r_i2 l_2j.
     """
     m = len(whole[0])
     cells = [np.concatenate([w, q[0::2], q[1::2]]) for w, q in zip(whole, halves)]
@@ -424,14 +455,38 @@ def _mismatches(whole, halves, lam2s, sigs):
     for rows, values in ((lam2, lam2s), (sig, sigs)):
         for row, value in zip(rows, values):
             row[...] = value  # one value, or one per cell
-    parts = _transfers(lam2.reshape(len(lam2s), -1), *cells)[:4].reshape(4, -1, 3, m).transpose(2, 0, 1, 3)
-    (t11, t12, t21, t22), (l11, l12, l21, l22), (r11, r12, r21, r22) = parts
-    return np.maximum.reduce([
-        np.abs(r11 * l11 + r12 * l21 - t11),
-        np.abs(r11 * l12 + r12 * l22 - t12) * sig,
-        np.abs(r21 * l11 + r22 * l21 - t21) / sig,
-        np.abs(r21 * l12 + r22 * l22 - t22),
-    ])
+    parts = _transfers(lam2.reshape(len(lam2s), -1), *cells)[:4].reshape(2, 2, -1, 3, m)
+    t, left, right = parts[..., 0, :], parts[..., 1, :], parts[..., 2, :]  # (row, column, frequency, cell)
+    gaps = np.abs(right[:, :1] * left[0] + right[:, 1:] * left[1] - t)
+    gaps[0, 1] *= sig
+    gaps[1, 0] /= sig
+    return gaps.reshape(4, -1, m).max(axis=0)
+
+
+def _within(whole, halves, cells, zs, scale, floor, length):
+    """Whether each of ``cells`` (None: all) passes at every frequency in zs, and its gap over allowance at zs[0].
+
+    z = 0 is lambda = 0, on the scale of the first jump, pi/D, or of
+    sqrt(|Ubar|); any other z is omega h = z on the scale omega.  A gap
+    passes within 10**decade times the cell's share, or at rounding level.
+    """
+    if cells is not None:
+        pairs = np.stack([2 * cells, 2 * cells + 1], axis=1).ravel()
+        whole, halves = [q[cells] for q in whole], [q[pairs] for q in halves]
+    h, ubar = whole[0], whole[1]
+    allowed = np.maximum(floor * h, _ROUNDING)
+    lam2s, sigs, limits = [], [], np.empty((len(zs), len(h)))
+    for z, limit in zip(zs, limits):
+        if z:
+            lam2s.append(np.maximum((z / h) ** 2 - ubar, 0.0))
+            sigs.append(z / h)
+            np.maximum(scale * z, allowed, out=limit)
+        else:
+            lam2s.append(0.0)
+            sigs.append(np.maximum(math.pi / length, np.sqrt(np.abs(ubar))))
+            limit[...] = allowed
+    gaps = _mismatches(whole, halves, lam2s, sigs)
+    return (gaps <= limits).all(axis=0), gaps[0] / limits[0]
 
 
 def _assemble(p: Potential, nodes: np.ndarray, whole=None, halves=None) -> CellMesh:
@@ -448,48 +503,142 @@ def _assemble(p: Potential, nodes: np.ndarray, whole=None, halves=None) -> CellM
     return CellMesh(nodes, *arrays, *ends, u_integral)
 
 
+def _children(lo, hi, depth, key):
+    """The halves of cells, every left one and then every right one, with their depths and keys.
+
+    A cell's key orders it among the cells of its depth as a bisection
+    level by level would: the children of the failing cells of one level,
+    left halves in that level's order and then right halves.
+    """
+    mid = 0.5 * (lo + hi)
+    right = key + np.left_shift(_INITIAL_CELLS, depth)
+    return np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(depth + 1, 2), np.concatenate([key, right])
+
+
+def _reached(levels, fail):
+    """Which cells of a batch bisection would test: its first level, then each child of a failing one.
+
+    ``levels`` holds the batch's levels of cells, each cell's levels of
+    descendants in the batch last; ``fail`` has a value per cell, level
+    after level.
+    """
+    real = np.ones(len(fail), dtype=bool)
+    start = 0
+    for parent, child in zip(levels, levels[1:]):
+        end = start + len(parent[0])
+        real[end : end + len(child[0])] = np.tile((real[start:end] & fail[start:end])[parent[4] > 0], 2)
+        start = end
+    return real
+
+
 def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
-    """The cell mesh of [x_l, x_r] for ``decade``, by vectorized bisection from equal cells in x."""
-    edges = np.linspace(x_l, x_r, _INITIAL_CELLS + 1)
-    lo, hi = edges[:-1], edges[1:]
-    whole, halves = _cells(p, lo, hi)
+    """The cell mesh of [x_l, x_r] for ``decade``, by vectorized bisection from equal cells in x.
+
+    A cell passes where its propagator and its halves' product agree
+    within its share of the decade's tolerance at lambda = 0 and at every
+    omega h in _Z_REF (``_within``); a cell that fails is halved.  One
+    batch, one _cells call and its tests, settles several levels: a
+    failing cell whose omega h = 2 gap is over _SURE allowances sends its
+    halves to the next batch with their halves, and a level more for each
+    further _FALL-fold.  The batch's tree is walked level by level
+    (``_reached``) and the guesses under a passing cell are dropped.  A
+    cell's arrays and verdict have the same bits in any batch of an even
+    number of cells, so the mesh is that of bisection level by level,
+    array for array.  The depth and cell limits are checked per level, in
+    level order, once no cell of the level is left untested, and count
+    only the cells bisection tests; a batch whose V fails, or a count
+    past _MAX_CELLS, turns the rest of the build into one level per batch
+    in bisection's order, so that it raises what bisection raises.
+    """
+    n = _INITIAL_CELLS
+    edges = np.linspace(x_l, x_r, n + 1)
+    # the untested cells that bisection would test: lo, hi, depth, key and
+    # the levels of their descendants to test with them
+    pending = [edges[:-1], edges[1:], np.zeros(n, dtype=int), np.arange(n), np.zeros(n, dtype=int)]
     # at a frequency where theta(b) ~ omega D the cells' mismatches may add
     # up to _SHARE * 10**decade * max(omega D, pi); cell i's share is
-    # 10**decade * max(z, pi h_i/D) at z = omega h_i
+    # 10**decade * max(z, pi h_i/D) at z = omega h_i, D from the first cells
     scale = _SHARE * 10.0**decade
-    length = whole[0].sum()
-    floor = scale * math.pi / length
-    done = []
-    for _ in range(_MAX_DEPTH):
-        h, ubar = whole[0], whole[1]
-        # lambda = 0 on the scale of the first jump, pi/D, or of sqrt(|Ubar|);
-        # then omega = z/h on its own scale; a gap at rounding level passes
-        allowed = np.maximum(floor * h, _ROUNDING)
-        sig0 = np.maximum(math.pi / length, np.sqrt(np.abs(ubar)))
-        lam2s = [0.0] + [np.maximum((z / h) ** 2 - ubar, 0.0) for z in _Z_REF]
-        gaps = _mismatches(whole, halves, lam2s, [sig0] + [z / h for z in _Z_REF])
-        ok = gaps[0] <= allowed
-        for gap, z in zip(gaps[1:], _Z_REF):
-            ok &= gap <= np.maximum(scale * z, allowed)
-        done.append((lo[ok], hi[ok], [q[ok] for q in whole], [q[np.repeat(ok, 2)] for q in halves]))
-        if ok.all():
-            break
-        split = ~ok
-        mid = 0.5 * (lo[split] + hi[split])
-        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        if sum(len(part[0]) for part in done) + len(lo) > _MAX_CELLS:
-            break
-        whole, halves = _cells(p, lo, hi)
-    else:
-        raise ArithmeticError(f"cell mesh did not converge in {_MAX_DEPTH} bisections near x={lo[0]!r}")
-    if not ok.all():
-        raise ArithmeticError(f"cell mesh needs more than {_MAX_CELLS} cells")
+    length = floor = None
+    others = (0.0, *(z for z in _Z_REF if z != 2.0))  # lambda = 0 and the other omega h
+    failures = np.zeros(_MAX_DEPTH, dtype=int)  # failing cells per depth
+    checked, strict, done, last = 0, False, [], []
+    while len(pending[0]):
+        rest = [q[:0] for q in pending]
+        if strict:  # the cells of the shallowest depth, in bisection's order, alone
+            depth, key = pending[2], pending[3]
+            now = depth == depth.min()
+            order = np.flatnonzero(now)[np.argsort(key[now])]
+            pending, rest = [q[order] for q in pending], [q[~now] for q in pending]
+            pending[4] = np.zeros_like(order)
+        levels = [pending]
+        while (more := levels[-1][4] > 0).any():
+            lo, hi, depth, key, spec = (q[more] for q in levels[-1])
+            levels.append([*_children(lo, hi, depth, key), np.tile(spec - 1, 2)])
+        lo, hi, depth, key, spec = pending if len(levels) == 1 else (np.concatenate(q) for q in zip(*levels))
+        try:
+            whole, halves = _cells(p, lo, hi)
+        except EvalDomainError:
+            if strict:
+                raise
+            strict = True
+            continue
+        if length is None:
+            length = whole[0].sum()
+            floor = scale * math.pi / length
+        # omega h = 2 fails nearly every cell that fails: a batch that guesses
+        # tests it first, and the other four only on the cells that pass it
+        # and that bisection would test
+        staged = len(levels) > 1 and (spec > 0).sum() >= _STAGE
+        ok, ratio = _within(whole, halves, None, (2.0, *(() if staged else others)), scale, floor, length)
+        if len(levels) == 1:
+            leaf, fail = ok, ~ok
+        else:
+            tested = np.full(len(ok), not staged)
+            while (need := (real := _reached(levels, ~ok)) & ok & ~tested).any():
+                cells = need.nonzero()[0]
+                ok[cells] = _within(whole, halves, cells, others, scale, floor, length)[0]
+                tested[cells] = True
+            leaf, fail = real & ok, real & ~ok
+        done.append((lo[leaf], [q[leaf] for q in whole], [q[np.repeat(leaf, 2)] for q in halves]))
+        failures += np.bincount(depth[fail], minlength=_MAX_DEPTH)
+        split = fail & (spec == 0)  # failing cells whose halves are untested
+        if depth.max() == _MAX_DEPTH - 1 and (deepest := split & (depth == _MAX_DEPTH - 1)).any():
+            last.append((lo[deepest], hi[deepest], key[deepest]))
+            split &= ~deepest
+        pending = rest
+        if split.any():
+            guess = np.zeros(split.sum(), dtype=int)
+            if not strict and (sure := (r := ratio[split]) > _SURE).any():
+                # the halves of a cell over _SURE allowances fail too: their halves
+                # go with them, and a level more for each further _FALL-fold
+                gain = np.floor(np.log(r[sure] / _SURE) / math.log(_FALL))
+                guess[sure] = np.minimum(np.fmax(gain, 1.0), _MAX_DEPTH - 2 - depth[split][sure])
+            kids = (*_children(lo[split], hi[split], depth[split], key[split]), np.tile(guess, 2))
+            pending = [np.concatenate(q) for q in zip(rest, kids)]
+        # the levels no pending cell can reach are complete: check them as bisection would
+        top = pending[2].min() if len(pending[2]) else _MAX_DEPTH
+        for d in range(checked, top):
+            if not failures[d]:
+                break
+            if n + failures[: d + 1].sum() > _MAX_CELLS:
+                raise ArithmeticError(f"cell mesh needs more than {_MAX_CELLS} cells")
+            if d == _MAX_DEPTH - 1:
+                lo, hi, key = (np.concatenate(q) for q in zip(*last))
+                order = np.argsort(key)
+                lo, hi = lo[order], hi[order]
+                mid = 0.5 * (lo + hi)
+                lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+                _cells(p, lo, hi)  # bisection evaluates the next level before it gives up
+                raise ArithmeticError(f"cell mesh did not converge in {_MAX_DEPTH} bisections near x={lo[0]!r}")
+        checked = top
+        strict = strict or n + failures.sum() > _MAX_CELLS
     lo_all = np.concatenate([part[0] for part in done])
     order = np.argsort(lo_all, kind="stable")
     nodes = np.append(lo_all[order], x_r)
-    whole = [np.concatenate([part[2][k] for part in done])[order] for k in range(4)]
+    whole = [np.concatenate([part[1][k] for part in done])[order] for k in range(4)]
     pairs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
-    halves = [np.concatenate([part[3][k] for part in done])[pairs] for k in range(4)]
+    halves = [np.concatenate([part[2][k] for part in done])[pairs] for k in range(4)]
     return _assemble(p, nodes, whole, halves)
 
 

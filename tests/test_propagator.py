@@ -11,6 +11,7 @@ import pytest
 from sturmjumps import oscillation, propagator
 from sturmjumps.oscillation import PhaseError, phase
 from sturmjumps.potential import Potential, Regularity
+from sturmjumps.expr import EvalDomainError
 from sturmjumps.quadrature import integrate_sqrt_v
 
 
@@ -529,3 +530,114 @@ def test_one_round_of_100_lanes_on_a_long_mesh_stays_small():
     thetas_l = [oscillation._ends(p, lam, 1e-11, x_l, x_r, length)[0] for lam in lams]
     assert 3 * p.cell_meshes[-11].cells == 1743
     assert _peak(lambda: propagator.propagate_lanes(p, lams, 1e-11, thetas_l)) <= 1_900_000
+
+
+# -- the mesh build: batches that settle several levels, against bisection level by level
+
+
+def _reference_build(p, decade, x_l, x_r):
+    # build_mesh as it was before its batches settled several levels: one
+    # _cells call and one test at all five frequencies per level
+    edges = np.linspace(x_l, x_r, propagator._INITIAL_CELLS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    whole, halves = propagator._cells(p, lo, hi)
+    scale = propagator._SHARE * 10.0**decade
+    length = whole[0].sum()
+    floor = scale * math.pi / length
+    done = []
+    for _ in range(propagator._MAX_DEPTH):
+        h, ubar = whole[0], whole[1]
+        allowed = np.maximum(floor * h, propagator._ROUNDING)
+        sig0 = np.maximum(math.pi / length, np.sqrt(np.abs(ubar)))
+        lam2s = [0.0] + [np.maximum((z / h) ** 2 - ubar, 0.0) for z in propagator._Z_REF]
+        gaps = propagator._mismatches(whole, halves, lam2s, [sig0] + [z / h for z in propagator._Z_REF])
+        ok = gaps[0] <= allowed
+        for gap, z in zip(gaps[1:], propagator._Z_REF):
+            ok &= gap <= np.maximum(scale * z, allowed)
+        done.append((lo[ok], hi[ok], [q[ok] for q in whole], [q[np.repeat(ok, 2)] for q in halves]))
+        if ok.all():
+            break
+        split = ~ok
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        if sum(len(part[0]) for part in done) + len(lo) > propagator._MAX_CELLS:
+            break
+        whole, halves = propagator._cells(p, lo, hi)
+    else:
+        raise ArithmeticError(f"cell mesh did not converge in {propagator._MAX_DEPTH} bisections near x={lo[0]!r}")
+    if not ok.all():
+        raise ArithmeticError(f"cell mesh needs more than {propagator._MAX_CELLS} cells")
+    lo_all = np.concatenate([part[0] for part in done])
+    order = np.argsort(lo_all, kind="stable")
+    nodes = np.append(lo_all[order], x_r)
+    whole = [np.concatenate([part[2][k] for part in done])[order] for k in range(4)]
+    pairs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
+    halves = [np.concatenate([part[3][k] for part in done])[pairs] for k in range(4)]
+    return propagator._assemble(p, nodes, whole, halves)
+
+
+_BUILDS = {
+    "2+sin(x) [0, 3]": lambda: Potential.from_formula("2+sin(x)", 0.0, 3.0),
+    "2+sin(x) [0, 30]": lambda: Potential.from_formula("2+sin(x)", 0.0, 30.0),
+    "1.2+sin(3x) [0, 4]": lambda: Potential.from_formula("1.2+sin(3*x)", 0.0, 4.0),
+    "exp(x)": lambda: Potential.from_formula("exp(x)", 0.0, 1.0),
+    "(1+x)^(-4)": lambda: Potential.from_formula("(1+x)^(-4)", 0.0, 1.0),
+    "1+x^2 [0, 2]": lambda: Potential.from_formula("1+x^2", 0.0, 2.0),
+    "x": lambda: _conjecture("x", 1.0, 0.0),
+    "sqrt(x)": lambda: _conjecture("sqrt(x)", 0.5, 0.0),
+    "(1-x)/x": lambda: _conjecture("(1-x)/x", -1.0, 1.0),
+    "x*(2-x) [0, 2]": lambda: Potential.from_formula(
+        "x*(2-x)", 0.0, 2.0, regularity=Regularity.CONJECTURE, gamma_a=1.0, gamma_b=1.0
+    ),
+}
+_MESH_FIELDS = ("nodes", "h", "ubar", "c1", "c2", "sqrt_vl", "beta_l", "sqrt_vr", "beta_r", "scale_r", "u_integral")
+
+
+def _outcome(build, p, decade):
+    """The mesh the build makes, or the type and message of what it raises."""
+    try:
+        return build(p, decade, *propagator.bulk_interval(p))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDS))
+def test_mesh_matches_bisection_level_by_level(name):
+    # every field array for array, though a batch settles several levels
+    for decade in (-10, -11, -12):
+        p = _BUILDS[name]()
+        interval = propagator.bulk_interval(p)
+        got, want = propagator.build_mesh(p, decade, *interval), _reference_build(p, decade, *interval)
+        for field in _MESH_FIELDS:
+            g, w = getattr(got, field), getattr(want, field)
+            assert np.array_equal(g, w) and np.asarray(g).dtype == np.asarray(w).dtype, (name, decade, field)
+
+
+@pytest.mark.parametrize("name", ["2+sin(x) [0, 30]", "x", "(1-x)/x", "1.2+sin(3x) [0, 4]"])
+def test_mesh_limits_raise_as_bisection_level_by_level(name, monkeypatch):
+    # the cell and depth limits count the cells bisection would test, level
+    # by level: the same error, message and x, or the same mesh
+    outcomes = []
+    limits = ((20, 40), (100, 40), (300, 40), (50_000, 2), (50_000, 3), (50_000, 5), (50_000, 9), (60, 4), (400, 6))
+    for cells, depth in limits:
+        monkeypatch.setattr(propagator, "_MAX_CELLS", cells)
+        monkeypatch.setattr(propagator, "_MAX_DEPTH", depth)
+        got = _outcome(propagator.build_mesh, _BUILDS[name](), -11)
+        want = _outcome(_reference_build, _BUILDS[name](), -11)
+        if isinstance(want, propagator.CellMesh):
+            assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in _MESH_FIELDS), (cells, depth)
+        else:
+            assert got == want, (cells, depth)
+        outcomes.append(want if isinstance(want, tuple) else "mesh")
+    assert any("needs more than" in str(o) for o in outcomes) and any("did not converge" in str(o) for o in outcomes)
+
+
+def test_mesh_domain_error_is_raised_as_bisection_level_by_level():
+    # V falls below its floor only in a narrow dip that the first four
+    # levels' nodes miss: the batches, which test cells out of level order,
+    # raise the EvalDomainError bisection raises, with its message and point
+    for source in ("2+sin(x)-3.5/(1+((x-1.37)/0.00002)^2)", "2+sin(x)-3.5/(1+((x-1.33)/0.0002)^2)"):
+        for decade in (-10, -11):
+            builds = (propagator.build_mesh, _reference_build)
+            got, want = (_outcome(build, Potential.from_formula(source, 0.0, 3.0), decade) for build in builds)
+            assert want[0] is EvalDomainError and got == want, (source, decade)

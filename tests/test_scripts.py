@@ -23,7 +23,7 @@ def run_script(name, *args):
 
 def test_bench_layers_writes_every_case(tmp_path):
     out = tmp_path / "bench.json"
-    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1")
+    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1", "--calls", "1")
     assert proc.returncode == 0, proc.stderr
     cases = json.loads(out.read_text())["cases"]
     for lam in (10, 100, 1000):
@@ -53,6 +53,20 @@ def test_bench_layers_writes_every_case(tmp_path):
         assert case["ns_per_lane_cell"] == 1e6 * case["ms"] / lane_cells > 0.0, name
     for source in ("2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"):
         assert cases[f"lg_data.{source}"]["ms"] > 0.0, source
+    # mesh builds with their batches: the conjecture class at three decades,
+    # each in fewer batches than bisection level by level takes levels
+    for name, cells, levels in (
+        ("x.decade=-10", 171, 8), ("x", 265, 8), ("x.decade=-12", 423, 9),
+        ("sqrt(x).decade=-10", 153, 8), ("sqrt(x)", 246, 9), ("sqrt(x).decade=-12", 392, 10),
+        ("(1-x)/x.decade=-10", 378, 17), ("(1-x)/x", 581, 18), ("(1-x)/x.decade=-12", 940, 19),
+    ):
+        case = cases[f"build_mesh.{name}"]
+        assert case["cells"] == cells and 1 <= case["batches"] < levels and case["ms"] > 0.0, name
+    for source in ("2+sin(x)", "1.2+sin(3*x)", "exp(x)"):
+        assert cases[f"build_mesh.{source}"]["batches"] >= 1, source
+    # a one-shot count builds its mesh
+    fresh = cases["count.(1-x)/x.lam=300.fresh"]
+    assert fresh["count"] > 0 and fresh["ms"] > 0.0
     assert cases["src_lines"]["lines"] > 1000
 
 
@@ -60,14 +74,22 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
     # --against imports a checkout's package under another name; here the
     # repository itself, so both trees run the same code
     out = tmp_path / "bench.json"
-    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1", "--against", str(ROOT))
+    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1", "--calls", "2", "--against", str(ROOT))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert report["against"] == str(ROOT)
     cases = report["cases"]
     assert cases["phase.2+sin(x).lam=10"]["cells"] == 177 and cases["src_lines"]["lines"] > 1000
     for name, case in cases.items():
-        paired = name.split(".")[0] in ("phase", "lanes", "transfer", "lg_data", "build_mesh")
+        kind = name.split(".")[0]
+        paired = kind in ("phase", "lanes", "transfer", "lg_data", "build_mesh", "count")
         assert ("against_ratio" in case) == paired, name
         if paired:
             assert case["against_ms"] > 0.0 and case["against_ratio"] == case["ms"] / case["against_ms"], name
+        # medians of alternating calls where the fastest run swings with the hour
+        assert ("median_ratio" in case) == (kind in ("phase", "build_mesh", "count")), name
+        if "median_ratio" in case:
+            assert case["against_median_ms"] > 0.0, name
+            assert case["median_ratio"] == case["median_ms"] / case["against_median_ms"], name
+        if kind == "build_mesh":  # the same tree on both sides: the same batches
+            assert case["batches"] == case["against_batches"] >= 1, name
