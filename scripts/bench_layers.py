@@ -41,10 +41,11 @@ in turn in this process, so that both see the same drift of the host; the
 case then also holds ``against_ms`` and ``against_ratio``, its ms over
 PATH's.  The fastest of a few runs swings with the hour, so the phase.*,
 build_mesh.* and count.* cases also hold ``median_ratio``: the median of
---calls calls on this tree over the median on PATH's, the calls
-alternating between the trees and which goes first.
+calls on this tree over the median on PATH's, the calls alternating
+between the trees and which goes first, 200 per tree at the default
+--repeat of 15 and in proportion to --repeat otherwise.
 
-Usage: bench_layers.py --out BENCH_<n>.json [--against PATH] [--calls N]
+Usage: bench_layers.py --out BENCH_<n>.json [--against PATH] [--repeat N]
 """
 
 import argparse
@@ -238,9 +239,9 @@ def main():
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--repeat", type=int, default=15, help="runs per case (the sequence takes a third as many)")
     ap.add_argument("--against", metavar="PATH", help="a checkout whose paired cases run beside these")
-    ap.add_argument("--calls", type=int, default=200, help="alternating calls per tree behind each median_ratio")
     args = ap.parse_args()
-    repeat, calls = max(args.repeat, 1), max(args.calls, 1)
+    repeat = max(args.repeat, 1)
+    calls = max(1, 200 * repeat // 15)  # alternating calls per tree behind each median_ratio
     ours = Tree("sturmjumps")
     trees = [ours] + ([load_against(args.against)] if args.against else [])
     cases = {}
@@ -302,8 +303,8 @@ def main():
     p = ours.potential("2+sin(x)")
     records = ours.jumps.jump_sequence(p, 1, 500)
     ms = fastest_ms([lambda: ours.jumps.jump_sequence(p, 1, 500)], max(repeat // 3, 1))[0]
-    calls = sum(r.phase_calls for r in records)
-    cases["jump_sequence.2+sin(x).1-500"] = {"ms": ms, "phase_calls_per_root": calls / len(records)}
+    phase_calls = sum(r.phase_calls for r in records)
+    cases["jump_sequence.2+sin(x).1-500"] = {"ms": ms, "phase_calls_per_root": phase_calls / len(records)}
 
     cases["src_lines"] = {"lines": sum(len(f.read_text().splitlines()) for f in sorted((ROOT / "src").rglob("*.py")))}
 

@@ -116,8 +116,11 @@ _MAX_DEPTH = 40
 _SURE = 32.0
 _FALL = 32.0
 # a batch that guesses at least this many failing cells tests omega h = 2
-# on its own first: the extra call costs about what the other four
-# frequencies cost on that many cells
+# on its own first.  Builds at decades -10..-12 against 24, medians of 30
+# interleaved on a 2-vCPU Xeon guest: never staging 1.06-1.24x on x,
+# sqrt(x), (1-x)/x and 1.10-1.17x on 1.2+sin(3x) and 2+sin(x) on [0, 30];
+# always staging 1.04-1.10x on 2+sin(x) on [0, 3] at -10 and -11; 12 and
+# 48 within 0.97-1.05x; 96 1.05-1.08x on x and sqrt(x) at -10
 _STAGE = 24
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
@@ -512,7 +515,9 @@ def _children(lo, hi, depth, key):
     """
     mid = 0.5 * (lo + hi)
     right = key + np.left_shift(_INITIAL_CELLS, depth)
-    return np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(depth + 1, 2), np.concatenate([key, right])
+    depth = depth + 1
+    pairs = ([lo, mid], [mid, hi], [depth, depth], [key, right])
+    return tuple(np.concatenate(pair) for pair in pairs)
 
 
 def _reached(levels, fail):
@@ -526,7 +531,8 @@ def _reached(levels, fail):
     start = 0
     for parent, child in zip(levels, levels[1:]):
         end = start + len(parent[0])
-        real[end : end + len(child[0])] = np.tile((real[start:end] & fail[start:end])[parent[4] > 0], 2)
+        reached = (real[start:end] & fail[start:end])[parent[4] > 0]
+        real[end : end + len(child[0])] = np.concatenate([reached, reached])
         start = end
     return real
 
@@ -540,7 +546,8 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
     batch, one _cells call and its tests, settles several levels: a
     failing cell whose omega h = 2 gap is over _SURE allowances sends its
     halves to the next batch with their halves, and a level more for each
-    further _FALL-fold.  The batch's tree is walked level by level
+    further _FALL-fold, as long as a batch's guessed cells fit in the cells
+    left below _MAX_CELLS.  The batch's tree is walked level by level
     (``_reached``) and the guesses under a passing cell are dropped.  A
     cell's arrays and verdict have the same bits in any batch of an even
     number of cells, so the mesh is that of bisection level by level,
@@ -574,7 +581,8 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
         levels = [pending]
         while (more := levels[-1][4] > 0).any():
             lo, hi, depth, key, spec = (q[more] for q in levels[-1])
-            levels.append([*_children(lo, hi, depth, key), np.tile(spec - 1, 2)])
+            spec = spec - 1
+            levels.append([*_children(lo, hi, depth, key), np.concatenate([spec, spec])])
         lo, hi, depth, key, spec = pending if len(levels) == 1 else (np.concatenate(q) for q in zip(*levels))
         try:
             whole, halves = _cells(p, lo, hi)
@@ -600,7 +608,7 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
                 ok[cells] = _within(whole, halves, cells, others, scale, floor, length)[0]
                 tested[cells] = True
             leaf, fail = real & ok, real & ~ok
-        done.append((lo[leaf], [q[leaf] for q in whole], [q[np.repeat(leaf, 2)] for q in halves]))
+        done.append((lo, whole, halves, leaf))
         failures += np.bincount(depth[fail], minlength=_MAX_DEPTH)
         split = fail & (spec == 0)  # failing cells whose halves are untested
         if depth.max() == _MAX_DEPTH - 1 and (deepest := split & (depth == _MAX_DEPTH - 1)).any():
@@ -614,7 +622,11 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
                 # go with them, and a level more for each further _FALL-fold
                 gain = np.floor(np.log(r[sure] / _SURE) / math.log(_FALL))
                 guess[sure] = np.minimum(np.fmax(gain, 1.0), _MAX_DEPTH - 2 - depth[split][sure])
-            kids = (*_children(lo[split], hi[split], depth[split], key[split]), np.tile(guess, 2))
+                # a cell that guesses g levels adds 2**(g + 2) - 4 cells: none
+                # where they would pass the cells left below _MAX_CELLS
+                if (np.left_shift(4, guess) - 4).sum() > _MAX_CELLS - n - failures.sum():
+                    guess[:] = 0
+            kids = (*_children(lo[split], hi[split], depth[split], key[split]), np.concatenate([guess, guess]))
             pending = [np.concatenate(q) for q in zip(rest, kids)]
         # the levels no pending cell can reach are complete: check them as bisection would
         top = pending[2].min() if len(pending[2]) else _MAX_DEPTH
@@ -634,7 +646,8 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
         checked = top
         strict = strict or n + failures.sum() > _MAX_CELLS
     lo_all = np.concatenate([part[0] for part in done])
-    order = np.argsort(lo_all, kind="stable")
+    leaves = np.flatnonzero(np.concatenate([part[3] for part in done]))
+    order = leaves[np.argsort(lo_all[leaves], kind="stable")]  # the leaves, in x
     nodes = np.append(lo_all[order], x_r)
     whole = [np.concatenate([part[1][k] for part in done])[order] for k in range(4)]
     pairs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()

@@ -632,6 +632,30 @@ def test_mesh_limits_raise_as_bisection_level_by_level(name, monkeypatch):
     assert any("needs more than" in str(o) for o in outcomes) and any("did not converge" in str(o) for o in outcomes)
 
 
+def test_mesh_guesses_under_a_narrow_dip_stay_within_the_cell_limit(monkeypatch):
+    # below a narrow feature the gaps stay huge level after level while only
+    # about one cell per level fails: the guessed levels must not outgrow
+    # the cell limit, and the outcome is bisection's
+    cells = propagator._cells
+    limit = {}
+
+    def bounded(p, lo, hi):
+        assert len(lo) <= 4 * limit["cells"], len(lo)
+        return cells(p, lo, hi)
+
+    monkeypatch.setattr(propagator, "_cells", bounded)
+    for source in ("2+sin(x)-1.9/(1+((x-1.37)/0.00002)^2)", "2+sin(x)+50/(1+((x-1.37)/0.000001)^2)"):
+        for limit["cells"] in (60, 200, 2000):
+            monkeypatch.setattr(propagator, "_MAX_CELLS", limit["cells"])
+            for decade in (-10, -12):
+                builds = (propagator.build_mesh, _reference_build)
+                got, want = (_outcome(build, Potential.from_formula(source, 0.0, 3.0), decade) for build in builds)
+                if isinstance(want, propagator.CellMesh):
+                    assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in _MESH_FIELDS)
+                else:
+                    assert got == want, (source, limit, decade)
+
+
 def test_mesh_domain_error_is_raised_as_bisection_level_by_level():
     # V falls below its floor only in a narrow dip that the first four
     # levels' nodes miss: the batches, which test cells out of level order,

@@ -23,7 +23,7 @@ def run_script(name, *args):
 
 def test_bench_layers_writes_every_case(tmp_path):
     out = tmp_path / "bench.json"
-    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1", "--calls", "1")
+    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1")
     assert proc.returncode == 0, proc.stderr
     cases = json.loads(out.read_text())["cases"]
     for lam in (10, 100, 1000):
@@ -74,7 +74,7 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
     # --against imports a checkout's package under another name; here the
     # repository itself, so both trees run the same code
     out = tmp_path / "bench.json"
-    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1", "--calls", "2", "--against", str(ROOT))
+    proc = run_script("bench_layers.py", "--out", str(out), "--repeat", "1", "--against", str(ROOT))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert report["against"] == str(ROOT)
