@@ -58,7 +58,9 @@ frequency that fails nearly every failing cell, sends its halves' halves
 along with its halves, and a batch that guesses many such cells tests
 omega h = 2 first.  A cell's arrays and verdict keep their bits in any
 batch of an even number of cells, so the mesh is bisection's level by
-level, array for array.  The mesh is cached on the Potential.  Every
+level, array for array.  A build that fails, where V does or a limit is
+reached, runs again without guesses, one level per batch, and so raises
+what bisection raises.  The mesh is cached on the Potential.  Every
 call sweeps the mesh and the mesh with each cell halved: the fine sweep
 is the answer and |fine - coarse| its error estimate.  A lane whose
 estimate exceeds rtol * max(theta, pi) is swept again on a private copy
@@ -97,7 +99,7 @@ import numpy as np
 from .expr import EvalDomainError
 from .liouville_green import u_from_jet
 from .potential import Potential
-from .quadrature import _GL_W, _GL_X
+from .quadrature import _GL_W, _GL_X, _v_floor
 
 __all__ = ["CellMesh", "build_mesh", "bulk_mesh", "propagate_lanes"]
 
@@ -283,11 +285,11 @@ def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_X
     v, d1, d2 = p.jet2_fn(x)
-    floor = 0.0 if p.c_lower is None else max(0.5 * p.c_lower, 0.0)
+    floor = _v_floor(p)
     bad = ~(v > floor)
     if bad.any():
         i = np.flatnonzero(bad)[0]
-        raise EvalDomainError(f"potential fell to {v.flat[i]!r} (floor {floor!r})", p.source, float(x.flat[i]))
+        raise EvalDomainError(f"potential fell to {float(v.flat[i])!r} (floor {floor!r})", p.source, float(x.flat[i]))
     sq = np.sqrt(v)
     u = u_from_jet(v, d1, d2)
     dxi = half[:, None] * sq  # d xi / d t at the nodes
@@ -506,18 +508,11 @@ def _assemble(p: Potential, nodes: np.ndarray, whole=None, halves=None) -> CellM
     return CellMesh(nodes, *arrays, *ends, u_integral)
 
 
-def _children(lo, hi, depth, key):
-    """The halves of cells, every left one and then every right one, with their depths and keys.
-
-    A cell's key orders it among the cells of its depth as a bisection
-    level by level would: the children of the failing cells of one level,
-    left halves in that level's order and then right halves.
-    """
+def _children(lo, hi, depth, spec):
+    """The halves of cells, left ones then right ones as bisection orders them, one depth down and with ``spec``."""
     mid = 0.5 * (lo + hi)
-    right = key + np.left_shift(_INITIAL_CELLS, depth)
-    depth = depth + 1
-    pairs = ([lo, mid], [mid, hi], [depth, depth], [key, right])
-    return tuple(np.concatenate(pair) for pair in pairs)
+    pairs = ([lo, mid], [mid, hi], [depth + 1] * 2, [spec] * 2)
+    return [np.concatenate(pair) for pair in pairs]
 
 
 def _reached(levels, fail):
@@ -531,10 +526,83 @@ def _reached(levels, fail):
     start = 0
     for parent, child in zip(levels, levels[1:]):
         end = start + len(parent[0])
-        reached = (real[start:end] & fail[start:end])[parent[4] > 0]
+        reached = (real[start:end] & fail[start:end])[parent[3] > 0]
         real[end : end + len(child[0])] = np.concatenate([reached, reached])
         start = end
     return real
+
+
+def _bisect(p: Potential, decade: int, x_l: float, x_r: float, guesses: bool) -> CellMesh:
+    """build_mesh's batches, with guessed levels or, without them, one level per batch in bisection's order.
+
+    Raises EvalDomainError where V fails, and ArithmeticError after the
+    halves of a cell at depth _MAX_DEPTH - 1 or past _MAX_CELLS cells.
+    """
+    n = _INITIAL_CELLS
+    edges = np.linspace(x_l, x_r, n + 1)
+    # the untested cells that bisection would test: lo, hi, depth and the
+    # levels of their descendants to test with them
+    pending = [edges[:-1], edges[1:], np.zeros(n, dtype=int), np.zeros(n, dtype=int)]
+    # at a frequency where theta(b) ~ omega D the cells' mismatches may add
+    # up to _SHARE * 10**decade * max(omega D, pi); cell i's share is
+    # 10**decade * max(z, pi h_i/D) at z = omega h_i, D from the first cells
+    scale = _SHARE * 10.0**decade
+    length = floor = None
+    others = (0.0, *(z for z in _Z_REF if z != 2.0))  # lambda = 0 and the other omega h
+    failures, done = 0, []
+    while True:
+        levels = [pending]
+        while (more := levels[-1][3] > 0).any():
+            lo, hi, depth, spec = (q[more] for q in levels[-1])
+            levels.append(_children(lo, hi, depth, spec - 1))
+        lo, hi, depth, spec = pending if len(levels) == 1 else (np.concatenate(q) for q in zip(*levels))
+        whole, halves = _cells(p, lo, hi)
+        if depth.max() == _MAX_DEPTH:  # bisection evaluates the level below its last before it gives up
+            raise ArithmeticError(f"cell mesh did not converge in {_MAX_DEPTH} bisections near x={float(lo[0])!r}")
+        if length is None:
+            length = whole[0].sum()
+            floor = scale * math.pi / length
+        # omega h = 2 fails nearly every cell that fails: a batch that guesses
+        # tests it first, and the other four only on the cells that pass it
+        # and that bisection would test
+        staged = np.count_nonzero(spec) >= _STAGE
+        ok, ratio = _within(whole, halves, None, (2.0, *(() if staged else others)), scale, floor, length)
+        real = _reached(levels, ~ok)
+        if staged:  # the cells that pass it are tested as bisection reaches them
+            tested = ~ok
+            while (need := real & ~tested).any():
+                cells = need.nonzero()[0]
+                ok[cells] = _within(whole, halves, cells, others, scale, floor, length)[0]
+                tested[cells] = True
+                real = _reached(levels, ~ok)
+        fail = real & ~ok
+        done.append((lo, whole, halves, real & ok))
+        failures += np.count_nonzero(fail)
+        if n + failures > _MAX_CELLS:
+            raise ArithmeticError(f"cell mesh needs more than {_MAX_CELLS} cells")
+        split = fail & (spec == 0)  # failing cells whose halves are untested
+        if not split.any():
+            break
+        guess = np.zeros(np.count_nonzero(split), dtype=int)
+        room = _MAX_DEPTH - 2 - depth[split]  # levels left to guess above the depth limit
+        if guesses and (sure := (ratio[split] > _SURE) & (room > 0)).any():
+            # the halves of a cell over _SURE allowances fail too: their halves
+            # go with them, and a level more for each further _FALL-fold
+            gain = np.floor(np.log(ratio[split][sure] / _SURE) / math.log(_FALL))
+            guess[sure] = np.minimum(np.fmax(gain, 1.0), room[sure])
+            # a cell that guesses g levels adds 2**(g + 2) - 4 cells: none
+            # where they would pass the cells left below _MAX_CELLS
+            if (np.left_shift(4, guess) - 4).sum() > _MAX_CELLS - n - failures:
+                guess[:] = 0
+        pending = _children(lo[split], hi[split], depth[split], guess)
+    lo_all = np.concatenate([part[0] for part in done])
+    leaves = np.flatnonzero(np.concatenate([part[3] for part in done]))
+    order = leaves[np.argsort(lo_all[leaves], kind="stable")]  # the leaves, in x
+    nodes = np.append(lo_all[order], x_r)
+    whole = [np.concatenate([part[1][k] for part in done])[order] for k in range(4)]
+    pairs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
+    halves = [np.concatenate([part[2][k] for part in done])[pairs] for k in range(4)]
+    return _assemble(p, nodes, whole, halves)
 
 
 def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
@@ -551,108 +619,16 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
     (``_reached``) and the guesses under a passing cell are dropped.  A
     cell's arrays and verdict have the same bits in any batch of an even
     number of cells, so the mesh is that of bisection level by level,
-    array for array.  The depth and cell limits are checked per level, in
-    level order, once no cell of the level is left untested, and count
-    only the cells bisection tests; a batch whose V fails, or a count
-    past _MAX_CELLS, turns the rest of the build into one level per batch
-    in bisection's order, so that it raises what bisection raises.
+    array for array.  The cells bisection tests are among those the
+    batches evaluate, and the limits count only them, so a build that
+    guesses fails where bisection fails, or where V fails at a guessed
+    cell.  It then runs again without guesses, which is bisection and
+    raises what bisection raises, message and x included.
     """
-    n = _INITIAL_CELLS
-    edges = np.linspace(x_l, x_r, n + 1)
-    # the untested cells that bisection would test: lo, hi, depth, key and
-    # the levels of their descendants to test with them
-    pending = [edges[:-1], edges[1:], np.zeros(n, dtype=int), np.arange(n), np.zeros(n, dtype=int)]
-    # at a frequency where theta(b) ~ omega D the cells' mismatches may add
-    # up to _SHARE * 10**decade * max(omega D, pi); cell i's share is
-    # 10**decade * max(z, pi h_i/D) at z = omega h_i, D from the first cells
-    scale = _SHARE * 10.0**decade
-    length = floor = None
-    others = (0.0, *(z for z in _Z_REF if z != 2.0))  # lambda = 0 and the other omega h
-    failures = np.zeros(_MAX_DEPTH, dtype=int)  # failing cells per depth
-    checked, strict, done, last = 0, False, [], []
-    while len(pending[0]):
-        rest = [q[:0] for q in pending]
-        if strict:  # the cells of the shallowest depth, in bisection's order, alone
-            depth, key = pending[2], pending[3]
-            now = depth == depth.min()
-            order = np.flatnonzero(now)[np.argsort(key[now])]
-            pending, rest = [q[order] for q in pending], [q[~now] for q in pending]
-            pending[4] = np.zeros_like(order)
-        levels = [pending]
-        while (more := levels[-1][4] > 0).any():
-            lo, hi, depth, key, spec = (q[more] for q in levels[-1])
-            spec = spec - 1
-            levels.append([*_children(lo, hi, depth, key), np.concatenate([spec, spec])])
-        lo, hi, depth, key, spec = pending if len(levels) == 1 else (np.concatenate(q) for q in zip(*levels))
-        try:
-            whole, halves = _cells(p, lo, hi)
-        except EvalDomainError:
-            if strict:
-                raise
-            strict = True
-            continue
-        if length is None:
-            length = whole[0].sum()
-            floor = scale * math.pi / length
-        # omega h = 2 fails nearly every cell that fails: a batch that guesses
-        # tests it first, and the other four only on the cells that pass it
-        # and that bisection would test
-        staged = len(levels) > 1 and (spec > 0).sum() >= _STAGE
-        ok, ratio = _within(whole, halves, None, (2.0, *(() if staged else others)), scale, floor, length)
-        if len(levels) == 1:
-            leaf, fail = ok, ~ok
-        else:
-            tested = np.full(len(ok), not staged)
-            while (need := (real := _reached(levels, ~ok)) & ok & ~tested).any():
-                cells = need.nonzero()[0]
-                ok[cells] = _within(whole, halves, cells, others, scale, floor, length)[0]
-                tested[cells] = True
-            leaf, fail = real & ok, real & ~ok
-        done.append((lo, whole, halves, leaf))
-        failures += np.bincount(depth[fail], minlength=_MAX_DEPTH)
-        split = fail & (spec == 0)  # failing cells whose halves are untested
-        if depth.max() == _MAX_DEPTH - 1 and (deepest := split & (depth == _MAX_DEPTH - 1)).any():
-            last.append((lo[deepest], hi[deepest], key[deepest]))
-            split &= ~deepest
-        pending = rest
-        if split.any():
-            guess = np.zeros(split.sum(), dtype=int)
-            if not strict and (sure := (r := ratio[split]) > _SURE).any():
-                # the halves of a cell over _SURE allowances fail too: their halves
-                # go with them, and a level more for each further _FALL-fold
-                gain = np.floor(np.log(r[sure] / _SURE) / math.log(_FALL))
-                guess[sure] = np.minimum(np.fmax(gain, 1.0), _MAX_DEPTH - 2 - depth[split][sure])
-                # a cell that guesses g levels adds 2**(g + 2) - 4 cells: none
-                # where they would pass the cells left below _MAX_CELLS
-                if (np.left_shift(4, guess) - 4).sum() > _MAX_CELLS - n - failures.sum():
-                    guess[:] = 0
-            kids = (*_children(lo[split], hi[split], depth[split], key[split]), np.concatenate([guess, guess]))
-            pending = [np.concatenate(q) for q in zip(rest, kids)]
-        # the levels no pending cell can reach are complete: check them as bisection would
-        top = pending[2].min() if len(pending[2]) else _MAX_DEPTH
-        for d in range(checked, top):
-            if not failures[d]:
-                break
-            if n + failures[: d + 1].sum() > _MAX_CELLS:
-                raise ArithmeticError(f"cell mesh needs more than {_MAX_CELLS} cells")
-            if d == _MAX_DEPTH - 1:
-                lo, hi, key = (np.concatenate(q) for q in zip(*last))
-                order = np.argsort(key)
-                lo, hi = lo[order], hi[order]
-                mid = 0.5 * (lo + hi)
-                lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-                _cells(p, lo, hi)  # bisection evaluates the next level before it gives up
-                raise ArithmeticError(f"cell mesh did not converge in {_MAX_DEPTH} bisections near x={lo[0]!r}")
-        checked = top
-        strict = strict or n + failures.sum() > _MAX_CELLS
-    lo_all = np.concatenate([part[0] for part in done])
-    leaves = np.flatnonzero(np.concatenate([part[3] for part in done]))
-    order = leaves[np.argsort(lo_all[leaves], kind="stable")]  # the leaves, in x
-    nodes = np.append(lo_all[order], x_r)
-    whole = [np.concatenate([part[1][k] for part in done])[order] for k in range(4)]
-    pairs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
-    halves = [np.concatenate([part[2][k] for part in done])[pairs] for k in range(4)]
-    return _assemble(p, nodes, whole, halves)
+    try:
+        return _bisect(p, decade, x_l, x_r, guesses=True)
+    except ArithmeticError:  # EvalDomainError included
+        return _bisect(p, decade, x_l, x_r, guesses=False)
 
 
 def _angles(g, dg, adv, theta, a0):

@@ -15,9 +15,10 @@ Two rules, each with its own job:
   few that miss the tolerance bisected, replaces one tanh-sinh integral
   per segment.
 
-Both screen V the same way: a non-finite value, a negative one, or for
-the theorem class one below half the validated lower bound raises
-QuadratureError.
+Both screen V the same way: a non-finite value, a negative one, or one
+below half a positive lower bound c_lower, found for the theorem class or
+declared for either (``_v_floor``, the phase propagator's floor too),
+raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import Potential, Regularity
+from .potential import Potential
 
 __all__ = [
     "QuadResult",
@@ -78,7 +79,12 @@ class SegmentsResult:
 
 
 def _v_floor(p: Potential) -> float:
-    if p.regularity is Regularity.THEOREM and p.c_lower and p.c_lower > 0:
+    """The least V may fall to anywhere: half a positive lower bound c_lower, else 0.
+
+    The one rule for the quadrature, which needs V >= floor, and the
+    phase propagator's cells, which need V > floor.
+    """
+    if p.c_lower and p.c_lower > 0:
         return 0.5 * p.c_lower
     return 0.0
 
@@ -91,7 +97,7 @@ def _screen(p: Potential, x: float, v: float, v_floor: float) -> None:
         raise QuadratureError(f"negative potential encountered: V({x}) = {v}")
     if v < v_floor:
         raise QuadratureError(
-            f"V({x}) = {v} fell below half the validated lower bound {p.c_lower}"
+            f"V({x}) = {v} fell below half the validated lower bound {p.c_lower} (floor {v_floor!r})"
         )
 
 

@@ -427,3 +427,14 @@ def test_jumps_with_blow_up_end_away_from_zero(capsys):
     for row, rec in zip(rows, mirror):
         n, lam = int(row.split(",")[0]), float(row.split(",")[1])
         assert n == rec.n and abs(lam - rec.lambda_n) * math.pi / 2.0 <= 2e-10 * n
+
+
+@pytest.mark.parametrize(
+    "potential, text",
+    [("2+sin(x)-3.5/(1+((x-1.37)/0.00002)^2)", "potential fell to 0.142"), ("2+sqrt(x)", "near x=0.0")],
+)
+def test_mesh_errors_print_plain_floats(potential, text, capsys):
+    # a dip below V's floor, and a cell at x = 0 that never converges (V' is infinite there)
+    assert run(["count", "--potential", potential, "--a", "0", "--b", "3", "--lambda", "10"]) == 1
+    err = capsys.readouterr().err
+    assert text in err and "np.float64" not in err

@@ -12,7 +12,7 @@ from sturmjumps import oscillation, propagator
 from sturmjumps.oscillation import PhaseError, phase
 from sturmjumps.potential import Potential, Regularity
 from sturmjumps.expr import EvalDomainError
-from sturmjumps.quadrature import integrate_sqrt_v
+from sturmjumps.quadrature import QuadratureError, integrate_sqrt_v
 
 
 def test_eta_functions_on_both_sides_of_the_barrier():
@@ -564,7 +564,7 @@ def _reference_build(p, decade, x_l, x_r):
             break
         whole, halves = propagator._cells(p, lo, hi)
     else:
-        raise ArithmeticError(f"cell mesh did not converge in {propagator._MAX_DEPTH} bisections near x={lo[0]!r}")
+        raise ArithmeticError(f"cell mesh did not converge in {propagator._MAX_DEPTH} bisections near x={float(lo[0])!r}")
     if not ok.all():
         raise ArithmeticError(f"cell mesh needs more than {propagator._MAX_CELLS} cells")
     lo_all = np.concatenate([part[0] for part in done])
@@ -665,3 +665,43 @@ def test_mesh_domain_error_is_raised_as_bisection_level_by_level():
             builds = (propagator.build_mesh, _reference_build)
             got, want = (_outcome(build, Potential.from_formula(source, 0.0, 3.0), decade) for build in builds)
             assert want[0] is EvalDomainError and got == want, (source, decade)
+
+
+def test_mesh_builds_take_no_rerun(monkeypatch):
+    # the rerun without guesses is an error path: no build here gives way,
+    # so a build calls _cells in no more batches than bisection has levels
+    cells = propagator._cells
+    calls = []
+
+    def counted(p, lo, hi):
+        calls.append(len(lo))
+        return cells(p, lo, hi)
+
+    monkeypatch.setattr(propagator, "_cells", counted)
+    for name, build in sorted(_BUILDS.items()):
+        for decade in (-10, -11, -12):
+            interval = propagator.bulk_interval(build())
+            calls.clear()
+            propagator.build_mesh(build(), decade, *interval)
+            batches = len(calls)
+            calls.clear()
+            _reference_build(build(), decade, *interval)
+            assert batches <= len(calls), (name, decade, batches, len(calls))
+
+
+def test_declared_lower_bound_floors_v_in_quadrature_and_phase():
+    # one floor, half the declared c_lower, for D and for the phase's cells,
+    # in either class: 1/(x(1-x)) has its minimum 4 at x = 1/2
+    def p(c_lower):
+        return Potential.from_formula(
+            "1/(x*(1-x))", 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=-1.0, gamma_b=-1.0, c_lower=c_lower
+        )
+
+    with pytest.raises(QuadratureError) as d:
+        integrate_sqrt_v(p(10.0), 0.0, 1.0)
+    with pytest.raises(PhaseError) as ph:
+        phase(p(10.0), 50.0)
+    for exc in (d.value, ph.value):
+        assert "(floor 5.0)" in str(exc) and "np.float64" not in str(exc)
+    assert integrate_sqrt_v(p(3.0), 0.0, 1.0).value == pytest.approx(math.pi, rel=1e-10)
+    assert phase(p(3.0), 50.0).count == 49
