@@ -21,9 +21,12 @@ the steadiest figure):
 * transfer.<potential>.<k>: the cell-transfer kernel alone, with its
   lane-cells and ns per lane-cell: one block of a round's first sweep
   (``propagator._transfers``, 31 lanes on x at n = 70..100 and 60 lanes
-  on 2+sin(x) at lambda 3..41, about 4 096 lane-cells each), and one
-  one-lane call (``propagator._transfer``) on the 96 swept cells of
-  exp(x) at lambda = 30;
+  on 2+sin(x) at lambda 3..41, at most about 4 096 lane-cells each), and
+  one one-lane call (``propagator._transfer``) on every swept cell of
+  exp(x) at lambda = 30; each tree's kernel takes that tree's cell
+  arrays (``cell_arrays``), and with --against, where the trees' meshes
+  differ, the case also holds PATH's lane-cells, its ns per lane-cell
+  and ``ns_ratio``, ours over PATH's;
 * lg_data.<potential>: the Liouville-Green data on the 512-point grid;
 * build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh,
   with its cells and its batches (``propagator._cells`` calls); on the
@@ -207,6 +210,11 @@ def lanes_case(trees, spec, lams, repeat):
     return with_against(case, ms, others), q
 
 
+def cell_arrays(mesh):
+    """The mesh's arrays in its tree's _transfer order: ``mesh.arrays`` where the tree has it, else h, ubar, c1, c2."""
+    return getattr(mesh, "arrays", None) or (mesh.h, mesh.ubar, mesh.c1, mesh.c2)
+
+
 def transfer_block_case(trees, spec, lams, repeat):
     """One _transfers block of the round ``lams`` on each tree: the ms, lane-cells and ns per lane-cell."""
     args = []
@@ -215,23 +223,30 @@ def transfer_block_case(trees, spec, lams, repeat):
         n, width = mesh.cells, min(tree.propagator._BLOCK // (2 * len(lams)), mesh.cells)
         cells = np.concatenate([np.arange(width), np.arange(n, n + width)])
         lam2 = (np.array(lams) ** 2)[:, None]
-        args.append((lam2, *(q[cells] for q in (mesh.h, mesh.ubar, mesh.c1, mesh.c2))))
+        args.append((lam2, *(q[cells] for q in cell_arrays(mesh))))
     runs = [lambda tree=tree, a=a: tree.propagator._transfers(*a) for tree, a in zip(trees, args)]
-    ms, *others = fastest_ms(runs, repeat)
-    lane_cells = len(lams) * len(args[0][1])
-    return with_against({"ms": ms, "lane_cells": lane_cells, "ns_per_lane_cell": 1e6 * ms / lane_cells}, ms, others)
+    return kernel_case(runs, [len(lams) * len(a[1]) for a in args], repeat)
 
 
 def one_lane_transfer_case(trees, source, lam, repeat):
     """One one-lane _transfer over every swept cell of the mesh, as ``phase`` calls it."""
     meshes = [tree.propagator.bulk_mesh(tree.potential(source), 1e-11) for tree in trees]
     runs = [
-        lambda tree=tree, m=m: tree.propagator._transfer(lam * lam, m.h, m.ubar, m.c1, m.c2)
+        lambda tree=tree, m=m: tree.propagator._transfer(lam * lam, *cell_arrays(m))
         for tree, m in zip(trees, meshes)
     ]
-    ms, *others = fastest_ms(runs, 10 * repeat)
-    lane_cells = len(meshes[0].h)
-    return with_against({"ms": ms, "lane_cells": lane_cells, "ns_per_lane_cell": 1e6 * ms / lane_cells}, ms, others)
+    return kernel_case(runs, [len(m.h) for m in meshes], 10 * repeat)
+
+
+def kernel_case(runs, lane_cells, repeat):
+    """A kernel case from each tree's run and lane-cells; the trees' meshes, and so their lane-cells, may differ."""
+    ms, *others = fastest_ms(runs, repeat)
+    case = {"ms": ms, "lane_cells": lane_cells[0], "ns_per_lane_cell": 1e6 * ms / lane_cells[0]}
+    if others:
+        case["against_lane_cells"] = lane_cells[1]
+        case["against_ns_per_lane_cell"] = 1e6 * others[0] / lane_cells[1]
+        case["ns_ratio"] = case["ns_per_lane_cell"] / case["against_ns_per_lane_cell"]
+    return with_against(case, ms, others)
 
 
 def main():

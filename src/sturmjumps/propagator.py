@@ -8,25 +8,27 @@ class, and [a, b] less a sliver at each
 singular end for the conjecture class, where U is unbounded (the
 slivers are left to ``oscillation``: a Bessel seed near each end, then
 RK45 toward the bulk).  A mesh splits that
-interval, of length D in xi, into cells, each stored as four numbers: its
-length h, the mean Ubar of U over it and U's Legendre P1 and P2
-coefficients c1, c2 in xi.  Over a cell
+interval, of length D in xi, into cells, each stored as six numbers: its
+length h, the mean Ubar of U over it and U's Legendre P1 .. P4
+coefficients c1 .. c4 in xi.  Over a cell
 the constant-perturbation method (Ixaru 1984; Ledoux, Van Daele & Vanden
 Berghe, MATSLISE, ACM TOMS 31, 2005) carries (g, g') exactly for the
-constant Ubar and to first order in c1 P1 + c2 P2, in closed form in
+constant Ubar and to first order in c1 P1 + .. + c4 P4, in closed form in
 Ixaru's functions eta_k of x = (lambda^2 + Ubar) h^2:
 
-    g(h)  = (eta_-1 + c1 h^2 eta_1/2) g + (h eta_0 + c2 h^3 eta_2/2) g'
-    g'(h) = x (c2 h^2 eta_2/2 - eta_0) g/h + (eta_-1 - c1 h^2 eta_1/2) g'
+    g(h)  = (eta_-1 + k1) g + h (eta_0 + k2) g'
+    g'(h) = x (k2 - eta_0) g/h + (eta_-1 - k1) g'
+    k1 = h^2 (c1 eta_1 - c3 x eta_3)/2,  k2 = h^2 (c2 eta_2 - c4 x eta_4)/2
 
 with eta_-1 = cos w, eta_0 = sin(w)/w for x = w^2 > 0 (cosh and sinh
-for x < 0) and eta_k = (eta_(k-2) - (2k-1) eta_(k-1)) / (-x).  One formula
-serves cells above and below the barrier, so no lambda threshold is
-needed.  Where |x| < 16, i.e. at low frequency, where the first-order
-error is largest, the terms second order in (c1, c2) are added from a
-Taylor series in x (``_second_order_table``), tapered off by |x| = 25.
-The error is fourth order in h or better and falls as lambda grows, so
-one mesh serves every lambda.
+for x < 0) and eta_k = (eta_(k-2) - (2k-1) eta_(k-1)) / (-x); the terms
+follow from the integral of P_k(u) e^(i w u) over [-1, 1], 2 i^k j_k(w).
+One formula serves cells above and below the barrier, so no lambda
+threshold is needed.  Where |x| < 16, i.e. at low frequency, where the
+first-order error is largest, the terms second order in (c1, c2) are
+added from a Taylor series in x (``_second_order_table``), tapered off by
+|x| = 25.  The error falls as lambda grows, so one mesh serves every
+lambda, and lambda = 0 decides nearly every cell.
 
 Within cell i the Prüfer angle psi, tan(psi) = sigma g/g', uses the scale
 sigma = sqrt(x)/h where the cell spans more than a radian of phase and 1/h
@@ -53,10 +55,10 @@ each reference frequency: lambda = 0 on the scale max(pi/D, sqrt|Ubar|),
 and omega h = z for each z in _Z_REF on the scale omega.  At omega the
 tolerance is 10**decade * max(omega D, pi) in all, so a cell's share grows
 with z.  The bisection runs in batches that settle several levels each
-(``build_mesh``): a cell far over its allowance at omega h = 2, the
+(``build_mesh``): a cell far over its allowance at lambda = 0, the
 frequency that fails nearly every failing cell, sends its halves' halves
 along with its halves, and a batch that guesses many such cells tests
-omega h = 2 first.  A cell's arrays and verdict keep their bits in any
+lambda = 0 first.  A cell's arrays and verdict keep their bits in any
 batch of an even number of cells, so the mesh is bisection's level by
 level, array for array.  A build that fails, where V does or a limit is
 reached, runs again without guesses, one level per batch, and so raises
@@ -110,28 +112,44 @@ _Z_REF = (1.0, 2.0, 4.0, 8.0)  # reference frequencies besides lambda = 0, in ra
 _SHARE = 0.5  # fraction of the decade's tolerance the mesh's cells may use
 _ROUNDING = 8 * 2.220446049250313e-16  # a gap this small is rounding, not truncation
 _MAX_DEPTH = 40
-# the halves of a cell whose omega h = 2 gap is over _SURE allowances fail
-# too, and gaps fall about _FALL-fold per halving: on x, sqrt(x), (1-x)/x,
-# 2+sin(x), 1.2+sin(3x) and exp(x) at decades -10..-12 the halves of cells
-# over 64 allowances failed in 99.9 % of 4 572 cases, 93 % in (32, 64], 6 %
-# in (16, 32] and at most 0.2 % at or below 16
+# the halves of a cell whose lambda = 0 gap is over _SURE allowances may
+# fail too, and gaps fall about _FALL-fold per halving: on x, sqrt(x),
+# (1-x)/x, 2+sin(x), 1.2+sin(3x) on [0, 3] and exp(x) at decades -10..-12,
+# bisection level by level, a half of a cell over 64 allowances failed in
+# 98.6 % of 1 205 cases, 18 % of 151 in (32, 64] and none of 1 178 at or
+# below 32, and the gaps fell 23- to 76-fold per halving (10th to 90th
+# percentile, median 54).  Builds there against _FALL = 32, medians of 41
+# interleaved on a 2-vCPU Xeon guest: 0.87-0.89x on (1-x)/x, 0.91-1.00x on
+# sqrt(x), 0.99-1.00x on x and 2+sin(x), 0.91-1.07x on 1.2+sin(3x); 64
+# read 0.79-0.91x on (1-x)/x but 1.15x on sqrt(x) at -11; _SURE = 48 or 64
+# 1.03-1.14x on x or sqrt(x) at some decade
 _SURE = 32.0
-_FALL = 32.0
-# a batch that guesses at least this many failing cells tests omega h = 2
-# on its own first.  Builds at decades -10..-12 against 24, medians of 30
-# interleaved on a 2-vCPU Xeon guest: never staging 1.06-1.24x on x,
-# sqrt(x), (1-x)/x and 1.10-1.17x on 1.2+sin(3x) and 2+sin(x) on [0, 30];
-# always staging 1.04-1.10x on 2+sin(x) on [0, 3] at -10 and -11; 12 and
-# 48 within 0.97-1.05x; 96 1.05-1.08x on x and sqrt(x) at -10
+_FALL = 48.0
+# a batch that guesses at least this many failing cells tests lambda = 0
+# on its own first.  The same builds against 24, medians of 31: never
+# staging 1.09-1.15x on (1-x)/x, 1.06-1.09x on 1.2+sin(3x), 1.01-1.07x on
+# x and sqrt(x), 1.00-1.01x on 2+sin(x); always staging 1.20-1.23x on
+# 2+sin(x), 1.06-1.11x on x and sqrt(x) at -10 and -11, 0.98-1.02x
+# elsewhere; 12 and 48 within 0.99-1.01x
 _STAGE = 24
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
 _BLOCK = 4096  # lane-cells per block of a round's sweep: bounds the sweep's arrays
-_MIN_LANES = 7  # fewer lanes go one at a time: the least worst case, ~1.2x, over 177- to 1 743-cell sweeps
+# fewer lanes go one at a time: the least worst case over 57- to 1 164-cell
+# sweeps.  A round over one-lane calls, medians of 81 interleaved on a 2-vCPU
+# Xeon guest, breaks even at 5 lanes on 2+sin(x) (19 cells), 6 on x and
+# sqrt(x), 7 on 1.2+sin(3x) on [0, 3] and (1-x)/x (213 and 388 cells); at 6
+# the worst case is 1.16x (5 lanes one at a time on 2+sin(x)), at 7 1.33x
+_MIN_LANES = 6
 _SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture-class end
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
-_CHUNK = 1024  # cells per _transfer call in a batch of calls
+# cells per _transfer call in a batch of calls: rounds of 31 lanes on x
+# (151 cells) and on (1-x)/x (388), and of 60 and 23 lanes on 2+sin(x) on
+# [0, 3] (19), against 1024, medians of 41 interleaved on a 2-vCPU Xeon
+# guest: 2048 0.91x, 0.92x, 0.95x and 0.99x; 4096 1.03x, 1.06x, 0.90x and
+# 1.00x; 512 1.10-1.20x.  The bits do not depend on it
+_CHUNK = 2048
 # halves per matrix-vector product in _cells: OpenBLAS's dgemv takes 4 rows at a
 # time and the 2 or 3 left over on another path with other bits, and from about
 # 920 rows on splits the rows between threads, each share ending in its own left-over
@@ -170,7 +188,7 @@ def _series(n: int, terms: int = 6) -> list[float]:
     return [1.0 / (math.factorial(m) * math.prod(range(1, 2 * n + 2 * m + 2, 2))) for m in range(terms)]
 
 
-_ETA_SERIES = np.array([_series(n) for n in (0, 1, 2)])[:, :, None]  # (eta, power, 1)
+_ETA_SERIES = np.array([_series(n) for n in range(5)])[:, :, None]  # (eta, power, 1)
 _ETA_HORNER = tuple(_ETA_SERIES.transpose(1, 0, 2)[-2::-1])  # the columns below the top one, top down
 
 
@@ -207,8 +225,8 @@ def _second_order_table(terms: int = 16) -> np.ndarray:
 class CellMesh:
     """A coarse mesh of n cells and its halves, for one potential and one rtol decade.
 
-    ``h``, ``ubar``, ``c1`` and ``c2`` hold the n coarse cells and then the
-    2n halves in order; ``nodes`` are the coarse cells' ends in x, from
+    ``h``, ``ubar`` and ``c1`` .. ``c4`` hold the n coarse cells and then
+    the 2n halves in order; ``nodes`` are the coarse cells' ends in x, from
     x_l to x_r.
     """
 
@@ -217,6 +235,8 @@ class CellMesh:
     ubar: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
+    c3: np.ndarray
+    c4: np.ndarray
     sqrt_vl: float  # sqrt(V(x_l)); 1 at a regular end, where the entry u = 0 needs no V
     beta_l: float  # V'(x_l) / (4 V(x_l)); 0 at a regular end
     sqrt_vr: float  # sqrt(V(x_r))
@@ -227,6 +247,11 @@ class CellMesh:
     @property
     def cells(self) -> int:
         return len(self.nodes) - 1
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The cells' arrays in _transfer's order: h, ubar, c1 .. c4."""
+        return self.h, self.ubar, self.c1, self.c2, self.c3, self.c4
 
     @property
     def length(self) -> float:
@@ -240,13 +265,18 @@ def _decade(rtol: float) -> int:
 
 
 def _moments(w, u, xi, h):
-    """Ubar, c1, c2 of U over cells of xi-length h from quadrature weights w in xi."""
+    """Ubar, c1 .. c4 of U over cells of xi-length h from quadrature weights w in xi."""
     t = 2.0 * xi / h[:, None] - 1.0
     wu = w * u
+    p2 = 1.5 * t * t - 0.5
+    p3 = (5.0 * t * p2 - 2.0 * t) / 3.0
+    p4 = (7.0 * t * p3 - 3.0 * p2) / 4.0
     return (
         wu.sum(axis=1) / h,
         3.0 * (wu * t).sum(axis=1) / h,
-        5.0 * (wu * (1.5 * t * t - 0.5)).sum(axis=1) / h,
+        5.0 * (wu * p2).sum(axis=1) / h,
+        7.0 * (wu * p3).sum(axis=1) / h,
+        9.0 * (wu * p4).sum(axis=1) / h,
     )
 
 
@@ -270,7 +300,7 @@ def bulk_interval(p: Potential) -> tuple[float, float]:
 
 
 def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
-    """(h, Ubar, c1, c2) of the cells [lo, hi] and, interleaved, of their halves.
+    """(h, Ubar, c1 .. c4) of the cells [lo, hi] and, interleaved, of their halves.
 
     V, V' and V'' come from one vectorized jet call at the 10 Gauss nodes
     of every half; xi at the nodes from the Gauss integration matrix.  A
@@ -307,9 +337,9 @@ def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
 
 
 def _eta_series(x: np.ndarray) -> np.ndarray:
-    """eta_0, eta_1, eta_2 at small |x| from their Taylor series, by Horner's rule for the three at once."""
+    """eta_0 .. eta_4 at small |x| from their Taylor series, by Horner's rule for the five at once."""
     y = -0.5 * x
-    acc = np.empty((3, len(y)))
+    acc = np.empty((len(_ETA_SERIES), len(y)))
     acc[:] = _ETA_SERIES[:, -1]
     for c in _ETA_HORNER:
         acc *= y
@@ -318,7 +348,7 @@ def _eta_series(x: np.ndarray) -> np.ndarray:
 
 
 def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
-    """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign.
+    """Ixaru's eta_-1 .. eta_4 at x = (lambda^2 + Ubar) h^2 of either sign.
 
     ax = |x|, low = min x and top = max |x| come from the caller, which
     needs them too; top is only compared with _SMALL_X.
@@ -327,18 +357,21 @@ def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
     pos = None if low > 0.0 else x > 0.0
     if top < _SMALL_X:  # all from the series, and no cosh can overflow
         em1 = np.cos(r) if pos is None else np.where(pos, np.cos(r), np.cosh(r))
-        return em1, *_eta_series(x.reshape(-1)).reshape(3, *x.shape)
+        return em1, *_eta_series(x.reshape(-1)).reshape(-1, *x.shape)
     with np.errstate(all="ignore"):  # x = 0 and the unused cosh branch
         em1 = np.cos(r) if pos is None else np.where(pos, np.cos(r), np.cosh(r))
         e0 = (np.sin(r) if pos is None else np.where(pos, np.sin(r), np.sinh(r))) / r
         e1 = (e0 - em1) / x
         e2 = (3.0 * e1 - e0) / x
+        e3 = (5.0 * e2 - e1) / x
+        e4 = (7.0 * e3 - e2) / x
+    etas = (e0, e1, e2, e3, e4)
     if not low >= _SMALL_X:  # else no |x| is small
         small = (ax < _SMALL_X).ravel().nonzero()[0]
         if small.size:  # x and the new e's are C-ordered: flat indices reach their elements
-            for e, series in zip((e0, e1, e2), _eta_series(x.ravel()[small])):
+            for e, series in zip(etas, _eta_series(x.ravel()[small])):
                 e.ravel()[small] = series
-    return em1, e0, e1, e2
+    return em1, *etas
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
@@ -365,10 +398,10 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(powers.T)
 
 
-def _transfer(lam2, h, ubar, c1, c2, out=None):
+def _transfer(lam2, h, ubar, c1, c2, c3, c4, out=None):
     """The cells' (g, g') propagators t11, t12, t21, t22 at lambda^2 = lam2, and x, as an array (5, ...).
 
-    h, ubar, c1 and c2 hold one value per cell; lam2 broadcasts against
+    h, ubar and c1 .. c4 hold one value per cell; lam2 broadcasts against
     them: one value, one per cell, or (rows, 1) or (rows, cells) for rows
     of lanes, so the lambda-free factors are formed once per cell.  The
     result goes to ``out`` if given.  A cell's bits do not depend on the
@@ -387,9 +420,13 @@ def _transfer(lam2, h, ubar, c1, c2, out=None):
     low = x.min()
     ax = x if low > 0.0 else np.abs(x)
     top = low if low >= gone else ax.max()  # max |x|, needed only where a cell is near
-    em1, e0, e1, e2 = _etas(x, ax, low, top)
-    k1 = 0.5 * c1 * h2 * e1  # 0.5 c1 h^2 per cell, then times e1
+    em1, e0, e1, e2, e3, e4 = _etas(x, ax, low, top)
+    # the odd moments in the diagonal, the even ones in the off-diagonal
+    # entries; the factors 0.5 c h^2 per cell, then times the etas
+    k1 = 0.5 * c1 * h2 * e1
+    k1 -= 0.5 * c3 * h2 * (x * e3)
     k2 = 0.5 * c2 * h2 * e2
+    k2 -= 0.5 * c4 * h2 * (x * e4)
     np.add(em1, k1, out=t11)
     np.multiply(h, e0 + k2, out=t12)
     np.divide(x * (k2 - e0), h, out=t21)
@@ -427,7 +464,7 @@ def _transfer(lam2, h, ubar, c1, c2, out=None):
     return out
 
 
-def _transfers(lam2, h, ubar, c1, c2) -> np.ndarray:
+def _transfers(lam2, *cells) -> np.ndarray:
     """_transfer for several rows on the same cells, as an array (5, rows, cells).
 
     Row k is at lambda^2 = lam2[k], shape (rows, 1) or (rows, cells), and
@@ -438,12 +475,12 @@ def _transfers(lam2, h, ubar, c1, c2) -> np.ndarray:
     is written straight into the result.  A cell's bits do not depend on
     its run (``_transfer``).
     """
-    rows, cells = len(lam2), len(h)
-    out = np.empty((5, rows, cells))
-    runs = -(-rows * cells // _CHUNK)  # the fewest runs of _CHUNK cells
+    rows, n = len(lam2), len(cells[0])
+    out = np.empty((5, rows, n))
+    runs = -(-rows * n // _CHUNK)  # the fewest runs of _CHUNK cells
     step = -(-rows // runs)  # rows per run, as even as whole rows allow
     for i in range(0, rows, step):
-        _transfer(lam2[i : i + step], h, ubar, c1, c2, out[:, i : i + step])
+        _transfer(lam2[i : i + step], *cells, out=out[:, i : i + step])
     return out
 
 
@@ -548,7 +585,6 @@ def _bisect(p: Potential, decade: int, x_l: float, x_r: float, guesses: bool) ->
     # 10**decade * max(z, pi h_i/D) at z = omega h_i, D from the first cells
     scale = _SHARE * 10.0**decade
     length = floor = None
-    others = (0.0, *(z for z in _Z_REF if z != 2.0))  # lambda = 0 and the other omega h
     failures, done = 0, []
     while True:
         levels = [pending]
@@ -562,17 +598,17 @@ def _bisect(p: Potential, decade: int, x_l: float, x_r: float, guesses: bool) ->
         if length is None:
             length = whole[0].sum()
             floor = scale * math.pi / length
-        # omega h = 2 fails nearly every cell that fails: a batch that guesses
-        # tests it first, and the other four only on the cells that pass it
-        # and that bisection would test
+        # lambda = 0 fails nearly every cell that fails: a batch that guesses
+        # tests it first, and the omega h only on the cells that pass it and
+        # that bisection would test
         staged = np.count_nonzero(spec) >= _STAGE
-        ok, ratio = _within(whole, halves, None, (2.0, *(() if staged else others)), scale, floor, length)
+        ok, ratio = _within(whole, halves, None, (0.0, *(() if staged else _Z_REF)), scale, floor, length)
         real = _reached(levels, ~ok)
         if staged:  # the cells that pass it are tested as bisection reaches them
             tested = ~ok
             while (need := real & ~tested).any():
                 cells = need.nonzero()[0]
-                ok[cells] = _within(whole, halves, cells, others, scale, floor, length)[0]
+                ok[cells] = _within(whole, halves, cells, _Z_REF, scale, floor, length)[0]
                 tested[cells] = True
                 real = _reached(levels, ~ok)
         fail = real & ~ok
@@ -599,9 +635,9 @@ def _bisect(p: Potential, decade: int, x_l: float, x_r: float, guesses: bool) ->
     leaves = np.flatnonzero(np.concatenate([part[3] for part in done]))
     order = leaves[np.argsort(lo_all[leaves], kind="stable")]  # the leaves, in x
     nodes = np.append(lo_all[order], x_r)
-    whole = [np.concatenate([part[1][k] for part in done])[order] for k in range(4)]
+    whole = [np.concatenate([part[1][k] for part in done])[order] for k in range(len(whole))]
     pairs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
-    halves = [np.concatenate([part[2][k] for part in done])[pairs] for k in range(4)]
+    halves = [np.concatenate([part[2][k] for part in done])[pairs] for k in range(len(halves))]
     return _assemble(p, nodes, whole, halves)
 
 
@@ -612,7 +648,7 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
     within its share of the decade's tolerance at lambda = 0 and at every
     omega h in _Z_REF (``_within``); a cell that fails is halved.  One
     batch, one _cells call and its tests, settles several levels: a
-    failing cell whose omega h = 2 gap is over _SURE allowances sends its
+    failing cell whose lambda = 0 gap is over _SURE allowances sends its
     halves to the next batch with their halves, and a level more for each
     further _FALL-fold, as long as a batch's guessed cells fit in the cells
     left below _MAX_CELLS.  The batch's tree is walked level by level
@@ -738,7 +774,7 @@ def _exit(mesh: CellMesh, lam: float, theta: float, g: float, dg: float, a: floa
 def _theta_pair(mesh: CellMesh, lam: float, theta_l: float) -> tuple[float, float]:
     """The exit angle on the coarse mesh and on its halves, both read by one _angles call."""
     n = mesh.cells
-    t11, t12, t21, t22, x = _transfer(lam * lam, mesh.h, mesh.ubar, mesh.c1, mesh.c2)
+    t11, t12, t21, t22, x = _transfer(lam * lam, *mesh.arrays)
     sig, adv, ratio = _scales(x, mesh.h, np.ones(1))
     ratio[n - 1] = 1.0 / sig[n - 1]  # the coarse sweep ends there
     cols = [a.tolist() for a in (t11, t12 * sig, t21 / sig, t22, ratio)]
@@ -776,8 +812,8 @@ def _sweep_block(mesh: CellMesh, lam2, runs, k0: int, k1: int, state):
     """
     lanes, k, b = len(lam2), len(runs), k1 - k0
     cells = np.concatenate([np.arange(s + k0, s + k1) for s, _ in runs])
-    h = mesh.h[cells]
-    t11, t12, t21, t22, x = _transfers(lam2, h, mesh.ubar[cells], mesh.c1[cells], mesh.c2[cells])
+    h, *rest = (q[cells] for q in mesh.arrays)
+    t11, t12, t21, t22, x = _transfers(lam2, h, *rest)
     after = np.ones((lanes, k, 1))
     for j, (s, end) in enumerate(runs):
         if s + k1 < end:

@@ -97,7 +97,7 @@ def _screen(p: Potential, x: float, v: float, v_floor: float) -> None:
         raise QuadratureError(f"negative potential encountered: V({x}) = {v}")
     if v < v_floor:
         raise QuadratureError(
-            f"V({x}) = {v} fell below half the validated lower bound {p.c_lower} (floor {v_floor!r})"
+            f"V({x}) = {v} fell below half the lower bound c_lower = {p.c_lower} (floor {v_floor!r})"
         )
 
 

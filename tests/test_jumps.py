@@ -215,16 +215,18 @@ def test_phase_error_in_one_lane_propagates(v_linear, monkeypatch):
 
 def test_propagator_failure_in_one_lane_propagates(monkeypatch):
     # a mesh too coarse for its decade and no refinement allowed: most lanes
-    # of the batched rounds miss rtol, a few (n = 3, 28) do not
+    # of the batched rounds miss rtol, a few (n = 4, 25..27) do not (the
+    # build's 16 first cells already meet rtol here, so it starts from 8)
     from sturmjumps import propagator
     from sturmjumps.oscillation import PhaseError
 
     monkeypatch.setattr(propagator, "_SHARE", 300.0)
+    monkeypatch.setattr(propagator, "_INITIAL_CELLS", 8)
     monkeypatch.setattr(propagator, "_MAX_REFINE", 0)
     p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
-    assert find_jump(p, 3).n == 3
+    assert find_jump(p, 4).n == 4
     with pytest.raises(PhaseError, match="refinements"):
-        find_jump(p, 4)
+        find_jump(p, 5)
     with pytest.raises(PhaseError, match="refinements"):
         jump_sequence(p, 1, 30)
 

@@ -23,22 +23,31 @@ def test_eta_functions_on_both_sides_of_the_barrier():
     for i, x in enumerate(xs):
         x = mpmath.mpf(x)
         if x == 0:
-            want = [1, 1, mpmath.mpf(1) / 3, mpmath.mpf(1) / 15]
+            want = [1, 1, mpmath.mpf(1) / 3, mpmath.mpf(1) / 15, mpmath.mpf(1) / 105, mpmath.mpf(1) / 945]
         else:
             r = mpmath.sqrt(abs(x))
             em1 = mpmath.cos(r) if x > 0 else mpmath.cosh(r)
             e0 = (mpmath.sin(r) if x > 0 else mpmath.sinh(r)) / r
-            e1 = (e0 - em1) / x
-            want = [em1, e0, e1, (3 * e1 - e0) / x]
-        for k, w in enumerate(want):
+            want = [em1, e0]
+            for k in range(1, 5):
+                want.append(((2 * k - 1) * want[-1] - want[-2]) / x)
+        for k, w in enumerate(want[:4]):
             assert float(got[k][i]) == pytest.approx(float(w), rel=1e-12, abs=1e-15), (xs[i], k)
+        # eta_3 and eta_4 enter the cell as x eta_3 and x eta_4, beside terms
+        # of the size of eta_-1; just above |x| = 0.05 their recurrence loses
+        # up to 10 digits, which is 1e-10 of that size
+        for k in (4, 5):
+            assert abs(float(x * (got[k][i] - want[k]))) <= 1e-9 * max(1.0, abs(float(want[0]))), (xs[i], k)
 
 
-def _unit_cell_rk4(x, c1, c2, steps=4000):
-    # g'' = -(x + c1 P1(2t-1) + c2 P2(2t-1)) g on [0, 1], both fundamental solutions
+def _unit_cell_rk4(x, c1, c2, c3=0.0, c4=0.0, steps=4000):
+    # g'' = -(x + c1 P1(2t-1) + .. + c4 P4(2t-1)) g on [0, 1], both fundamental solutions
     def rhs(t, y):
         u = 2.0 * t - 1.0
-        q = x + c1 * u + c2 * (1.5 * u * u - 0.5)
+        p2 = 1.5 * u * u - 0.5
+        p3 = (5.0 * u * p2 - 2.0 * u) / 3.0
+        p4 = (7.0 * u * p3 - 3.0 * p2) / 4.0
+        q = x + c1 * u + c2 * p2 + c3 * p3 + c4 * p4
         return np.array([y[1], -q * y[0]])
 
     y, dt = np.eye(2), 1.0 / steps
@@ -52,16 +61,26 @@ def _unit_cell_rk4(x, c1, c2, steps=4000):
     return y  # rows (g, g'), columns from g(0) = 1 and g'(0) = 1
 
 
+def _unit_cell_error(x, *c):
+    """The max-norm gap of the unit cell's transfer, moments c1 .. c4, from an accurate solution."""
+    one = np.ones(1)
+    got = propagator._transfer(x, one, 0.0 * one, *(ck * one for ck in c))
+    got = np.array([[got[0][0], got[1][0]], [got[2][0], got[3][0]]])
+    return np.abs(got - _unit_cell_rk4(x, *c)).max()
+
+
 @pytest.mark.parametrize("x", [-9.0, -1.0, 0.0, 0.02, 0.7, 4.0, 15.0])
 def test_cell_propagator_is_second_order_in_the_perturbation(x):
     # on |x| <= 16 the cell carries the (c1, c2) terms to second order, so
-    # against an accurate solution only third-order terms are left
-    c1, c2 = 0.05, -0.03
-    want = _unit_cell_rk4(x, c1, c2)
-    one = np.ones(1)
-    got = propagator._transfer(x, one, 0.0 * one, c1 * one, c2 * one)
-    got = np.array([[got[0][0], got[1][0]], [got[2][0], got[3][0]]])
-    assert np.abs(got - want).max() <= 1e-7 * max(1.0, math.cosh(math.sqrt(max(-x, 0.0))))
+    # against an accurate solution only third-order terms are left; it
+    # carries the (c3, c4) terms to first order, so what is left with them
+    # is second order: a quarter of it when the moments halve, where a
+    # first-order error would leave half
+    big = max(1.0, math.cosh(math.sqrt(max(-x, 0.0))))
+    assert _unit_cell_error(x, 0.05, -0.03, 0.0, 0.0) <= 1e-7 * big
+    for c in ((0.0, 0.0, 0.05, 0.0), (0.0, 0.0, 0.0, -0.03), (0.0, 0.0, 0.05, -0.03), (0.05, -0.03, 0.05, -0.03)):
+        full, half = (_unit_cell_error(x, *(s * ck for ck in c)) for s in (1.0, 0.5))
+        assert full <= 3e-5 * big and 3.6 <= full / half <= 4.4, (c, full, half)
 
 
 def test_mesh_lengths_add_up_to_d(v_sin, v_exp):
@@ -109,8 +128,10 @@ def test_phase_is_bit_identical_whatever_came_before():
 
 def test_estimate_miss_refines_a_private_copy(monkeypatch):
     # a mesh far too coarse for its decade: the call halves a copy until the
-    # estimate meets rtol, and the cached mesh stays as it was built
+    # estimate meets rtol, and the cached mesh stays as it was built (the
+    # build's 16 first cells already meet rtol here, so it starts from 8)
     monkeypatch.setattr(propagator, "_SHARE", 1e5)
+    monkeypatch.setattr(propagator, "_INITIAL_CELLS", 8)
     p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
     res = phase(p, 2.0, rtol=1e-12)
     mesh = p.cell_meshes[-12]
@@ -135,17 +156,19 @@ def test_barrier_cells_in_the_steep_dip():
 
 
 # theta(b) of the theorem class, bit for bit, at (lambda, rtol): the
-# Dirichlet entry at a and the V(b) conversion at b
+# Dirichlet entry at a and the V(b) conversion at b.  The exp(x) entries
+# are within 7.2e-15 of the exact angle (test_root_contract's Bessel form);
+# one mesh of 16 cells serves both decades there
 _PINNED = {
     ("2+sin(x)", 3.0): [
-        (0.7, 1e-10, 3.4884129058912765), (30.0, 1e-10, 146.67004910845748),
-        (1000.0, 1e-10, 4888.4513632717335), (0.7, 1e-12, 3.4884129058912565),
-        (30.0, 1e-12, 146.6700491084639), (1000.0, 1e-12, 4888.451363271734),
+        (0.7, 1e-10, 3.488412905891248), (30.0, 1e-10, 146.67004910846458),
+        (1000.0, 1e-10, 4888.451363271735), (0.7, 1e-12, 3.4884129058912556),
+        (30.0, 1e-12, 146.67004910846416), (1000.0, 1e-12, 4888.451363271734),
     ],
     ("exp(x)", 1.0): [
-        (0.7, 1e-10, 0.8404900320854238), (30.0, 1e-10, 38.74007529891223),
-        (1000.0, 1e-10, 1297.4564106285786), (0.7, 1e-12, 0.8404900320854309),
-        (30.0, 1e-12, 38.74007529891262), (1000.0, 1e-12, 1297.4564106285784),
+        (0.7, 1e-10, 0.84049003208543), (30.0, 1e-10, 38.740075298912636),
+        (1000.0, 1e-10, 1297.4564106285789), (0.7, 1e-12, 0.84049003208543),
+        (30.0, 1e-12, 38.740075298912636), (1000.0, 1e-12, 1297.4564106285789),
     ],
     ("(1+x)^(-4)", 1.0): [
         (0.7, 1e-10, 0.6205321132819361), (30.0, 1e-10, 14.405897238437246),
@@ -221,7 +244,9 @@ def _lane_case(name, monkeypatch):
         return p, np.geomspace(40.0, 400.0, 85), 1e-11
     if name == "refine":
         # a mesh too coarse for its decade: some lanes miss rtol and are refined
+        # (the build's 16 first cells already meet rtol here, so it starts from 8)
         monkeypatch.setattr(propagator, "_SHARE", 300.0)
+        monkeypatch.setattr(propagator, "_INITIAL_CELLS", 8)
         p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
         return p, np.geomspace(0.5, 2000.0, 85), 1e-11
     if name == "linear":
@@ -294,7 +319,7 @@ def test_angles_match_a_per_cell_math_atan2_sweep():
 
 
 def test_rounds_sweep_in_blocks_of_bounded_lane_cells(monkeypatch):
-    # a 31-lane round on x (265 cells): blocks of at most _BLOCK lane-cells,
+    # a 31-lane round on x (151 cells): blocks of at most _BLOCK lane-cells,
     # the coarse cells beside the first n halves, then the other n halves,
     # and a round below _MIN_LANES lanes one lane at a time
     p = _conjecture("x", 1.0, 0.0)
@@ -328,15 +353,16 @@ def test_batched_transfer_keeps_each_calls_bits(monkeypatch):
         near = rng.choice(cells, size=[0, 1, 1, 2, cells][i % 5], replace=False)
         x[i, near] = rng.uniform(-20.0, 24.0, len(near))
     h = rng.uniform(0.05, 1.0, cells)
-    ubar, c1, c2 = (rng.uniform(-50.0, 50.0, cells) for _ in range(3))
+    ubar, *c = (rng.uniform(-50.0, 50.0, cells) for _ in range(3))
+    c += [rng.uniform(-50.0, 50.0, cells) for _ in range(2)]  # c3, c4
     lam2 = x / h**2 - ubar
     monkeypatch.setattr(propagator, "_CHUNK", 4 * cells)  # runs of four calls
-    got = propagator._transfers(lam2, h, ubar, c1, c2)
+    got = propagator._transfers(lam2, h, ubar, *c)
     for i in range(calls):
-        want = propagator._transfer(lam2[i], h, ubar, c1, c2)
+        want = propagator._transfer(lam2[i], h, ubar, *c)
         assert all(np.array_equal(g, w) for g, w in zip(got[:, i], want)), i
         for j in range(cells):
-            one = propagator._transfer(lam2[i, j : j + 1], *(q[j : j + 1] for q in (h, ubar, c1, c2)))
+            one = propagator._transfer(lam2[i, j : j + 1], *(q[j : j + 1] for q in (h, ubar, *c)))
             assert all(np.array_equal(g[j : j + 1], w) for g, w in zip(got[:, i], one)), (i, j)
 
 
@@ -348,18 +374,19 @@ def test_block_keeps_each_lanes_bits():
     cells, lanes = 24, 8
     lam2 = 1e5 * np.arange(1.0, lanes + 1.0)[:, None]  # one coupling per lane
     h = rng.uniform(0.05, 1.0, cells)
-    ubar, c1, c2 = (rng.uniform(-50.0, 50.0, cells) for _ in range(3))
+    ubar, *c = (rng.uniform(-50.0, 50.0, cells) for _ in range(3))
     # lane i is near (|x| < 25) on cells of its own only: 1, 2 or 3 of them
     owner = np.repeat(np.arange(lanes), [1, 2, 3] * 2 + [1, 2])
     cell = rng.permutation(cells)[: len(owner)]
     ubar[cell] = rng.uniform(-20.0, 15.0, len(cell)) / h[cell] ** 2 - lam2[owner, 0]
+    c += [rng.uniform(-50.0, 50.0, cells) for _ in range(2)]  # c3, c4
     near = np.abs((lam2 + ubar) * h**2) < propagator._SECOND_ORDER_X[1]
     assert near.sum(axis=0).max() == 1 and near.sum(axis=1).tolist() == [1, 2, 3] * 2 + [1, 2]
-    want = [propagator._transfer(lam2[i, 0], h, ubar, c1, c2) for i in range(lanes)]
+    want = [propagator._transfer(lam2[i, 0], h, ubar, *c) for i in range(lanes)]
     for width in (1, 5, cells):
         for k in range(0, cells, width):
             block = slice(k, k + width)
-            got = propagator._transfers(lam2, *(q[block] for q in (h, ubar, c1, c2)))
+            got = propagator._transfers(lam2, *(q[block] for q in (h, ubar, *c)))
             for i in range(lanes):
                 assert all(np.array_equal(g, w[block]) for g, w in zip(got[:, i], want[i])), (width, k, i)
 
@@ -407,7 +434,7 @@ def _reference_etas(x):
         acc = propagator._ETA_SERIES[:, -1] * np.ones_like(y)
         for c in propagator._ETA_SERIES.transpose(1, 0, 2)[-2::-1]:
             acc = acc * y + c
-        e0[small], e1[small], e2[small] = acc
+        e0[small], e1[small], e2[small] = acc[:3]
     return em1, e0, e1, e2
 
 
@@ -467,9 +494,10 @@ _X_RANGES = {
 
 @pytest.mark.parametrize("kind", sorted(_X_RANGES))
 def test_transfer_matches_the_vander_and_tile_reference(kind):
-    # the batched kernel keeps every bit of the per-lane-cell kernel it
-    # replaced, for lanes (rows, 1), per-cell rows (rows, cells) as in the
-    # mesh build, 1-D per-cell calls and one-value calls
+    # at c3 = c4 = 0 the batched kernel keeps every bit of the per-lane-cell
+    # kernel it replaced, which carried U's P1 and P2 moments only, for
+    # lanes (rows, 1), per-cell rows (rows, cells) as in the mesh build,
+    # 1-D per-cell calls and one-value calls
     # (c1, c2 this large let a one-ulp change in the series reach the result)
     rng = np.random.default_rng(sorted(_X_RANGES).index(kind) + 21)
     cells, rows = 45, 7
@@ -480,6 +508,7 @@ def test_transfer_matches_the_vander_and_tile_reference(kind):
         x[0, rng.integers(cells)] = rng.uniform(-24.0, 24.0)
     h = rng.uniform(0.05, 1.0, cells)
     ubar, c1, c2 = (rng.uniform(-50.0, 50.0, cells) for _ in range(3))
+    zero = np.zeros(cells)
     per_cell = x / h**2 - ubar
     # lanes: one lambda^2 per row, close enough that every cell keeps its kind
     base = rng.uniform(1e3, 1e4)
@@ -491,11 +520,11 @@ def test_transfer_matches_the_vander_and_tile_reference(kind):
             assert near.all()
         if kind == "one_near":  # one near cell: one lane-cell of the rows, one cell of every lane
             assert near.sum() == (1 if lam2 is per_cell else rows) and near.any(axis=0).sum() == 1
-        got = propagator._transfers(lam2, h, u, c1, c2)
+        got = propagator._transfers(lam2, h, u, c1, c2, zero, zero)
         assert np.array_equal(got, _reference_transfers(lam2, h, u, c1, c2)), kind
     for i in range(rows):
         for lam2, u in ((per_cell[i], ubar), (float(lanes[i, 0]), lane_ubar)):
-            got = propagator._transfer(lam2, h, u, c1, c2)
+            got = propagator._transfer(lam2, h, u, c1, c2, zero, zero)
             want = _reference_transfer(lam2, h, u, c1, c2)
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), (kind, i)
 
@@ -521,14 +550,14 @@ def test_one_round_of_200_lanes_stays_small():
 
 def test_one_round_of_100_lanes_on_a_long_mesh_stays_small():
     # the blocks bound the memory whatever the mesh: the bulk of 100
-    # couplings on (1-x)/x, 1 743 swept cells (the slivers, untraced, run
+    # couplings on (1-x)/x, 1 164 swept cells (the slivers, untraced, run
     # lane by lane either way)
     p = _conjecture("(1-x)/x", -1.0, 1.0)
     lams = np.geomspace(50.0, 2000.0, 100).tolist()
     x_l, x_r = propagator.bulk_interval(p)
     length = propagator.bulk_mesh(p, 1e-11).length
     thetas_l = [oscillation._ends(p, lam, 1e-11, x_l, x_r, length)[0] for lam in lams]
-    assert 3 * p.cell_meshes[-11].cells == 1743
+    assert 3 * p.cell_meshes[-11].cells == 1164
     assert _peak(lambda: propagator.propagate_lanes(p, lams, 1e-11, thetas_l)) <= 1_900_000
 
 
@@ -570,9 +599,9 @@ def _reference_build(p, decade, x_l, x_r):
     lo_all = np.concatenate([part[0] for part in done])
     order = np.argsort(lo_all, kind="stable")
     nodes = np.append(lo_all[order], x_r)
-    whole = [np.concatenate([part[2][k] for part in done])[order] for k in range(4)]
+    whole = [np.concatenate([part[2][k] for part in done])[order] for k in range(len(whole))]
     pairs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
-    halves = [np.concatenate([part[3][k] for part in done])[pairs] for k in range(4)]
+    halves = [np.concatenate([part[3][k] for part in done])[pairs] for k in range(len(halves))]
     return propagator._assemble(p, nodes, whole, halves)
 
 
@@ -590,7 +619,7 @@ _BUILDS = {
         "x*(2-x)", 0.0, 2.0, regularity=Regularity.CONJECTURE, gamma_a=1.0, gamma_b=1.0
     ),
 }
-_MESH_FIELDS = ("nodes", "h", "ubar", "c1", "c2", "sqrt_vl", "beta_l", "sqrt_vr", "beta_r", "scale_r", "u_integral")
+_MESH_FIELDS = ("nodes", "h", "ubar", "c1", "c2", "c3", "c4", "sqrt_vl", "beta_l", "sqrt_vr", "beta_r", "scale_r", "u_integral")
 
 
 def _outcome(build, p, decade):
@@ -703,5 +732,7 @@ def test_declared_lower_bound_floors_v_in_quadrature_and_phase():
         phase(p(10.0), 50.0)
     for exc in (d.value, ph.value):
         assert "(floor 5.0)" in str(exc) and "np.float64" not in str(exc)
+    # a conjecture-class c_lower is declared, not validated
+    assert "lower bound c_lower = 10.0" in str(d.value) and "validated" not in str(d.value)
     assert integrate_sqrt_v(p(3.0), 0.0, 1.0).value == pytest.approx(math.pi, rel=1e-10)
     assert phase(p(3.0), 50.0).count == 49

@@ -149,9 +149,9 @@ def test_segments_bisect_where_the_rule_misses():
 def test_segments_screen_v_like_the_scalar_path():
     # the declared lower bound is far above the true minimum 1 of 2+sin(x)
     p = Potential.from_formula("2+sin(x)", 0.0, 6.0, c_lower=2.5)
-    with pytest.raises(QuadratureError, match="below half the validated lower bound"):
+    with pytest.raises(QuadratureError, match="below half the lower bound c_lower = 2.5"):
         integrate_sqrt_v_segments(p, [0.0, 3.0, 6.0])
-    with pytest.raises(QuadratureError, match="below half the validated lower bound"):
+    with pytest.raises(QuadratureError, match="below half the lower bound c_lower = 2.5"):
         integrate_sqrt_v(p, 0.0, 6.0)
     # exp overflows past x ~ 0.71: numpy gives inf, the scalar path raises
     p = Potential.from_formula("exp(1000*x)", 0.0, 1.0, c_lower=1.0)
