@@ -33,6 +33,9 @@ the steadiest figure):
   conjecture class also build_mesh.<potential>.decade=-10 and -12;
 * count.(1-x)/x.lam=300.fresh: one ``count_negative`` at rtol 1e-10 on a
   new Potential, so that the call builds its mesh;
+* count.<potential>.lam=L.rtol=1e-12: one one-lane ``count_negative`` at
+  rtol 1e-12 with the mesh built, criterion 8's check beside each root
+  (2+sin(x) at L = 10 and 30, x at L = 400), with the cells it sweeps;
 * jump_sequence.2+sin(x).1-500: criterion 4's table on one worker;
 * src_lines: the lines of the Python files under src/.
 
@@ -78,6 +81,8 @@ ROUNDS = [(MESHES[0], 329.5, 470.8, 31), (MESHES[1], 274.7, 392.5, 31), (MESHES[
 # kernel blocks: a round's lanes on the first columns of its first sweep, coarse cells beside halves
 TRANSFER_BLOCKS = [(MESHES[0], 329.5, 470.8, 31), (("2+sin(x)",), 3.0, 41.0, 60)]
 LG_DATA = ["2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"]
+# one-lane counts at rtol 1e-12 on built meshes, as criterion 8 checks the roots of a jump table
+COUNTS = [(("2+sin(x)",), 10.0), (("2+sin(x)",), 30.0), (MESHES[0], 400.0)]
 
 
 class Tree:
@@ -211,8 +216,13 @@ def lanes_case(trees, spec, lams, repeat):
 
 
 def cell_arrays(mesh):
-    """The mesh's arrays in its tree's _transfer order: ``mesh.arrays`` where the tree has it, else h, ubar, c1, c2."""
+    """The mesh's arguments in its tree's _transfer order: ``mesh.arrays`` where the tree has it, else h, ubar, c1, c2."""
     return getattr(mesh, "arrays", None) or (mesh.h, mesh.ubar, mesh.c1, mesh.c2)
+
+
+def take_cells(arg, cells):
+    """A _transfer argument at ``cells``: an array of one value per cell on its last axis, or a tuple of them."""
+    return type(arg)(take_cells(a, cells) for a in arg) if isinstance(arg, tuple) else arg[..., cells]
 
 
 def transfer_block_case(trees, spec, lams, repeat):
@@ -223,7 +233,7 @@ def transfer_block_case(trees, spec, lams, repeat):
         n, width = mesh.cells, min(tree.propagator._BLOCK // (2 * len(lams)), mesh.cells)
         cells = np.concatenate([np.arange(width), np.arange(n, n + width)])
         lam2 = (np.array(lams) ** 2)[:, None]
-        args.append((lam2, *(q[cells] for q in cell_arrays(mesh))))
+        args.append((lam2, *(take_cells(q, cells) for q in cell_arrays(mesh))))
     runs = [lambda tree=tree, a=a: tree.propagator._transfers(*a) for tree, a in zip(trees, args)]
     return kernel_case(runs, [len(lams) * len(a[1]) for a in args], repeat)
 
@@ -314,6 +324,18 @@ def main():
     count = runs[0]()
     ms, *others = fastest_ms(runs, repeat)
     cases["count.(1-x)/x.lam=300.fresh"] = with_against({"ms": ms, "count": count}, ms, others, runs, calls)
+
+    for spec, lam in COUNTS:
+        potentials = [tree.potential(*spec) for tree in trees]
+        runs = [
+            lambda tree=tree, q=q: tree.oscillation.count_negative(q, lam, rtol=1e-12, jump_guard=1e-9)
+            for tree, q in zip(trees, potentials)
+        ]
+        count = [run() for run in runs][0]  # each tree builds its mesh here
+        case = {"count": count, "cells": ours.oscillation.phase(potentials[0], lam, rtol=1e-12).cells}
+        ms, *others = fastest_ms(runs, repeat)
+        case["ms"] = ms
+        cases[f"count.{spec[0]}.lam={lam:g}.rtol=1e-12"] = with_against(case, ms, others, runs, calls)
 
     p = ours.potential("2+sin(x)")
     records = ours.jumps.jump_sequence(p, 1, 500)

@@ -25,10 +25,13 @@ for x < 0) and eta_k = (eta_(k-2) - (2k-1) eta_(k-1)) / (-x); the terms
 follow from the integral of P_k(u) e^(i w u) over [-1, 1], 2 i^k j_k(w).
 One formula serves cells above and below the barrier, so no lambda
 threshold is needed.  Where |x| < 16, i.e. at low frequency, where the
-first-order error is largest, the terms second order in (c1, c2) are
+first-order error is largest, the terms second order in (c1, c2, c3) are
 added from a Taylor series in x (``_second_order_table``), tapered off by
-|x| = 25.  The error falls as lambda grows, so one mesh serves every
-lambda, and lambda = 0 decides nearly every cell.
+|x| = 25; below |x| = 25, where the recurrence for eta_3 and eta_4 loses
+digits, x eta_3 and x eta_4 come from their Taylor series too
+(``_near_series``).  So a cell's error is third order in (c1, c2, c3)
+and second order in c4.  The error falls as lambda grows, so one mesh
+serves every lambda, and lambda = 0 decides most cells.
 
 Within cell i the Prüfer angle psi, tan(psi) = sigma g/g', uses the scale
 sigma = sqrt(x)/h where the cell spans more than a radian of phase and 1/h
@@ -56,8 +59,8 @@ and omega h = z for each z in _Z_REF on the scale omega.  At omega the
 tolerance is 10**decade * max(omega D, pi) in all, so a cell's share grows
 with z.  The bisection runs in batches that settle several levels each
 (``build_mesh``): a cell far over its allowance at lambda = 0, the
-frequency that fails nearly every failing cell, sends its halves' halves
-along with its halves, and a batch that guesses many such cells tests
+frequency that fails most failing cells, sends its halves' halves along
+with its halves, and a batch that guesses many such cells tests
 lambda = 0 first.  A cell's arrays and verdict keep their bits in any
 batch of an even number of cells, so the mesh is bisection's level by
 level, array for array.  A build that fails, where V does or a limit is
@@ -73,16 +76,17 @@ The cell algebra does not depend on lambda, so ``propagate_lanes``, the
 only entry point, takes many couplings, the lanes, at once.  A round of
 lanes is one pass over the mesh in blocks of columns, each of at most
 _BLOCK lane-cells: per block one _transfers batch, lambda^2 a column of
-lanes broadcast against the block's cells, so that each cell's
-lambda-free factors are formed once, and a sweep whose node recursion
+lanes broadcast against the block's cells, whose lambda-free factors the
+mesh forms once (``_cell_factors``), and a sweep whose node recursion
 runs on numpy rows across the lanes, with the one-lane recursion's bits.
 One kernel, _transfer, serves lane rounds, one-lane calls and the mesh
-build.  Its arithmetic is elementwise, and its second-order series is
-the product of C-ordered arrays powers @ table (``_powers``) with at
-least two rows, since BLAS sums a single row, or a transposed operand,
-along other paths; np.arctan2 gives an element the same bits in any
-array.  So a cell's bits do not depend on the cells beside it, nor a
-lane's on the lanes beside it or the blocks.  The lanes' sweep state
+build.  Its arithmetic is elementwise, and its series in x come from
+one product of C-ordered arrays, powers @ operand, 2 to _SERIES_ROWS rows
+at a time (``_near_series``), since BLAS sums a single row, a transposed
+operand, or more rows on several threads along other paths; np.arctan2
+gives an element the same bits in any array.  So a cell's bits do not
+depend on the cells beside it, nor a lane's on the lanes beside it or
+the blocks.  The lanes' sweep state
 carries from block to block, so memory depends on the block, not on
 lanes x cells.  A round of fewer than _MIN_LANES lanes, a single
 coupling included, is swept lane by lane (``_theta_pair``).  The mesh
@@ -116,34 +120,41 @@ _MAX_DEPTH = 40
 # fail too, and gaps fall about _FALL-fold per halving: on x, sqrt(x),
 # (1-x)/x, 2+sin(x), 1.2+sin(3x) on [0, 3] and exp(x) at decades -10..-12,
 # bisection level by level, a half of a cell over 64 allowances failed in
-# 98.6 % of 1 205 cases, 18 % of 151 in (32, 64] and none of 1 178 at or
-# below 32, and the gaps fell 23- to 76-fold per halving (10th to 90th
-# percentile, median 54).  Builds there against _FALL = 32, medians of 41
-# interleaved on a 2-vCPU Xeon guest: 0.87-0.89x on (1-x)/x, 0.91-1.00x on
-# sqrt(x), 0.99-1.00x on x and 2+sin(x), 0.91-1.07x on 1.2+sin(3x); 64
-# read 0.79-0.91x on (1-x)/x but 1.15x on sqrt(x) at -11; _SURE = 48 or 64
-# 1.03-1.14x on x or sqrt(x) at some decade
+# 90 % of 764 cases, 34 % of 32 in (48, 64], 21 % of 78 in (32, 48] and
+# 3 % of 924 at or below 32, and a half's gap over allowance fell 25- to
+# 660-fold from its parent's (10th to 90th percentile, median 196).
+# Builds there, medians of 31 and 41 interleaved on a 2-vCPU Xeon guest:
+# against _FALL = 48, 96 read 0.72-1.02x (0.72x on (1-x)/x at -12), 192
+# 0.72-1.02x, 384 0.73-1.08x; against 96, 48 read 0.96-1.34x, 128
+# 0.91-1.19x, 192 0.82-1.09x.  _SURE = 48, 64 or 128 read 0.81-1.14x
 _SURE = 32.0
-_FALL = 48.0
+_FALL = 96.0
 # a batch that guesses at least this many failing cells tests lambda = 0
-# on its own first.  The same builds against 24, medians of 31: never
-# staging 1.09-1.15x on (1-x)/x, 1.06-1.09x on 1.2+sin(3x), 1.01-1.07x on
-# x and sqrt(x), 1.00-1.01x on 2+sin(x); always staging 1.20-1.23x on
-# 2+sin(x), 1.06-1.11x on x and sqrt(x) at -10 and -11, 0.98-1.02x
-# elsewhere; 12 and 48 within 0.99-1.01x
+# on its own first, though with the cells' c3 at second order lambda = 0
+# fails 734 of those 899 failing cells, omega h = 4 and 8 most of the
+# rest.  The same builds against 24, medians of 31: never staging
+# 0.87-1.34x (1.10-1.34x on (1-x)/x), 12 0.98-1.17x, 48 0.87-1.13x
 _STAGE = 24
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
 _BLOCK = 4096  # lane-cells per block of a round's sweep: bounds the sweep's arrays
-# fewer lanes go one at a time: the least worst case over 57- to 1 164-cell
+# fewer lanes go one at a time: the least worst case over 48- to 420-cell
 # sweeps.  A round over one-lane calls, medians of 81 interleaved on a 2-vCPU
-# Xeon guest, breaks even at 5 lanes on 2+sin(x) (19 cells), 6 on x and
-# sqrt(x), 7 on 1.2+sin(3x) on [0, 3] and (1-x)/x (213 and 388 cells); at 6
-# the worst case is 1.16x (5 lanes one at a time on 2+sin(x)), at 7 1.33x
-_MIN_LANES = 6
+# Xeon guest at rtol 1e-10 and 1e-11, breaks even at 4 lanes on 2+sin(x), x
+# and sqrt(x) (16 to 58 cells), 5 to 6 on 1.2+sin(3x) on [0, 3] and (1-x)/x
+# (67 to 140 cells); at 5 the worst case is 1.08x (a round of 5 on (1-x)/x),
+# at 6 1.18x (5 lanes one at a time on 2+sin(x) or x at 1e-10)
+_MIN_LANES = 5
 _SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture-class end
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
+# the monomials c1^2, c1 c2, c2^2, c1 c3, c2 c3, c3^2 as products c_i c_j
+_LEFT, _RIGHT = np.array([0, 0, 1, 0, 1, 2]), np.array([0, 1, 1, 2, 2, 2])
+# their series' columns in _series_operand, monomial by monomial, each entry by entry
+_SERIES_ORDER = np.array([16 + 3 * e + j for j in range(3) for e in range(4)] + list(range(12)))
+# rows per product in _near_series: from about 2 300 rows on OpenBLAS's
+# dgemm splits the (m, 16) @ (16, 28) product between threads, with other bits
+_SERIES_ROWS = 2048
 # cells per _transfer call in a batch of calls: rounds of 31 lanes on x
 # (151 cells) and on (1-x)/x (388), and of 60 and 23 lanes on 2+sin(x) on
 # [0, 3] (19), against 1024, medians of 41 interleaved on a 2-vCPU Xeon
@@ -155,8 +166,9 @@ _CHUNK = 2048
 # 920 rows on splits the rows between threads, each share ending in its own left-over
 _GEMV_ROWS = 512
 # from this many near cells on, _powers forms the series' powers row by row: the
-# two forms cost the same at about 144 cells (rows over accumulate 1.27x at 96,
-# 1.01x at 144, 0.78x at 224 on a 2-vCPU Xeon guest)
+# two forms cost the same at about 150 cells (rows over accumulate 1.62x at 96,
+# 1.02-1.03x at 144, 0.99-1.00x at 152, 0.77x at 224, medians of 2 001
+# interleaved on a 2-vCPU Xeon guest)
 _ROW_POWERS = 144
 
 
@@ -188,37 +200,56 @@ def _series(n: int, terms: int = 6) -> list[float]:
     return [1.0 / (math.factorial(m) * math.prod(range(1, 2 * n + 2 * m + 2, 2))) for m in range(terms)]
 
 
-_ETA_SERIES = np.array([_series(n) for n in range(5)])[:, :, None]  # (eta, power, 1)
+_ETA_SERIES = np.array([_series(n) for n in range(3)])[:, :, None]  # (eta, power, 1)
 _ETA_HORNER = tuple(_ETA_SERIES.transpose(1, 0, 2)[-2::-1])  # the columns below the top one, top down
 
 
 @functools.cache  # built on first use, not at import
 def _second_order_table(terms: int = 16) -> np.ndarray:
-    """Taylor coefficients in x of the unit cell's terms second order in (c1, c2).
+    """Taylor coefficients in x of the unit cell's terms second order in (c1, c2, c3), as an array (terms, 4, 6).
 
-    g'' = -(x + c1 P1(2t-1) + c2 P2(2t-1)) g on t in [0, 1] is solved as a
-    power series in t whose coefficients are polynomials in x, c1 and c2,
-    cut at x**(terms-1) and second order in c; each such coefficient is a
-    polynomial in t, so the sums at t = 1 are exact.  Row k holds the x**k
-    coefficients of the propagator entries 11, 12, 21, 22 (g(1) and g'(1)
-    from g(0) = 1 and from g'(0) = 1), each times c1^2, c1 c2 and c2^2.
+    g'' = -(x + c1 P1(2t-1) + c2 P2(2t-1) + c3 P3(2t-1)) g on t in [0, 1]
+    is solved as a power series in t whose coefficients are polynomials in
+    x and the c's, cut at x**(terms-1) and second order in c; each such
+    coefficient is a polynomial in t, so the sums at t = 1 are exact.
+    Entry [k, e, j] is the x**k coefficient of propagator entry e (11, 12,
+    21, 22: g(1) and g'(1) from g(0) = 1 and from g'(0) = 1) times
+    monomial j: c1^2, c1 c2, c2^2, c1 c3, c2 c3, c3^2.
     """
-    # monomials 1, c1, c2, c1^2, c1 c2, c2^2: times c1, the first three
-    # become c1, c1^2, c1 c2; times c2 they become c2, c1 c2, c2^2
-    du = ((-1.0, 1.0), (2.0, -6.0), (0.0, 6.0))  # t^j coefficients of P1 and P2 in t
+    # monomials 1, c1, c2, c3, then the six above: times c1, c2 or c3 the
+    # first four become the entries of ``times``
+    du = ((-1.0, 1.0, -1.0), (2.0, -6.0, 12.0), (0.0, 6.0, -30.0), (0.0, 0.0, 20.0))  # t^j coefficients of P1 .. P3 in t
+    times = ([1, 4, 5, 7], [2, 5, 6, 8], [3, 7, 8, 9])
     n_max = 2 * terms + 12
-    a = np.zeros((n_max + 2, 2, terms, 6))  # t^n coefficient, start, x power, monomial
+    a = np.zeros((n_max + 2, 2, terms, 10))  # t^n coefficient, start, x power, monomial
     a[0, 0, 0, 0] = a[1, 1, 0, 0] = 1.0
     for n in range(n_max):
-        rhs = np.zeros((2, terms, 6))
+        rhs = np.zeros((2, terms, 10))
         rhs[:, 1:] = a[n, :, :-1]
-        for j, (p1, p2) in enumerate(du[: n + 1]):
-            rhs[..., [1, 3, 4]] += p1 * a[n - j, ..., :3]
-            rhs[..., [2, 4, 5]] += p2 * a[n - j, ..., :3]
+        for j, ps in enumerate(du[: n + 1]):
+            for p, to in zip(ps, times):
+                rhs[..., to] += p * a[n - j, ..., :4]
         a[n + 2] = -rhs / ((n + 2) * (n + 1))
     g, dg = a.sum(axis=0), np.tensordot(np.arange(n_max + 2.0), a, axes=1)
-    return np.concatenate([g[0, :, 3:], g[1, :, 3:], dg[0, :, 3:], dg[1, :, 3:]], axis=1)
+    return np.stack([g[0], g[1], dg[0], dg[1]], axis=1)[..., 4:]
 
+
+@functools.cache
+def _series_operand() -> np.ndarray:
+    """The C-ordered right-hand operand (16, 28) of _near_series's product.
+
+    Columns 0 .. 11 hold _second_order_table's c3 monomials, monomial by
+    monomial and each entry by entry; 12 and 13 the x**k coefficients of
+    x eta_3 and x eta_4, (-1/2)**(k-1) / ((k-1)! (2n+2k-1)!!) for n = 3, 4
+    and k >= 1; 14 and 15 zeros; 16 .. 27 the (c1, c2) monomials, entry by
+    entry.  BLAS forms columns 16 .. 27 of a product with the bits it
+    gives a product with those 12 columns alone, the (c1, c2) kernel's.
+    """
+    table = _second_order_table()
+    terms = len(table)
+    etas = [[0.0] + [c * (-0.5) ** k for k, c in enumerate(_series(n, terms - 1))] for n in (3, 4)]
+    parts = [table[..., 3:].transpose(0, 2, 1).reshape(terms, 12), np.array(etas).T, np.zeros((terms, 2))]
+    return np.ascontiguousarray(np.concatenate([*parts, table[..., :3].reshape(terms, 12)], axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +279,10 @@ class CellMesh:
     def cells(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """The cells' arrays in _transfer's order: h, ubar, c1 .. c4."""
-        return self.h, self.ubar, self.c1, self.c2, self.c3, self.c4
+    @functools.cached_property
+    def arrays(self) -> tuple:
+        """The cells' arguments in _transfer's order: h, ubar and their lambda-free factors (``_cell_factors``)."""
+        return self.h, self.ubar, _cell_factors(self.h, self.c1, self.c2, self.c3, self.c4)
 
     @property
     def length(self) -> float:
@@ -337,7 +368,7 @@ def _cells(p: Potential, lo: np.ndarray, hi: np.ndarray):
 
 
 def _eta_series(x: np.ndarray) -> np.ndarray:
-    """eta_0 .. eta_4 at small |x| from their Taylor series, by Horner's rule for the five at once."""
+    """eta_0 .. eta_2 at small |x| from their Taylor series, by Horner's rule for the three at once."""
     y = -0.5 * x
     acc = np.empty((len(_ETA_SERIES), len(y)))
     acc[:] = _ETA_SERIES[:, -1]
@@ -348,10 +379,14 @@ def _eta_series(x: np.ndarray) -> np.ndarray:
 
 
 def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
-    """Ixaru's eta_-1 .. eta_4 at x = (lambda^2 + Ubar) h^2 of either sign.
+    """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign, then x eta_3 and x eta_4 where some |x| is far.
 
     ax = |x|, low = min x and top = max |x| come from the caller, which
-    needs them too; top is only compared with _SMALL_X.
+    needs them too.  Where top reaches _SECOND_ORDER_X[1], x eta_3 =
+    5 eta_2 - eta_1 and x eta_4 = 7 eta_3 - eta_2 follow by the recurrence,
+    within an ulp of their scale from |x| = 4 on; they lose up to 10 digits
+    as |x| falls to 0.05, so the near cells take them from their series
+    (``_near_series``).
     """
     r = np.sqrt(ax)
     pos = None if low > 0.0 else x > 0.0
@@ -363,9 +398,10 @@ def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
         e0 = (np.sin(r) if pos is None else np.where(pos, np.sin(r), np.sinh(r))) / r
         e1 = (e0 - em1) / x
         e2 = (3.0 * e1 - e0) / x
-        e3 = (5.0 * e2 - e1) / x
-        e4 = (7.0 * e3 - e2) / x
-    etas = (e0, e1, e2, e3, e4)
+        etas = [e0, e1, e2]
+        if top >= _SECOND_ORDER_X[1]:
+            xe3 = 5.0 * e2 - e1
+            etas += [xe3, 7.0 * xe3 / x - e2]
     if not low >= _SMALL_X:  # else no |x| is small
         small = (ax < _SMALL_X).ravel().nonzero()[0]
         if small.size:  # x and the new e's are C-ordered: flat indices reach their elements
@@ -398,65 +434,111 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(powers.T)
 
 
-def _transfer(lam2, h, ubar, c1, c2, c3, c4, out=None):
+def _near_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The series in x of near lane-cells x, 1-D: the second-order terms (6, 4, len(x)) and x eta_3, x eta_4 (2, len(x)).
+
+    The first holds the unit cell's terms second order in (c1, c2, c3),
+    C-ordered, monomial by monomial (c1^2, c1 c2, c2^2, c1 c3, c2 c3,
+    c3^2), each entry by entry (``_second_order_table``); the second is
+    within an ulp of its scale on |x| < 25, where the recurrence loses up
+    to 10 digits.  Both come from the product powers @ _series_operand()
+    of C-ordered arrays (m, 16) @ (16, 28), 2 <= m <= _SERIES_ROWS rows
+    at a time (``_powers``): BLAS sums a single row or a transposed
+    operand along other paths, and more rows on several threads, so an
+    element keeps its bits in any number of rows.
+    """
+    m = len(x)
+    powers = _powers(x, 16)
+    operand = _series_operand()
+    if len(powers) <= _SERIES_ROWS:
+        out = powers @ operand
+    else:
+        out = np.empty((len(powers), operand.shape[1]))
+        for i in range(0, len(powers), _SERIES_ROWS):
+            end = min(i + _SERIES_ROWS, len(powers))
+            start = min(i, end - 2)  # a last row alone goes with the one before it
+            np.matmul(powers[start:end], operand, out=out[start:end])
+    return out[:m].T[_SERIES_ORDER].reshape(6, 4, m), out[:m, 12:14].T
+
+
+def _cell_factors(h, c1, c2, c3, c4):
+    """The lambda-free factors _transfer takes for cells of length h with moments c1 .. c4.
+
+    They are h^2, the first-order factors 0.5 c h^2 of c1 .. c4 as an array
+    (4, cells) and the second order's monomials of c1 h^2, c2 h^2 and
+    c3 h^2 (_LEFT, _RIGHT) as an array (6, cells).  A mesh forms them once
+    (``CellMesh.arrays``), a batch of calls once for all its runs.
+    """
+    h2 = h * h
+    ch2 = np.array((c1, c2, c3, c4)) * h2
+    return h2, 0.5 * ch2, ch2.take(_LEFT, axis=0) * ch2.take(_RIGHT, axis=0)
+
+
+def _transfer(lam2, h, ubar, factors, out=None):
     """The cells' (g, g') propagators t11, t12, t21, t22 at lambda^2 = lam2, and x, as an array (5, ...).
 
-    h, ubar and c1 .. c4 hold one value per cell; lam2 broadcasts against
-    them: one value, one per cell, or (rows, 1) or (rows, cells) for rows
-    of lanes, so the lambda-free factors are formed once per cell.  The
-    result goes to ``out`` if given.  A cell's bits do not depend on the
-    other cells or rows of the call: the arithmetic is elementwise, and
-    the second-order series is the product of C-ordered arrays
-    (m, 16) @ (16, 12) with m >= 2 (``_powers``), since BLAS sums a
-    single row, or a transposed operand, along other paths.
+    h and ubar hold one value per cell, and ``factors`` the cells'
+    lambda-free factors (``_cell_factors``); lam2 broadcasts against them:
+    one value, one per cell, or (rows, 1) or (rows, cells) for rows of
+    lanes.  The result goes to ``out`` if given.  A cell's bits do not
+    depend on the other cells or rows of the call: the arithmetic is
+    elementwise, numpy sums the leading axis of the second-order products
+    one row after another, and the near cells' series come from products
+    that keep an element's bits in any number of rows (``_near_series``).
     """
     s = lam2 + ubar
     if out is None:
         out = np.empty((5, *s.shape))
     t11, t12, t21, t22, x = out
-    h2 = h * h
+    h2, half, monomials = factors
     np.multiply(s, h2, out=x)
     full, gone = _SECOND_ORDER_X
     low = x.min()
     ax = x if low > 0.0 else np.abs(x)
     top = low if low >= gone else ax.max()  # max |x|, needed only where a cell is near
-    em1, e0, e1, e2, e3, e4 = _etas(x, ax, low, top)
+    em1, e0, e1, e2, *xe = _etas(x, ax, low, top)
+    lanes = (1,) * (x.ndim - 1)  # the rows of lanes that per-cell factors broadcast over
+    # near: the indices of the lane-cells with |x| < gone, () for all of
+    # them, None for none; they take x eta_3 and x eta_4 from the series,
+    # the others from the recurrence (``_etas``)
+    near = None
+    if top < gone:  # the per-cell factors broadcast
+        near, xn, axn, hn, mono = (), x, ax, h, monomials.reshape(6, *lanes, -1)
+    elif low < gone and (index := (ax < gone).nonzero())[-1].size:
+        near, cell = index, index[-1]
+        xn, axn, hn, mono = x[near], ax[near], h[cell], monomials.take(cell, axis=1)
+        top = axn.max()
+    if near is None:
+        xe3, xe4 = xe
+    else:
+        series, (xe3n, xe4n) = _near_series(xn.reshape(-1))
+        if near:
+            xe3, xe4 = xe
+            xe3[near], xe4[near] = xe3n, xe4n
+        else:
+            xe3, xe4 = xe3n.reshape(x.shape), xe4n.reshape(x.shape)
     # the odd moments in the diagonal, the even ones in the off-diagonal
-    # entries; the factors 0.5 c h^2 per cell, then times the etas
-    k1 = 0.5 * c1 * h2 * e1
-    k1 -= 0.5 * c3 * h2 * (x * e3)
-    k2 = 0.5 * c2 * h2 * e2
-    k2 -= 0.5 * c4 * h2 * (x * e4)
+    # entries: k1 and k2, from the factors 0.5 c h^2 per cell times the etas
+    half = half.reshape(4, *lanes, -1)
+    k1 = half[0] * e1
+    k1 -= half[2] * xe3
+    k2 = half[1] * e2
+    k2 -= half[3] * xe4
     np.add(em1, k1, out=t11)
     np.multiply(h, e0 + k2, out=t12)
     np.divide(x * (k2 - e0), h, out=t21)
     np.subtract(em1, k1, out=t22)
-    if low >= gone:
+    if near is None:
         return out
-    # near: the indices of the lane-cells with |x| < gone, () for all of them
-    if top < gone:  # the per-cell factors broadcast
-        near, xn, axn, hn, a, b = (), x, ax, h, c1 * h2, c2 * h2
-    else:
-        near = (ax < gone).nonzero()
-        cell = near[-1]
-        if not cell.size:
-            return out
-        xn, axn, hn, h2n = x[near], ax[near], h[cell], h2[cell]
-        a, b = c1[cell] * h2n, c2[cell] * h2n
-        top = axn.max()
-    # second order in (c1, c2) from the unit cell's series, scaled by
-    # h^4 (c h^2 squared) and by h, 1/h for the off-diagonal entries
-    table = _second_order_table()
-    m = xn.size
-    series = (_powers(xn.reshape(-1), len(table)) @ table)[:m].reshape(*xn.shape, 4, 3)
-    s0, s1, s2 = series.transpose(xn.ndim + 1, xn.ndim, *range(xn.ndim))  # (monomial, entry, ...)
-    terms = s0 * (a * a)
-    terms += s1 * (a * b)
-    terms += s2 * (b * b)
+    # second order in (c1, c2, c3) from the unit cell's series, scaled by
+    # h^4 (c h^2 squared) and by h, 1/h for the off-diagonal entries: each
+    # entry's six products summed in monomial order, one after another
+    products = series.reshape(6, 4, *xn.shape)
+    products *= mono[:, None]
+    terms = np.add.reduce(products, axis=0)
     if top > full:
         weight = np.cos(0.5 * math.pi * ((axn - full) / (gone - full)).clip(0.0, 1.0)) ** 2
-        for term, scale in zip(terms, (weight, weight * hn, weight / hn, weight)):
-            term *= scale
+        terms *= np.array((weight, weight * hn, weight / hn, weight))
     else:  # the weight 1 leaves the diagonal entries as they are
         terms[1] *= hn
         terms[2] *= 1.0 / hn
@@ -464,23 +546,23 @@ def _transfer(lam2, h, ubar, c1, c2, c3, c4, out=None):
     return out
 
 
-def _transfers(lam2, *cells) -> np.ndarray:
+def _transfers(lam2, h, ubar, factors) -> np.ndarray:
     """_transfer for several rows on the same cells, as an array (5, rows, cells).
 
     Row k is at lambda^2 = lam2[k], shape (rows, 1) or (rows, cells), and
-    the cells' arrays are 1-D.  The rows go to _transfer in the fewest
+    the cells' arrays and factors hold one value per cell on their last axis.  The rows go to _transfer in the fewest
     runs of whole rows, as even as whole rows allow, so that each holds
     less than _CHUNK cells plus one row, which bounds the series'
     temporaries; a row longer than _CHUNK is a run of its own.  Each run
     is written straight into the result.  A cell's bits do not depend on
     its run (``_transfer``).
     """
-    rows, n = len(lam2), len(cells[0])
+    rows, n = len(lam2), len(h)
     out = np.empty((5, rows, n))
     runs = -(-rows * n // _CHUNK)  # the fewest runs of _CHUNK cells
     step = -(-rows // runs)  # rows per run, as even as whole rows allow
     for i in range(0, rows, step):
-        _transfer(lam2[i : i + step], *cells, out=out[:, i : i + step])
+        _transfer(lam2[i : i + step], h, ubar, factors, out=out[:, i : i + step])
     return out
 
 
@@ -497,7 +579,8 @@ def _mismatches(whole, halves, lam2s, sigs):
     for rows, values in ((lam2, lam2s), (sig, sigs)):
         for row, value in zip(rows, values):
             row[...] = value  # one value, or one per cell
-    parts = _transfers(lam2.reshape(len(lam2s), -1), *cells)[:4].reshape(2, 2, -1, 3, m)
+    h, ubar, *c = cells
+    parts = _transfers(lam2.reshape(len(lam2s), -1), h, ubar, _cell_factors(h, *c))[:4].reshape(2, 2, -1, 3, m)
     t, left, right = parts[..., 0, :], parts[..., 1, :], parts[..., 2, :]  # (row, column, frequency, cell)
     gaps = np.abs(right[:, :1] * left[0] + right[:, 1:] * left[1] - t)
     gaps[0, 1] *= sig
@@ -812,8 +895,9 @@ def _sweep_block(mesh: CellMesh, lam2, runs, k0: int, k1: int, state):
     """
     lanes, k, b = len(lam2), len(runs), k1 - k0
     cells = np.concatenate([np.arange(s + k0, s + k1) for s, _ in runs])
-    h, *rest = (q[cells] for q in mesh.arrays)
-    t11, t12, t21, t22, x = _transfers(lam2, h, *rest)
+    h, ubar, factors = mesh.arrays
+    h = h[cells]
+    t11, t12, t21, t22, x = _transfers(lam2, h, ubar[cells], [f[..., cells] for f in factors])
     after = np.ones((lanes, k, 1))
     for j, (s, end) in enumerate(runs):
         if s + k1 < end:

@@ -215,7 +215,7 @@ def test_phase_error_in_one_lane_propagates(v_linear, monkeypatch):
 
 def test_propagator_failure_in_one_lane_propagates(monkeypatch):
     # a mesh too coarse for its decade and no refinement allowed: most lanes
-    # of the batched rounds miss rtol, a few (n = 4, 25..27) do not (the
+    # of the batched rounds miss rtol, a few (n = 1..5, 25..27) do not (the
     # build's 16 first cells already meet rtol here, so it starts from 8)
     from sturmjumps import propagator
     from sturmjumps.oscillation import PhaseError
@@ -224,9 +224,9 @@ def test_propagator_failure_in_one_lane_propagates(monkeypatch):
     monkeypatch.setattr(propagator, "_INITIAL_CELLS", 8)
     monkeypatch.setattr(propagator, "_MAX_REFINE", 0)
     p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
-    assert find_jump(p, 4).n == 4
+    assert find_jump(p, 5).n == 5
     with pytest.raises(PhaseError, match="refinements"):
-        find_jump(p, 5)
+        find_jump(p, 6)
     with pytest.raises(PhaseError, match="refinements"):
         jump_sequence(p, 1, 30)
 

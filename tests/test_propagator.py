@@ -1,5 +1,6 @@
 """The cell propagator: its pieces, its mesh and its contracts, on both classes."""
 
+import functools
 import math
 import pickle
 import tracemalloc
@@ -15,29 +16,39 @@ from sturmjumps.expr import EvalDomainError
 from sturmjumps.quadrature import QuadratureError, integrate_sqrt_v
 
 
+def _mp_etas(x):
+    """eta_-1 .. eta_2, x eta_3 and x eta_4 at x by mpmath, at a precision that the upward recurrence cannot exhaust."""
+    x = mpmath.mpf(x)
+    if x == 0:
+        return [1, 1, mpmath.mpf(1) / 3, mpmath.mpf(1) / 15, 0, 0]
+    r = mpmath.sqrt(abs(x))
+    want = [mpmath.cos(r) if x > 0 else mpmath.cosh(r), (mpmath.sin(r) if x > 0 else mpmath.sinh(r)) / r]
+    for k in range(1, 5):
+        want.append(((2 * k - 1) * want[-1] - want[-2]) / x)
+    return want[:4] + [x * want[4], x * want[5]]
+
+
 def test_eta_functions_on_both_sides_of_the_barrier():
-    xs = [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.049, 0.051, -0.051, 0.3, -0.3, 4.0, -4.0, 2500.0, -900.0]
+    xs = [0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.049, 0.051, -0.051, 0.3, -0.3, 1.0, -1.0, 4.0, -4.0]
+    xs += [15.9, -15.9, 24.99, -24.99, 25.0, -25.0, 30.0, -30.0, 2500.0, -900.0]
     xa = np.array(xs)
     got = propagator._etas(xa, np.abs(xa), xa.min(), np.abs(xa).max())
-    mpmath.mp.dps = 40
-    for i, x in enumerate(xs):
-        x = mpmath.mpf(x)
-        if x == 0:
-            want = [1, 1, mpmath.mpf(1) / 3, mpmath.mpf(1) / 15, mpmath.mpf(1) / 105, mpmath.mpf(1) / 945]
-        else:
-            r = mpmath.sqrt(abs(x))
-            em1 = mpmath.cos(r) if x > 0 else mpmath.cosh(r)
-            e0 = (mpmath.sin(r) if x > 0 else mpmath.sinh(r)) / r
-            want = [em1, e0]
-            for k in range(1, 5):
-                want.append(((2 * k - 1) * want[-1] - want[-2]) / x)
-        for k, w in enumerate(want[:4]):
-            assert float(got[k][i]) == pytest.approx(float(w), rel=1e-12, abs=1e-15), (xs[i], k)
-        # eta_3 and eta_4 enter the cell as x eta_3 and x eta_4, beside terms
-        # of the size of eta_-1; just above |x| = 0.05 their recurrence loses
-        # up to 10 digits, which is 1e-10 of that size
-        for k in (4, 5):
-            assert abs(float(x * (got[k][i] - want[k]))) <= 1e-9 * max(1.0, abs(float(want[0]))), (xs[i], k)
+    # x eta_3 and x eta_4 come from the recurrence from |x| = 25 on and from
+    # their series on the near cells below it
+    near = np.abs(xa) < propagator._SECOND_ORDER_X[1]
+    xe = np.array(got[4:])
+    xe[:, near] = propagator._near_series(xa[near])[1]
+    with mpmath.workdps(100):
+        for i, x in enumerate(xs):
+            want = _mp_etas(x)
+            for k, w in enumerate(want[:4]):
+                assert float(got[k][i]) == pytest.approx(float(w), rel=1e-12, abs=1e-15), (x, k)
+            # they enter the cell beside terms of the size of eta_-1: within
+            # an ulp of that size, though the recurrence alone loses up to 10
+            # digits just above |x| = 0.05
+            scale = max(1.0, abs(float(want[0])))
+            for k in (0, 1):
+                assert abs(float(xe[k, i] - want[4 + k])) <= np.finfo(float).eps * scale, (x, k)
 
 
 def _unit_cell_rk4(x, c1, c2, c3=0.0, c4=0.0, steps=4000):
@@ -61,26 +72,82 @@ def _unit_cell_rk4(x, c1, c2, c3=0.0, c4=0.0, steps=4000):
     return y  # rows (g, g'), columns from g(0) = 1 and g'(0) = 1
 
 
+def _kernel(lam2, h, ubar, *c, batched=False):
+    """propagator._transfer, or _transfers if batched, on cells given by their arrays h, ubar and c1 .. c4."""
+    kernel = propagator._transfers if batched else propagator._transfer
+    return kernel(lam2, h, ubar, propagator._cell_factors(h, *c))
+
+
 def _unit_cell_error(x, *c):
     """The max-norm gap of the unit cell's transfer, moments c1 .. c4, from an accurate solution."""
     one = np.ones(1)
-    got = propagator._transfer(x, one, 0.0 * one, *(ck * one for ck in c))
+    got = _kernel(x, one, 0.0 * one, *(ck * one for ck in c))
     got = np.array([[got[0][0], got[1][0]], [got[2][0], got[3][0]]])
     return np.abs(got - _unit_cell_rk4(x, *c)).max()
 
 
 @pytest.mark.parametrize("x", [-9.0, -1.0, 0.0, 0.02, 0.7, 4.0, 15.0])
 def test_cell_propagator_is_second_order_in_the_perturbation(x):
-    # on |x| <= 16 the cell carries the (c1, c2) terms to second order, so
-    # against an accurate solution only third-order terms are left; it
-    # carries the (c3, c4) terms to first order, so what is left with them
-    # is second order: a quarter of it when the moments halve, where a
-    # first-order error would leave half
+    # on |x| <= 16 the cell carries the (c1, c2, c3) terms to second order,
+    # so against an accurate solution only third-order terms are left: an
+    # eighth of them when the moments halve; it carries the c4 terms to
+    # first order, so what is left with them is second order, a quarter
     big = max(1.0, math.cosh(math.sqrt(max(-x, 0.0))))
-    assert _unit_cell_error(x, 0.05, -0.03, 0.0, 0.0) <= 1e-7 * big
-    for c in ((0.0, 0.0, 0.05, 0.0), (0.0, 0.0, 0.0, -0.03), (0.0, 0.0, 0.05, -0.03), (0.05, -0.03, 0.05, -0.03)):
+    for c in ((0.05, -0.03, 0.0, 0.0), (0.0, 0.0, 0.05, 0.0), (0.05, -0.03, 0.05, 0.0)):
         full, half = (_unit_cell_error(x, *(s * ck for ck in c)) for s in (1.0, 0.5))
-        assert full <= 3e-5 * big and 3.6 <= full / half <= 4.4, (c, full, half)
+        assert full <= 1e-7 * big and 7.6 <= full / half <= 8.4, (c, full, half)
+    for c in ((0.0, 0.0, 0.0, -0.03), (0.0, 0.0, 0.05, -0.03), (0.05, -0.03, 0.05, -0.03)):
+        full, half = (_unit_cell_error(x, *(s * ck for ck in c)) for s in (1.0, 0.5))
+        assert full <= 2e-6 * big and 3.6 <= full / half <= 4.4, (c, full, half)
+
+
+def _unit_cell_series(x, c1, c2, c3, c4, terms=120):
+    """The unit cell's entries 11, 12, 21, 22 by order, in mpmath: [zeroth, first in (c1, c2, c3), second in (c1, c2, c3), first in c4].
+
+    g'' = -(x + c1 P1(2t-1) + .. + c4 P4(2t-1)) g on [0, 1] as power series
+    in t, one per order, each driven by the order below it.
+    """
+    x = mpmath.mpf(x)
+    q = [c1 * p1 + c2 * p2 + c3 * p3 for p1, p2, p3 in ((-1, 1, -1), (2, -6, 12), (0, 6, -30), (0, 0, 20))]
+    q4 = [c4 * p for p in (1, -20, 90, -140, 70)]  # P4(2t-1) in t
+    entries = []
+    for start in ((1, 0), (0, 1)):
+        orders = [[mpmath.mpf(0)] * terms for _ in range(4)]
+        orders[0][:2] = [mpmath.mpf(v) for v in start]
+        for n in range(terms - 2):
+            def drive(poly, lower):
+                return sum(mpmath.mpf(poly[j]) * lower[n - j] for j in range(min(len(poly), n + 1)))
+            k = (n + 2) * (n + 1)
+            orders[0][n + 2] = -x * orders[0][n] / k
+            orders[1][n + 2] = -(x * orders[1][n] + drive(q, orders[0])) / k
+            orders[2][n + 2] = -(x * orders[2][n] + drive(q, orders[1])) / k
+            orders[3][n + 2] = -(x * orders[3][n] + drive(q4, orders[0])) / k
+        entries.append([(sum(a), sum(n * v for n, v in enumerate(a))) for a in orders])
+    return [[entries[0][o][0], entries[1][o][0], entries[0][o][1], entries[1][o][1]] for o in range(4)]
+
+
+def test_transfer_matches_an_independent_unit_cell_series():
+    # the kernel against power series in t, second order in (c1, c2, c3) and
+    # first order in c4, with the second order tapered off as the kernel
+    # tapers it, on cells of length 1 and 0.37: within 64 ulps of the scale
+    # of eta_-1 on every path (the eta series, their recurrence, near,
+    # tapered and far cells), where 25 are seen with moments up to 1
+    rng = np.random.default_rng(31)
+    full, gone = propagator._SECOND_ORDER_X
+    xs = [-25.0, -16.5, -9.0, -1.0, -0.04, 0.0, 1e-7, 0.03, 0.5, 3.0, 12.0, 15.99, 17.0, 20.5, 24.9, 25.0, 31.0, 60.0]
+    with mpmath.workdps(40):
+        for x in xs:
+            for h, ubar in ((1.0, 0.0), (0.37, 1.3)):
+                c = rng.uniform(-1.0, 1.0, 4)
+                cell = [np.array([v]) for v in (h, ubar, *(c / h**2))]
+                got = [float(t[0]) for t in _kernel(np.array([x / h**2 - ubar]), *cell)[:4]]
+                got[1], got[2] = got[1] / h, got[2] * h
+                zeroth, first, second, fourth = _unit_cell_series(x, *c)
+                weight = math.cos(0.5 * math.pi * min(max((abs(x) - full) / (gone - full), 0.0), 1.0)) ** 2
+                want = [zeroth[e] + first[e] + fourth[e] + (weight * second[e] if abs(x) < gone else 0) for e in range(4)]
+                scale = max(1.0, math.cosh(math.sqrt(max(-x, 0.0))))
+                for e in range(4):
+                    assert abs(float(got[e] - want[e])) <= 64 * np.finfo(float).eps * scale, (x, h, e)
 
 
 def test_mesh_lengths_add_up_to_d(v_sin, v_exp):
@@ -161,8 +228,8 @@ def test_barrier_cells_in_the_steep_dip():
 # one mesh of 16 cells serves both decades there
 _PINNED = {
     ("2+sin(x)", 3.0): [
-        (0.7, 1e-10, 3.488412905891248), (30.0, 1e-10, 146.67004910846458),
-        (1000.0, 1e-10, 4888.451363271735), (0.7, 1e-12, 3.4884129058912556),
+        (0.7, 1e-10, 3.488412905891257), (30.0, 1e-10, 146.67004910846455),
+        (1000.0, 1e-10, 4888.451363271735), (0.7, 1e-12, 3.488412905891258),
         (30.0, 1e-12, 146.67004910846416), (1000.0, 1e-12, 4888.451363271734),
     ],
     ("exp(x)", 1.0): [
@@ -241,7 +308,7 @@ def _lane_case(name, monkeypatch):
     if name == "taper":
         # lambda h across |x| = 16..25, where the second-order terms taper off
         p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
-        return p, np.geomspace(40.0, 400.0, 85), 1e-11
+        return p, np.geomspace(14.0, 400.0, 85), 1e-11
     if name == "refine":
         # a mesh too coarse for its decade: some lanes miss rtol and are refined
         # (the build's 16 first cells already meet rtol here, so it starts from 8)
@@ -319,10 +386,10 @@ def test_angles_match_a_per_cell_math_atan2_sweep():
 
 
 def test_rounds_sweep_in_blocks_of_bounded_lane_cells(monkeypatch):
-    # a 31-lane round on x (151 cells): blocks of at most _BLOCK lane-cells,
-    # the coarse cells beside the first n halves, then the other n halves,
-    # and a round below _MIN_LANES lanes one lane at a time
-    p = _conjecture("x", 1.0, 0.0)
+    # a 31-lane round on (1-x)/x (140 cells): blocks of at most _BLOCK
+    # lane-cells, the coarse cells beside the first n halves, then the other
+    # n halves, and a round below _MIN_LANES lanes one lane at a time
+    p = _conjecture("(1-x)/x", -1.0, 1.0)
     lams = np.geomspace(300.0, 450.0, 31).tolist()
     want = [phase(p, lam, rtol=1e-11) for lam in lams]
     n = p.cell_meshes[-11].cells
@@ -357,12 +424,12 @@ def test_batched_transfer_keeps_each_calls_bits(monkeypatch):
     c += [rng.uniform(-50.0, 50.0, cells) for _ in range(2)]  # c3, c4
     lam2 = x / h**2 - ubar
     monkeypatch.setattr(propagator, "_CHUNK", 4 * cells)  # runs of four calls
-    got = propagator._transfers(lam2, h, ubar, *c)
+    got = _kernel(lam2, h, ubar, *c, batched=True)
     for i in range(calls):
-        want = propagator._transfer(lam2[i], h, ubar, *c)
+        want = _kernel(lam2[i], h, ubar, *c)
         assert all(np.array_equal(g, w) for g, w in zip(got[:, i], want)), i
         for j in range(cells):
-            one = propagator._transfer(lam2[i, j : j + 1], *(q[j : j + 1] for q in (h, ubar, *c)))
+            one = _kernel(lam2[i, j : j + 1], *(q[j : j + 1] for q in (h, ubar, *c)))
             assert all(np.array_equal(g[j : j + 1], w) for g, w in zip(got[:, i], one)), (i, j)
 
 
@@ -382,13 +449,30 @@ def test_block_keeps_each_lanes_bits():
     c += [rng.uniform(-50.0, 50.0, cells) for _ in range(2)]  # c3, c4
     near = np.abs((lam2 + ubar) * h**2) < propagator._SECOND_ORDER_X[1]
     assert near.sum(axis=0).max() == 1 and near.sum(axis=1).tolist() == [1, 2, 3] * 2 + [1, 2]
-    want = [propagator._transfer(lam2[i, 0], h, ubar, *c) for i in range(lanes)]
+    want = [_kernel(lam2[i, 0], h, ubar, *c) for i in range(lanes)]
     for width in (1, 5, cells):
         for k in range(0, cells, width):
             block = slice(k, k + width)
-            got = propagator._transfers(lam2, *(q[block] for q in (h, ubar, *c)))
+            got = _kernel(lam2, *(q[block] for q in (h, ubar, *c)), batched=True)
             for i in range(lanes):
                 assert all(np.array_equal(g, w[block]) for g, w in zip(got[:, i], want[i])), (width, k, i)
+
+
+def test_near_series_keeps_each_rows_bits(monkeypatch):
+    # the series' product runs on at most _SERIES_ROWS rows at a time, a
+    # last row alone beside the one before it: every element has the bits
+    # of the same x in a call of two, whatever the call's length, also where
+    # a call of one product would run on several threads
+    x = np.random.default_rng(15).uniform(-25.0, 25.0, 5001)
+    pairs = [propagator._near_series(x[i : i + 2]) for i in range(0, 5000, 2)]
+    want = [np.concatenate([pair[k] for pair in pairs], axis=-1) for k in (0, 1)]
+    for rows in (4, propagator._SERIES_ROWS):
+        monkeypatch.setattr(propagator, "_SERIES_ROWS", rows)
+        for m in (9, 4097, 5000):
+            got = propagator._near_series(x[:m])
+            assert all(np.array_equal(g, w[..., :m]) for g, w in zip(got, want)), (rows, m)
+    one = propagator._near_series(x[:1])
+    assert all(np.array_equal(g, w[..., :1]) for g, w in zip(one, want))
 
 
 @pytest.mark.parametrize("cells", [1, 2, 16])
@@ -403,9 +487,9 @@ def test_batched_mesh_test_matches_one_transfer_per_frequency(cells):
     sigs = [np.maximum(math.pi / h.sum(), np.sqrt(np.abs(ubar)))] + [z / h for z in propagator._Z_REF]
     got = propagator._mismatches(whole, halves, lam2s, sigs)
     for k, (lam2, sig) in enumerate(zip(lam2s, sigs)):
-        t11, t12, t21, t22, _ = propagator._transfer(lam2, *whole)
-        l11, l12, l21, l22, _ = propagator._transfer(lam2, *(q[0::2] for q in halves))
-        r11, r12, r21, r22, _ = propagator._transfer(lam2, *(q[1::2] for q in halves))
+        t11, t12, t21, t22, _ = _kernel(lam2, *whole)
+        l11, l12, l21, l22, _ = _kernel(lam2, *(q[0::2] for q in halves))
+        r11, r12, r21, r22, _ = _kernel(lam2, *(q[1::2] for q in halves))
         want = np.maximum.reduce([
             np.abs(r11 * l11 + r12 * l21 - t11),
             np.abs(r11 * l12 + r12 * l22 - t12) * sig,
@@ -438,6 +522,26 @@ def _reference_etas(x):
     return em1, e0, e1, e2
 
 
+@functools.cache
+def _former_second_order_table(terms=16):
+    # the unit cell's series second order in (c1, c2) only, as the kernel
+    # without c3 and c4 took it: row k holds the x**k coefficients of the
+    # entries 11, 12, 21, 22, each times c1^2, c1 c2 and c2^2
+    du = ((-1.0, 1.0), (2.0, -6.0), (0.0, 6.0))  # t^j coefficients of P1 and P2 in t
+    n_max = 2 * terms + 12
+    a = np.zeros((n_max + 2, 2, terms, 6))  # t^n coefficient, start, x power, monomial 1, c1, c2, c1^2, c1 c2, c2^2
+    a[0, 0, 0, 0] = a[1, 1, 0, 0] = 1.0
+    for n in range(n_max):
+        rhs = np.zeros((2, terms, 6))
+        rhs[:, 1:] = a[n, :, :-1]
+        for j, (p1, p2) in enumerate(du[: n + 1]):
+            rhs[..., [1, 3, 4]] += p1 * a[n - j, ..., :3]
+            rhs[..., [2, 4, 5]] += p2 * a[n - j, ..., :3]
+        a[n + 2] = -rhs / ((n + 2) * (n + 1))
+    g, dg = a.sum(axis=0), np.tensordot(np.arange(n_max + 2.0), a, axes=1)
+    return np.concatenate([g[0, :, 3:], g[1, :, 3:], dg[0, :, 3:], dg[1, :, 3:]], axis=1)
+
+
 def _reference_transfer(lam2, h, ubar, c1, c2):
     # the cell transfer as it was before the batched kernel: the lambda-free
     # factors per lane-cell, the series' powers from np.vander
@@ -454,7 +558,7 @@ def _reference_transfer(lam2, h, ubar, c1, c2):
         part = slice(None) if near.all() else near
         xn, axn, hn = x[part], ax[part], h[part]
         a, b = c1[part] * h2[part], c2[part] * h2[part]
-        table = propagator._second_order_table()
+        table = _former_second_order_table()
         powers = np.vander(xn, len(table), increasing=True)
         series = (np.repeat(powers, 2, axis=0) if len(xn) == 1 else powers) @ table
         series = series[: len(xn)].reshape(-1, 4, 3)
@@ -495,9 +599,10 @@ _X_RANGES = {
 @pytest.mark.parametrize("kind", sorted(_X_RANGES))
 def test_transfer_matches_the_vander_and_tile_reference(kind):
     # at c3 = c4 = 0 the batched kernel keeps every bit of the per-lane-cell
-    # kernel it replaced, which carried U's P1 and P2 moments only, for
-    # lanes (rows, 1), per-cell rows (rows, cells) as in the mesh build,
-    # 1-D per-cell calls and one-value calls
+    # kernel it replaced, which carried U's P1 and P2 moments only and took
+    # the series second order in (c1, c2) alone, for lanes (rows, 1),
+    # per-cell rows (rows, cells) as in the mesh build, 1-D per-cell calls
+    # and one-value calls
     # (c1, c2 this large let a one-ulp change in the series reach the result)
     rng = np.random.default_rng(sorted(_X_RANGES).index(kind) + 21)
     cells, rows = 45, 7
@@ -520,11 +625,11 @@ def test_transfer_matches_the_vander_and_tile_reference(kind):
             assert near.all()
         if kind == "one_near":  # one near cell: one lane-cell of the rows, one cell of every lane
             assert near.sum() == (1 if lam2 is per_cell else rows) and near.any(axis=0).sum() == 1
-        got = propagator._transfers(lam2, h, u, c1, c2, zero, zero)
+        got = _kernel(lam2, h, u, c1, c2, zero, zero, batched=True)
         assert np.array_equal(got, _reference_transfers(lam2, h, u, c1, c2)), kind
     for i in range(rows):
         for lam2, u in ((per_cell[i], ubar), (float(lanes[i, 0]), lane_ubar)):
-            got = propagator._transfer(lam2, h, u, c1, c2, zero, zero)
+            got = _kernel(lam2, h, u, c1, c2, zero, zero)
             want = _reference_transfer(lam2, h, u, c1, c2)
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), (kind, i)
 
@@ -550,14 +655,14 @@ def test_one_round_of_200_lanes_stays_small():
 
 def test_one_round_of_100_lanes_on_a_long_mesh_stays_small():
     # the blocks bound the memory whatever the mesh: the bulk of 100
-    # couplings on (1-x)/x, 1 164 swept cells (the slivers, untraced, run
+    # couplings on (1-x)/x, 420 swept cells (the slivers, untraced, run
     # lane by lane either way)
     p = _conjecture("(1-x)/x", -1.0, 1.0)
     lams = np.geomspace(50.0, 2000.0, 100).tolist()
     x_l, x_r = propagator.bulk_interval(p)
     length = propagator.bulk_mesh(p, 1e-11).length
     thetas_l = [oscillation._ends(p, lam, 1e-11, x_l, x_r, length)[0] for lam in lams]
-    assert 3 * p.cell_meshes[-11].cells == 1164
+    assert 3 * p.cell_meshes[-11].cells == 420
     assert _peak(lambda: propagator.propagate_lanes(p, lams, 1e-11, thetas_l)) <= 1_900_000
 
 

@@ -27,13 +27,13 @@ def test_bench_layers_writes_every_case(tmp_path):
     assert proc.returncode == 0, proc.stderr
     cases = json.loads(out.read_text())["cases"]
     for lam in (10, 100, 1000):
-        assert cases[f"phase.2+sin(x).lam={lam}"]["cells"] == 57
+        assert cases[f"phase.2+sin(x).lam={lam}"]["cells"] == 48
     for name in ("lanes.2+sin(x).23", "build_mesh.(1-x)/x", "build_mesh.2+sin(x)", "jump_sequence.2+sin(x).1-500"):
         assert cases[name]["ms"] > 0.0, name
-    assert cases["build_mesh.2+sin(x)"]["cells"] == 19
+    assert cases["build_mesh.2+sin(x)"]["cells"] == 16
     # the conjecture class at rtol 1e-11: the bulk mesh and its halves, and RK45 on the slivers,
     # which are also timed alone, with the same steps and a gap from their checks
-    for source, cells in (("x", 453), ("sqrt(x)", 405), ("(1-x)/x", 1164)):
+    for source, cells in (("x", 174), ("sqrt(x)", 165), ("(1-x)/x", 420)):
         for lam in (100, 470, 1900):
             case = cases[f"phase.{source}.lam={lam}"]
             assert case["cells"] == cells and case["rk_steps"] > 0 and case["ms"] > 0.0, (source, lam)
@@ -46,9 +46,10 @@ def test_bench_layers_writes_every_case(tmp_path):
     # a conjecture-class round's traced peak stays within the round tests' 1.9 MB
     for name in ("x.31", "sqrt(x).31", "(1-x)/x.8"):
         assert 0.0 < cases[f"lanes.{name}"]["peak_kb"] <= 1900.0, name
-    # the kernel alone: a block of at most about 4 096 lane-cells (2+sin(x)'s
-    # 19 cells and their halves' first 19), and exp(x)'s 48 swept cells in one call
-    for name, lane_cells in (("x.31", 31 * 132), ("2+sin(x).60", 60 * 38), ("exp(x).1", 48)):
+    # the kernel alone: a block of at most about 4 096 lane-cells (x's 58
+    # cells and their halves' first 58, 2+sin(x)'s 16 and 16), and exp(x)'s
+    # 48 swept cells in one call
+    for name, lane_cells in (("x.31", 31 * 116), ("2+sin(x).60", 60 * 32), ("exp(x).1", 48)):
         case = cases[f"transfer.{name}"]
         assert case["lane_cells"] == lane_cells, name
         assert case["ns_per_lane_cell"] == 1e6 * case["ms"] / lane_cells > 0.0, name
@@ -57,9 +58,9 @@ def test_bench_layers_writes_every_case(tmp_path):
     # mesh builds with their batches: the conjecture class at three decades,
     # each in fewer batches than bisection level by level takes levels
     for name, cells, levels in (
-        ("x.decade=-10", 104, 8), ("x", 151, 8), ("x.decade=-12", 201, 8),
-        ("sqrt(x).decade=-10", 93, 8), ("sqrt(x)", 135, 9), ("sqrt(x).decade=-12", 184, 9),
-        ("(1-x)/x.decade=-10", 264, 17), ("(1-x)/x", 388, 18), ("(1-x)/x.decade=-12", 498, 18),
+        ("x.decade=-10", 43, 6), ("x", 58, 6), ("x.decade=-12", 82, 7),
+        ("sqrt(x).decade=-10", 42, 7), ("sqrt(x)", 55, 7), ("sqrt(x).decade=-12", 75, 7),
+        ("(1-x)/x.decade=-10", 103, 16), ("(1-x)/x", 140, 16), ("(1-x)/x.decade=-12", 190, 16),
     ):
         case = cases[f"build_mesh.{name}"]
         assert case["cells"] == cells and 1 <= case["batches"] < levels and case["ms"] > 0.0, name
@@ -68,6 +69,10 @@ def test_bench_layers_writes_every_case(tmp_path):
     # a one-shot count builds its mesh
     fresh = cases["count.(1-x)/x.lam=300.fresh"]
     assert fresh["count"] > 0 and fresh["ms"] > 0.0
+    # criterion 8's one-lane counts at rtol 1e-12 sweep the built mesh and its halves
+    for name, cells in (("2+sin(x).lam=10", 72), ("2+sin(x).lam=30", 72), ("x.lam=400", 246)):
+        case = cases[f"count.{name}.rtol=1e-12"]
+        assert case["cells"] == cells and case["count"] > 0 and case["ms"] > 0.0, name
     assert cases["src_lines"]["lines"] > 1000
 
 
@@ -80,7 +85,7 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
     report = json.loads(out.read_text())
     assert report["against"] == str(ROOT)
     cases = report["cases"]
-    assert cases["phase.2+sin(x).lam=10"]["cells"] == 57 and cases["src_lines"]["lines"] > 1000
+    assert cases["phase.2+sin(x).lam=10"]["cells"] == 48 and cases["src_lines"]["lines"] > 1000
     for name, case in cases.items():
         kind = name.split(".")[0]
         paired = kind in ("phase", "lanes", "transfer", "lg_data", "build_mesh", "count")
