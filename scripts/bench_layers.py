@@ -26,7 +26,8 @@ the steadiest figure):
   exp(x) at lambda = 30; each tree's kernel takes that tree's cell
   arrays (``cell_arrays``), and with --against, where the trees' meshes
   differ, the case also holds PATH's lane-cells, its ns per lane-cell
-  and ``ns_ratio``, ours over PATH's;
+  and ``ns_ratio``, ours over PATH's; transfer.x.31.same runs this
+  tree's x block through both trees' kernels, the same cells on each;
 * lg_data.<potential>: the Liouville-Green data on the 512-point grid;
 * build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh,
   with its cells and its batches (``propagator._cells`` calls); on the
@@ -238,6 +239,24 @@ def transfer_block_case(trees, spec, lams, repeat):
     return kernel_case(runs, [len(lams) * len(a[1]) for a in args], repeat)
 
 
+def same_block_case(trees, spec, lams, repeat):
+    """transfer_block_case's block of this tree's mesh through every tree's kernel, so that ns_ratio compares like for like."""
+    mesh = trees[0].propagator.bulk_mesh(trees[0].potential(*spec), 1e-11)
+    n, width = mesh.cells, min(trees[0].propagator._BLOCK // (2 * len(lams)), mesh.cells)
+    cells = np.concatenate([np.arange(width), np.arange(n, n + width)])
+    h, ubar, *c = (q[cells] for q in (mesh.h, mesh.ubar, mesh.c1, mesh.c2, mesh.c3, mesh.c4))
+    lam2 = (np.array(lams) ** 2)[:, None]
+    runs = []
+    for tree in trees:
+        prop = tree.propagator
+        if hasattr(prop, "_cell_factors"):  # the kernel takes the cells' factors
+            args = (h, ubar, prop._cell_factors(h, *c))
+        else:  # the moments it reads: c1 .. c4, or c1 and c2 before the cells carried c3
+            args = (h, ubar, *c[: 4 if "c3" in prop.CellMesh.__dataclass_fields__ else 2])
+        runs.append(lambda prop=prop, args=args: prop._transfers(lam2, *args))
+    return kernel_case(runs, [lam2.size * len(h)] * len(trees), repeat)
+
+
 def one_lane_transfer_case(trees, source, lam, repeat):
     """One one-lane _transfer over every swept cell of the mesh, as ``phase`` calls it."""
     meshes = [tree.propagator.bulk_mesh(tree.potential(source), 1e-11) for tree in trees]
@@ -299,6 +318,8 @@ def main():
     for spec, lo, hi, count in TRANSFER_BLOCKS:
         lams = np.linspace(lo, hi, count).tolist()
         cases[f"transfer.{spec[0]}.{count}"] = transfer_block_case(trees, spec, lams, repeat)
+    spec, lo, hi, count = TRANSFER_BLOCKS[0]
+    cases[f"transfer.{spec[0]}.{count}.same"] = same_block_case(trees, spec, np.linspace(lo, hi, count).tolist(), repeat)
     cases["transfer.exp(x).1"] = one_lane_transfer_case(trees, "exp(x)", 30.0, repeat)
 
     for source in LG_DATA:

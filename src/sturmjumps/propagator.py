@@ -81,13 +81,13 @@ mesh forms once (``_cell_factors``), and a sweep whose node recursion
 runs on numpy rows across the lanes, with the one-lane recursion's bits.
 One kernel, _transfer, serves lane rounds, one-lane calls and the mesh
 build.  Its arithmetic is elementwise, and its series in x come from
-one product of C-ordered arrays, powers @ operand, 2 to _SERIES_ROWS rows
-at a time (``_near_series``), since BLAS sums a single row, a transposed
-operand, or more rows on several threads along other paths; np.arctan2
-gives an element the same bits in any array.  So a cell's bits do not
-depend on the cells beside it, nor a lane's on the lanes beside it or
-the blocks.  The lanes' sweep state
-carries from block to block, so memory depends on the block, not on
+one product of C-ordered arrays, powers @ operand, 2 rows to the most
+that OpenBLAS's small-matrix kernel takes at a time (``_near_series``),
+since BLAS sums a single row, a transposed operand, or more rows along
+other paths; np.arctan2 gives an element the same bits in any array.  So
+a cell's bits do not depend on the cells beside it, nor a lane's on the
+lanes beside it or the blocks.  The lanes' sweep state carries from
+block to block, so memory depends on the block, not on
 lanes x cells.  A round of fewer than _MIN_LANES lanes, a single
 coupling included, is swept lane by lane (``_theta_pair``).  The mesh
 build's refinement test is batched the same way, over its reference
@@ -150,11 +150,15 @@ _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
 # the monomials c1^2, c1 c2, c2^2, c1 c3, c2 c3, c3^2 as products c_i c_j
 _LEFT, _RIGHT = np.array([0, 0, 1, 0, 1, 2]), np.array([0, 1, 1, 2, 2, 2])
-# their series' columns in _series_operand, monomial by monomial, each entry by entry
+# the columns of each monomial's series in _series_operand, monomial by monomial, each entry by entry
 _SERIES_ORDER = np.array([16 + 3 * e + j for j in range(3) for e in range(4)] + list(range(12)))
-# rows per product in _near_series: from about 2 300 rows on OpenBLAS's
-# dgemm splits the (m, 16) @ (16, 28) product between threads, with other bits
-_SERIES_ROWS = 2048
+# M N K up to which OpenBLAS's dgemm runs its small-matrix kernel on AVX-512
+# machines, which gives the columns past the last multiple of 8 other bits
+# than the blocked kernel: an (m, 16) @ (16, 28) product changes bits from
+# m = 2 233 on, an (m, 16) @ (16, 12) one from 5 209, each where M N K
+# first passes 10**6 (measured on a 2-vCPU Xeon guest).  _near_series runs
+# at most _SMALL_GEMM // (16 * 28) rows per product
+_SMALL_GEMM = 10**6
 # cells per _transfer call in a batch of calls: rounds of 31 lanes on x
 # (151 cells) and on (1-x)/x (388), and of 60 and 23 lanes on 2+sin(x) on
 # [0, 3] (19), against 1024, medians of 41 interleaved on a 2-vCPU Xeon
@@ -243,7 +247,9 @@ def _series_operand() -> np.ndarray:
     x eta_3 and x eta_4, (-1/2)**(k-1) / ((k-1)! (2n+2k-1)!!) for n = 3, 4
     and k >= 1; 14 and 15 zeros; 16 .. 27 the (c1, c2) monomials, entry by
     entry.  BLAS forms columns 16 .. 27 of a product with the bits it
-    gives a product with those 12 columns alone, the (c1, c2) kernel's.
+    gives a product with those 12 columns alone, the (c1, c2) kernel's: a
+    column's bits depend on whether it falls in a block of 8 columns or in
+    the last 4, and 16 .. 23 and 24 .. 27 fall as 0 .. 7 and 8 .. 11 do.
     """
     table = _second_order_table()
     terms = len(table)
@@ -379,14 +385,10 @@ def _eta_series(x: np.ndarray) -> np.ndarray:
 
 
 def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
-    """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign, then x eta_3 and x eta_4 where some |x| is far.
+    """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign.
 
     ax = |x|, low = min x and top = max |x| come from the caller, which
-    needs them too.  Where top reaches _SECOND_ORDER_X[1], x eta_3 =
-    5 eta_2 - eta_1 and x eta_4 = 7 eta_3 - eta_2 follow by the recurrence,
-    within an ulp of their scale from |x| = 4 on; they lose up to 10 digits
-    as |x| falls to 0.05, so the near cells take them from their series
-    (``_near_series``).
+    needs them too.
     """
     r = np.sqrt(ax)
     pos = None if low > 0.0 else x > 0.0
@@ -398,16 +400,12 @@ def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
         e0 = (np.sin(r) if pos is None else np.where(pos, np.sin(r), np.sinh(r))) / r
         e1 = (e0 - em1) / x
         e2 = (3.0 * e1 - e0) / x
-        etas = [e0, e1, e2]
-        if top >= _SECOND_ORDER_X[1]:
-            xe3 = 5.0 * e2 - e1
-            etas += [xe3, 7.0 * xe3 / x - e2]
     if not low >= _SMALL_X:  # else no |x| is small
         small = (ax < _SMALL_X).ravel().nonzero()[0]
         if small.size:  # x and the new e's are C-ordered: flat indices reach their elements
-            for e, series in zip(etas, _eta_series(x.ravel()[small])):
+            for e, series in zip((e0, e1, e2), _eta_series(x.ravel()[small])):
                 e.ravel()[small] = series
-    return em1, *etas
+    return em1, e0, e1, e2
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
@@ -434,31 +432,34 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(powers.T)
 
 
-def _near_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The series in x of near lane-cells x, 1-D: the second-order terms (6, 4, len(x)) and x eta_3, x eta_4 (2, len(x)).
+def _near_series(x: np.ndarray, mono: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The series in x of near lane-cells x: the second-order terms (4, *x.shape) and x eta_3, x eta_4 (2, *x.shape).
 
-    The first holds the unit cell's terms second order in (c1, c2, c3),
-    C-ordered, monomial by monomial (c1^2, c1 c2, c2^2, c1 c3, c2 c3,
-    c3^2), each entry by entry (``_second_order_table``); the second is
-    within an ulp of its scale on |x| < 25, where the recurrence loses up
-    to 10 digits.  Both come from the product powers @ _series_operand()
-    of C-ordered arrays (m, 16) @ (16, 28), 2 <= m <= _SERIES_ROWS rows
-    at a time (``_powers``): BLAS sums a single row or a transposed
-    operand along other paths, and more rows on several threads, so an
-    element keeps its bits in any number of rows.
+    ``mono`` holds the second order's six monomials on its first axis
+    (c1^2, c1 c2, c2^2, c1 c3, c2 c3, c3^2, times h^4), broadcast against
+    x; each entry's six products with the unit cell's series
+    (``_second_order_table``) are summed in that order, one after another.
+    x eta_3 and x eta_4 are within an ulp of their scale on |x| < 25,
+    where the recurrence loses up to 10 digits.  Both come from the
+    product powers @ _series_operand() of C-ordered arrays
+    (m, 16) @ (16, 28), from 2 rows up to the most the small-matrix kernel
+    takes (_SMALL_GEMM) at a time (``_powers``): BLAS sums a single row or
+    a transposed operand along other paths, and more rows in another
+    kernel, so an element keeps its bits in any number of rows.
     """
-    m = len(x)
-    powers = _powers(x, 16)
+    m = x.size
+    powers = _powers(x.reshape(-1), 16)
     operand = _series_operand()
-    if len(powers) <= _SERIES_ROWS:
-        out = powers @ operand
-    else:
-        out = np.empty((len(powers), operand.shape[1]))
-        for i in range(0, len(powers), _SERIES_ROWS):
-            end = min(i + _SERIES_ROWS, len(powers))
-            start = min(i, end - 2)  # a last row alone goes with the one before it
-            np.matmul(powers[start:end], operand, out=out[start:end])
-    return out[:m].T[_SERIES_ORDER].reshape(6, 4, m), out[:m, 12:14].T
+    rows = _SMALL_GEMM // operand.size
+    out = np.empty((len(powers), operand.shape[1]))
+    for i in range(0, len(powers), rows):
+        end = min(i + rows, len(powers))
+        start = min(i, end - 2)  # a last row alone goes with the one before it
+        np.matmul(powers[start:end], operand, out=out[start:end])
+    del powers  # freed before the products are formed: a round's peak memory is lower
+    products = out[:m].T[_SERIES_ORDER].reshape(6, 4, *x.shape)
+    products *= mono[:, None]
+    return np.add.reduce(products, axis=0), out[:m, 12:14].T.reshape(2, *x.shape)
 
 
 def _cell_factors(h, c1, c2, c3, c4):
@@ -496,11 +497,11 @@ def _transfer(lam2, h, ubar, factors, out=None):
     low = x.min()
     ax = x if low > 0.0 else np.abs(x)
     top = low if low >= gone else ax.max()  # max |x|, needed only where a cell is near
-    em1, e0, e1, e2, *xe = _etas(x, ax, low, top)
+    em1, e0, e1, e2 = _etas(x, ax, low, top)
     lanes = (1,) * (x.ndim - 1)  # the rows of lanes that per-cell factors broadcast over
     # near: the indices of the lane-cells with |x| < gone, () for all of
     # them, None for none; they take x eta_3 and x eta_4 from the series,
-    # the others from the recurrence (``_etas``)
+    # the others from the recurrence, within an ulp of their scale there
     near = None
     if top < gone:  # the per-cell factors broadcast
         near, xn, axn, hn, mono = (), x, ax, h, monomials.reshape(6, *lanes, -1)
@@ -508,15 +509,16 @@ def _transfer(lam2, h, ubar, factors, out=None):
         near, cell = index, index[-1]
         xn, axn, hn, mono = x[near], ax[near], h[cell], monomials.take(cell, axis=1)
         top = axn.max()
-    if near is None:
-        xe3, xe4 = xe
-    else:
-        series, (xe3n, xe4n) = _near_series(xn.reshape(-1))
+    if near is None or near:  # some lane-cell is far
+        with np.errstate(all="ignore"):  # a near cell's x may be 0; its series replaces it
+            xe3 = 5.0 * e2 - e1
+            xe4 = 7.0 * xe3 / x - e2
+    if near is not None:
+        terms, (xe3n, xe4n) = _near_series(xn, mono)
         if near:
-            xe3, xe4 = xe
             xe3[near], xe4[near] = xe3n, xe4n
         else:
-            xe3, xe4 = xe3n.reshape(x.shape), xe4n.reshape(x.shape)
+            xe3, xe4 = xe3n, xe4n
     # the odd moments in the diagonal, the even ones in the off-diagonal
     # entries: k1 and k2, from the factors 0.5 c h^2 per cell times the etas
     half = half.reshape(4, *lanes, -1)
@@ -530,12 +532,9 @@ def _transfer(lam2, h, ubar, factors, out=None):
     np.subtract(em1, k1, out=t22)
     if near is None:
         return out
-    # second order in (c1, c2, c3) from the unit cell's series, scaled by
-    # h^4 (c h^2 squared) and by h, 1/h for the off-diagonal entries: each
-    # entry's six products summed in monomial order, one after another
-    products = series.reshape(6, 4, *xn.shape)
-    products *= mono[:, None]
-    terms = np.add.reduce(products, axis=0)
+    # second order in (c1, c2, c3) from the unit cell's series
+    # (``_near_series``), scaled by h^4 (c h^2 squared) and by h, 1/h for
+    # the off-diagonal entries
     if top > full:
         weight = np.cos(0.5 * math.pi * ((axn - full) / (gone - full)).clip(0.0, 1.0)) ** 2
         terms *= np.array((weight, weight * hn, weight / hn, weight))

@@ -33,11 +33,12 @@ def test_eta_functions_on_both_sides_of_the_barrier():
     xs += [15.9, -15.9, 24.99, -24.99, 25.0, -25.0, 30.0, -30.0, 2500.0, -900.0]
     xa = np.array(xs)
     got = propagator._etas(xa, np.abs(xa), xa.min(), np.abs(xa).max())
-    # x eta_3 and x eta_4 come from the recurrence from |x| = 25 on and from
-    # their series on the near cells below it
+    # _transfer takes x eta_3 and x eta_4 from the recurrence from |x| = 25
+    # on and from their series on the near cells below it
     near = np.abs(xa) < propagator._SECOND_ORDER_X[1]
-    xe = np.array(got[4:])
-    xe[:, near] = propagator._near_series(xa[near])[1]
+    xe3 = 5.0 * got[3] - got[2]
+    xe = np.array([xe3, 7.0 * xe3 / np.where(near, 1.0, xa) - got[3]])
+    xe[:, near] = propagator._near_series(xa[near], np.zeros((6, near.sum())))[1]
     with mpmath.workdps(100):
         for i, x in enumerate(xs):
             want = _mp_etas(x)
@@ -459,19 +460,29 @@ def test_block_keeps_each_lanes_bits():
 
 
 def test_near_series_keeps_each_rows_bits(monkeypatch):
-    # the series' product runs on at most _SERIES_ROWS rows at a time, a
-    # last row alone beside the one before it: every element has the bits
-    # of the same x in a call of two, whatever the call's length, also where
-    # a call of one product would run on several threads
-    x = np.random.default_rng(15).uniform(-25.0, 25.0, 5001)
-    pairs = [propagator._near_series(x[i : i + 2]) for i in range(0, 5000, 2)]
+    # the series' product runs on at most the rows OpenBLAS's small-matrix
+    # kernel takes at a time, a last row alone beside the one before it:
+    # every element has the bits of the same x in a call of two, whatever
+    # the call's length, also where a call of one product would take the
+    # blocked kernel, and with the rows per product derived from the
+    # operand's size
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-25.0, 25.0, 5001)
+    mono = rng.uniform(-1.0, 1.0, (6, 5001))
+    pairs = [propagator._near_series(x[i : i + 2], mono[:, i : i + 2]) for i in range(0, 5000, 2)]
     want = [np.concatenate([pair[k] for pair in pairs], axis=-1) for k in (0, 1)]
-    for rows in (4, propagator._SERIES_ROWS):
-        monkeypatch.setattr(propagator, "_SERIES_ROWS", rows)
-        for m in (9, 4097, 5000):
-            got = propagator._near_series(x[:m])
-            assert all(np.array_equal(g, w[..., :m]) for g, w in zip(got, want)), (rows, m)
-    one = propagator._near_series(x[:1])
+    size = propagator._series_operand().size
+    for limit in (4 * size, propagator._SMALL_GEMM):
+        monkeypatch.setattr(propagator, "_SMALL_GEMM", limit)
+        for m in (9, 4097, 2 * (limit // size) + 1, 5000):
+            got = propagator._near_series(x[:m], mono[:, :m])
+            assert all(np.array_equal(g, w[..., :m]) for g, w in zip(got, want)), (limit, m)
+        # rows of lanes on the same cells, as the kernel passes them
+        got = propagator._near_series(x[:4000].reshape(40, 100), mono[:, None, :100])
+        lanes = [propagator._near_series(x[i : i + 100], mono[:, :100]) for i in range(0, 4000, 100)]
+        for g, w in zip(got, zip(*lanes)):
+            assert np.array_equal(g, np.stack(w, axis=1)), limit
+    one = propagator._near_series(x[:1], mono[:, :1])
     assert all(np.array_equal(g, w[..., :1]) for g, w in zip(one, want))
 
 

@@ -48,8 +48,9 @@ def test_bench_layers_writes_every_case(tmp_path):
         assert 0.0 < cases[f"lanes.{name}"]["peak_kb"] <= 1900.0, name
     # the kernel alone: a block of at most about 4 096 lane-cells (x's 58
     # cells and their halves' first 58, 2+sin(x)'s 16 and 16), and exp(x)'s
-    # 48 swept cells in one call
-    for name, lane_cells in (("x.31", 31 * 116), ("2+sin(x).60", 60 * 32), ("exp(x).1", 48)):
+    # 48 swept cells in one call; x's block also through the kernel of
+    # --against's tree, when given, on the same cells
+    for name, lane_cells in (("x.31", 31 * 116), ("x.31.same", 31 * 116), ("2+sin(x).60", 60 * 32), ("exp(x).1", 48)):
         case = cases[f"transfer.{name}"]
         assert case["lane_cells"] == lane_cells, name
         assert case["ns_per_lane_cell"] == 1e6 * case["ms"] / lane_cells > 0.0, name
