@@ -29,6 +29,9 @@ the steadiest figure):
   and ``ns_ratio``, ours over PATH's; transfer.x.31.same runs this
   tree's x block through both trees' kernels, the same cells on each;
 * lg_data.<potential>: the Liouville-Green data on the 512-point grid;
+* d.<potential>: the phase length D, ``integrate_sqrt_v`` over the whole
+  interval, on 2+sin(x) ([0, 3]), exp(x), x, (1-x)/x and x/(1-x), with
+  its V evaluations (and PATH's, ``against_evaluations``);
 * build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh,
   with its cells and its batches (``propagator._cells`` calls); on the
   conjecture class also build_mesh.<potential>.decade=-10 and -12;
@@ -43,7 +46,7 @@ the steadiest figure):
 Counts that explain the times (mesh cells, cells swept, phase calls per
 root) go beside them.  With --against PATH, PATH's src/sturmjumps is
 imported too, as the package ``against``, and every phase.*, lanes.*,
-transfer.*, lg_data.*, build_mesh.* and count.* case runs on both trees
+transfer.*, lg_data.*, d.*, build_mesh.* and count.* case runs on both trees
 in turn in this process, so that both see the same drift of the host; the
 case then also holds ``against_ms`` and ``against_ratio``, its ms over
 PATH's.  The fastest of a few runs swings with the hour, so the phase.*,
@@ -82,6 +85,8 @@ ROUNDS = [(MESHES[0], 329.5, 470.8, 31), (MESHES[1], 274.7, 392.5, 31), (MESHES[
 # kernel blocks: a round's lanes on the first columns of its first sweep, coarse cells beside halves
 TRANSFER_BLOCKS = [(MESHES[0], 329.5, 470.8, 31), (("2+sin(x)",), 3.0, 41.0, 60)]
 LG_DATA = ["2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"]
+# D on the theorem class and on each kind of singular end: V vanishing at a, blowing up at a, blowing up at b
+D_CASES = [("2+sin(x)",), ("exp(x)",), MESHES[0], MESHES[2], ("x/(1-x)", 1.0, -1.0)]
 # one-lane counts at rtol 1e-12 on built meshes, as criterion 8 checks the roots of a jump table
 COUNTS = [(("2+sin(x)",), 10.0), (("2+sin(x)",), 30.0), (MESHES[0], 400.0)]
 
@@ -90,7 +95,7 @@ class Tree:
     """The modules of one checkout's package, imported as ``package``."""
 
     def __init__(self, package):
-        for name in ("oscillation", "propagator", "jumps", "liouville_green"):
+        for name in ("oscillation", "propagator", "jumps", "liouville_green", "quadrature"):
             setattr(self, name, importlib.import_module(f"{package}.{name}"))
         self.potential_module = importlib.import_module(f"{package}.potential")
 
@@ -330,6 +335,18 @@ def main():
             runs.append(lambda tree=tree, q=q: tree.liouville_green.lg_data(q))
         ms, *others = fastest_ms(runs, repeat)
         cases[f"lg_data.{source}"] = with_against({"ms": ms}, ms, others)
+
+    for spec in D_CASES:
+        runs = []
+        for tree in trees:
+            q = tree.potential(*spec)
+            runs.append(lambda tree=tree, q=q: tree.quadrature.integrate_sqrt_v(q, q.a, q.b))
+        evaluations = [run().evaluations for run in runs]  # the first call compiles the potential's evaluators
+        ms, *others = fastest_ms(runs, repeat)
+        case = {"ms": ms, "evaluations": evaluations[0]}
+        if others:
+            case["against_evaluations"] = evaluations[1]
+        cases[f"d.{spec[0]}"] = with_against(case, ms, others)
 
     for spec in MESHES:
         cases[f"build_mesh.{spec[0]}"] = build_mesh_case(trees, spec, -11, repeat, calls)

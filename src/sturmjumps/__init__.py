@@ -40,7 +40,7 @@ from .potential import (
     ValidationReport,
     endpoint_constant,
 )
-from .quadrature import QuadratureError, QuadResult, integrate_sqrt_v, xi_of_x
+from .quadrature import QuadratureError, QuadResult, integrate_sqrt_v
 from .spectra_oracle import Tridiag, ZeroPivotError, assemble, count_by_inertia, count_matrix
 
 __version__ = "0.1.0"
@@ -85,5 +85,4 @@ __all__ = [
     "theorem_check",
     "transformed_potential",
     "weyl_defect",
-    "xi_of_x",
 ]

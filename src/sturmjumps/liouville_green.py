@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import eval_jet2
+from .expr import _scalar_jet2, eval_jet2
 from .potential import Potential, Regularity, chebyshev_grid
 from .quadrature import integrate_sqrt_v, integrate_sqrt_v_segments
 
@@ -48,7 +48,7 @@ class LGData:
     grid: tuple[tuple[float, float], ...]  # (x, xi)
     xi_evaluations: int = 0  # V evaluations of the xi grid
     xi_bisections: int = 0  # segments of the xi grid that were bisected
-    d_evaluations: int = 0  # tanh-sinh evaluations of D
+    d_evaluations: int = 0  # V evaluations of D
 
 
 def u_from_jet(v, d1, d2):
@@ -68,19 +68,21 @@ def transformed_potential(p: Potential, x: float) -> float:
 def lg_data(p: Potential, grid_points: int = 512) -> LGData:
     """Sample U on a Chebyshev grid, map x to xi, and bound |U| by C.
 
-    The grid includes the endpoints (where suprema often sit).  xi is
-    accumulated over the grid's segments, each integrated to 1e-12 in one
-    vectorized Gauss-Legendre pass, so it is increasing by construction;
-    D itself is one tanh-sinh integral over the whole interval, the same
-    one the root finder uses.  The record carries the
-    evaluation and bisection counts of both.
+    The grid includes the endpoints (where suprema often sit).  U comes
+    from the formula's scalar jet, compiled once per call, as in
+    ``transformed_potential``.  xi is accumulated over the grid's
+    segments, each integrated to 1e-12 in one vectorized Gauss-Legendre
+    pass, so it is increasing by construction; D is ``integrate_sqrt_v``
+    over the whole interval, the one the root finder uses.  The record
+    carries the evaluation and bisection counts of both.
     """
     if grid_points < 200:
         raise ValueError("need at least 200 grid points")
     if p.regularity is not Regularity.THEOREM:
         raise ValueError("the count bracket applies to theorem-class potentials only")
     xs = chebyshev_grid(p.a, p.b, grid_points, include_endpoints=True)
-    u_vals = [transformed_potential(p, float(x)) for x in xs]
+    jet = _scalar_jet2(p.ast)
+    u_vals = [u_from_jet(*jet(x)) for x in xs.tolist()]
     seg = integrate_sqrt_v_segments(p, xs)
     xis = np.concatenate([[0.0], np.cumsum(seg.values)])
     whole = integrate_sqrt_v(p, p.a, p.b)

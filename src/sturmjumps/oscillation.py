@@ -63,7 +63,8 @@ _SEED_SHARE of rtol * max(lambda D_bulk, pi), D_bulk the bulk's length
 in xi, or the check moves deeper; a sliver that reaches the end's ulp
 unchecked raises PhaseError.  ``steps`` and ``rejected_steps`` count the
 slivers' RK45 steps, checks included, ``cells`` the propagator's;
-``error_estimate`` is the bulk's |fine - coarse| plus the slivers' gaps.
+``error_estimate`` is the bulk's |fine - coarse| plus the slivers' gaps,
+and never below _ULP_FLOOR ulp(theta_b), the rounding of the sweep.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import numpy as np
 from .expr import EvalDomainError
 from .potential import Potential
 from .propagator import bulk_interval, bulk_mesh, propagate_lanes
-from .quadrature import _GL_W, _GL_X
+from .quadrature import QuadratureError, _graded_xi, _power_tail
 
 __all__ = [
     "PhaseResult",
@@ -108,6 +109,9 @@ _CHECK_RTOL = 0.25
 # RK45 steps allowed on the end slivers of one phase call
 _MAX_STEPS = 10_000_000
 
+# the least error_estimate, in ulp(theta_b): the sweep's sums of cell angles round by up to 6 ulp on (1+x)^(-4)
+_ULP_FLOOR = 8.0
+
 
 class PhaseError(RuntimeError):
     pass
@@ -132,7 +136,7 @@ class PhaseResult:
     steps: int  # RK45 steps on the end slivers (conjecture class; 0 for the theorem class)
     rejected_steps: int
     cells: int = 0  # propagator cells swept, the mesh's and their halves (both classes)
-    error_estimate: float = 0.0  # |fine - coarse| on the propagator plus the slivers' seed gaps
+    error_estimate: float = 0.0  # |fine - coarse| on the propagator plus the slivers' seed gaps, floored
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +267,10 @@ def _ladder(p: Potential, end: str) -> _Ladder:
 
     x_k runs from the bulk's edge toward the end until the offset stops
     moving x, or it, V, V' or xi leaves the normal range.  xi comes from
-    one vectorized 10-point Gauss pass, a panel per octave [t_(k+1), t_k],
-    down to the first level at or below (ulp(end) (b - a)**2)**(1/3), and
-    from there on from the leading power with its first correction,
-
-        xi ~ t sqrt(V)/(1 + a) * (1 - (a_t - a)/(a + 2)),
-
-    a = gamma/2 and a_t = t (sqrt V)_t/sqrt(V): deeper panels' nodes
-    round in x by more than that tail formula errs.
+    ``quadrature._graded_xi``, the octave panels [t_(k+1), t_k] down to
+    its floor and the leading power with its first correction there,
+    and from that correction (``quadrature._power_tail``) at the deeper
+    levels.
     """
     ladders = p.sliver_ladders
     if end in ladders:
@@ -295,15 +295,10 @@ def _ladder(p: Potential, end: str) -> _Ladder:
         vs.append(v)
         betas.append(sign * 0.25 * dv / v)
     t, sq, beta = np.array(ts), np.sqrt(vs), np.array(betas)
-    alpha = 0.5 * gamma
-    xi = t * sq / (1.0 + alpha) * (1.0 - (2.0 * t * beta - alpha) / (alpha + 2.0))
-    floor = (abs(math.nextafter(anchor, sign * math.inf) - anchor) * (p.b - p.a) ** 2) ** (1.0 / 3.0)
-    deep = min(int(np.count_nonzero(t > floor)), len(t) - 1)
-    hi, lo = t[:deep], t[1 : deep + 1]
-    half = 0.5 * (hi - lo)
-    nodes = anchor + sign * ((0.5 * (hi + lo))[:, None] + half[:, None] * _GL_X)
-    panels = half * (np.sqrt(p.value_fn_np(nodes)) @ _GL_W)
-    xi[:deep] = xi[deep] + np.cumsum(panels[::-1])[::-1]
+    xi = _power_tail(t, sq, beta, gamma)[0]
+    graded = _graded_xi(p, end, x0)[0]
+    deep = min(len(graded), len(xi))
+    xi[:deep] = graded[:deep]
     nu = 1.0 / (2.0 + gamma)
     coef = [1.0]
     for m in range(1, _SERIES_TERMS):
@@ -392,7 +387,7 @@ def _phase_errors():
         yield
     except (EvalDomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-    except ArithmeticError as exc:
+    except (ArithmeticError, QuadratureError) as exc:
         raise PhaseError(str(exc)) from None
 
 
@@ -432,7 +427,7 @@ def _result(lam, rtol, theta_b, steps, rejected, cells, estimate):
     else:
         count = math.ceil(t) - 1
     count = max(count, 0)
-    return PhaseResult(lam, theta_b, count, steps, rejected, cells, estimate)
+    return PhaseResult(lam, theta_b, count, steps, rejected, cells, max(estimate, _ULP_FLOOR * math.ulp(theta_b)))
 
 
 def count_negative(

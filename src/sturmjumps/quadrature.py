@@ -1,24 +1,21 @@
 """Quadrature for the phase-length integrals of sqrt(V).
 
-Two rules, each with its own job:
+One rule, composite 10-point Gauss-Legendre, integrates sqrt(V)
+everywhere: the xi grid of liouville_green, the propagator's cells (by
+``_GL_X`` and ``_GL_W``), the singular ends' ladders and the phase
+length D (``integrate_sqrt_v``).  ``integrate_sqrt_v_segments`` runs it
+on every given segment and on its two halves in one vectorized pass,
+and bisects the few segments that miss the tolerance.  A regular
+stretch is cut into _PIECES equal segments.  At an end with declared
+exponent gamma != 0, where V ~ c |x - end|**gamma, the segments are the
+octaves of the distance to that end, and the leading power with its
+first correction covers the last octaves (``_graded_xi``).  No node
+lands on a segment's ends, so a singular end is never sampled.
 
-* Tanh-sinh (``tanh_sinh``, ``integrate_sqrt_v``) handles the full phase
-  length D, the integral of the transformed potential in
-  liouville_green, and the singular conjecture-class ends.  The
-  double-exponential substitution clusters nodes toward the endpoints,
-  so integrable endpoint behaviour like (x-a)**(gamma/2) with gamma/2 in
-  (-1, 0) is handled without potential-specific changes of variable.
-  Node points never land exactly on the integration limits.
-* Composite 10-point Gauss-Legendre (``integrate_sqrt_v_segments``)
-  handles the theorem-class xi grid: every segment is short and sqrt(V)
-  is smooth there, so one vectorized pass over all segments, with the
-  few that miss the tolerance bisected, replaces one tanh-sinh integral
-  per segment.
-
-Both screen V the same way: a non-finite value, a negative one, or one
-below half a positive lower bound c_lower, found for the theorem class or
-declared for either (``_v_floor``, the phase propagator's floor too),
-raises QuadratureError.
+V is screened the same way everywhere: a non-finite value, a negative
+one, or one below half a positive lower bound c_lower, found for the
+theorem class or declared for either (``_v_floor``, the phase
+propagator's floor too), raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -36,11 +33,7 @@ __all__ = [
     "SegmentsResult",
     "integrate_sqrt_v",
     "integrate_sqrt_v_segments",
-    "tanh_sinh",
-    "xi_of_x",
 ]
-
-_PI_2 = math.pi / 2.0
 
 # 10-point Gauss-Legendre on [-1, 1]: the positive nodes and their weights,
 # correctly rounded from 50-digit values (numpy.polynomial is not imported,
@@ -56,8 +49,11 @@ _GL_W = np.array(list(reversed(_GL_POS_W)) + list(_GL_POS_W))
 # when the tolerance sits below rounding, where every piece keeps failing
 _MAX_DEPTH = 8
 
-# tanh-sinh step halvings past which an integral is an error
-_MAX_LEVEL = 12
+# equal segments a regular stretch starts from: one misses 2+sin(10x) on [0, 50] at _MAX_DEPTH
+_PIECES = 16
+
+# share of b - a below which the leading-power tail, off by about (t/(b - a))**2, is exact to rounding
+_TAIL_EXACT = math.sqrt(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -76,6 +72,7 @@ class SegmentsResult:
     values: np.ndarray  # integral over each segment
     evaluations: int
     bisections: int
+    error: float  # the accepted pieces' |halves - whole|, summed over every segment
 
 
 def _v_floor(p: Potential) -> float:
@@ -101,70 +98,83 @@ def _screen(p: Potential, x: float, v: float, v_floor: float) -> None:
         )
 
 
+def _power_tail(t, sq, beta, gamma):
+    """int sqrt(V) over the distance t to an end where V ~ c t**gamma, and its first correction's share.
+
+    From sqrt(V) = sq and beta = V_t/(4V) at t, floats or arrays: the
+    leading power with its first correction, t sqrt(V)/(1 + a) * (1 - c)
+    with c = (a_t - a)/(a + 2), a = gamma/2 and a_t = 2 t beta =
+    t (sqrt V)_t/sqrt(V).  Returns (the integral, c).
+    """
+    alpha = 0.5 * gamma
+    c = (2.0 * t * beta - alpha) / (alpha + 2.0)
+    return t * sq / (1.0 + alpha) * (1.0 - c), c
+
+
+def _graded_xi(p: Potential, end: str, x0: float, tol: float = 1e-12):
+    """int sqrt(V) from the singular ``end`` ("a" or "b") to each x_k = end +/- w 2**-k, w = |x0 - end|.
+
+    The octaves between the x_k are segments sharing tol equally, down to
+    the first x_k whose offset t stops moving x or is at most the larger
+    of (ulp(end) (b - a)**2)**(1/3), below which nodes round in x by more
+    than ``_power_tail`` errs, and _TAIL_EXACT (b - a), below which it is
+    exact to rounding; ``_power_tail`` gives the rest, with the error
+    tail * max(c**2, (t/(b - a))**2).  Returns (xi, error, evaluations).
+    """
+    sign, anchor, gamma = (1.0, p.a, p.gamma_a) if end == "a" else (-1.0, p.b, p.gamma_b)
+    width = abs(x0 - anchor)
+    length = p.b - p.a
+    floor = max((abs(math.nextafter(anchor, sign * math.inf) - anchor) * length**2) ** (1.0 / 3.0), _TAIL_EXACT * length)
+    xs, t = [x0], width
+    while t > floor:
+        x = anchor + sign * math.ldexp(width, -len(xs))
+        if abs(x - anchor) == t:
+            break
+        xs.append(x)
+        t = abs(x - anchor)
+    x = xs[-1]
+    try:
+        v, dv = p.value_d1_fn(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise QuadratureError(f"potential evaluation failed at x={x}: {exc}") from None
+    _screen(p, x, v, _v_floor(p))
+    beta = sign * 0.25 * dv / v if v > 0.0 else 0.0
+    tail, c = _power_tail(t, math.sqrt(v), beta, gamma)
+    error = abs(tail) * max(c * c, (t / length) ** 2)
+    if not math.isfinite(tail + error):
+        raise QuadratureError(f"the leading-power tail at x={x} is not finite: V = {v}, V' = {dv}")
+    xi, evaluations = np.array([tail]), 1
+    if len(xs) > 1:
+        seg = integrate_sqrt_v_segments(p, xs[::-1] if end == "a" else xs, tol / (len(xs) - 1))
+        inward = seg.values if end == "a" else seg.values[::-1]  # the octaves from the last x_k outward
+        xi = np.concatenate([xi, tail + np.cumsum(inward)])[::-1]
+        error += seg.error
+        evaluations += seg.evaluations
+    return xi, error, evaluations
+
+
 def integrate_sqrt_v(p: Potential, x0: float, x1: float, tol: float = 1e-12) -> QuadResult:
-    """Integrate sqrt(V) over [x0, x1] to absolute tolerance ``tol``.
+    """Integrate sqrt(V) over [x0, x1], a sub-interval of [p.a, p.b], to absolute tolerance ``tol``.
 
-    Parameters
-    ----------
-    p : Potential
-    x0, x1 : float
-        Sub-interval of [p.a, p.b] with x0 < x1.
-    tol : float
-        Absolute tolerance; levels are doubled until two successive
-        trapezoid refinements differ by less than ``tol``, and missing
-        it is an error, not a warning.
-
-    Returns
-    -------
-    QuadResult
-        value, an error estimate (last refinement difference) and the
-        number of integrand evaluations.
-
-    Where V blows up (declared exponent gamma < 0) at an end of the
-    potential that is not 0, part of the integral lies within the last
-    ulps of that end, where doubles cannot place the nodes: about
-    2e-8 of it for gamma = -1 at b = 1.  When tanh-sinh then does not
-    converge, it is run again up to r = sqrt(ulp * (b - a)) short of
-    that end, where the nodes still resolve V, and the rest is added as
-    sqrt(V) r / (1 + gamma/2), the integral of the leading behaviour
-    |x - end|**(gamma/2); its next-order term, about that times
-    r / (b - a), joins the error estimate.
+    An end of [x0, x1] that is an end of p with declared exponent
+    gamma != 0 takes a quarter of the interval on its octaves
+    (``_graded_xi``), the rest is _PIECES equal segments, and each part
+    gets an equal share of ``tol``; missing it is an error, not a
+    warning.  The QuadResult's error estimate sums the pieces'
+    |halves - whole|, the tails' errors and a few ulp of rounding.
     """
     if not (p.a <= x0 < x1 <= p.b):
         raise ValueError(f"need p.a <= x0 < x1 <= p.b, got [{x0}, {x1}]")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-
-    fv = p.value_fn
-    v_floor = _v_floor(p)
-
-    def f(x):
-        try:
-            v = fv(x)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise QuadratureError(f"potential evaluation failed at x={x}: {exc}") from None
-        _screen(p, x, v, v_floor)
-        return math.sqrt(v)
-
-    try:
-        return tanh_sinh(f, x0, x1, tol)
-    except QuadratureError:
-        if not (x0 == p.a and p.gamma_a < 0.0 or x1 == p.b and p.gamma_b < 0.0):
-            raise
-    width = p.b - p.a
-    tail = error = 0.0
-    cuts = 0
-    for end, gamma, inward in ((p.a, p.gamma_a, 1.0), (p.b, p.gamma_b, -1.0)):
-        if gamma < 0.0 and end in (x0, x1):
-            r = math.sqrt(abs(math.nextafter(end, end + inward) - end) * width)
-            cut = end + inward * r
-            part = f(cut) * r / (1.0 + 0.5 * gamma)
-            tail += part
-            error += part * r / width
-            cuts += 1
-            x0, x1 = (cut, x1) if inward > 0.0 else (x0, cut)
-    res = tanh_sinh(f, x0, x1, tol)
-    return QuadResult(res.value + tail, res.abs_error_estimate + error, res.evaluations + cuts)
+    at_a, at_b = x0 == p.a and p.gamma_a != 0.0, x1 == p.b and p.gamma_b != 0.0
+    share = tol / (1 + at_a + at_b)
+    lo, hi = x0 + at_a * 0.25 * (x1 - x0), x1 - at_b * 0.25 * (x1 - x0)
+    graded = [_graded_xi(p, end, edge, share) for end, edge, on in (("a", lo, at_a), ("b", hi, at_b)) if on]
+    seg = integrate_sqrt_v_segments(p, np.linspace(lo, hi, _PIECES + 1), share / _PIECES)
+    value = math.fsum([*(xi[0] for xi, _, _ in graded), *seg.values])
+    error = math.fsum(g[1] for g in graded) + seg.error + 4.0 * math.ulp(value)
+    return QuadResult(value, error, sum(g[2] for g in graded) + seg.evaluations)
 
 
 def integrate_sqrt_v_segments(p: Potential, xs, tol: float = 1e-12) -> SegmentsResult:
@@ -176,7 +186,7 @@ def integrate_sqrt_v_segments(p: Potential, xs, tol: float = 1e-12) -> SegmentsR
     at once, each half against half the tolerance, so every segment's
     total stays within ``tol``.  A segment still missing after
     ``_MAX_DEPTH`` bisections raises QuadratureError.  V is evaluated
-    through ``p.value_fn_np`` and screened like ``integrate_sqrt_v``.
+    through ``p.value_fn_np`` and screened by ``_screen``.
 
     Parameters
     ----------
@@ -220,16 +230,19 @@ def integrate_sqrt_v_segments(p: Potential, xs, tol: float = 1e-12) -> SegmentsR
     lo, hi = xs[:-1], xs[1:]
     whole = rule(lo, hi)
     bisections = depth = 0
+    error = 0.0
     while True:
         mid = 0.5 * (lo + hi)
         m = len(lo)
         halves = rule(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         left, right = halves[:m], halves[m:]
         refined = left + right
-        miss = np.abs(whole - refined) > tol * 0.5**depth
+        gap = np.abs(whole - refined)
+        miss = gap > tol * 0.5**depth
         np.add.at(values, owner[~miss], refined[~miss])
+        error += float(gap[~miss].sum())
         if not miss.any():
-            return SegmentsResult(values, evals, bisections)
+            return SegmentsResult(values, evals, bisections, error)
         if depth == _MAX_DEPTH:
             i = owner[np.flatnonzero(miss)[0]]
             raise QuadratureError(
@@ -242,88 +255,3 @@ def integrate_sqrt_v_segments(p: Potential, xs, tol: float = 1e-12) -> SegmentsR
         hi = np.concatenate([mid[miss], hi[miss]])
         whole = np.concatenate([left[miss], right[miss]])
         owner = np.concatenate([owner[miss], owner[miss]])
-
-
-def tanh_sinh(f, x0: float, x1: float, tol: float) -> QuadResult:
-    """Integrate f over [x0, x1] to absolute tolerance ``tol``, never sampling x0 or x1.
-
-    Levels halve the step until two successive trapezoid sums differ by
-    less than ``tol``; exceeding ``_MAX_LEVEL`` raises QuadratureError.
-    """
-    half = 0.5 * (x1 - x0)
-    evals = 0
-    trunc = tol * 1e-3
-
-    def sample(t):
-        # offset from the nearer endpoint keeps x accurate deep in the tails
-        nonlocal evals
-        u = _PI_2 * math.sinh(t)
-        if u >= 0.0:
-            d = half * 2.0 / (1.0 + math.exp(2.0 * u))
-            x = x1 - d
-            if x >= x1 or x <= x0:
-                return None
-        else:
-            d = half * 2.0 / (1.0 + math.exp(-2.0 * u))
-            x = x0 + d
-            if x <= x0 or x >= x1:
-                return None
-        z = math.exp(-2.0 * abs(u))
-        sech2 = 4.0 * z / ((1.0 + z) * (1.0 + z))
-        evals += 1
-        return half * _PI_2 * math.cosh(t) * sech2 * f(x)
-
-    def sweep(h, stride, start):
-        # trapezoid contributions at t = k*h for k = start, start+stride, ...
-        vals = []
-        k = start
-        tiny_run = 0
-        while True:
-            c_pos = sample(k * h) if k > 0 or start == 0 else None
-            c_neg = sample(-k * h) if k > 0 else None
-            if k == 0:
-                if c_pos is not None:
-                    vals.append(c_pos)
-                k += stride
-                continue
-            if c_pos is None and c_neg is None:
-                break
-            mag = 0.0
-            if c_pos is not None:
-                vals.append(c_pos)
-                mag = max(mag, abs(c_pos))
-            if c_neg is not None:
-                vals.append(c_neg)
-                mag = max(mag, abs(c_neg))
-            if mag < trunc and k * h >= 3.0:
-                tiny_run += 1
-                if tiny_run >= 2:
-                    break
-            else:
-                tiny_run = 0
-            if k > 200000:
-                break
-            k += stride
-        return math.fsum(vals)
-
-    h = 1.0
-    total = h * sweep(h, 1, 0)
-    for level in range(1, _MAX_LEVEL + 1):
-        h *= 0.5
-        total_new = 0.5 * total + h * sweep(h, 2, 1)
-        err = abs(total_new - total)
-        total = total_new
-        if level >= 2 and err < tol:
-            return QuadResult(total, err, evals)
-    raise QuadratureError(
-        f"tanh-sinh did not reach tol={tol} after level {_MAX_LEVEL} on [{x0}, {x1}]"
-    )
-
-
-def xi_of_x(p: Potential, x: float, tol: float = 1e-12) -> float:
-    """Phase variable xi(x) = integral of sqrt(V) from a to x; xi(a) = 0."""
-    if not (p.a <= x <= p.b):
-        raise ValueError(f"x={x} outside [{p.a}, {p.b}]")
-    if x == p.a:
-        return 0.0
-    return integrate_sqrt_v(p, p.a, x, tol).value

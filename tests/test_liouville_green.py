@@ -61,6 +61,8 @@ def test_lg_data_exponential(v_exp):
     assert xis[0] == 0.0
     assert xis[-1] == pytest.approx(lg.d, abs=1e-8)
     assert all(abs(u) <= lg.c for _, u in lg.u_samples)
+    # U sampled through the compiled jet, bit for bit transformed_potential's
+    assert [u for _, u in lg.u_samples] == [transformed_potential(v_exp, x) for x, _ in lg.grid]
 
 
 def test_lg_data_grid_ends_are_the_interval_ends():

@@ -92,6 +92,10 @@ def test_negative_potential_fails_cleanly():
     p = Potential.from_formula("sin(x)", 0.0, 6.0)
     with pytest.raises(PhaseError, match="fell"):
         phase(p, 5.0)
+    # negative inside the sliver at a: the end ladder's quadrature screens V
+    q = Potential.from_formula("x-0.001", 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=1.0, gamma_b=0.0)
+    with pytest.raises(PhaseError, match="negative potential"):
+        phase(q, 50.0)
 
 
 # -- singular endpoint handling ----------------------------------------------

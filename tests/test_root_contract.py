@@ -35,6 +35,16 @@ def test_root_tol_contract_exact_potential(n):
     assert d * abs(rec.lambda_n - 2.0 * math.pi * n) <= TOL * n
 
 
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+def test_error_estimate_covers_the_rounding_floor(rtol):
+    # every cell of (1+x)^-4 is exact, so |fine - coarse| can read 0 while the
+    # sums of cell angles leave theta_b up to 6 ulp off n*pi at lambda_n = 2*pi*n
+    p = Potential.from_formula("(1+x)^(-4)", 0.0, 1.0)
+    for n in [*range(1, 1001, 7), 10, 37, 153, 306, 441, 882]:
+        res = phase(p, 2.0 * math.pi * n, rtol=rtol)
+        assert abs(res.theta_b - n * math.pi) <= res.error_estimate <= rtol * n, n
+
+
 def _bessel_root(gamma, n):
     # V = x^gamma on [0, 1]: u = sqrt(x) J_nu(2 lambda x^((gamma+2)/2) / (gamma+2)),
     # nu = 1/(gamma+2), so lambda_n = (gamma+2)/2 * j_(nu, n)

@@ -56,6 +56,14 @@ def test_bench_layers_writes_every_case(tmp_path):
         assert case["ns_per_lane_cell"] == 1e6 * case["ms"] / lane_cells > 0.0, name
     for source in ("2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"):
         assert cases[f"lg_data.{source}"]["ms"] > 0.0, source
+    # D: 16 equal segments, 30 nodes each, on the theorem class; the octaves
+    # of a quarter of [0, 1] at each singular end on the conjecture class
+    for source, evaluations in (("2+sin(x)", 480), ("exp(x)", 480)):
+        assert cases[f"d.{source}"]["evaluations"] == evaluations, source
+    for source in ("x", "(1-x)/x", "x/(1-x)"):
+        assert 480 < cases[f"d.{source}"]["evaluations"] < 2000, source
+    for source in ("2+sin(x)", "exp(x)", "x", "(1-x)/x", "x/(1-x)"):
+        assert cases[f"d.{source}"]["ms"] > 0.0, source
     # mesh builds with their batches: the conjecture class at three decades,
     # each in fewer batches than bisection level by level takes levels
     for name, cells, levels in (
@@ -89,8 +97,9 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
     assert cases["phase.2+sin(x).lam=10"]["cells"] == 48 and cases["src_lines"]["lines"] > 1000
     for name, case in cases.items():
         kind = name.split(".")[0]
-        paired = kind in ("phase", "lanes", "transfer", "lg_data", "build_mesh", "count")
+        paired = kind in ("phase", "lanes", "transfer", "lg_data", "d", "build_mesh", "count")
         assert ("against_ratio" in case) == paired, name
+        assert ("against_evaluations" in case) == (kind == "d"), name
         if paired:
             assert case["against_ms"] > 0.0 and case["against_ratio"] == case["ms"] / case["against_ms"], name
         # medians of alternating calls where the fastest run swings with the hour
