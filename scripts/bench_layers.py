@@ -9,8 +9,13 @@ the steadiest figure):
 * phase.<potential>.lam=L: the same on the conjecture class (x, sqrt(x),
   (1-x)/x on [0, 1]), L = 100, 470, 1900;
 * sliver.<potential>.lam=L: the end slivers of those calls alone
-  (``oscillation._ends``: the Bessel seeds, their halving checks and the
-  RK45 to the bulk's edges), with their RK45 steps and summed gaps;
+  (``oscillation._ends`` on one lane: the Bessel seeds, their halving
+  checks and the collocation cells to the bulk's edges), with their
+  cells (``rk_steps``, the phase's name for them) and summed gaps;
+* ends.<potential>.<k>: the end slivers of a round alone, one
+  ``oscillation._ends`` call for all lanes, 31 on x and sqrt(x)
+  (n = 70..100) and 6 on (1-x)/x (n = 95..100); PATH's slivers, with
+  --against, run lane by lane where its ``_ends`` takes one coupling;
 * lanes.<potential>.23: one batched round of 23 couplings
   (``oscillation._phases``) on 2+sin(x) and (1+x)^(-4), against 23
   one-lane ``phase`` calls at the same couplings, the two run alternately;
@@ -46,11 +51,11 @@ the steadiest figure):
 Counts that explain the times (mesh cells, cells swept, phase calls per
 root) go beside them.  With --against PATH, PATH's src/sturmjumps is
 imported too, as the package ``against``, and every phase.*, lanes.*,
-transfer.*, lg_data.*, d.*, build_mesh.* and count.* case runs on both trees
+ends.*, transfer.*, lg_data.*, d.*, build_mesh.* and count.* case runs on both trees
 in turn in this process, so that both see the same drift of the host; the
 case then also holds ``against_ms`` and ``against_ratio``, its ms over
 PATH's.  The fastest of a few runs swings with the hour, so the phase.*,
-build_mesh.* and count.* cases also hold ``median_ratio``: the median of
+ends.*, build_mesh.* and count.* cases also hold ``median_ratio``: the median of
 calls on this tree over the median on PATH's, the calls alternating
 between the trees and which goes first, 200 per tree at the default
 --repeat of 15 and in proportion to --repeat otherwise.
@@ -61,6 +66,7 @@ Usage: bench_layers.py --out BENCH_<n>.json [--against PATH] [--repeat N]
 import argparse
 import importlib
 import importlib.util
+import inspect
 import json
 import platform
 import sys
@@ -82,6 +88,8 @@ MESHES = [
 SINGULAR = MESHES[:3]
 # conjecture-class rounds: the couplings of the jump table's first round, lambda_n for its n
 ROUNDS = [(MESHES[0], 329.5, 470.8, 31), (MESHES[1], 274.7, 392.5, 31), (MESHES[2], 186.3, 200.3, 8)]
+# the slivers of such rounds alone
+ENDS = [(MESHES[0], 329.5, 470.8, 31), (MESHES[1], 274.7, 392.5, 31), (MESHES[2], 190.3, 200.3, 6)]
 # kernel blocks: a round's lanes on the first columns of its first sweep, coarse cells beside halves
 TRANSFER_BLOCKS = [(MESHES[0], 329.5, 470.8, 31), (("2+sin(x)",), 3.0, 41.0, 60)]
 LG_DATA = ["2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"]
@@ -191,6 +199,16 @@ def phase_case(trees, spec, lam, repeat):
     runs = [lambda tree=tree, q=q: tree.oscillation.phase(q, lam, rtol=1e-11) for tree, q in zip(trees, potentials)]
     ms, *others = fastest_ms(runs, repeat)
     return potentials[0], results[0], ms, others, runs
+
+
+def ends_runs(tree, q, lams, rtol=1e-11):
+    """A call of the tree's ``oscillation._ends`` on all of ``lams``, lane by lane where it takes one coupling."""
+    x_l, x_r = tree.propagator.bulk_interval(q)
+    args = (rtol, x_l, x_r, tree.propagator.bulk_mesh(q, rtol).length)
+    ends = tree.oscillation._ends
+    if "lams" in inspect.signature(ends).parameters:
+        return lambda: ends(q, lams, *args)
+    return lambda: [ends(q, lam, *args) for lam in lams]
 
 
 def build_mesh_case(trees, spec, decade, repeat, calls):
@@ -305,11 +323,16 @@ def main():
             q, res, ms, others, runs = phase_case(trees, spec, lam, repeat)
             case = {"ms": ms, "cells": res.cells, "rk_steps": res.steps}
             cases[f"phase.{spec[0]}.lam={lam:g}"] = with_against(case, ms, others, runs, calls)
-            x_l, x_r = ours.propagator.bulk_interval(q)
-            ends = (q, lam, 1e-11, x_l, x_r, ours.propagator.bulk_mesh(q, 1e-11).length)
-            _, _, steps, _, gap = ours.oscillation._ends(*ends)
-            ms = fastest_ms([lambda: ours.oscillation._ends(*ends)], repeat)[0]
-            cases[f"sliver.{spec[0]}.lam={lam:g}"] = {"ms": ms, "rk_steps": steps, "gap": gap}
+            run = ends_runs(ours, q, [lam])
+            _, _, steps, _, gap = run()[0]
+            cases[f"sliver.{spec[0]}.lam={lam:g}"] = {"ms": fastest_ms([run], repeat)[0], "rk_steps": steps, "gap": gap}
+    for spec, lo, hi, count in ENDS:
+        lams = np.linspace(lo, hi, count).tolist()
+        runs = [ends_runs(tree, tree.potential(*spec), lams) for tree in trees]
+        for run in runs:
+            run()  # each tree builds its ladders here
+        ms, *others = fastest_ms(runs, repeat)
+        cases[f"ends.{spec[0]}.{count}"] = with_against({"ms": ms}, ms, others, runs, calls)
 
     lams = np.geomspace(5.0, 40.0, 23).tolist()
     for source in ("2+sin(x)", "(1+x)^(-4)"):

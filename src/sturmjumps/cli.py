@@ -189,20 +189,22 @@ def _summary(line: str):
 
 
 def _cmd_count(args: argparse.Namespace, p: Potential) -> int:
+    # how the count was computed: the phase's error bar and counters, null from the matrix
+    payload = dict.fromkeys(("theta_b", "error_estimate", "cells", "rk_steps", "rk_rejected")) | {"lambda": args.lam}
     if args.method == "matrix":
-        n = count_matrix(p, args.lam, args.mesh)
-        payload = {"lambda": args.lam, "theta_b": None, "count": n}
-        _summary(f"N({args.lam}) = {n} (matrix inertia, mesh {args.mesh})")
+        payload["count"] = count_matrix(p, args.lam, args.mesh)
+        _summary(f"N({args.lam}) = {payload['count']} (matrix inertia, mesh {args.mesh})")
     else:
         res = phase(p, args.lam, rtol=args.rtol)
-        payload = {"lambda": args.lam, "theta_b": res.theta_b, "count": res.count}
+        payload.update(theta_b=res.theta_b, count=res.count, error_estimate=res.error_estimate, cells=res.cells,
+                       rk_steps=res.steps, rk_rejected=res.rejected_steps)
         _summary(f"N({args.lam}) = {res.count} (theta_b/pi = {res.theta_b / math.pi:.6f})")
     _emit_json(args, payload)
     return EXIT_OK
 
 
 def _diagnostics(records, tol: float) -> dict:
-    """How a set of roots was computed: phase calls, RK steps and rejections,
+    """How a set of roots was computed: phase calls, the slivers' cells and failed checks (rk_*),
     propagator cells, the worst residual and the worst residual plus error bar."""
     return {
         "phase_calls": sum(r.phase_calls for r in records),

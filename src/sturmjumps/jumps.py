@@ -41,12 +41,12 @@ bulk the propagator sweeps as lanes of one pass; ``find_jump`` is a chunk
 of one root.  No lane's phase depends on the lanes beside it, so a
 record, counters included, is the same whichever roots share its rounds.
 That estimate is the cell propagator's |fine - coarse|, plus on the
-conjecture class the gaps of the end slivers' Bessel-seed checks.
+conjecture class the end slivers' errors.
 Each record carries e_n = lambda_n * D / pi - n, the deviation of the
 jump from its leading prediction n*pi/D with D the full integral of
-sqrt(V), the phase calls, RK steps, rejected RK steps and propagator
-cells the root took, and the accepted call's error estimate as its
-error bar.
+sqrt(V), the phase calls, the slivers' collocation cells (``rk_steps``)
+and failed seed checks (``rk_rejected``), the propagator cells the root
+took, and the accepted call's error estimate as its error bar.
 """
 
 from __future__ import annotations

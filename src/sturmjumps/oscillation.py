@@ -33,53 +33,54 @@ potential and per decade of rtol, and every call also sweeps it with each
 cell halved.  The halved sweep is the answer and |fine - coarse| its
 ``error_estimate``, which stays within rtol * max(theta, pi): a call that
 misses refines a private copy of the mesh or raises PhaseError.
-``phase`` is the one-lane case of ``_phases``, which runs each lane's
-slivers and then sweeps every lane's bulk at once
+``phase`` is the one-lane case of ``_phases``, which runs every lane's
+slivers in stacked solves and then sweeps every lane's bulk at once
 (``propagator.propagate_lanes``); a lane's result does not depend on the
 lanes beside it.
 
 At a singular end (conjecture class, declared exponent not 0) U is
-unbounded, and RK45 (``_rk45``) covers the sliver between the end and the
-bulk on the Liouville-Green scale S = lambda sqrt(V), u = r sin(theta),
-u' = S r cos(theta),
-
-    theta' = lambda sqrt(V) + (V' / (4 V)) sin(2 theta),
-
-with -V' in t = -x from b.  At theta = k*pi the sine vanishes and
-theta' > 0, so an accepted step that crosses a multiple of pi downward is
-an integration failure and raises PhaseError (between multiples theta may
-dip; that is harmless).  Both slivers end on the scale lambda sqrt(V) at
-the bulk's end: the left one's angle is the propagator's entry angle (0
-at a regular end), the right one's is beta.  A singular end is never
+unbounded, and a sliver between the end and the bulk is carried in the
+distance t to the end, u'' = -lambda^2 V u, by 10-stage Gauss-Legendre
+collocation in Nyström form, the implicit Runge-Kutta method of order 20
+(Hairer & Wanner, Solving ODEs II, sec. IV.5).  Its angle is read on the
+scale S = lambda sqrt(V), u = r sin(theta), u' = S r cos(theta), at the
+bulk's end: the left one's is the propagator's entry angle (0 at a
+regular end), the right one's is beta.  A singular end is never
 evaluated.  Where V ~ c |x - end|**gamma, U ~ (1/4 - nu^2)/xi^2 with
 nu = 1/(2 + gamma), and the solution vanishing at the end is close to
 its Bessel reference sqrt(xi) J_nu(lambda xi) (Olver, Asymptotics and
-Special Functions, ch. 12).  Each sliver is seeded from that reference
-on a ladder of offsets that halve from the bulk's edge toward the end
-(``_ladder``, built once per potential), at the widest offset where
-lambda xi <= _Z0, and the seed is checked by halving: RK45 carries the
-seed of the next offset in up to it, and the gap must stay below
-_SEED_SHARE of rtol * max(lambda D_bulk, pi), D_bulk the bulk's length
-in xi, or the check moves deeper; a sliver that reaches the end's ulp
-unchecked raises PhaseError.  ``steps`` and ``rejected_steps`` count the
-slivers' RK45 steps, checks included, ``cells`` the propagator's;
-``error_estimate`` is the bulk's |fine - coarse| plus the slivers' gaps,
-and never below _ULP_FLOOR ulp(theta_b), the rounding of the sweep.
+Special Functions, ch. 12).  Each sliver is seeded from it on a ladder
+of offsets that halve from the bulk's edge toward the end (``_ladder``,
+its levels built as a sliver reaches them), at the widest offset where
+lambda xi <= _Z0, and the seed is checked by halving: collocation
+carries the next offset's seed across the octave between them, and the
+gap must stay below _SEED_SHARE of rtol * max(lambda D_bulk, pi),
+D_bulk the bulk's length in xi, or the check moves deeper; a sliver that
+reaches the end's ulp unchecked raises PhaseError.  The carry then
+crosses the octaves to the bulk's edge, each cut into 2**m pieces of
+lambda Delta xi <= _PIECE_Z, every piece carried whole and on its
+halves: the halves give the answer, and the pieces' |fine - coarse| on
+a sliver must sum below the same target, or PhaseError is raised.
+``steps`` counts the slivers' cells, ``rejected_steps`` their failed
+checks, ``cells`` the propagator's; ``error_estimate`` is the bulk's
+|fine - coarse| plus the slivers' errors (``_slivers``), and never below
+_ULP_FLOOR ulp(theta_b), the rounding of the sweep.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expr import EvalDomainError
 from .potential import Potential
-from .propagator import bulk_interval, bulk_mesh, propagate_lanes
-from .quadrature import QuadratureError, _graded_xi, _power_tail
+from .propagator import _S, bulk_interval, bulk_mesh, propagate_lanes
+from .quadrature import _GL_W, _GL_X, QuadratureError, _graded_xi, _power_tail
 
 __all__ = [
     "PhaseResult",
@@ -90,6 +91,7 @@ __all__ = [
 ]
 
 _PI = math.pi
+_TWO_PI = 2.0 * math.pi
 
 # count_negative's default at-jump guard: theta_b/pi closer than this to an integer is ambiguous
 JUMP_GUARD = 1e-7
@@ -103,11 +105,12 @@ _SERIES_TERMS = 14
 # share of rtol * max(lambda D_bulk, pi) that a sliver's halving check may leave
 _SEED_SHARE = 0.25
 
-# the check's RK45 runs at this share of rtol, so its own error stays well below the gap it reads
-_CHECK_RTOL = 0.25
+# a passing check's seed error over its gap: the gap itself where seeds improve by half a level, as on pure powers;
+# twice it covers rates up to 2/3, against 0.54 measured on (1-x)/x at b (error 1.15 gaps at lambda = 10, rtol 1e-12)
+_SEED_ERROR = 2.0
 
-# RK45 steps allowed on the end slivers of one phase call
-_MAX_STEPS = 10_000_000
+# largest lambda Delta xi of a collocation piece: an octave of x reads |fine - coarse| 2e-16 at 2, 6e-12 at 4, 1.6e-6 at 8
+_PIECE_Z = 2.0
 
 # the least error_estimate, in ulp(theta_b): the sweep's sums of cell angles round by up to 6 ulp on (1+x)^(-4)
 _ULP_FLOOR = 8.0
@@ -133,118 +136,113 @@ class PhaseResult:
     lam: float
     theta_b: float  # the matched angle: theta(b) itself unless the right end is singular
     count: int
-    steps: int  # RK45 steps on the end slivers (conjecture class; 0 for the theorem class)
-    rejected_steps: int
+    steps: int  # collocation cells on the end slivers (conjecture class; 0 for the theorem class)
+    rejected_steps: int  # the slivers' seed levels whose halving check failed
     cells: int = 0  # propagator cells swept, the mesh's and their halves (both classes)
-    error_estimate: float = 0.0  # |fine - coarse| on the propagator plus the slivers' seed gaps, floored
+    error_estimate: float = 0.0  # |fine - coarse| on the propagator plus the slivers' errors, floored
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) scalar integrator with PI step control and FSAL
+# the end slivers: Bessel seeds on a ladder of octaves, carried by collocation
 # ---------------------------------------------------------------------------
 
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+# 10-stage Gauss-Legendre collocation on [0, 1] in Nyström form: the nodes c,
+# A^2 with A = S/2 the collocation matrix, the rows b (1 - c) and b that sum a
+# cell's stages into u and h u', the stages' two starts (1, 0) and (0, 1/h)
+# negated, and what turns the sums into a transfer's rows
+_C = 0.5 * (_GL_X + 1.0)
+_A2 = (0.5 * _S) @ (0.5 * _S)
+_SUMS = np.stack([0.25 * _GL_W * (1.0 - _GL_X), 0.5 * _GL_W])
+_STARTS = -np.stack([np.ones_like(_C), _C], axis=1)
+_OFFSETS = np.array([1.0, 1.0, 0.0, 1.0])
+_EYE = np.eye(len(_C))
 
 
-def _rk45(f, x, y, x_end, rtol, atol, max_steps):
-    """Integrate dy/dx = f(x, y) from x to x_end; returns (y, steps, rejected)."""
-    span = x_end - x
-    k1 = f(x, y)
-
-    # automatic initial step: Euler probe of the derivative's variation;
-    # a too-large guess is simply rejected and halved on the first step
-    sc = atol + rtol * abs(y)
-    d1 = abs(k1) / sc
-    h0 = 1e-6 * span if d1 < 1e-5 else min(0.01 / d1, span)
-    f1 = f(x + h0, y + h0 * k1)
-    d2 = abs(f1 - k1) / (h0 * sc)
-    dm = max(d1, d2)
-    h = min((0.01 / dm) ** 0.2 if dm > 1e-15 else span, span)
-
-    steps = 0
-    rejected = 0
-    err_prev = 1.0
-    while x < x_end:
-        if steps >= max_steps:
-            raise PhaseError(f"phase integration exceeded {max_steps} steps at x={x}")
-        if x + h == x:
-            raise PhaseError(f"step size underflow at x={x}")
-        if x + h > x_end:
-            h = x_end - x
-        k2 = f(x + _C2 * h, y + h * (_A21 * k1))
-        k3 = f(x + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-        k4 = f(x + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(x + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = f(x + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = f(x + h, y_new)
-        err_abs = abs(h) * abs(
-            _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-        )
-        sc = atol + rtol * max(abs(y), abs(y_new))
-        err = err_abs / sc
-        if err <= 1.0:
-            # theta' > 0 at every multiple of pi: crossing one downward is a failure
-            if y_new < y - sc and math.floor(y_new / _PI) < math.floor(y / _PI):
-                raise PhaseError(f"phase crossed a multiple of pi downward at x={x}")
-            x += h
-            y = y_new
-            k1 = k7
-            steps += 1
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 1e-10 else 10.0
-            h *= min(10.0, max(0.2, fac))
-            err_prev = max(err, 1e-10)
-        else:
-            rejected += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
-    return y, steps, rejected
-
-
-# ---------------------------------------------------------------------------
-# the end slivers: Bessel seeds on a ladder of offsets, checked by halving
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Ladder:
     """A singular end's offsets x_k = end +/- w 2**-k, k = 0, 1, ..., and its Bessel reference there.
 
-    x_0 is the bulk's edge, so w is the sliver's width.  xi[k] is
-    int sqrt(V) from the end to x_k and q[k] = (V_t/(4V)) xi/sqrt(V) at
-    x_k, V_t the derivative in the distance t to the end; coef[m] =
-    1/(m! (nu+1)_m) with nu = 1/(2 + gamma).  None of it depends on lambda.
+    x_0 is the bulk's edge.  xi[k] is int sqrt(V) from the end to x_k,
+    sq[k] = sqrt(V(x_k)) and q[k] = (V_t/(4V)) xi/sqrt(V) at x_k, V_t the
+    derivative in the distance t to the end; coef[m] = 1/(m! (nu+1)_m)
+    with nu = 1/(2 + gamma).  Levels are built as a sliver reaches them
+    (``reach``), octave k's cells as a sliver first carries it
+    (``octave``); none of it depends on lambda.
     """
 
-    x: list
-    xi: list
-    q: list
+    p: Potential
+    end: str  # "a" or "b"
+    sign: float
+    anchor: float
+    x0: float
+    gamma: float
+    graded: list  # xi of the first levels, from quadrature._graded_xi
     nu: float
     coef: tuple
+    x: list = field(default_factory=list)
+    xi: list = field(default_factory=list)
+    sq: list = field(default_factory=list)
+    q: list = field(default_factory=list)
+    ended: bool = False
+    cells: dict = field(default_factory=dict)
 
     def seed(self, lam: float, k: int) -> float:
         """The angle at x_k, on the scale lam sqrt(V), of g = sqrt(xi) J_nu(lam xi) taken as the solution's (g, dg/dxi)."""
         z = lam * self.xi[k]
         return math.atan2(z, _log_derivative(z, self.nu, self.coef) - self.q[k])
+
+    def reach(self, k: int) -> bool:
+        """Whether level k exists, building the levels up to it first.
+
+        The ladder ends where the offset stops moving x, or it, V, V' or
+        xi leaves the normal range.  xi is the graded quadrature's where it
+        reaches, and the leading power with its first correction
+        (``quadrature._power_tail``) deeper.
+        """
+        while len(self.x) <= k and not self.ended:
+            n = len(self.x)
+            x = self.anchor + self.sign * math.ldexp(abs(self.x0 - self.anchor), -n) if n else self.x0
+            t = abs(x - self.anchor)
+            self.ended = True
+            if not t >= sys.float_info.min or (n and t == abs(self.x[-1] - self.anchor)):
+                break
+            try:
+                v, dv = self.p.value_d1_fn(x)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                break
+            if not (0.0 < v < math.inf and math.isfinite(dv)):
+                break
+            sq, beta = math.sqrt(v), self.sign * 0.25 * dv / v
+            xi = self.graded[n] if n < len(self.graded) else _power_tail(t, sq, beta, self.gamma)[0]
+            if not xi >= sys.float_info.min:  # xi falls with t, and may underflow first
+                break
+            self.ended = False
+            self.x.append(x)
+            self.xi.append(xi)
+            self.sq.append(sq)
+            self.q.append(beta * xi / sq)
+        return k < len(self.x)
+
+    def octave(self, k: int, m: int):
+        """(1, h, 1/h, 1) and h^2 V at the Gauss nodes of octave k's 2**m equal pieces in t, each followed by its two halves."""
+        key = (k, m)
+        if key not in self.cells:
+            x1, x0 = self.x[k + 1], self.x[k]
+            edges = x1 + (x0 - x1) * np.arange(2 * 2**m + 1) / (2 * 2**m)  # the pieces' halves' ends, from x_(k+1)
+            edges[-1] = x0
+            lo = np.stack([edges[:-2:2], edges[:-2:2], edges[1:-1:2]], axis=1).ravel()
+            hi = np.stack([edges[2::2], edges[1:-1:2], edges[2::2]], axis=1).ravel()
+            half = 0.5 * (hi - lo)  # signed: t grows from lo to hi
+            x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_X
+            with np.errstate(all="ignore"):
+                v = np.broadcast_to(self.p.value_fn_np(x), x.shape)  # a constant V comes back as a scalar
+            bad = ~(np.isfinite(v) & (v > 0.0))
+            if bad.any():
+                i = np.flatnonzero(bad)[0]
+                raise PhaseError(f"potential fell to V({float(x.flat[i])}) = {float(v.flat[i])}")
+            h = 2.0 * np.abs(half)
+            self.cells[key] = (np.stack([np.ones_like(h), h, 1.0 / h, np.ones_like(h)], axis=1), (h * h)[:, None] * v)
+        return self.cells[key]
 
 
 def _log_derivative(z: float, nu: float, coef) -> float:
@@ -263,116 +261,144 @@ def _log_derivative(z: float, nu: float, coef) -> float:
 
 
 def _ladder(p: Potential, end: str) -> _Ladder:
-    """The end's ladder, built once per potential and cached on it.
-
-    x_k runs from the bulk's edge toward the end until the offset stops
-    moving x, or it, V, V' or xi leaves the normal range.  xi comes from
-    ``quadrature._graded_xi``, the octave panels [t_(k+1), t_k] down to
-    its floor and the leading power with its first correction there,
-    and from that correction (``quadrature._power_tail``) at the deeper
-    levels.
-    """
+    """The end's ladder, made once per potential and cached on it, with its graded xi; its levels come on demand."""
     ladders = p.sliver_ladders
     if end in ladders:
         return ladders[end]
     x_l, x_r = bulk_interval(p)
     sign, anchor, gamma, x0 = (1.0, p.a, p.gamma_a, x_l) if end == "a" else (-1.0, p.b, p.gamma_b, x_r)
-    width = abs(x0 - anchor)
-    xs, ts, vs, betas = [], [], [], []
-    while True:
-        x = anchor + sign * math.ldexp(width, -len(xs)) if xs else x0
-        t = abs(x - anchor)
-        if not t >= sys.float_info.min or (ts and t == ts[-1]):
-            break
-        try:
-            v, dv = p.value_d1_fn(x)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            break
-        if not (0.0 < v < math.inf and math.isfinite(dv)):
-            break
-        xs.append(x)
-        ts.append(t)
-        vs.append(v)
-        betas.append(sign * 0.25 * dv / v)
-    t, sq, beta = np.array(ts), np.sqrt(vs), np.array(betas)
-    xi = _power_tail(t, sq, beta, gamma)[0]
-    graded = _graded_xi(p, end, x0)[0]
-    deep = min(len(graded), len(xi))
-    xi[:deep] = graded[:deep]
     nu = 1.0 / (2.0 + gamma)
     coef = [1.0]
     for m in range(1, _SERIES_TERMS):
         coef.append(coef[-1] / (m * (nu + m)))
-    levels = int(np.count_nonzero(xi >= sys.float_info.min))  # xi falls with t, and may underflow first
-    ladder = _Ladder(xs[:levels], xi[:levels].tolist(), (beta * xi / sq)[:levels].tolist(), nu, tuple(coef))
+    graded = _graded_xi(p, end, x0)[0].tolist()
+    ladder = _Ladder(p, end, sign, anchor, x0, gamma, graded, nu, tuple(coef))
     return ladders.setdefault(end, ladder)
 
 
-def _sliver(p, lam, rtol, end, target):
-    """Angle at the bulk's edge, on the scale lam sqrt(V), of the solution vanishing at ``end``.
+def _transfers(jobs) -> list:
+    """Each job's cell transfers: (ladder, lam, k) is the ladder's octave k at lam, cut by ``_pieces``.
 
-    The Bessel seed of the ladder's first level k with lam xi_k <= _Z0 is
-    checked by halving: RK45, at _CHECK_RTOL times rtol, carries the seed
-    of level k+1 to x_k, and the gap to level k's own seed must be below
-    ``target``.  Otherwise the check moves deeper, by one level or, once
-    two gaps fall by half a level or more, to the level where their rate
-    would meet the target.  RK45 then continues from x_k to the bulk's
-    edge, in t = x from a or t = -x from b, so the angle grows from 0 at
-    the end either way.  Returns (angle, steps, rejected, gap).
+    A cell of length h solves (I + lam^2 h^2 diag(V) A^2) G = -lam^2 h^2
+    V (u0 + h c u0') for the starts (u0, u0') = (1, 0) and (0, 1/h); then
+    u1 = u0 + h u0' + sum b (1 - c) G and h u1' = h u0' + sum b G give
+    its row (T11, T12, T21, T22).  All cells go in one stacked solve, and
+    each has the same bits in any stack.
     """
-    ladder = _ladder(p, end)
-    xs, xi = ladder.x, ladder.xi
-    fvd = p.value_d1_fn
-    sqrt, sin = math.sqrt, math.sin
-    sign = 1.0 if end == "a" else -1.0
-
-    def rhs(t, th):
-        x = sign * t
-        v, dv = fvd(x)
-        if not v > 0.0:
-            raise PhaseError(f"potential fell to V({x}) = {v}")
-        return lam * sqrt(v) + sign * 0.25 * dv / v * sin(2.0 * th)
-
-    k = next((k for k, s in enumerate(xi) if lam * s <= _Z0), len(xi))
-    check = _CHECK_RTOL * rtol
-    steps = rejected = 0
-    failed = []
-    while True:
-        if k + 1 >= len(xs):
-            raise PhaseError(f"no Bessel seed of the sliver holds above one ulp of the end near {end}")
-        theta, more, more_rejected = _rk45(rhs, sign * xs[k + 1], ladder.seed(lam, k + 1), sign * xs[k], check, check * _PI, _MAX_STEPS)
-        steps += more
-        rejected += more_rejected
-        gap = abs(theta - ladder.seed(lam, k))
-        if gap < target:
-            break
-        failed.append((k, gap))
-        deeper = 1
-        if len(failed) > 1 and target > 0.0:
-            (k1, g1), (k2, g2) = failed[-2:]
-            rate = (g2 / g1) ** (1.0 / (k2 - k1))
-            if rate <= 0.5:
-                deeper = max(math.ceil(math.log(target / g2) / math.log(rate)), 1)
-        k = min(k + deeper, len(xs) - 1)
-    if k > 0:
-        theta, more, more_rejected = _rk45(rhs, sign * xs[k], theta, sign * xs[0], rtol, rtol * _PI, _MAX_STEPS)
-        steps += more
-        rejected += more_rejected
-    return theta, steps, rejected, gap
+    parts = [ladder.octave(k, _pieces(ladder, lam, k)) for ladder, lam, k in jobs]
+    w = np.repeat([lam * lam for _, lam, _ in jobs], [len(part[0]) for part in parts])[:, None]
+    w = (w * np.concatenate([part[1] for part in parts]))[:, :, None]
+    g = np.linalg.solve(_EYE + w * _A2, w * _STARTS)
+    rows = (((_SUMS @ g).reshape(-1, 4) + _OFFSETS) * np.concatenate([part[0] for part in parts])).tolist()
+    return [rows[i - len(part[0]) : i] for part, i in zip(parts, itertools.accumulate(len(part[0]) for part in parts))]
 
 
-def _ends(p, lam, rtol, x_l, x_r, length):
+def _pieces(ladder: _Ladder, lam: float, k: int) -> int:
+    """The least m that cuts octave k into 2**m pieces of lam Delta xi <= _PIECE_Z."""
+    z, m = lam * (ladder.xi[k] - ladder.xi[k + 1]), 0
+    while z > _PIECE_Z:
+        z *= 0.5
+        m += 1
+    return m
+
+
+def _carry(cells, u, du):
+    """(u, u') carried across an octave's pieces on their halves, the answer, and from the same start on the whole pieces."""
+    uc, dc = u, du
+    for i in range(0, len(cells), 3):
+        (w11, w12, w21, w22), (a11, a12, a21, a22), (b11, b12, b21, b22) = cells[i : i + 3]
+        uc, dc = w11 * uc + w12 * dc, w21 * uc + w22 * dc
+        u, du = a11 * u + a12 * du, a21 * u + a22 * du
+        u, du = b11 * u + b12 * du, b21 * u + b22 * du
+    return u, du, uc, dc
+
+
+def _branch(phi: float, near: float) -> float:
+    """The angle phi + 2 pi j nearest ``near``."""
+    return phi + _TWO_PI * round((near - phi) / _TWO_PI)
+
+
+def _slivers(tasks) -> list:
+    """Each task's angle at the bulk's edge, on the scale lam sqrt(V), of the solution vanishing at its end.
+
+    A task is (ladder, lam, target).  No cell's transfer depends on the
+    angle carried into it, so a round's octaves, checks and continuations
+    alike, go into one stacked solve for all tasks.  The check starts at
+    the first level k with lam xi_k <= _Z0 and moves deeper, by one level
+    or, once two gaps fall by half a level or more, to where their rate
+    would meet the target.  The angle is read at each octave's end on the
+    branch nearest its advance lam Delta xi, from which it strays by at
+    most |ln V(t_k)/V(t_(k+1))|/4.  Returns one (angle, cells, rejected,
+    error) per task, error being _SEED_ERROR times the seed gap plus the
+    pieces' |fine - coarse|.
+    """
+    ks = [next(k for k in itertools.count() if not (ladder.reach(k) and lam * ladder.xi[k] > _Z0)) for ladder, lam, _ in tasks]
+    cells = [[] for _ in tasks]  # each task's octaves 0, 1, ... so far: their pieces' transfers
+    failed = [[] for _ in tasks]
+    checked = [None] * len(tasks)  # the passing check's seed angle at level k+1 and its gap
+    pending = range(len(tasks))
+    while pending:
+        jobs = []
+        for i in pending:
+            ladder = tasks[i][0]
+            if not ladder.reach(ks[i] + 1):
+                raise PhaseError(f"no Bessel seed of the sliver holds above one ulp of the end near {ladder.end}")
+            jobs += [(i, k) for k in range(len(cells[i]), ks[i] + 1)]
+        for (i, _), octave in zip(jobs, _transfers([(*tasks[i][:2], k) for i, k in jobs])):
+            cells[i].append(octave)
+        still = []
+        for i in pending:
+            (ladder, lam, target), k = tasks[i], ks[i]
+            xi, sq = ladder.xi, ladder.sq
+            theta = ladder.seed(lam, k + 1)
+            u, du, _, _ = _carry(cells[i][k], math.sin(theta), lam * sq[k + 1] * math.cos(theta))
+            gap = abs(_branch(math.atan2(lam * sq[k] * u, du), theta + lam * (xi[k] - xi[k + 1])) - ladder.seed(lam, k))
+            if gap < target:
+                checked[i] = (theta, gap)
+                continue
+            failed[i].append((k, gap))
+            deeper = 1
+            if len(failed[i]) > 1 and target > 0.0:
+                (k1, g1), (k2, g2) = failed[i][-2:]
+                rate = (g2 / g1) ** (1.0 / (k2 - k1))
+                if rate <= 0.5:
+                    deeper = max(math.ceil(math.log(target / g2) / math.log(rate)), 1)
+            ladder.reach(k + deeper)
+            ks[i] = min(k + deeper, len(ladder.x) - 1)
+            still.append(i)
+        pending = still
+    out = []
+    for (ladder, lam, target), k, octaves, (theta, gap), rejected in zip(tasks, ks, cells, checked, failed):
+        xi, sq = ladder.xi, ladder.sq
+        u, du = math.sin(theta), lam * sq[k + 1] * math.cos(theta)
+        miss = 0.0
+        for j in range(k, -1, -1):
+            u, du, uc, dc = _carry(octaves[j], u, du)
+            s = lam * sq[j]
+            theta = _branch(math.atan2(s * u, du), theta + lam * (xi[j] - xi[j + 1]))
+            miss += abs(_branch(math.atan2(s * uc, dc), theta) - theta)
+        if miss > target:
+            raise PhaseError(f"the sliver's collocation cells near {ladder.end} miss rtol at lambda={lam!r}")
+        out.append((theta, sum(len(octave) for octave in octaves), len(rejected), _SEED_ERROR * gap + miss))
+    return out
+
+
+def _ends(p, lams, rtol, x_l, x_r, length):
     """The slivers' angles: at x_l from a, and beta at x_r shot back from b, each 0 where the bulk reaches the end.
 
     Both are on the scale lam sqrt(V) at the bulk's end, and each
     sliver's check must meet _SEED_SHARE of rtol * max(lam * length, pi),
-    ``length`` the bulk's xi-length.  Returns (theta_l, beta, steps,
-    rejected, gap), with the slivers' RK45 counts and their gaps summed.
+    ``length`` the bulk's xi-length; both ends' slivers go through one
+    ``_slivers`` call.  Returns one (theta_l, beta, cells, rejected, gap)
+    per lane, with the slivers' counts and gaps summed.
     """
-    target = _SEED_SHARE * rtol * max(lam * length, _PI)
-    theta_l, steps, rejected, gap = _sliver(p, lam, rtol, "a", target) if x_l > p.a else (0.0, 0, 0, 0.0)
-    beta, more, more_rejected, more_gap = _sliver(p, lam, rtol, "b", target) if x_r < p.b else (0.0, 0, 0, 0.0)
-    return theta_l, beta, steps + more, rejected + more_rejected, gap + more_gap
+    targets = [_SEED_SHARE * rtol * max(lam * length, _PI) for lam in lams]
+    ends = [end for end, cut in (("a", x_l > p.a), ("b", x_r < p.b)) if cut]
+    slivers = _slivers([(_ladder(p, end), lam, target) for end in ends for lam, target in zip(lams, targets)])
+    none = [(0.0, 0, 0, 0.0)] * len(lams)
+    left = slivers[: len(lams)] if x_l > p.a else none
+    right = slivers[-len(lams) :] if x_r < p.b else none
+    return [(a[0], b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]) for a, b in zip(left, right)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +425,9 @@ def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
 def _phases(p: Potential, lams, rtol: float) -> list[PhaseResult]:
     """``phase`` at every lambda of ``lams``; each result is the same in any batch.
 
-    Each lane's end slivers run one lane at a time; the propagator then
-    takes every lane's bulk at once (``propagate_lanes``).
+    Every lane's end slivers go through stacked collocation solves
+    (``_ends``); the propagator then takes every lane's bulk at once
+    (``propagate_lanes``).
     """
     if min(lams) <= 0.0:
         raise ValueError("lambda must be positive")
@@ -408,8 +435,10 @@ def _phases(p: Potential, lams, rtol: float) -> list[PhaseResult]:
         raise ValueError("rtol must be positive")
     x_l, x_r = bulk_interval(p)
     with _phase_errors():
-        length = bulk_mesh(p, rtol).length if (x_l, x_r) != (p.a, p.b) else 0.0
-        ends = [_ends(p, lam, rtol, x_l, x_r, length) for lam in lams]
+        if (x_l, x_r) == (p.a, p.b):  # no singular end, no sliver
+            ends = [(0.0, 0.0, 0, 0, 0.0)] * len(lams)
+        else:
+            ends = _ends(p, lams, rtol, x_l, x_r, bulk_mesh(p, rtol).length)
         bulk = propagate_lanes(p, lams, rtol, [end[0] for end in ends])
     return [
         _result(lam, rtol, theta + beta, steps, rejected, cells, estimate + gap)

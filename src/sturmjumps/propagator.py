@@ -7,7 +7,7 @@ liouville_green (``u_from_jet``).  The propagator covers
 class, and [a, b] less a sliver at each
 singular end for the conjecture class, where U is unbounded (the
 slivers are left to ``oscillation``: a Bessel seed near each end, then
-RK45 toward the bulk).  A mesh splits that
+collocation toward the bulk).  A mesh splits that
 interval, of length D in xi, into cells, each stored as six numbers: its
 length h, the mean Ubar of U over it and U's Legendre P1 .. P4
 coefficients c1 .. c4 in xi.  Over a cell
@@ -145,7 +145,7 @@ _BLOCK = 4096  # lane-cells per block of a round's sweep: bounds the sweep's arr
 # (67 to 140 cells); at 5 the worst case is 1.08x (a round of 5 on (1-x)/x),
 # at 6 1.18x (5 lanes one at a time on 2+sin(x) or x at 1e-10)
 _MIN_LANES = 5
-_SLIVER = 2.0**-8  # share of the phase left to RK45 at each singular conjecture-class end
+_SLIVER = 2.0**-8  # share of the phase left to the slivers at each singular conjecture-class end
 _SMALL_X = 0.05  # below this |x| the eta functions come from their series
 _SECOND_ORDER_X = (16.0, 25.0)  # second-order terms in full below |x| = 16, tapered off by 25
 # the monomials c1^2, c1 c2, c2^2, c1 c3, c2 c3, c3^2 as products c_i c_j

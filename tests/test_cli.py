@@ -32,6 +32,9 @@ def test_count_constant_potential(tmp_path):
     assert payload["theta_b"] == pytest.approx(2.5 * math.pi, rel=1e-10)
     assert payload["config"]["lambda"] == 2.5
     assert set(payload["config"]) == {"subcommand"} | _COMMON | {"lambda", "method", "rtol"}
+    # how it was computed: the propagator's cells and error bar, no sliver on the theorem class
+    assert payload["cells"] > 0 and payload["rk_steps"] == payload["rk_rejected"] == 0
+    assert 0.0 < payload["error_estimate"] <= 1e-10 * payload["theta_b"]
 
 
 def test_count_matrix_method(tmp_path):
@@ -47,6 +50,29 @@ def test_count_matrix_method(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["count"] == 2
     assert set(payload["config"]) == {"subcommand"} | _COMMON | {"lambda", "method", "mesh"}
+    for key in ("theta_b", "error_estimate", "cells", "rk_steps", "rk_rejected"):
+        assert payload[key] is None, key
+
+
+def test_count_json_says_how_it_was_computed(tmp_path):
+    # a conjecture-class count carries the slivers' collocation cells and the
+    # error bar beside the propagator's cells; a rerun is byte-identical
+    out = tmp_path / "count.json"
+    argv = ["count", "--potential", "(1-x)/x", "--a", "0", "--b", "1", "--class", "conjecture",
+            "--gamma-a", "-1", "--gamma-b", "1", "--lambda", "470", "--rtol", "1e-11", "--out", str(out)]
+    texts = []
+    for _ in range(2):
+        assert run(argv) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    payload = json.loads(texts[0])
+    res = sturmjumps.phase(
+        sturmjumps.Potential.from_formula("(1-x)/x", 0.0, 1.0, regularity="conjecture", gamma_a=-1.0, gamma_b=1.0),
+        470.0, rtol=1e-11,
+    )
+    assert payload["count"] == res.count and payload["theta_b"] == res.theta_b
+    assert (payload["cells"], payload["rk_steps"], payload["rk_rejected"]) == (res.cells, res.steps, res.rejected_steps)
+    assert payload["error_estimate"] == res.error_estimate > 0.0 and payload["rk_steps"] > 0
 
 
 def test_jumps_csv_schema_and_determinism(tmp_path):

@@ -198,14 +198,15 @@ def test_phase_error_in_one_lane_propagates(v_linear, monkeypatch):
     import sturmjumps.oscillation as oscillation
     from sturmjumps.oscillation import PhaseError
 
-    sliver = oscillation._sliver
+    slivers = oscillation._slivers
 
-    def failing(p, lam, *args):
+    def failing(tasks):
+        lam = max(task[1] for task in tasks)
         if lam > 336.5:
             raise PhaseError(f"sliver failed at lambda={lam!r}")
-        return sliver(p, lam, *args)
+        return slivers(tasks)
 
-    monkeypatch.setattr(oscillation, "_sliver", failing)
+    monkeypatch.setattr(oscillation, "_slivers", failing)
     assert find_jump(v_linear, 70).lambda_n < 336.5
     with pytest.raises(PhaseError):
         find_jump(v_linear, 75)

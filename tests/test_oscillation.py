@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 import sturmjumps.oscillation as oscillation
@@ -116,6 +117,7 @@ def test_start_point_offset_scale(v_linear):
     # and q = (V'/(4V)) xi/sqrt(V) = 1/6 at every level; at lambda = 100 the
     # bulk's edge itself is seeded, lambda xi_0 <= _Z0, at 1900 a deeper level
     ladder = oscillation._ladder(v_linear, "a")
+    ladder.reach(math.inf)  # every level: a sliver builds them as it reaches them
     x_l, _ = bulk_interval(v_linear)
     assert ladder.x[0] == x_l and ladder.x[5] == x_l / 32.0
     assert ladder.nu == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -138,6 +140,7 @@ def test_seed_ladder_matches_quadrature(source, gamma_a, gamma_b):
         if gamma == 0.0:
             continue
         ladder = oscillation._ladder(p, end)
+        ladder.reach(math.inf)
         anchor = mpmath.mpf(0 if end == "a" else 1)
         with mpmath.workdps(30):
             for k in range(0, len(ladder.x), 7):
@@ -227,9 +230,10 @@ def test_sliver_angle_matches_closed_form(fixture, lam, request):
     rtol = 1e-11
     x_l, _ = bulk_interval(p)
     target = oscillation._SEED_SHARE * rtol * max(lam * bulk_mesh(p, rtol).length, math.pi)
-    theta, steps, _, gap = oscillation._sliver(p, lam, rtol, "a", target)
+    theta, steps, _, gap = oscillation._slivers([(oscillation._ladder(p, "a"), lam, target)])[0]
     assert abs(theta - _closed_form_angle(p.gamma_a, lam, x_l)) <= rtol * math.pi
-    assert 0.0 < gap < target and 0 < steps <= 100
+    # 3 collocation cells (one octave and its halves) at lambda = 100 and 470, 9 and 12 at 1900
+    assert 0.0 < gap < target and 0 < steps <= 15
 
 
 def test_sliver_whose_check_never_passes_raises(v_linear, monkeypatch):
@@ -243,7 +247,7 @@ def test_sliver_whose_check_never_passes_raises(v_linear, monkeypatch):
 def test_error_estimate_adds_the_slivers_gaps(v_rational):
     lam, rtol = 200.0, 1e-11
     x_l, x_r = bulk_interval(v_rational)
-    theta_l, _, steps, _, gap = oscillation._ends(v_rational, lam, rtol, x_l, x_r, bulk_mesh(v_rational, rtol).length)
+    theta_l, _, steps, _, gap = oscillation._ends(v_rational, [lam], rtol, x_l, x_r, bulk_mesh(v_rational, rtol).length)[0]
     ((_, _, estimate),) = propagate_lanes(v_rational, [lam], rtol, [theta_l])
     res = phase(v_rational, lam, rtol)
     assert gap > 0.0 and res.error_estimate == estimate + gap and res.steps == steps
@@ -255,10 +259,105 @@ def test_error_estimate_adds_the_slivers_gaps(v_rational):
      ("(1-x)/x", -1.0, 1.0, 100.0, 281), ("(1-x)/x", -1.0, 1.0, 470.0, 393), ("(1-x)/x", -1.0, 1.0, 1900.0, 587)],
 )
 def test_sliver_steps_at_rtol_1e_11(source, gamma_a, gamma_b, lam, most):
+    # the bounds of the Bessel-seeded RK45, which the collocation cells stay
+    # within (their counts are pinned in test_sliver_cells_at_rtol_1e_11);
     # the RK45 seeded u ~ |x - end| took 94-122 steps on x and sqrt(x) and
     # 282/394/588 on (1-x)/x at lambda = 100/470/1900
     p = Potential.from_formula(source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b)
     assert 0 < phase(p, lam, rtol=1e-11).steps <= most
+
+
+@pytest.mark.parametrize(
+    "source,gamma_a,gamma_b,lam,most",
+    [("x", 1.0, 0.0, 100.0, 4), ("x", 1.0, 0.0, 470.0, 4), ("x", 1.0, 0.0, 1900.0, 12),
+     ("sqrt(x)", 0.5, 0.0, 100.0, 4), ("sqrt(x)", 0.5, 0.0, 470.0, 4), ("sqrt(x)", 0.5, 0.0, 1900.0, 15),
+     ("(1-x)/x", -1.0, 1.0, 100.0, 27), ("(1-x)/x", -1.0, 1.0, 470.0, 39), ("(1-x)/x", -1.0, 1.0, 1900.0, 80)],
+)
+def test_sliver_cells_at_rtol_1e_11(source, gamma_a, gamma_b, lam, most):
+    # the collocation cells measured: 3/3/9 on x, 3/3/12 on sqrt(x) and
+    # 21/30/63 on (1-x)/x at lambda = 100/470/1900, where RK45 took 23/23/65,
+    # 16/14/70 and 131/209/403 steps; on (1-x)/x each end's first check fails
+    p = Potential.from_formula(source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b)
+    res = phase(p, lam, rtol=1e-11)
+    assert 0 < res.steps <= most
+    assert res.rejected_steps == (2 if source == "(1-x)/x" else 0)
+
+
+def _eager_ladder(p, end):
+    """x, xi and q at every level of the end's ladder, built at once as before levels came on demand."""
+    import sys
+
+    from sturmjumps.quadrature import _graded_xi, _power_tail
+
+    x_l, x_r = bulk_interval(p)
+    sign, anchor, gamma, x0 = (1.0, p.a, p.gamma_a, x_l) if end == "a" else (-1.0, p.b, p.gamma_b, x_r)
+    width = abs(x0 - anchor)
+    xs, ts, vs, betas = [], [], [], []
+    while True:
+        x = anchor + sign * math.ldexp(width, -len(xs)) if xs else x0
+        t = abs(x - anchor)
+        if not t >= sys.float_info.min or (ts and t == ts[-1]):
+            break
+        try:
+            v, dv = p.value_d1_fn(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            break
+        if not (0.0 < v < math.inf and math.isfinite(dv)):
+            break
+        xs.append(x)
+        ts.append(t)
+        vs.append(v)
+        betas.append(sign * 0.25 * dv / v)
+    t, sq, beta = np.array(ts), np.sqrt(vs), np.array(betas)
+    xi = _power_tail(t, sq, beta, gamma)[0]
+    graded = _graded_xi(p, end, x0)[0]
+    deep = min(len(graded), len(xi))
+    xi[:deep] = graded[:deep]
+    levels = int(np.count_nonzero(xi >= sys.float_info.min))
+    return xs[:levels], xi[:levels].tolist(), (beta * xi / sq)[:levels].tolist()
+
+
+@pytest.mark.parametrize(
+    "source,gamma_a,gamma_b",
+    [("x", 1.0, 0.0), ("sqrt(x)", 0.5, 0.0), ("(1-x)/x", -1.0, 1.0), ("x/(1-x)", 1.0, -1.0), ("x^(-0.5)", -0.5, 0.0), ("x^2", 2.0, 0.0)],
+)
+def test_ladder_levels_on_demand_match_the_eager_build(source, gamma_a, gamma_b):
+    # a phase builds only the levels its checks reach; reached to the end,
+    # the ladder holds the levels of the former eager build, bit for bit
+    p = Potential.from_formula(source, 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=gamma_a, gamma_b=gamma_b)
+    phase(p, 470.0, rtol=1e-11)
+    for end, gamma in (("a", gamma_a), ("b", gamma_b)):
+        if gamma == 0.0:
+            continue
+        ladder = oscillation._ladder(p, end)
+        assert 2 <= len(ladder.x) <= 20 and not ladder.ended, end
+        assert not ladder.reach(math.inf) and ladder.ended
+        xs, xi, q = _eager_ladder(p, end)
+        assert (ladder.x, ladder.xi, ladder.q) == (xs, xi, q), end
+        assert len(xs) > (400 if end == "a" else 30), end  # down to the normal range at 0, or to the ulp at 1
+
+
+def test_octaves_are_cut_by_lambda():
+    # on x at lambda = 4700 (n ~ 1000) the top octave spans lambda Delta xi ~ 7.9:
+    # it is carried on 4 pieces and their halves, every piece within _PIECE_Z
+    p = Potential.from_formula("x", 0.0, 1.0, regularity=Regularity.CONJECTURE, gamma_a=1.0, gamma_b=0.0)
+    lam = 4700.0
+    res = phase(p, lam, rtol=1e-11)
+    ladder = oscillation._ladder(p, "a")
+    assert 7.0 < lam * (ladder.xi[0] - ladder.xi[1]) <= 4 * oscillation._PIECE_Z
+    assert oscillation._pieces(ladder, lam, 0) == 2 and (0, 2) in ladder.cells
+    assert res.steps == 3 * sum(2**m for _, m in ladder.cells)
+    for k, m in ladder.cells:
+        assert lam * (ladder.xi[k] - ladder.xi[k + 1]) / 2**m <= oscillation._PIECE_Z
+
+
+def test_sliver_whose_cells_miss_raises(v_linear, monkeypatch):
+    # octaves carried whole at lambda = 4700, some 8 radians a cell: the
+    # halves disagree with the whole far beyond the target, which raises
+    # instead of returning a best guess
+    monkeypatch.setattr(oscillation, "_PIECE_Z", math.inf)
+    with pytest.raises(PhaseError, match="collocation cells near a miss rtol"):
+        phase(v_linear, 4700.0, rtol=1e-11)
 
 
 def test_vanishing_mirror_runs_to_lambda_2000(v_rational):

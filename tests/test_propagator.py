@@ -666,13 +666,13 @@ def test_one_round_of_200_lanes_stays_small():
 
 def test_one_round_of_100_lanes_on_a_long_mesh_stays_small():
     # the blocks bound the memory whatever the mesh: the bulk of 100
-    # couplings on (1-x)/x, 420 swept cells (the slivers, untraced, run
-    # lane by lane either way)
+    # couplings on (1-x)/x, 420 swept cells (the slivers run untraced,
+    # before the round)
     p = _conjecture("(1-x)/x", -1.0, 1.0)
     lams = np.geomspace(50.0, 2000.0, 100).tolist()
     x_l, x_r = propagator.bulk_interval(p)
     length = propagator.bulk_mesh(p, 1e-11).length
-    thetas_l = [oscillation._ends(p, lam, 1e-11, x_l, x_r, length)[0] for lam in lams]
+    thetas_l = [end[0] for end in oscillation._ends(p, lams, 1e-11, x_l, x_r, length)]
     assert 3 * p.cell_meshes[-11].cells == 420
     assert _peak(lambda: propagator.propagate_lanes(p, lams, 1e-11, thetas_l)) <= 1_900_000
 

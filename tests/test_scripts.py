@@ -31,8 +31,8 @@ def test_bench_layers_writes_every_case(tmp_path):
     for name in ("lanes.2+sin(x).23", "build_mesh.(1-x)/x", "build_mesh.2+sin(x)", "jump_sequence.2+sin(x).1-500"):
         assert cases[name]["ms"] > 0.0, name
     assert cases["build_mesh.2+sin(x)"]["cells"] == 16
-    # the conjecture class at rtol 1e-11: the bulk mesh and its halves, and RK45 on the slivers,
-    # which are also timed alone, with the same steps and a gap from their checks
+    # the conjecture class at rtol 1e-11: the bulk mesh and its halves, and collocation cells on the
+    # slivers, which are also timed alone, with the same cells and a gap from their checks
     for source, cells in (("x", 174), ("sqrt(x)", 165), ("(1-x)/x", 420)):
         for lam in (100, 470, 1900):
             case = cases[f"phase.{source}.lam={lam}"]
@@ -40,6 +40,8 @@ def test_bench_layers_writes_every_case(tmp_path):
             sliver = cases[f"sliver.{source}.lam={lam}"]
             assert sliver["rk_steps"] == case["rk_steps"] and sliver["gap"] > 0.0, (source, lam)
             assert sliver["ms"] > 0.0, (source, lam)
+    for name in ("x.31", "sqrt(x).31", "(1-x)/x.6"):
+        assert cases[f"ends.{name}"]["ms"] > 0.0, name
     for name in ("2+sin(x).23", "(1+x)^(-4).23", "x.31", "sqrt(x).31", "(1-x)/x.8"):
         case = cases[f"lanes.{name}"]
         assert case["one_lane_ms"] > 0.0 and case["ratio"] == case["ms"] / case["one_lane_ms"], name
@@ -97,13 +99,13 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
     assert cases["phase.2+sin(x).lam=10"]["cells"] == 48 and cases["src_lines"]["lines"] > 1000
     for name, case in cases.items():
         kind = name.split(".")[0]
-        paired = kind in ("phase", "lanes", "transfer", "lg_data", "d", "build_mesh", "count")
+        paired = kind in ("phase", "lanes", "ends", "transfer", "lg_data", "d", "build_mesh", "count")
         assert ("against_ratio" in case) == paired, name
         assert ("against_evaluations" in case) == (kind == "d"), name
         if paired:
             assert case["against_ms"] > 0.0 and case["against_ratio"] == case["ms"] / case["against_ms"], name
         # medians of alternating calls where the fastest run swings with the hour
-        assert ("median_ratio" in case) == (kind in ("phase", "build_mesh", "count")), name
+        assert ("median_ratio" in case) == (kind in ("phase", "ends", "build_mesh", "count")), name
         if "median_ratio" in case:
             assert case["against_median_ms"] > 0.0, name
             assert case["median_ratio"] == case["median_ms"] / case["against_median_ms"], name
