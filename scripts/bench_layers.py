@@ -46,16 +46,22 @@ the steadiest figure):
   rtol 1e-12 with the mesh built, criterion 8's check beside each root
   (2+sin(x) at L = 10 and 30, x at L = 400), with the cells it sweeps;
 * jump_sequence.2+sin(x).1-500: criterion 4's table on one worker;
+* cli.parse.<sub>: ``cli.build_parser(argv).parse_args(argv)`` on every
+  argv of one subcommand that the benchmark's jump workloads pass (jumps:
+  the four tables of jumps-smooth and jumps-singular; verify: the
+  conjecture suite) and on one count argv, ms for the whole list, its
+  length as ``argvs``; PATH's ``build_parser``, with --against, may take
+  no argv and build every subcommand;
 * src_lines: the lines of the Python files under src/.
 
 Counts that explain the times (mesh cells, cells swept, phase calls per
 root) go beside them.  With --against PATH, PATH's src/sturmjumps is
 imported too, as the package ``against``, and every phase.*, lanes.*,
-ends.*, transfer.*, lg_data.*, d.*, build_mesh.* and count.* case runs on both trees
+ends.*, transfer.*, lg_data.*, d.*, build_mesh.*, count.* and cli.* case runs on both trees
 in turn in this process, so that both see the same drift of the host; the
 case then also holds ``against_ms`` and ``against_ratio``, its ms over
 PATH's.  The fastest of a few runs swings with the hour, so the phase.*,
-ends.*, build_mesh.* and count.* cases also hold ``median_ratio``: the median of
+ends.*, build_mesh.*, count.* and cli.* cases also hold ``median_ratio``: the median of
 calls on this tree over the median on PATH's, the calls alternating
 between the trees and which goes first, 200 per tree at the default
 --repeat of 15 and in proportion to --repeat otherwise.
@@ -97,13 +103,29 @@ LG_DATA = ["2+sin(x)", "1.2+sin(3*x)", "exp(x)", "(1+x)^(-4)"]
 D_CASES = [("2+sin(x)",), ("exp(x)",), MESHES[0], MESHES[2], ("x/(1-x)", 1.0, -1.0)]
 # one-lane counts at rtol 1e-12 on built meshes, as criterion 8 checks the roots of a jump table
 COUNTS = [(("2+sin(x)",), 10.0), (("2+sin(x)",), 30.0), (MESHES[0], 400.0)]
+# the argvs the benchmark's jump workloads pass to the CLI, by subcommand, and one count
+PARSE_ARGVS = {
+    "jumps": [
+        ["jumps", "--potential", "2+sin(x)", "--a", "0.0", "--b", "3.0", "--n-min", "1", "--n-max", "60", "--threads", "1"],
+        ["jumps", "--potential", "(1+x)^(-4)", "--a", "0.0", "--b", "1.0", "--n-min", "1", "--n-max", "80", "--threads", "1"],
+        ["jumps", "--potential", "x", "--a", "0", "--b", "1", "--class", "conjecture", "--gamma-a", "1.0",
+         "--gamma-b", "0.0", "--n-min", "70", "--n-max", "100", "--threads", "1"],
+        ["jumps", "--potential", "sqrt(x)", "--a", "0", "--b", "1", "--class", "conjecture", "--gamma-a", "0.5",
+         "--gamma-b", "0.0", "--n-min", "70", "--n-max", "100", "--threads", "1"],
+    ],
+    "verify": [
+        ["verify", "--suite", "conjecture", "--potential", "(1-x)/x", "--a", "0", "--b", "1", "--class", "conjecture",
+         "--gamma-a", "-1.0", "--gamma-b", "1.0", "--n-min", "95", "--n-max", "100", "--threads", "1"],
+    ],
+    "count": [["count", "--potential", "2+sin(x)", "--a", "0", "--b", "3", "--lambda", "10", "--rtol", "1e-12"]],
+}
 
 
 class Tree:
     """The modules of one checkout's package, imported as ``package``."""
 
     def __init__(self, package):
-        for name in ("oscillation", "propagator", "jumps", "liouville_green", "quadrature"):
+        for name in ("oscillation", "propagator", "jumps", "liouville_green", "quadrature", "cli"):
             setattr(self, name, importlib.import_module(f"{package}.{name}"))
         self.potential_module = importlib.import_module(f"{package}.potential")
 
@@ -209,6 +231,18 @@ def ends_runs(tree, q, lams, rtol=1e-11):
     if "lams" in inspect.signature(ends).parameters:
         return lambda: ends(q, lams, *args)
     return lambda: [ends(q, lam, *args) for lam in lams]
+
+
+def parse_run(tree, argvs):
+    """One build and parse of every argv by the tree's CLI parser; a ``build_parser`` without argv builds them all."""
+    build = tree.cli.build_parser
+    takes_argv = bool(inspect.signature(build).parameters)
+
+    def run():
+        for argv in argvs:
+            (build(argv) if takes_argv else build()).parse_args(argv)
+
+    return run
 
 
 def build_mesh_case(trees, spec, decade, repeat, calls):
@@ -397,6 +431,11 @@ def main():
         ms, *others = fastest_ms(runs, repeat)
         case["ms"] = ms
         cases[f"count.{spec[0]}.lam={lam:g}.rtol=1e-12"] = with_against(case, ms, others, runs, calls)
+
+    for sub, argvs in PARSE_ARGVS.items():
+        runs = [parse_run(tree, argvs) for tree in trees]
+        ms, *others = fastest_ms(runs, repeat)
+        cases[f"cli.parse.{sub}"] = with_against({"ms": ms, "argvs": len(argvs)}, ms, others, runs, calls)
 
     p = ours.potential("2+sin(x)")
     records = ours.jumps.jump_sequence(p, 1, 500)

@@ -62,7 +62,46 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_subcommand(sub, common: argparse.ArgumentParser, name: str):
+    """Add the subcommand ``name`` to ``sub``, with ``common``'s options and its own."""
+    if name == "count":
+        p = sub.add_parser("count", parents=[common], help="count negative eigenvalues at one coupling")
+        p.add_argument("--lambda", dest="lam", type=float, required=True, help="coupling strength")
+        p.add_argument("--method", choices=list(_SELECTED_OPTIONS["method"]), default="phase")
+        # left out, these stay out of the namespace, so one the method does not read is seen
+        p.add_argument("--mesh", type=int, default=argparse.SUPPRESS, help="interior mesh points (matrix)")
+        p.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help="phase integration tolerance (phase)")
+    elif name == "jumps":
+        p = sub.add_parser("jumps", parents=[common], help="locate jump couplings lambda_n")
+        p.add_argument("--n-min", type=int, default=1)
+        p.add_argument("--n-max", type=int, required=True)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--root-tol", type=float, default=1e-10, help="jump root tolerance (relative in theta)")
+        p.add_argument("--threads", type=int, default=1, help="worker processes")
+    elif name == "transform":
+        p = sub.add_parser("transform", parents=[common], help="Liouville-Green data: D, U(xi), C")
+        p.add_argument("--grid", type=int, default=512, help="Chebyshev sample points")
+    else:
+        # an option left out stays out of the namespace, so one the suite does not read is seen
+        p = sub.add_parser(
+            "verify", parents=[common], argument_default=argparse.SUPPRESS, help="run an asymptotic-law check suite"
+        )
+        p.add_argument("--suite", choices=list(_SELECTED_OPTIONS["suite"]), required=True)
+        p.add_argument("--n-min", type=int, help="theorem, conjecture")
+        p.add_argument("--n-max", type=int, help="theorem, conjecture")
+        p.add_argument("--samples", type=int, help="lambda draws (weyl) or grid size (bracket)")
+        p.add_argument("--lambda-min", type=float, help="weyl")
+        p.add_argument("--lambda-max", type=float, help="weyl, bracket")
+        p.add_argument("--grid", type=int, help="Chebyshev sample points (bracket)")
+        p.add_argument("--seed", type=int, help="seed for the weyl suite's draws")
+        p.add_argument("--rtol", type=float, help="phase integration tolerance (weyl, bracket)")
+        p.add_argument("--root-tol", type=float, help="jump root tolerance (theorem, conjecture)")
+        p.add_argument("--threads", type=int, help="worker processes (theorem, conjecture)")
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The CLI's parser: with the subcommand ``argv[0]`` names alone, whose help and errors never
+    name the others, or with every subcommand when it names none."""
     parser = _Parser(prog="sturmjumps", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -81,38 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--gamma-b", type=float, default=None, help="right endpoint exponent")
     common.add_argument("--out", default=None, help="output artifact path")
 
-    pc = sub.add_parser("count", parents=[common], help="count negative eigenvalues at one coupling")
-    pc.add_argument("--lambda", dest="lam", type=float, required=True, help="coupling strength")
-    pc.add_argument("--method", choices=list(_SELECTED_OPTIONS["method"]), default="phase")
-    # left out, these stay out of the namespace, so one the method does not read is seen
-    pc.add_argument("--mesh", type=int, default=argparse.SUPPRESS, help="interior mesh points (matrix)")
-    pc.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help="phase integration tolerance (phase)")
-
-    pj = sub.add_parser("jumps", parents=[common], help="locate jump couplings lambda_n")
-    pj.add_argument("--n-min", type=int, default=1)
-    pj.add_argument("--n-max", type=int, required=True)
-    pj.add_argument("--format", choices=["csv", "json"], default="csv")
-    pj.add_argument("--root-tol", type=float, default=1e-10, help="jump root tolerance (relative in theta)")
-    pj.add_argument("--threads", type=int, default=1, help="worker processes")
-
-    pt = sub.add_parser("transform", parents=[common], help="Liouville-Green data: D, U(xi), C")
-    pt.add_argument("--grid", type=int, default=512, help="Chebyshev sample points")
-
-    # an option left out stays out of the namespace, so one the suite does not read is seen
-    pv = sub.add_parser(
-        "verify", parents=[common], argument_default=argparse.SUPPRESS, help="run an asymptotic-law check suite"
-    )
-    pv.add_argument("--suite", choices=list(_SELECTED_OPTIONS["suite"]), required=True)
-    pv.add_argument("--n-min", type=int, help="theorem, conjecture")
-    pv.add_argument("--n-max", type=int, help="theorem, conjecture")
-    pv.add_argument("--samples", type=int, help="lambda draws (weyl) or grid size (bracket)")
-    pv.add_argument("--lambda-min", type=float, help="weyl")
-    pv.add_argument("--lambda-max", type=float, help="weyl, bracket")
-    pv.add_argument("--grid", type=int, help="Chebyshev sample points (bracket)")
-    pv.add_argument("--seed", type=int, help="seed for the weyl suite's draws")
-    pv.add_argument("--rtol", type=float, help="phase integration tolerance (weyl, bracket)")
-    pv.add_argument("--root-tol", type=float, help="jump root tolerance (theorem, conjecture)")
-    pv.add_argument("--threads", type=int, help="worker processes (theorem, conjecture)")
+    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        _add_subcommand(sub, common, name)
     return parser
 
 
@@ -379,8 +388,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         _resolve(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

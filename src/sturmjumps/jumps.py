@@ -16,13 +16,14 @@ three stages:
   unbounded there); (n+kappa)*pi/D when the radicand is not positive.
   The integral of U is the sum of h * Ubar over the coarse cells of the
   mesh the root's phase calls sweep (``bulk_mesh`` at rtol tol/10),
-  formed once with the mesh (``CellMesh.u_integral``).
+  formed once with the mesh (``CellMesh.u_integral``); a table reads
+  kappa and Ubar once (``_start_terms``).
   That mesh is built before D is integrated, on both classes, so a mesh
   that cannot be built raises PhaseError, as the phase would.
   It depends on (p, n) alone, so a root never depends on which other
   roots were computed with it.
 * Slope steps.  Since theta_b(lambda) ~ lambda*D (its slope at the
-  roots of (1-x)/x is 0.86-1.16 D), lambda <- lambda - f/slope with the
+  roots of (1-x)/x is 0.86-1.23 D), lambda <- lambda - f/slope with the
   slope starting at D and then taken from the latest secant when that
   is positive.  A step that would take lambda to 0 or
   below is replaced by halving lambda; after three tries on the same
@@ -95,30 +96,28 @@ def _length(p: Potential, tol: float) -> float:
     return integrate_sqrt_v(p, p.a, p.b).value
 
 
-def _start(p: Potential, n: int, d: float, tol: float) -> float:
+def _start_terms(p: Potential, d: float, tol: float) -> tuple:
+    """(kappa, Ubar) of the starts sqrt(((n + kappa)*pi/D)^2 - Ubar): one pair per table."""
     if p.regularity is Regularity.THEOREM:
         with _phase_errors():
-            mesh = bulk_mesh(p, tol / 10.0)
-        k = n * _PI / d
-        radicand = k * k - mesh.u_integral / d
-    else:
-        k = (n + endpoint_constant(p.gamma_a, p.gamma_b)) * _PI / d
-        radicand = k * k
-    return math.sqrt(radicand) if radicand > 0.0 else k
+            return 0, bulk_mesh(p, tol / 10.0).u_integral / d
+    return endpoint_constant(p.gamma_a, p.gamma_b), 0.0
 
 
-def _search(p: Potential, n: int, tol: float, d_value: Optional[float]):
+def _search(p: Potential, n: int, tol: float, d_value: Optional[float], start: Optional[tuple]):
     """``find_jump``'s search as a generator.
 
     It yields each lambda it wants the phase at, at rtol = tol/10, and is
     sent that phase's PhaseResult; it returns the JumpRecord, or raises
-    BracketingError.
+    BracketingError.  D and ``start``, the pair ``_start_terms`` gives,
+    are formed here when not given.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     d = d_value if d_value is not None else _length(p, tol)
+    kappa, ubar = start if start is not None else _start_terms(p, d, tol)
     target = n * _PI
     tol_theta = tol * n
     calls = steps = rejected = cells = 0
@@ -139,7 +138,8 @@ def _search(p: Potential, n: int, tol: float, d_value: Optional[float]):
     def record(lam, f):
         return JumpRecord(n, lam, abs(f), lam * d / _PI - n, calls, steps, rejected, cells, bars[lam])
 
-    lam0 = _start(p, n, d, tol)
+    k = (n + kappa) * _PI / d
+    lam0 = math.sqrt(k * k - ubar) if k * k > ubar else k
     lam = lam0
     f = residual(lam, (yield lam))
     slope, grow = d, 1.0
@@ -204,7 +204,7 @@ def find_jump(p: Potential, n: int, tol: float = 1e-10, d_value: Optional[float]
     is raised when no iterate does, or when _MAX_EXPANSIONS slope steps
     find no sign change.  The phase is computed with rtol = tol/10.
     """
-    return _sequence_chunk((p, [n], tol, d_value))[0]
+    return _sequence_chunk((p, [n], tol, d_value, None))[0]
 
 
 def _sequence_chunk(payload):
@@ -213,8 +213,8 @@ def _sequence_chunk(payload):
     Each round evaluates the phase of every unfinished root in one
     batched call; the phase is bit for bit the same in any batch.
     """
-    p, ns, tol, d = payload
-    searches = [_search(p, n, tol, d) for n in ns]
+    p, ns, tol, d, start = payload
+    searches = [_search(p, n, tol, d, start) for n in ns]
     records = [None] * len(ns)
     pending = [(i, next(search)) for i, search in enumerate(searches)]
     while pending:
@@ -246,14 +246,15 @@ def jump_sequence(
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     d = _length(p, tol)
+    start = _start_terms(p, d, tol)
     ns = list(range(n_min, n_max + 1))
     if workers <= 1 or len(ns) < 4:
-        records = _sequence_chunk((p, ns, tol, d))
+        records = _sequence_chunk((p, ns, tol, d, start))
     else:
         workers = min(workers, len(ns))
         size = (len(ns) + workers - 1) // workers
         chunks = [ns[i : i + size] for i in range(0, len(ns), size)]
-        payloads = [(p, chunk, tol, d) for chunk in chunks]
+        payloads = [(p, chunk, tol, d, start) for chunk in chunks]
         # imported here: the pool's import costs memory that one worker never uses
         from concurrent.futures import ProcessPoolExecutor
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import sturmjumps
+from sturmjumps import cli
 from sturmjumps.cli import main
 
 PI = "3.141592653589793"
@@ -464,3 +465,89 @@ def test_mesh_errors_print_plain_floats(potential, text, capsys):
     assert run(["count", "--potential", potential, "--a", "0", "--b", "3", "--lambda", "10"]) == 1
     err = capsys.readouterr().err
     assert text in err and "np.float64" not in err
+
+
+# the argvs of the benchmark's jump tables and conjecture suite, and a count
+_BENCH_ARGVS = [
+    ["jumps", "--potential", "2+sin(x)", "--a", "0.0", "--b", "3.0", "--n-min", "1", "--n-max", "60", "--threads", "1"],
+    ["jumps", "--potential", "(1+x)^(-4)", "--a", "0.0", "--b", "1.0", "--n-min", "1", "--n-max", "80", "--threads", "1"],
+    ["jumps", "--potential", "x", "--a", "0", "--b", "1", "--class", "conjecture", "--gamma-a", "1.0",
+     "--gamma-b", "0.0", "--n-min", "70", "--n-max", "100", "--threads", "1"],
+    ["verify", "--suite", "conjecture", "--potential", "(1-x)/x", "--a", "0", "--b", "1", "--class", "conjecture",
+     "--gamma-a", "-1.0", "--gamma-b", "1.0", "--n-min", "95", "--n-max", "100", "--threads", "1"],
+    ["count", "--potential", "2+sin(x)", "--a", "0", "--b", "3", "--lambda", "10", "--rtol", "1e-12"],
+    ["transform", "--potential", "exp(x)", "--a", "0", "--b", "1", "--grid", "256"],
+]
+
+
+def _read(parser, argv):
+    """What ``main`` makes of argv with ``parser``: ("usage error", message) or (exit code, stdout)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
+            cli._resolve(args)
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+    return None, vars(args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--help"],
+        ["jumps", "--help"],
+        ["transform", "--help"],
+        ["verify", "--help"],
+        # a missing required option, a bad value and an option the selector does not read
+        ["count", "--potential", "1", "--a", "0", "--b", "1"],
+        ["count", "--potential", "1", "--a", "0", "--b", "1", "--lambda", "2", "--method", "matrix", "--rtol", "1"],
+        ["jumps", "--potential", "1", "--a", "0", "--b", "1"],
+        ["jumps", "--potential", "1", "--a", "0", "--b", "1", "--n-max", "3", "--format", "xml"],
+        ["transform", "--potential", "1", "--a", "0", "--b", "1", "--grid", "many"],
+        ["transform", "--potential", "1", "--a", "0", "--b", "1", "--bogus"],
+        ["verify", "--potential", "1", "--a", "0", "--b", "1"],
+        ["verify", "--suite", "weyl", "--potential", "1", "--a", "0", "--b", "1", "--n-max", "20"],
+        *_BENCH_ARGVS,
+    ],
+)
+def test_one_subcommand_parser_reads_as_the_full_parser(argv):
+    # build_parser(argv) holds argv[0]'s subcommand alone and build_parser() all
+    # four; their help, usage errors and namespaces agree
+    parser = cli.build_parser(argv)
+    assert list(parser._subparsers._group_actions[0].choices) == [argv[0]]
+    assert list(cli.build_parser()._subparsers._group_actions[0].choices) == list(cli._COMMANDS)
+    got, want = _read(parser, argv), _read(cli.build_parser(), argv)
+    assert got == want
+    if argv[-1] == "--help":
+        assert want[0] == 0 and want[1].startswith(f"usage: sturmjumps {argv[0]} [-h] --potential POTENTIAL")
+    else:
+        assert want[0] in ("usage error", None)
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["--help"], 0, "usage: sturmjumps [-h] {count,jumps,transform,verify} ...\n"),
+        ([], 64, "usage error: the following arguments are required: subcommand\n"),
+        (["bogus"], 64, "usage error: argument subcommand: invalid choice: 'bogus' "
+                        "(choose from 'count', 'jumps', 'transform', 'verify')\n"),
+        (["jump", "--help"], 64, "usage error: argument subcommand: invalid choice: 'jump' "
+                                 "(choose from 'count', 'jumps', 'transform', 'verify')\n"),
+    ],
+)
+def test_argv_that_names_no_subcommand_reads_every_subcommand(argv, code, text, capsys):
+    if code == 0:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out == cli.build_parser().format_help() and out.startswith(text)
+        for line in ("count negative eigenvalues at one coupling", "locate jump couplings lambda_n",
+                     "Liouville-Green data: D, U(xi), C", "run an asymptotic-law check suite"):
+            assert line in out
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err == text

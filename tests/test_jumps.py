@@ -268,3 +268,44 @@ def test_potential_that_fails_on_the_mesh_raises_phase_error_everywhere(monkeypa
     for run in (lambda: find_jump(v_sin, 1), lambda: jump_sequence(v_sin, 1, 2)):
         with pytest.raises(QuadratureError, match="converge"):
             run()
+
+
+# lambda_n bit for bit at tol 1e-10, at both ends of criterion 4's 2+sin(x)
+# table (n = 1..500) and criterion 7's x and (1-x)/x tables (n = 20..400)
+_PINNED_ROOTS = {
+    ("2+sin(x)", None, None): {1: 0.6191778572845282, 2: 1.272908589750147, 499: 320.6850051144,
+                               500: 321.3276606364388},
+    ("x", 1.0, 0.0): {20: 93.85674507977517, 21: 98.56905450182443, 399: 1879.8505872100723,
+                      400: 1884.5629759826165},
+    ("(1-x)/x", -1.0, 1.0): {20: 40.332835491638754, 21: 42.33286658363611, 399: 798.3333240297369,
+                             400: 800.3333240607216},
+}
+
+
+@pytest.mark.parametrize("source,gamma_a,gamma_b", list(_PINNED_ROOTS))
+def test_table_roots_are_pinned(source, gamma_a, gamma_b):
+    if gamma_a is None:
+        p = Potential.from_formula(source, 0.0, 3.0)
+    else:
+        p = Potential.from_formula(source, 0.0, 1.0, regularity="conjecture", gamma_a=gamma_a, gamma_b=gamma_b)
+    pinned = _PINNED_ROOTS[source, gamma_a, gamma_b]
+    ns = sorted(pinned)
+    for lo, hi in ((ns[0], ns[1]), (ns[2], ns[3])):
+        assert {r.n: r.lambda_n for r in jump_sequence(p, lo, hi)} == {lo: pinned[lo], hi: pinned[hi]}
+
+
+@pytest.mark.parametrize("source,gamma_a,gamma_b", [("2+sin(x)", None, None), ("x", 1.0, 0.0)])
+def test_a_table_reads_its_start_terms_once(source, gamma_a, gamma_b, monkeypatch):
+    import sturmjumps.jumps as jumps
+
+    if gamma_a is None:
+        p = Potential.from_formula(source, 0.0, 3.0)
+    else:
+        p = Potential.from_formula(source, 0.0, 1.0, regularity="conjecture", gamma_a=gamma_a, gamma_b=gamma_b)
+    reads = []
+    start_terms = jumps._start_terms
+    monkeypatch.setattr(jumps, "_start_terms", lambda *args: reads.append(args) or start_terms(*args))
+    records = jump_sequence(p, 20, 40)
+    assert len(reads) == 1
+    # a bare root reads its own, the same pair
+    assert find_jump(p, 30) == records[10] and len(reads) == 2

@@ -84,6 +84,10 @@ def test_bench_layers_writes_every_case(tmp_path):
     for name, cells in (("2+sin(x).lam=10", 72), ("2+sin(x).lam=30", 72), ("x.lam=400", 246)):
         case = cases[f"count.{name}.rtol=1e-12"]
         assert case["cells"] == cells and case["count"] > 0 and case["ms"] > 0.0, name
+    # the CLI's parser built and read on the benchmark's argvs, by subcommand
+    for sub, argvs in (("jumps", 4), ("verify", 1), ("count", 1)):
+        case = cases[f"cli.parse.{sub}"]
+        assert case["argvs"] == argvs and case["ms"] > 0.0, sub
     assert cases["src_lines"]["lines"] > 1000
 
 
@@ -99,13 +103,13 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
     assert cases["phase.2+sin(x).lam=10"]["cells"] == 48 and cases["src_lines"]["lines"] > 1000
     for name, case in cases.items():
         kind = name.split(".")[0]
-        paired = kind in ("phase", "lanes", "ends", "transfer", "lg_data", "d", "build_mesh", "count")
+        paired = kind in ("phase", "lanes", "ends", "transfer", "lg_data", "d", "build_mesh", "count", "cli")
         assert ("against_ratio" in case) == paired, name
         assert ("against_evaluations" in case) == (kind == "d"), name
         if paired:
             assert case["against_ms"] > 0.0 and case["against_ratio"] == case["ms"] / case["against_ms"], name
         # medians of alternating calls where the fastest run swings with the hour
-        assert ("median_ratio" in case) == (kind in ("phase", "ends", "build_mesh", "count")), name
+        assert ("median_ratio" in case) == (kind in ("phase", "ends", "build_mesh", "count", "cli")), name
         if "median_ratio" in case:
             assert case["against_median_ms"] > 0.0, name
             assert case["median_ratio"] == case["median_ms"] / case["against_median_ms"], name
