@@ -61,7 +61,7 @@ ends.*, transfer.*, lg_data.*, d.*, build_mesh.*, count.* and cli.* case runs on
 in turn in this process, so that both see the same drift of the host; the
 case then also holds ``against_ms`` and ``against_ratio``, its ms over
 PATH's.  The fastest of a few runs swings with the hour, so the phase.*,
-ends.*, build_mesh.*, count.* and cli.* cases also hold ``median_ratio``: the median of
+ends.*, lg_data.*, build_mesh.*, count.* and cli.* cases also hold ``median_ratio``: the median of
 calls on this tree over the median on PATH's, the calls alternating
 between the trees and which goes first, 200 per tree at the default
 --repeat of 15 and in proportion to --repeat otherwise.
@@ -391,7 +391,7 @@ def main():
             tree.liouville_green.lg_data(q)  # the first call compiles the potential's evaluators
             runs.append(lambda tree=tree, q=q: tree.liouville_green.lg_data(q))
         ms, *others = fastest_ms(runs, repeat)
-        cases[f"lg_data.{source}"] = with_against({"ms": ms}, ms, others)
+        cases[f"lg_data.{source}"] = with_against({"ms": ms}, ms, others, runs, calls)
 
     for spec in D_CASES:
         runs = []

@@ -251,21 +251,9 @@ def _cmd_jumps(args: argparse.Namespace, p: Potential) -> int:
 
 def _cmd_transform(args: argparse.Namespace, p: Potential) -> int:
     lg = lg_data(p, grid_points=args.grid)
-    samples = [
-        {"x": x, "xi": xi, "U": u}
-        for (x, xi), (_, u) in zip(lg.grid, lg.u_samples)
-    ]
-    payload = {
-        "D": lg.d,
-        "C": lg.c,
-        "samples": samples,
-        "diagnostics": {
-            "xi_evaluations": lg.xi_evaluations,
-            "xi_bisections": lg.xi_bisections,
-            "d_evaluations": lg.d_evaluations,
-        },
-    }
-    _emit_json(args, payload)
+    samples = [{"x": x, "xi": xi, "U": u} for (x, xi), (_, u) in zip(lg.grid, lg.u_samples)]
+    diagnostics = {"xi_evaluations": lg.xi_evaluations, "xi_bisections": lg.xi_bisections, "d_evaluations": lg.d_evaluations}
+    _emit_json(args, {"D": lg.d, "C": lg.c, "samples": samples, "diagnostics": diagnostics})
     _summary(f"D = {lg.d:.12g}, C = {lg.c:.6g} ({args.grid} samples)")
     return EXIT_OK
 

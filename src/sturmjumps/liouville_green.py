@@ -10,7 +10,9 @@ equation u'' = -lambda^2 V u becomes g'' = (-lambda^2 - U(xi)) g on
                                                  fourth-root differences)
 
 ``u_from_jet`` is that one expression, used here and by the propagator's
-cells; the integral of U over (0, D) is the cells' sum of h * Ubar.
+cells; the integral of U over (0, D) is the cells' sum of h * Ubar.  Here
+it runs on the formula's numpy jet (``Potential.jet2_fn``), once over
+lg_data's grid or on one point; a U that is not finite raises.
 
 For theorem-class potentials U is bounded, |U| <= C, and comparing
 against the constant-coefficient problems at -lambda^2 -/+ C brackets
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import _scalar_jet2, eval_jet2
+from .expr import eval_jet2  # noqa: F401  perfbench/tracing.py wraps liouville_green.eval_jet2
 from .potential import Potential, Regularity, chebyshev_grid
 from .quadrature import integrate_sqrt_v, integrate_sqrt_v_segments
 
@@ -56,23 +58,32 @@ def u_from_jet(v, d1, d2):
     return (-0.25 * d2 + 0.3125 * d1 * d1 / v) / (v * v)
 
 
+def _u_at(p: Potential, xs: np.ndarray) -> np.ndarray:
+    """U at the points xs from one numpy jet of the formula; raises where U is not finite."""
+    with np.errstate(all="ignore"):
+        u = u_from_jet(*p.jet2_fn(xs))
+    if not np.isfinite(u).all():  # V^2 underflows to 0, or a term overflows
+        raise FloatingPointError(f"U is not finite at x={float(xs[np.argmin(np.isfinite(u))])!r}")
+    return u
+
+
 def transformed_potential(p: Potential, x: float) -> float:
     """U at x, from exact first and second derivatives of the formula."""
     if p.regularity is not Regularity.THEOREM:
         raise ValueError("the transformed potential is bounded only for theorem-class potentials")
     if not (p.a <= x <= p.b):
         raise ValueError(f"x={x} outside [{p.a}, {p.b}]")
-    return u_from_jet(*eval_jet2(p.ast, x))
+    return float(_u_at(p, np.array([float(x)]))[0])
 
 
 def lg_data(p: Potential, grid_points: int = 512) -> LGData:
     """Sample U on a Chebyshev grid, map x to xi, and bound |U| by C.
 
     The grid includes the endpoints (where suprema often sit).  U comes
-    from the formula's scalar jet, compiled once per call, as in
-    ``transformed_potential``.  xi is accumulated over the grid's
-    segments, each integrated to 1e-12 in one vectorized Gauss-Legendre
-    pass, so it is increasing by construction; D is ``integrate_sqrt_v``
+    from one numpy jet over the grid, bit for bit ``transformed_potential``
+    at each point.  xi is accumulated over the grid's segments, each
+    integrated to 1e-12 in one vectorized Gauss-Legendre pass, so it is
+    increasing by construction; D is ``integrate_sqrt_v``
     over the whole interval, the one the root finder uses.  The record
     carries the evaluation and bisection counts of both.
     """
@@ -81,16 +92,14 @@ def lg_data(p: Potential, grid_points: int = 512) -> LGData:
     if p.regularity is not Regularity.THEOREM:
         raise ValueError("the count bracket applies to theorem-class potentials only")
     xs = chebyshev_grid(p.a, p.b, grid_points, include_endpoints=True)
-    jet = _scalar_jet2(p.ast)
-    u_vals = [u_from_jet(*jet(x)) for x in xs.tolist()]
+    u = _u_at(p, xs)
     seg = integrate_sqrt_v_segments(p, xs)
     xis = np.concatenate([[0.0], np.cumsum(seg.values)])
     whole = integrate_sqrt_v(p, p.a, p.b)
-    c = 1.05 * max(abs(u) for u in u_vals)
     return LGData(
         d=whole.value,
-        c=c,
-        u_samples=tuple(zip(xis.tolist(), u_vals)),
+        c=1.05 * float(np.max(np.abs(u))),
+        u_samples=tuple(zip(xis.tolist(), u.tolist())),
         grid=tuple(zip(xs.tolist(), xis.tolist())),
         xi_evaluations=seg.evaluations,
         xi_bisections=seg.bisections,

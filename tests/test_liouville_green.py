@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from conftest import fd_derivatives
-from sturmjumps.liouville_green import count_bracket, lg_data, transformed_potential
+from sturmjumps.expr import eval_jet2
+from sturmjumps.liouville_green import count_bracket, lg_data, transformed_potential, u_from_jet
 from sturmjumps.oscillation import AtJumpAmbiguity, count_negative
 from sturmjumps.potential import Potential, chebyshev_grid
 from sturmjumps.propagator import bulk_mesh
@@ -95,6 +97,45 @@ def test_lg_data_guards(v_one, v_rational):
         lg_data(v_one, 100)
     with pytest.raises(ValueError):
         lg_data(v_rational, 512)
+
+
+def _agreement_potentials():
+    # criterion 3's draws, the oscillating pair on [0, 4], and the two closed forms
+    rng = random.Random(42)
+    sources = []
+    for _ in range(8):
+        c0 = rng.uniform(1.0, 3.0)
+        c1 = rng.uniform(0.0, c0 - 0.5)
+        c2 = rng.uniform(0.5, 3.0)
+        sources.append((f"{c0!r}+{c1!r}*sin({c2!r}*x)", rng.uniform(1.0, 5.0)))
+    sources += [("2+sin(x)", 4.0), ("1.2+sin(3*x)", 4.0), ("exp(x)", 1.0), ("(1+x)^(-4)", 1.0)]
+    return [Potential.from_formula(source, 0.0, b) for source, b in sources]
+
+
+def test_lg_data_u_matches_the_scalar_jet():
+    # the numpy jet and the scalar jet may round V, V' and V'' apart, and U's
+    # two terms cancel: on (1+x)^(-4) U is 0 and both give rounding noise, so
+    # the bound is on the scale of the terms, (|V''|/4 + 5 V'^2/(16 V)) / V^2
+    for p in _agreement_potentials():
+        lg = lg_data(p, 512)
+        scalar, scale = [], []
+        for x, _ in lg.grid:
+            v, d1, d2 = eval_jet2(p.ast, x)
+            scalar.append(u_from_jet(v, d1, d2))
+            scale.append((abs(d2) / 4.0 + 5.0 * d1 * d1 / (16.0 * v)) / (v * v))
+        for (_, u), want, terms in zip(lg.u_samples, scalar, scale):
+            assert abs(u - want) <= 1e-14 * terms, (p.source, u, want)
+        assert abs(lg.c - 1.05 * max(map(abs, scalar))) <= 1.05e-14 * max(scale), p.source
+
+
+def test_lg_data_raises_where_u_is_not_finite():
+    # V(0)^2 = 1e-340 underflows to 0, so U(0) = -(1/2)/0; C must not come back as inf
+    p = Potential.from_formula("1e-170+x^2", 0.0, 1.0, c_lower=1e-171)
+    with pytest.raises(FloatingPointError, match="x=0.0"):
+        lg_data(p, 512)
+    with pytest.raises(FloatingPointError):
+        transformed_potential(p, 0.0)
+    assert math.isfinite(transformed_potential(p, 0.5))
 
 
 def _u_integral(p, rtol=1e-11):

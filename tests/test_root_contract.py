@@ -1,11 +1,18 @@
 """The --root-tol contract against exact roots, and the phase against an oracle.
 
 ``find_jump(p, n, tol)`` promises |theta(b; lambda_n) - n*pi| <= tol*n.
-Near a root theta(b; .) has slope about D = int sqrt(V), so the promise is
-checked as D*|lambda_n - lambda*_n| <= tol*n against roots known in closed
-form (Bessel and Whittaker zeros among them), for exp(x) as the exact
-angle at lambda_n, and at lambda ~ 1000 against theta(b) from the RK
-oracle.  The phase itself is cross-checked
+Against roots known in closed form (Bessel and Whittaker zeros, 2 pi n for
+(1+x)^-4) the promise is checked as D*|lambda_n - lambda*_n| <= tol*n, with
+D = int sqrt(V) standing in for the slope of theta(b; .) at the root.  On
+the theorem class theta(b) is read on the constant scale
+lambda*sqrt(max(c_lower, 1)), where that slope is
+D*sqrt(max(c_lower, 1)/V(b)), not D: 0.61*D on exp(x) and 0.71*D = 0.862
+on 1+x, where the residual over lambda_n - lambda*_n measures
+3.645e-12/4.236e-12 = 0.861.  So the exp(x) and 1+x rows compare the exact
+angle at lambda_n, atan(lambda*u(b)/u'(b)), with tol*n; D times the root's
+error reads 1.03*tol*n on 1+x at n = 5, tol 1e-12, where the angle reads
+0.73*tol*n.  At lambda ~ 1000 theta(b) is checked against the RK oracle.
+The phase itself is cross-checked
 against two RK45 oracles built on the same Dormand-Prince stepper: the
 constant-scale Prüfer equation, for both classes, started from u ~ |x - end|
 at an offset of its own (``_offset_delta``), and for the theorem class the
@@ -118,6 +125,38 @@ def test_root_tol_contract_exp_exact_angle(v_exp, n, tol):
     # and the zero of u(1) beside lambda_n is the n-th: about n pi / D
     root = mpmath.findroot(lambda x: _exp_solution(x)[0], mpmath.mpf(lam))
     assert round(float(root) * 2.0 * (math.sqrt(math.e) - 1.0) / math.pi) == n
+
+
+def _airy_solution(lam):
+    """u(1) and u'(1) for V = 1+x on [0, 1], at 40 digits.
+
+    With t = lam^(2/3), u = Bi(-t) Ai(s) - Ai(-t) Bi(s), s = -t (1+x),
+    vanishes at 0 and solves -u'' = lam^2 (1+x) u, since Ai'' = s Ai; and
+    u' = -t (Bi(-t) Ai'(s) - Ai(-t) Bi'(s)).
+    """
+    with mpmath.workdps(40):
+        t = mpmath.mpf(lam) ** (mpmath.mpf(2) / 3)
+        ai, bi = mpmath.airyai(-t), mpmath.airybi(-t)
+        u = bi * mpmath.airyai(-2 * t) - ai * mpmath.airybi(-2 * t)
+        return u, -t * (bi * mpmath.airyai(-2 * t, derivative=1) - ai * mpmath.airybi(-2 * t, derivative=1))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("n", [1, 5, 70, 100, 200, 600, 1200])
+def test_root_tol_contract_airy(n, tol):
+    # U = 5/(16 (1+x)^3) varies, so no cell is exact.  The true angle at
+    # find_jump's lambda_n (up to lambda ~ 3093) is n pi + atan(s u/u') on
+    # the exit scale s = lambda sqrt(max(c_lower, 1)) = lambda.  Worst over
+    # 23 values of n in 1..1200: 0.57 tol*n (n = 70) at 1e-10, 0.85 (n = 200)
+    # at 1e-12
+    p = Potential.from_formula("1+x", 0.0, 1.0)
+    assert p.c_lower == 1.0
+    lam = find_jump(p, n, tol=tol).lambda_n
+    u, du = _airy_solution(lam)
+    assert abs(mpmath.atan(lam * u / du)) <= tol * n
+    # the branch: lambda_n is the n-th root, about n pi / D
+    d = 2.0 / 3.0 * (2.0**1.5 - 1.0)
+    assert abs(lam * d / math.pi - n) < 0.5
 
 
 _DELTA_TOL = 1e-10  # relative error of u ~ |x - end| allowed over the sliver the oracle skips

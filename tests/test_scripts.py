@@ -109,7 +109,7 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
         if paired:
             assert case["against_ms"] > 0.0 and case["against_ratio"] == case["ms"] / case["against_ms"], name
         # medians of alternating calls where the fastest run swings with the hour
-        assert ("median_ratio" in case) == (kind in ("phase", "ends", "build_mesh", "count", "cli")), name
+        assert ("median_ratio" in case) == (kind in ("phase", "ends", "lg_data", "build_mesh", "count", "cli")), name
         if "median_ratio" in case:
             assert case["against_median_ms"] > 0.0, name
             assert case["median_ratio"] == case["median_ms"] / case["against_median_ms"], name
