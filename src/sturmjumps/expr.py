@@ -6,8 +6,7 @@ One emitter turns an AST into straight-line code for its ``(v, d1, d2)``
 jet, the value and first two derivatives by exact chain rules, with a
 domain check at every node.  Two backends run that code: ``eval_jet2``
 on floats, compiled once per AST, and ``compile_jet2`` on numpy arrays.
-``compile_value`` / ``compile_value_d1`` emit fast plain-value and
-value-and-slope callables for inner loops.
+``compile_value`` emits fast plain-value callables for inner loops.
 
 Grammar (whitespace ignored)::
 
@@ -43,7 +42,6 @@ __all__ = [
     "serialize",
     "eval_jet2",
     "compile_value",
-    "compile_value_d1",
     "compile_jet2",
 ]
 
@@ -315,92 +313,6 @@ def compile_value(ast: ExprAst, vectorized: bool = False) -> Callable:
     env["__builtins__"] = {}
     # the source string is generated from our own AST nodes only
     return eval(f"lambda x: {_emit(ast)}", env)
-
-
-# ---------------------------------------------------------------------------
-# compilation to a value-and-first-derivative callable
-# ---------------------------------------------------------------------------
-
-
-def _times(expr: str, slope: str) -> str:
-    return expr if slope == "1.0" else f"{expr}*{slope}"
-
-
-def _slope(node, v, a, da, b, db) -> str:
-    """First-derivative expression of ``node`` with value ``v``.
-
-    ``a``/``b`` are the operands' value expressions and ``da``/``db`` their
-    slopes, None for an operand that does not depend on x.
-    """
-    op = node.op
-    if isinstance(node, Unary):
-        return {
-            "neg": f"-{da}",
-            "sqrt": f"{da}/(2.0*{v})",
-            "exp": _times(v, da),
-            "log": f"{da}/{a}",
-            "sin": _times(f"cos({a})", da),
-            "cos": _times(f"-sin({a})", da),
-        }[op]
-    if op in "+-":
-        if db is None:
-            return da
-        if da is None:
-            return db if op == "+" else f"-{db}"
-        return f"{da}{op}{db}"
-    if op == "*":
-        return "+".join(t for t in (da and _times(b, da), db and _times(a, db)) if t)
-    if op == "/":
-        return f"{da}/{b}" if db is None else f"({da or '0.0'}-{_times(v, db)})/{b}"
-    if db is None:
-        # constant exponent: d(a^p) = p a^(p-1) a'
-        p1 = repr(node.rhs.value - 1.0) if isinstance(node.rhs, Number) else f"{b}-1.0"
-        return _times(f"{b}*pow({a},{p1})", da)
-    # variable exponent: d(a^b) = a^b (b' log a + b a'/a); the base must stay positive
-    dlog = _times(f"log({a})", db)
-    return f"{v}*{dlog}" if da is None else f"{v}*({dlog}+{b}*{da}/{a})"
-
-
-def _emit_d1(node, lines: list[str]) -> tuple[str, str | None]:
-    """Append straight-line code for ``node``; return its value and slope names.
-
-    Subtrees that do not depend on x get slope None and are emitted inline
-    exactly as ``compile_value`` would; every other node gets one
-    (value, slope) temp pair.
-    """
-    if isinstance(node, (Number, Symbol)):
-        return _emit(node), ("1.0" if node == Symbol("x") else None)
-    if isinstance(node, Unary):
-        (a, da), (b, db) = _emit_d1(node.arg, lines), (None, None)
-    else:
-        (a, da), (b, db) = _emit_d1(node.lhs, lines), _emit_d1(node.rhs, lines)
-    if da is None and db is None:
-        return _emit(node), None
-    i = len(lines) // 2
-    v, d = f"v{i}", f"d{i}"
-    if isinstance(node, Unary):
-        value = f"-{a}" if node.op == "neg" else f"{node.op}({a})"
-    else:
-        value = f"pow({a},{b})" if node.op == "^" else f"{a}{node.op}{b}"
-    lines.append(f"    {v} = {value}")
-    lines.append(f"    {d} = {_slope(node, v, a, da, b, db)}")
-    return v, d
-
-
-def compile_value_d1(ast: ExprAst) -> Callable[[float], tuple[float, float]]:
-    """Compile an AST to a scalar callable x -> (V(x), V'(x)).
-
-    The slope is the exact first-order chain rule (the d1 of ``eval_jet2``)
-    in straight-line code.  Like the scalar ``compile_value`` it raises
-    ValueError/ZeroDivisionError/OverflowError on domain violations.
-    """
-    lines: list[str] = []
-    value, slope = _emit_d1(ast, lines)
-    body = lines + [f"    return {value}, {slope or '0.0'}"]
-    env = dict(_SCALAR_ENV, __builtins__={})
-    # the source is generated from our own AST nodes only
-    exec("def value_d1(x):\n" + "\n".join(body), env)
-    return env["value_d1"]
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ its levels built as a sliver reaches them), at the widest offset where
 lambda xi <= _Z0, and the seed is checked by halving: collocation
 carries the next offset's seed across the octave between them, and the
 gap must stay below _SEED_SHARE of rtol * max(lambda D_bulk, pi),
-D_bulk the bulk's length in xi, or the check moves deeper; a sliver that
-reaches the end's ulp unchecked raises PhaseError.  The carry then
+D_bulk the bulk's length in xi, or the check moves deeper; a sliver whose
+ladder runs out of levels unchecked raises PhaseError.  The carry then
 crosses the octaves to the bulk's edge, each cut into 2**m pieces of
 lambda Delta xi <= _PIECE_Z, every piece carried whole and on its
 halves: the halves give the answer, and the pieces' |fine - coarse| on
@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import EvalDomainError
+from .expr import EvalDomainError, eval_jet2
 from .potential import Potential
 from .propagator import _S, bulk_interval, bulk_mesh, propagate_lanes
 from .quadrature import _GL_W, _GL_X, QuadratureError, _graded_xi, _power_tail
@@ -194,10 +194,11 @@ class _Ladder:
     def reach(self, k: int) -> bool:
         """Whether level k exists, building the levels up to it first.
 
-        The ladder ends where the offset stops moving x, or it, V, V' or
-        xi leaves the normal range.  xi is the graded quadrature's where it
-        reaches, and the leading power with its first correction
-        (``quadrature._power_tail``) deeper.
+        The ladder ends where the offset stops moving x, where it or xi
+        leaves the normal range, or where V is not positive or its jet
+        (V, V', V'' by ``eval_jet2``) is not finite.  xi is the graded
+        quadrature's where it reaches, and the leading power with its first
+        correction (``quadrature._power_tail``) deeper.
         """
         while len(self.x) <= k and not self.ended:
             n = len(self.x)
@@ -207,8 +208,8 @@ class _Ladder:
             if not t >= sys.float_info.min or (n and t == abs(self.x[-1] - self.anchor)):
                 break
             try:
-                v, dv = self.p.value_d1_fn(x)
-            except (ValueError, ZeroDivisionError, OverflowError):
+                v, dv, _ = eval_jet2(self.p.ast, x)
+            except ArithmeticError:
                 break
             if not (0.0 < v < math.inf and math.isfinite(dv)):
                 break
@@ -342,7 +343,10 @@ def _slivers(tasks) -> list:
         for i in pending:
             ladder = tasks[i][0]
             if not ladder.reach(ks[i] + 1):
-                raise PhaseError(f"no Bessel seed of the sliver holds above one ulp of the end near {ladder.end}")
+                raise PhaseError(
+                    f"the ladder near {ladder.end} ran out of levels before a seed check held: it ends where the offset "
+                    "stops moving x, where it or xi leaves the normal range, or where V is not positive or its jet not finite"
+                )
             jobs += [(i, k) for k in range(len(cells[i]), ks[i] + 1)]
         for (i, _), octave in zip(jobs, _transfers([(*tasks[i][:2], k) for i, k in jobs])):
             cells[i].append(octave)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import ExprAst, compile_jet2, compile_value, compile_value_d1, eval_jet2, parse, serialize
+from .expr import ExprAst, compile_jet2, compile_value, eval_jet2, parse, serialize
 
 __all__ = [
     "Regularity",
@@ -121,11 +121,6 @@ class Potential:
     def value_fn_np(self):
         """Vectorized V(x) over numpy arrays; screen outputs with isfinite."""
         return compile_value(self.ast, vectorized=True)
-
-    @cached_property
-    def value_d1_fn(self):
-        """Fast scalar x -> (V(x), V'(x)); math-domain errors propagate as raw exceptions."""
-        return compile_value_d1(self.ast)
 
     @cached_property
     def jet2_fn(self):

@@ -102,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalDomainError
+from .expr import EvalDomainError, eval_jet2
 from .liouville_green import u_from_jet
 from .potential import Potential
 from .quadrature import _GL_W, _GL_X, _v_floor
@@ -617,8 +617,8 @@ def _assemble(p: Potential, nodes: np.ndarray, whole=None, halves=None) -> CellM
     if whole is None:
         whole, halves = _cells(p, nodes[:-1], nodes[1:])
     x_l, x_r = float(nodes[0]), float(nodes[-1])
-    vl, dvl = p.value_d1_fn(x_l) if x_l > p.a else (1.0, 0.0)  # u(a) = 0 needs no V(a)
-    vr, dvr = p.value_d1_fn(x_r)
+    vl, dvl, _ = eval_jet2(p.ast, x_l) if x_l > p.a else (1.0, 0.0, 0.0)  # u(a) = 0 needs no V(a)
+    vr, dvr, _ = eval_jet2(p.ast, x_r)
     scale_r = math.sqrt(max(p.c_lower or 0.0, 1.0)) if x_r == p.b else math.sqrt(vr)
     arrays = [np.concatenate([w, q]) for w, q in zip(whole, halves)]
     coarse = slice(0, len(nodes) - 1)

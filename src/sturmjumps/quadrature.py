@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import eval_jet2
 from .potential import Potential
 
 __all__ = [
@@ -134,9 +135,9 @@ def _graded_xi(p: Potential, end: str, x0: float, tol: float = 1e-12):
         t = abs(x - anchor)
     x = xs[-1]
     try:
-        v, dv = p.value_d1_fn(x)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise QuadratureError(f"potential evaluation failed at x={x}: {exc}") from None
+        v, dv, _ = eval_jet2(p.ast, x)
+    except ArithmeticError as exc:
+        raise QuadratureError(f"potential evaluation failed: {exc}") from None
     _screen(p, x, v, _v_floor(p))
     beta = sign * 0.25 * dv / v if v > 0.0 else 0.0
     tail, c = _power_tail(t, math.sqrt(v), beta, gamma)

@@ -551,3 +551,20 @@ def test_argv_that_names_no_subcommand_reads_every_subcommand(argv, code, text, 
     else:
         assert main(argv) == code
         assert capsys.readouterr().err == text
+
+
+def test_entry_points_agree_on_a_potential_that_is_not_c2_at_an_end(capsys):
+    # (1-x)^1.5 has an infinite V'' at b = 1: validation, the transform, the
+    # phase at the bulk's ends and the CLI all read the same jet there
+    from sturmjumps import EvalDomainError, PhaseError, jump_sequence, lg_data, phase
+
+    p = sturmjumps.Potential.from_formula("2+(1-x)^1.5", 0.0, 1.0)
+    text = "power not twice differentiable at zero base"
+    for error, call in ((EvalDomainError, p.validate), (EvalDomainError, lambda: lg_data(p)),
+                        (PhaseError, lambda: phase(p, 10.0)), (PhaseError, lambda: jump_sequence(p, 1, 5))):
+        with pytest.raises(error, match=text):
+            call()
+    common = ["--potential", "2+(1-x)^1.5", "--a", "0", "--b", "1"]
+    for argv in (["count", *common, "--lambda", "10"], ["jumps", *common, "--n-min", "1", "--n-max", "5"]):
+        assert main(argv) == 1
+        assert text in capsys.readouterr().err

@@ -14,7 +14,6 @@ from sturmjumps.expr import (
     Unary,
     compile_jet2,
     compile_value,
-    compile_value_d1,
     eval_jet2,
     parse,
     serialize,
@@ -144,34 +143,6 @@ def test_compiled_value_matches_jets(source, lo, hi):
         assert fn(x) == pytest.approx(eval_jet2(ast, x).v, rel=1e-14, abs=1e-300)
 
 
-@pytest.mark.parametrize("source,lo,hi", _FD_CASES + [("x^2", -2.0, 2.0)])
-def test_compiled_value_d1_matches_jets(source, lo, hi):
-    ast = parse(source)
-    fn = compile_value_d1(ast)
-    for i in range(25):
-        x = lo + (hi - lo) * (i + 0.5) / 25
-        jet = eval_jet2(ast, x)
-        v, d1 = fn(x)
-        assert v == pytest.approx(jet.v, rel=1e-14, abs=1e-300)
-        assert d1 == pytest.approx(jet.d1, rel=1e-13, abs=1e-300)
-
-
-@pytest.mark.parametrize(
-    "source,x,error",
-    [
-        ("log(x)", -1.0, ValueError),
-        ("sqrt(x)", -2.0, ValueError),
-        ("x^0.5", -2.0, ValueError),
-        ("2+1/x", 0.0, ZeroDivisionError),
-        ("(1-x)/x", 0.0, ZeroDivisionError),
-        ("exp(x)", 1e6, OverflowError),
-    ],
-)
-def test_compiled_value_d1_domain_errors(source, x, error):
-    with pytest.raises(error):
-        compile_value_d1(parse(source))(x)
-
-
 def test_compiled_vectorized_matches_scalar():
     ast = parse("2+sin(3*x)/(1+x^2)")
     fn = compile_value(ast)
@@ -196,12 +167,10 @@ def test_jets_match_mpmath(source, lo, hi):
     ast = parse(source)
     xs = lo + (hi - lo) * (np.arange(25) + 0.5) / 25
     arrays = compile_jet2(ast)(xs)
-    value_d1 = compile_value_d1(ast)
     for i, x in enumerate(xs.tolist()):
         want = mp_jet(ast, x)
         assert _near(eval_jet2(ast, x), want), (x, eval_jet2(ast, x), want)
         assert _near([float(part[i]) for part in arrays], want), x
-        assert _near(value_d1(x), want[:2]), x
 
 
 @pytest.mark.parametrize("source,lo,hi", _JET_CASES)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sturmjumps.oscillation as oscillation
+from sturmjumps.expr import EvalDomainError, eval_jet2
 from sturmjumps.oscillation import (
     AtJumpAmbiguity,
     PhaseError,
@@ -147,7 +148,7 @@ def test_seed_ladder_matches_quadrature(source, gamma_a, gamma_b):
                 t = abs(mpmath.mpf(ladder.x[k]) - anchor)
                 want = mpmath.quad(lambda s: mpmath.sqrt(_mp_value(source, end, s)), [0, t])
                 assert abs(ladder.xi[k] - want) <= 2e-12 * want, (end, k)
-        # the ladder runs to the end's ulp, or to the normal range at x = 0
+        # the ladder runs to the end's ulp, or at x = 0 until the normal range or V's jet stops it
         assert abs(ladder.x[-1] - float(anchor)) < 1e-15
 
 
@@ -237,10 +238,10 @@ def test_sliver_angle_matches_closed_form(fixture, lam, request):
 
 
 def test_sliver_whose_check_never_passes_raises(v_linear, monkeypatch):
-    # with no share to leave, no level's gap passes: the sliver raises at the
-    # end's ulp instead of returning a best guess
+    # with no share to leave, no level's gap passes: the sliver raises where
+    # its ladder runs out of levels instead of returning a best guess
     monkeypatch.setattr(oscillation, "_SEED_SHARE", 0.0)
-    with pytest.raises(PhaseError, match="near a"):
+    with pytest.raises(PhaseError, match="ladder near a ran out of levels"):
         phase(v_linear, 100.0)
 
 
@@ -299,8 +300,8 @@ def _eager_ladder(p, end):
         if not t >= sys.float_info.min or (ts and t == ts[-1]):
             break
         try:
-            v, dv = p.value_d1_fn(x)
-        except (ValueError, ZeroDivisionError, OverflowError):
+            v, dv, _ = eval_jet2(p.ast, x)
+        except ArithmeticError:
             break
         if not (0.0 < v < math.inf and math.isfinite(dv)):
             break
@@ -334,7 +335,13 @@ def test_ladder_levels_on_demand_match_the_eager_build(source, gamma_a, gamma_b)
         assert not ladder.reach(math.inf) and ladder.ended
         xs, xi, q = _eager_ladder(p, end)
         assert (ladder.x, ladder.xi, ladder.q) == (xs, xi, q), end
-        assert len(xs) > (400 if end == "a" else 30), end  # down to the normal range at 0, or to the ulp at 1
+        if end == "b":
+            assert len(xs) > 30  # down to the ulp at 1
+        elif len(xs) <= 400:
+            # V'' overflows at the next offset, as on (1-x)/x and x^(-0.5), with xi already deep
+            with pytest.raises(EvalDomainError):
+                eval_jet2(p.ast, math.ldexp(xs[0], -len(xs)))
+            assert xi[-1] <= 1e-50
 
 
 def test_octaves_are_cut_by_lambda():

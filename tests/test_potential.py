@@ -130,7 +130,7 @@ def test_pickle_carries_the_fields_and_no_cache():
     from sturmjumps.oscillation import phase
 
     caches = {name for name, attr in vars(Potential).items() if isinstance(attr, cached_property)}
-    assert caches >= {"value_fn", "value_fn_np", "value_d1_fn", "jet2_fn", "cell_meshes", "sliver_ladders"}
+    assert caches >= {"value_fn", "value_fn_np", "jet2_fn", "cell_meshes", "sliver_ladders"}
     for p in (
         Potential.from_formula("2+sin(x)", 0.0, 3.0),
         Potential.from_formula("x", 0.0, 1.0, regularity="conjecture", gamma_a=1.0, gamma_b=0.0),

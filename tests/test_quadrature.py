@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -203,3 +204,17 @@ def test_segments_bad_points_rejected(v_one):
             integrate_sqrt_v_segments(v_one, xs)
     with pytest.raises(ValueError):
         integrate_sqrt_v_segments(v_one, [0.0, 1.0], 0.0)
+
+
+def test_failing_point_evaluation_names_its_node():
+    # V = sqrt(x - 1e-6) is negative next to a = 0, where the octaves' last
+    # level reads V and V' from the jet, whose error names the node; phase
+    # integrates the same octaves for its ladder
+    from sturmjumps.oscillation import PhaseError, phase
+
+    p = Potential.from_formula("sqrt(x-1e-6)", 0.0, 1.0, regularity="conjecture", gamma_a=0.5, gamma_b=0.0)
+    node = "square root of a negative value in 'sqrt(x-1e-06)'"
+    with pytest.raises(QuadratureError, match=re.escape(node)):
+        integrate_sqrt_v(p, 0.0, 1.0)
+    with pytest.raises(PhaseError, match=re.escape(node)):
+        phase(p, 50.0)

@@ -26,6 +26,7 @@ import math
 import mpmath
 import pytest
 
+import sturmjumps.expr as expr
 import sturmjumps.oscillation as oscillation
 from rk45 import _rk45
 from sturmjumps.jumps import find_jump, jump_sequence
@@ -248,10 +249,10 @@ def _lg_theta_b(p, lam, rtol):
     rtol 1e-13 it is about 1e-12 * n at lambda = 1000.
     """
     s = lam * math.sqrt(max(p.c_lower, 1.0))
-    fvd = p.value_d1_fn
+    jet = expr._scalar_jet2(p.ast)  # bound once: eval_jet2 would hash the AST at every step
 
     def rhs(x, th):
-        v, dv = fvd(x)
+        v, dv, _ = jet(x)
         return lam * math.sqrt(v) + 0.25 * dv / v * math.sin(2.0 * th)
 
     scale_b = lam * math.sqrt(p.value_fn(p.b))
@@ -371,13 +372,13 @@ def _sliver_oracle(q, lam, t1, rtol):
     u ~ t where lam^2 V t^2 <= _DELTA_TOL, independently of the ladders'
     Bessel seeds and of the collocation cells.
     """
-    fvd, fv = q.value_d1_fn, q.value_fn
+    jet, fv = expr._scalar_jet2(q.ast), q.value_fn
     t0 = t1
     while lam * lam * fv(t0) * t0 * t0 > _DELTA_TOL:
         t0 *= 0.5
 
     def rhs(t, th):
-        v, dv = fvd(t)
+        v, dv, _ = jet(t)
         return lam * math.sqrt(v) + 0.25 * dv / v * math.sin(2.0 * th)
 
     return _rk45(rhs, t0, math.atan(lam * math.sqrt(fv(t0)) * t0), t1, rtol, rtol * math.pi, 10**8)[0]
