@@ -38,7 +38,9 @@ the steadiest figure):
   interval, on 2+sin(x) ([0, 3]), exp(x), x, (1-x)/x and x/(1-x), with
   its V evaluations (and PATH's, ``against_evaluations``);
 * build_mesh.<potential>: the cell mesh at rtol decade -11, built afresh,
-  with its cells and its batches (``propagator._cells`` calls); on the
+  with its cells, its batches (``propagator._cells`` calls) and its
+  refinement tests (``propagator._mismatches`` calls; with --against,
+  PATH's as ``against_batches`` and ``against_mismatches``); on the
   conjecture class also build_mesh.<potential>.decade=-10 and -12;
 * count.(1-x)/x.lam=300.fresh: one ``count_negative`` at rtol 1e-10 on a
   new Potential, so that the call builds its mesh;
@@ -185,19 +187,19 @@ def with_against(case, ms, others, runs=(), calls=0):
     return case
 
 
-def batches(tree, build):
-    """The ``propagator._cells`` calls of one ``build()`` on the tree: a mesh build's batches."""
-    cells, calls = tree.propagator._cells, []
+def calls_of(tree, name, build):
+    """The calls of ``propagator.<name>`` that one ``build()`` on the tree makes."""
+    function, calls = getattr(tree.propagator, name), []
 
     def counted(*args):
         calls.append(1)
-        return cells(*args)
+        return function(*args)
 
-    tree.propagator._cells = counted
+    setattr(tree.propagator, name, counted)
     try:
         build()
     finally:
-        tree.propagator._cells = cells
+        setattr(tree.propagator, name, function)
     return len(calls)
 
 
@@ -246,15 +248,16 @@ def parse_run(tree, argvs):
 
 
 def build_mesh_case(trees, spec, decade, repeat, calls):
-    """One mesh build afresh on each tree at ``decade``: the ms, cells and batches."""
+    """One mesh build afresh on each tree at ``decade``: the ms, cells, batches and ``_mismatches`` calls."""
     runs = []
     for tree in trees:
         q = tree.potential(*spec)
         interval = tree.propagator.bulk_interval(q)
         runs.append(lambda tree=tree, q=q, interval=interval: tree.propagator.build_mesh(q, decade, *interval))
-    case = {"cells": runs[0]().cells, "batches": batches(trees[0], runs[0])}
-    if len(trees) > 1:
-        case["against_batches"] = batches(trees[1], runs[1])
+    case = {"cells": runs[0]().cells}
+    for prefix, tree, run in zip(("", "against_"), trees, runs):
+        case[f"{prefix}batches"] = calls_of(tree, "_cells", run)
+        case[f"{prefix}mismatches"] = calls_of(tree, "_mismatches", run)
     ms, *others = fastest_ms(runs, repeat)
     case["ms"] = ms
     return with_against(case, ms, others, runs, calls)

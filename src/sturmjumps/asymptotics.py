@@ -12,6 +12,7 @@ Three checks, matching the three laws the library is built to probe:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,6 +30,8 @@ __all__ = [
     "theorem_check",
     "weyl_defect",
     "conjecture_fit",
+    "theorem_range",
+    "conjecture_range",
 ]
 
 _PI = math.pi
@@ -59,6 +62,20 @@ class ConjectureFit:
     n_fit_max: int
 
 
+def theorem_range(ns: Sequence[int]) -> None:
+    """Raise ValueError unless the distinct n, ascending, span what theorem_check needs."""
+    if ns[0] < 10 or ns[-1] < 4 * ns[0]:
+        raise ValueError(f"insufficient range: need n_min >= 10 and n_max >= 4*n_min, got [{ns[0]}, {ns[-1]}]")
+
+
+def conjecture_range(ns: Sequence[int]) -> None:
+    """Raise ValueError unless the distinct n, ascending, reach 100 with 3 in the tail the fit reads."""
+    if ns[-1] < 100:
+        raise ValueError(f"insufficient range: need n_max >= 100, got [{ns[0]}, {ns[-1]}]")
+    if len(ns) - bisect.bisect_left(ns, 0.5 * (ns[0] + ns[-1])) < 3:
+        raise ValueError(f"insufficient range: need 3 distinct n at or above the midpoint of [{ns[0]}, {ns[-1]}]")
+
+
 def theorem_check(records: Sequence[JumpRecord]) -> TheoremCheck:
     """Boundedness proxy for n * e_n over [n_min, n_max].
 
@@ -72,9 +89,8 @@ def theorem_check(records: Sequence[JumpRecord]) -> TheoremCheck:
     recs = sorted(records, key=lambda r: r.n)
     if not recs:
         raise ValueError("no records")
+    theorem_range(sorted({r.n for r in recs}))
     n_min, n_max = recs[0].n, recs[-1].n
-    if n_min < 10 or n_max < 4 * n_min:
-        raise ValueError(f"insufficient range: need n_min >= 10 and n_max >= 4*n_min, got [{n_min}, {n_max}]")
     mid = 0.5 * (n_min + n_max)
     scaled = [(r.n, abs(r.n * r.e_n)) for r in recs]
     head = max(v for n, v in scaled if n <= mid)
@@ -114,13 +130,9 @@ def conjecture_fit(
     recs = sorted(records, key=lambda r: r.n)
     if not recs:
         raise ValueError("no records")
-    n_min, n_max = recs[0].n, recs[-1].n
-    if n_max < 100:
-        raise ValueError("need records up to n >= 100")
-    mid = 0.5 * (n_min + n_max)
+    conjecture_range(sorted({r.n for r in recs}))
+    mid = 0.5 * (recs[0].n + recs[-1].n)
     tail = [r for r in recs if r.n >= mid]
-    if len(tail) < 3 or len({r.n for r in tail}) < 2:
-        raise ValueError("degenerate fit: too few distinct n in the tail")
     ns = np.array([r.n for r in tail], dtype=float)
     ys = np.array([r.e_n for r in tail], dtype=float)
     design = np.column_stack([np.ones_like(ns), 1.0 / ns])

@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .asymptotics import conjecture_fit, theorem_check, weyl_defect
+from .asymptotics import conjecture_fit, conjecture_range, theorem_check, theorem_range, weyl_defect
 from .expr import FormulaError
 from .jumps import jump_sequence
 from .liouville_green import count_bracket, lg_data
@@ -151,6 +151,12 @@ def _resolve(args: argparse.Namespace):
             raise _UsageError(f"--{name} must be at least {least}")
     if opts.get("n_max") is not None and not 1 <= args.n_min <= args.n_max:
         raise _UsageError("need 1 <= --n-min <= --n-max")
+    check = {"theorem": theorem_range, "conjecture": conjecture_range}.get(opts.get("suite"))
+    if check is not None:  # the suite's own range rule, before any root is found
+        try:
+            check(range(args.n_min, args.n_max + 1))
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     if "lambda_min" in opts and not args.lambda_min < args.lambda_max:
         raise _UsageError("need --lambda-min < --lambda-max")
 
@@ -251,7 +257,7 @@ def _cmd_jumps(args: argparse.Namespace, p: Potential) -> int:
 
 def _cmd_transform(args: argparse.Namespace, p: Potential) -> int:
     lg = lg_data(p, grid_points=args.grid)
-    samples = [{"x": x, "xi": xi, "U": u} for (x, xi), (_, u) in zip(lg.grid, lg.u_samples)]
+    samples = [{"x": x, "xi": xi, "U": u} for x, xi, u in zip(lg.x.tolist(), lg.xi.tolist(), lg.u.tolist())]
     diagnostics = {"xi_evaluations": lg.xi_evaluations, "xi_bisections": lg.xi_bisections, "d_evaluations": lg.d_evaluations}
     _emit_json(args, {"D": lg.d, "C": lg.c, "samples": samples, "diagnostics": diagnostics})
     _summary(f"D = {lg.d:.12g}, C = {lg.c:.6g} ({args.grid} samples)")

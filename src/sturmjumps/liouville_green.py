@@ -42,12 +42,13 @@ __all__ = ["LGData", "u_from_jet", "transformed_potential", "lg_data", "count_br
 _PI = math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LGData:
     d: float
     c: float
-    u_samples: tuple[tuple[float, float], ...]  # (xi, U)
-    grid: tuple[tuple[float, float], ...]  # (x, xi)
+    x: np.ndarray  # the Chebyshev grid, endpoints included
+    xi: np.ndarray  # xi at each x
+    u: np.ndarray  # U at each x
     xi_evaluations: int = 0  # V evaluations of the xi grid
     xi_bisections: int = 0  # segments of the xi grid that were bisected
     d_evaluations: int = 0  # V evaluations of D
@@ -94,13 +95,13 @@ def lg_data(p: Potential, grid_points: int = 512) -> LGData:
     xs = chebyshev_grid(p.a, p.b, grid_points, include_endpoints=True)
     u = _u_at(p, xs)
     seg = integrate_sqrt_v_segments(p, xs)
-    xis = np.concatenate([[0.0], np.cumsum(seg.values)])
     whole = integrate_sqrt_v(p, p.a, p.b)
     return LGData(
         d=whole.value,
         c=1.05 * float(np.max(np.abs(u))),
-        u_samples=tuple(zip(xis.tolist(), u.tolist())),
-        grid=tuple(zip(xs.tolist(), xis.tolist())),
+        x=xs,
+        xi=np.concatenate([[0.0], np.cumsum(seg.values)]),
+        u=u,
         xi_evaluations=seg.evaluations,
         xi_bisections=seg.bisections,
         d_evaluations=whole.evaluations,

@@ -31,7 +31,7 @@ added from a Taylor series in x (``_second_order_table``), tapered off by
 digits, x eta_3 and x eta_4 come from their Taylor series too
 (``_near_series``).  So a cell's error is third order in (c1, c2, c3)
 and second order in c4.  The error falls as lambda grows, so one mesh
-serves every lambda, and lambda = 0 decides most cells.
+serves every lambda, and lambda = 0 and omega h = 4 and 8 decide the cells.
 
 Within cell i the Prüfer angle psi, tan(psi) = sigma g/g', uses the scale
 sigma = sqrt(x)/h where the cell spans more than a radian of phase and 1/h
@@ -55,22 +55,22 @@ built once, vectorized over cells, by bisecting every cell whose
 propagator differs from the product of its two halves' by more than its
 share of the decade's tolerance, in the max norm on a scale natural to
 each reference frequency: lambda = 0 on the scale max(pi/D, sqrt|Ubar|),
-and omega h = z for each z in _Z_REF on the scale omega.  At omega the
-tolerance is 10**decade * max(omega D, pi) in all, so a cell's share grows
-with z.  The bisection runs in batches that settle several levels each
-(``build_mesh``): a cell far over its allowance at lambda = 0, the
-frequency that fails most failing cells, sends its halves' halves along
-with its halves, and a batch that guesses many such cells tests
-lambda = 0 first.  A cell's arrays and verdict keep their bits in any
-batch of an even number of cells, so the mesh is bisection's level by
-level, array for array.  A build that fails, where V does or a limit is
-reached, runs again without guesses, one level per batch, and so raises
-what bisection raises.  The mesh is cached on the Potential.  Every
-call sweeps the mesh and the mesh with each cell halved: the fine sweep
-is the answer and |fine - coarse| its error estimate.  A lane whose
-estimate exceeds rtol * max(theta, pi) is swept again on a private copy
-with every cell halved (``_settle``), and fails after _MAX_REFINE such
-tries.
+and omega h = z for z in _Z_REF, 4 and 8, the others that decide cells,
+on the scale omega.  At omega the tolerance is 10**decade * max(omega D,
+pi) in all, so a cell's share grows with z.  The bisection runs in
+batches that settle several levels each (``build_mesh``), each tested
+once at the three frequencies: a cell far over its allowance at
+lambda = 0, the frequency that fails most failing cells, sends its
+halves' halves along with its halves.  A cell's arrays and verdict keep
+their bits in any batch of an even number of cells, so the mesh is
+bisection's level by level, array for array.  A build that fails, where
+V does or a limit is reached, runs again without guesses, one level per
+batch, and so raises what bisection raises.  The mesh is cached on the
+Potential.  Every call sweeps the mesh and the mesh with each cell
+halved: the fine sweep is the answer and |fine - coarse| its error
+estimate.  A lane whose estimate exceeds rtol * max(theta, pi) is swept
+again on a private copy with every cell halved (``_settle``), and fails
+after _MAX_REFINE such tries.
 
 The cell algebra does not depend on lambda, so ``propagate_lanes``, the
 only entry point, takes many couplings, the lanes, at once.  A round of
@@ -112,7 +112,13 @@ __all__ = ["CellMesh", "build_mesh", "bulk_mesh", "propagate_lanes"]
 _TWO_PI = 2.0 * math.pi
 
 _INITIAL_CELLS = 16
-_Z_REF = (1.0, 2.0, 4.0, 8.0)  # reference frequencies besides lambda = 0, in radians per cell
+# reference frequencies besides lambda = 0, in radians per cell.  omega h = 1
+# and 2 decide no cell since c3 is at second order: over 96 builds (32
+# potentials, among them x, sqrt(x), (1-x)/x, 2+sin(x), 1.2+sin(3x), exp(x)
+# and 20 of criterion 3's draws, at decades -10..-12) each of the 2 267
+# verdicts that failed omega h = 1 or 2 failed lambda = 0, 4 or 8 too, while
+# lambda = 0 alone failed 166 verdicts, omega h = 4 alone 68 and 8 alone 75
+_Z_REF = (4.0, 8.0)
 _SHARE = 0.5  # fraction of the decade's tolerance the mesh's cells may use
 _ROUNDING = 8 * 2.220446049250313e-16  # a gap this small is rounding, not truncation
 _MAX_DEPTH = 40
@@ -129,12 +135,6 @@ _MAX_DEPTH = 40
 # 0.91-1.19x, 192 0.82-1.09x.  _SURE = 48, 64 or 128 read 0.81-1.14x
 _SURE = 32.0
 _FALL = 96.0
-# a batch that guesses at least this many failing cells tests lambda = 0
-# on its own first, though with the cells' c3 at second order lambda = 0
-# fails 734 of those 899 failing cells, omega h = 4 and 8 most of the
-# rest.  The same builds against 24, medians of 31: never staging
-# 0.87-1.34x (1.10-1.34x on (1-x)/x), 12 0.98-1.17x, 48 0.87-1.13x
-_STAGE = 24
 _MAX_CELLS = 50_000
 _MAX_REFINE = 3
 _BLOCK = 4096  # lane-cells per block of a round's sweep: bounds the sweep's arrays
@@ -587,30 +587,20 @@ def _mismatches(whole, halves, lam2s, sigs):
     return gaps.reshape(4, -1, m).max(axis=0)
 
 
-def _within(whole, halves, cells, zs, scale, floor, length):
-    """Whether each of ``cells`` (None: all) passes at every frequency in zs, and its gap over allowance at zs[0].
+def _within(whole, halves, scale, floor, length):
+    """Whether each cell passes at lambda = 0 and at omega h = z for each z in _Z_REF, and its gap over allowance at lambda = 0.
 
-    z = 0 is lambda = 0, on the scale of the first jump, pi/D, or of
-    sqrt(|Ubar|); any other z is omega h = z on the scale omega.  A gap
-    passes within 10**decade times the cell's share, or at rounding level.
+    lambda = 0 is on the scale of the first jump, pi/D, or of sqrt(|Ubar|);
+    omega h = z on the scale omega; one _mismatches call takes them all.  A
+    gap passes within 10**decade times the cell's share, or at rounding level.
     """
-    if cells is not None:
-        pairs = np.stack([2 * cells, 2 * cells + 1], axis=1).ravel()
-        whole, halves = [q[cells] for q in whole], [q[pairs] for q in halves]
     h, ubar = whole[0], whole[1]
     allowed = np.maximum(floor * h, _ROUNDING)
-    lam2s, sigs, limits = [], [], np.empty((len(zs), len(h)))
-    for z, limit in zip(zs, limits):
-        if z:
-            lam2s.append(np.maximum((z / h) ** 2 - ubar, 0.0))
-            sigs.append(z / h)
-            np.maximum(scale * z, allowed, out=limit)
-        else:
-            lam2s.append(0.0)
-            sigs.append(np.maximum(math.pi / length, np.sqrt(np.abs(ubar))))
-            limit[...] = allowed
+    lam2s = [0.0] + [np.maximum((z / h) ** 2 - ubar, 0.0) for z in _Z_REF]
+    sigs = [np.maximum(math.pi / length, np.sqrt(np.abs(ubar)))] + [z / h for z in _Z_REF]
+    limits = np.array([allowed] + [np.maximum(scale * z, allowed) for z in _Z_REF])
     gaps = _mismatches(whole, halves, lam2s, sigs)
-    return (gaps <= limits).all(axis=0), gaps[0] / limits[0]
+    return (gaps <= limits).all(axis=0), gaps[0] / allowed
 
 
 def _assemble(p: Potential, nodes: np.ndarray, whole=None, halves=None) -> CellMesh:
@@ -680,19 +670,8 @@ def _bisect(p: Potential, decade: int, x_l: float, x_r: float, guesses: bool) ->
         if length is None:
             length = whole[0].sum()
             floor = scale * math.pi / length
-        # lambda = 0 fails nearly every cell that fails: a batch that guesses
-        # tests it first, and the omega h only on the cells that pass it and
-        # that bisection would test
-        staged = np.count_nonzero(spec) >= _STAGE
-        ok, ratio = _within(whole, halves, None, (0.0, *(() if staged else _Z_REF)), scale, floor, length)
+        ok, ratio = _within(whole, halves, scale, floor, length)
         real = _reached(levels, ~ok)
-        if staged:  # the cells that pass it are tested as bisection reaches them
-            tested = ~ok
-            while (need := real & ~tested).any():
-                cells = need.nonzero()[0]
-                ok[cells] = _within(whole, halves, cells, _Z_REF, scale, floor, length)[0]
-                tested[cells] = True
-                real = _reached(levels, ~ok)
         fail = real & ~ok
         done.append((lo, whole, halves, real & ok))
         failures += np.count_nonzero(fail)
@@ -729,12 +708,12 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
     A cell passes where its propagator and its halves' product agree
     within its share of the decade's tolerance at lambda = 0 and at every
     omega h in _Z_REF (``_within``); a cell that fails is halved.  One
-    batch, one _cells call and its tests, settles several levels: a
-    failing cell whose lambda = 0 gap is over _SURE allowances sends its
-    halves to the next batch with their halves, and a level more for each
-    further _FALL-fold, as long as a batch's guessed cells fit in the cells
-    left below _MAX_CELLS.  The batch's tree is walked level by level
-    (``_reached``) and the guesses under a passing cell are dropped.  A
+    batch, one _cells call and one test of all its cells, settles several
+    levels: a failing cell whose lambda = 0 gap is over _SURE allowances
+    sends its halves to the next batch with their halves, and a level more
+    for each further _FALL-fold, as long as a batch's guessed cells fit in
+    the cells left below _MAX_CELLS.  The batch's tree is walked level by
+    level (``_reached``) and the guesses under a passing cell are dropped.  A
     cell's arrays and verdict have the same bits in any batch of an even
     number of cells, so the mesh is that of bisection level by level,
     array for array.  The cells bisection tests are among those the

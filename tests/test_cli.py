@@ -11,6 +11,7 @@ import pytest
 import sturmjumps
 from sturmjumps import cli
 from sturmjumps.cli import main
+from sturmjumps.jumps import JumpRecord
 
 PI = "3.141592653589793"
 
@@ -409,6 +410,40 @@ def test_config_holds_exactly_the_subcommand_options(tmp_path):
 )
 def test_bad_counts_are_usage_errors(argv):
     assert run(argv + ["--potential", "1", "--a", "0", "--b", PI]) == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "theorem", "--potential", "2+sin(x)", "--a", "0", "--b", "3", "--n-min", "1", "--n-max", "10"],
+        ["verify", "--suite", "conjecture", "--n-max", "50"],
+        ["verify", "--suite", "conjecture", "--n-min", "100", "--n-max", "101"],
+    ],
+)
+def test_verify_ranges_its_check_cannot_read_are_usage_errors(argv, monkeypatch, capsys):
+    # the suite's range rule answers before any root is found, with the check's own text
+    monkeypatch.setattr(cli, "jump_sequence", lambda *args, **kwargs: pytest.fail("a table was computed"))
+    base = [] if "--potential" in argv else ["--potential", "x", "--a", "0", "--b", "1", "--class", "conjecture", "--gamma-a", "1", "--gamma-b", "0"]
+    assert run(argv + base) == 64
+    assert "usage error: insufficient range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite,n_min,n_max",
+    [("conjecture", 95, 100), ("theorem", 10, 500)],  # the benchmark's conjecture table, the theorem defaults
+)
+def test_verify_accepts_the_ranges_its_check_reads(suite, n_min, n_max, monkeypatch):
+    tables = []
+
+    def table(p, lo, hi, **kwargs):
+        tables.append((lo, hi))
+        return [JumpRecord(n, float(n), 0.0, 0.25 + 1e-3 / n) for n in range(lo, hi + 1)]
+
+    monkeypatch.setattr(cli, "jump_sequence", table)
+    argv = ["verify", "--suite", suite, "--potential", "x", "--a", "0", "--b", "1", "--class", "conjecture", "--gamma-a", "1", "--gamma-b", "0"]
+    if suite == "conjecture":
+        argv += ["--n-min", str(n_min), "--n-max", str(n_max)]
+    assert run(argv) in (0, 2) and tables == [(n_min, n_max)]
 
 
 def test_verify_records_the_suite_defaults_it_ran(tmp_path):

@@ -50,7 +50,7 @@ def test_lg_data_constant(v_one):
     lg = lg_data(v_one, 256)
     assert lg.d == pytest.approx(math.pi, abs=1e-10)
     assert lg.c == 0.0
-    assert all(u == 0.0 for _, u in lg.u_samples)
+    assert all(u == 0.0 for u in lg.u)
 
 
 def test_lg_data_exponential(v_exp):
@@ -58,13 +58,13 @@ def test_lg_data_exponential(v_exp):
     assert lg.d == pytest.approx(2.0 * (math.exp(0.5) - 1.0), abs=1e-10)
     # max |U| sits at x = 0, which the Lobatto grid includes exactly
     assert lg.c == pytest.approx(1.05 / 16.0, rel=1e-12)
-    xis = [xi for xi, _ in lg.u_samples]
+    xis = lg.xi.tolist()
     assert all(b > a for a, b in zip(xis, xis[1:]))
     assert xis[0] == 0.0
     assert xis[-1] == pytest.approx(lg.d, abs=1e-8)
-    assert all(abs(u) <= lg.c for _, u in lg.u_samples)
+    assert all(abs(u) <= lg.c for u in lg.u)
     # U sampled through the compiled jet, bit for bit transformed_potential's
-    assert [u for _, u in lg.u_samples] == [transformed_potential(v_exp, x) for x, _ in lg.grid]
+    assert lg.u.tolist() == [transformed_potential(v_exp, x) for x in lg.x.tolist()]
 
 
 def test_lg_data_grid_ends_are_the_interval_ends():
@@ -72,8 +72,8 @@ def test_lg_data_grid_ends_are_the_interval_ends():
     a, b = 3.4442, 3.8235
     p = Potential.from_formula("2+sin(x)", a, b)
     lg = lg_data(p, 200)
-    assert (lg.grid[0][0], lg.grid[-1][0]) == (a, b)
-    assert lg.grid[-1][1] == pytest.approx(lg.d, abs=1e-12)
+    assert (lg.x[0], lg.x[-1]) == (a, b)
+    assert lg.xi[-1] == pytest.approx(lg.d, abs=1e-12)
     rng = np.random.default_rng(7)
     for lo, width in zip(rng.uniform(-10, 10, 500).round(4), rng.uniform(0.01, 10, 500).round(4)):
         xs = chebyshev_grid(float(lo), float(lo + width), 200, include_endpoints=True)
@@ -89,7 +89,7 @@ def test_lg_data_diagnostics(v_exp):
     lg = lg_data(p, 200)
     assert lg.xi_bisections > 0
     assert lg.xi_evaluations == 30 * 199 + 40 * lg.xi_bisections
-    assert lg.grid[-1][1] == pytest.approx(lg.d, abs=1e-10)
+    assert lg.xi[-1] == pytest.approx(lg.d, abs=1e-10)
 
 
 def test_lg_data_guards(v_one, v_rational):
@@ -119,11 +119,11 @@ def test_lg_data_u_matches_the_scalar_jet():
     for p in _agreement_potentials():
         lg = lg_data(p, 512)
         scalar, scale = [], []
-        for x, _ in lg.grid:
+        for x in lg.x.tolist():
             v, d1, d2 = eval_jet2(p.ast, x)
             scalar.append(u_from_jet(v, d1, d2))
             scale.append((abs(d2) / 4.0 + 5.0 * d1 * d1 / (16.0 * v)) / (v * v))
-        for (_, u), want, terms in zip(lg.u_samples, scalar, scale):
+        for u, want, terms in zip(lg.u.tolist(), scalar, scale):
             assert abs(u - want) <= 1e-14 * terms, (p.source, u, want)
         assert abs(lg.c - 1.05 * max(map(abs, scalar))) <= 1.05e-14 * max(scale), p.source
 
@@ -150,8 +150,7 @@ def test_u_integral_matches_trapezoid_over_samples(v_sin, v_exp):
     # the oracle integrates lg_data's sampled U over xi by the trapezoid rule
     for p in (v_sin, v_exp):
         lg = lg_data(p, 512)
-        xi = np.array([s[0] for s in lg.u_samples])
-        u = np.array([s[1] for s in lg.u_samples])
+        xi, u = lg.xi, lg.u
         trapezoid = float(np.sum(0.5 * (u[1:] + u[:-1]) * np.diff(xi)))
         assert _u_integral(p) / lg.d == pytest.approx(trapezoid / lg.d, abs=1e-6)
     # V = e^x: U = e^{-x}/16 and dxi = e^{x/2} dx, so the integral is (1 - e^{-1/2})/8

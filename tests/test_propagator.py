@@ -3,6 +3,7 @@
 import functools
 import math
 import pickle
+import random
 import tracemalloc
 
 import mpmath
@@ -488,14 +489,16 @@ def test_near_series_keeps_each_rows_bits(monkeypatch):
 
 @pytest.mark.parametrize("cells", [1, 2, 16])
 def test_batched_mesh_test_matches_one_transfer_per_frequency(cells):
-    # build_mesh's refinement test, batched over the five reference
-    # frequencies, against a _transfer call for each frequency and part
+    # build_mesh's refinement test, batched over lambda = 0 and omega h = 1,
+    # 2, 4 and 8 (five frequency rows, more than the build's three), against
+    # a _transfer call for each frequency and part
     p = Potential.from_formula("1.2+1.0*sin(3*x)", 0.0, 4.0)
     edges = np.linspace(0.0, 4.0, cells + 1)
     whole, halves = propagator._cells(p, edges[:-1], edges[1:])
     h, ubar = whole[0], whole[1]
-    lam2s = [0.0] + [np.maximum((z / h) ** 2 - ubar, 0.0) for z in propagator._Z_REF]
-    sigs = [np.maximum(math.pi / h.sum(), np.sqrt(np.abs(ubar)))] + [z / h for z in propagator._Z_REF]
+    zs = (1.0, 2.0, 4.0, 8.0)
+    lam2s = [0.0] + [np.maximum((z / h) ** 2 - ubar, 0.0) for z in zs]
+    sigs = [np.maximum(math.pi / h.sum(), np.sqrt(np.abs(ubar)))] + [z / h for z in zs]
     got = propagator._mismatches(whole, halves, lam2s, sigs)
     for k, (lam2, sig) in enumerate(zip(lam2s, sigs)):
         t11, t12, t21, t22, _ = _kernel(lam2, *whole)
@@ -682,7 +685,7 @@ def test_one_round_of_100_lanes_on_a_long_mesh_stays_small():
 
 def _reference_build(p, decade, x_l, x_r):
     # build_mesh as it was before its batches settled several levels: one
-    # _cells call and one test at all five frequencies per level
+    # _cells call and one test at lambda = 0 and every omega h in _Z_REF per level
     edges = np.linspace(x_l, x_r, propagator._INITIAL_CELLS + 1)
     lo, hi = edges[:-1], edges[1:]
     whole, halves = propagator._cells(p, lo, hi)
@@ -756,6 +759,29 @@ def test_mesh_matches_bisection_level_by_level(name):
         for field in _MESH_FIELDS:
             g, w = getattr(got, field), getattr(want, field)
             assert np.array_equal(g, w) and np.asarray(g).dtype == np.asarray(w).dtype, (name, decade, field)
+
+
+def test_mesh_tests_only_the_frequencies_that_decide_a_cell(monkeypatch):
+    # omega h = 1 and 2 decide no cell: with them tested too, every mesh is
+    # the same array for array (criterion 3's first draws beside _BUILDS)
+    rng = random.Random(42)
+    draws = []
+    for _ in range(4):
+        c0 = rng.uniform(1.0, 3.0)
+        c1 = rng.uniform(0.0, c0 - 0.5)
+        c2 = rng.uniform(0.5, 3.0)
+        draws.append((f"{c0!r}+{c1!r}*sin({c2!r}*x)", rng.uniform(1.0, 5.0)))
+    builds = [*_BUILDS.values(), *(functools.partial(Potential.from_formula, s, 0.0, b) for s, b in draws)]
+    shipped = propagator._Z_REF
+    for decade in (-10, -11, -12):
+        for build in builds:
+            meshes = []
+            for zs in (shipped, (1.0, 2.0, 4.0, 8.0)):
+                monkeypatch.setattr(propagator, "_Z_REF", zs)
+                p = build()
+                meshes.append(propagator.build_mesh(p, decade, *propagator.bulk_interval(p)))
+            got, want = meshes
+            assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in _MESH_FIELDS), (build().source, decade)
 
 
 @pytest.mark.parametrize("name", ["2+sin(x) [0, 30]", "x", "(1-x)/x", "1.2+sin(3x) [0, 4]"])

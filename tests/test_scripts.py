@@ -67,7 +67,8 @@ def test_bench_layers_writes_every_case(tmp_path):
     for source in ("2+sin(x)", "exp(x)", "x", "(1-x)/x", "x/(1-x)"):
         assert cases[f"d.{source}"]["ms"] > 0.0, source
     # mesh builds with their batches: the conjecture class at three decades,
-    # each in fewer batches than bisection level by level takes levels
+    # each in fewer batches than bisection level by level takes levels, and
+    # one refinement test per batch
     for name, cells, levels in (
         ("x.decade=-10", 43, 6), ("x", 58, 6), ("x.decade=-12", 82, 7),
         ("sqrt(x).decade=-10", 42, 7), ("sqrt(x)", 55, 7), ("sqrt(x).decade=-12", 75, 7),
@@ -77,6 +78,9 @@ def test_bench_layers_writes_every_case(tmp_path):
         assert case["cells"] == cells and 1 <= case["batches"] < levels and case["ms"] > 0.0, name
     for source in ("2+sin(x)", "1.2+sin(3*x)", "exp(x)"):
         assert cases[f"build_mesh.{source}"]["batches"] >= 1, source
+    for name, case in cases.items():
+        if name.startswith("build_mesh."):
+            assert case["mismatches"] == case["batches"], name
     # a one-shot count builds its mesh
     fresh = cases["count.(1-x)/x.lam=300.fresh"]
     assert fresh["count"] > 0 and fresh["ms"] > 0.0
@@ -113,8 +117,9 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
         if "median_ratio" in case:
             assert case["against_median_ms"] > 0.0, name
             assert case["median_ratio"] == case["median_ms"] / case["against_median_ms"], name
-        if kind == "build_mesh":  # the same tree on both sides: the same batches
+        if kind == "build_mesh":  # the same tree on both sides: the same batches and tests
             assert case["batches"] == case["against_batches"] >= 1, name
+            assert case["mismatches"] == case["against_mismatches"] >= 1, name
         # the kernel per lane-cell, each tree on its own mesh's cells
         assert ("ns_ratio" in case) == (kind == "transfer"), name
         if kind == "transfer":
