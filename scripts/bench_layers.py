@@ -47,6 +47,12 @@ the steadiest figure):
 * count.<potential>.lam=L.rtol=1e-12: one one-lane ``count_negative`` at
   rtol 1e-12 with the mesh built, criterion 8's check beside each root
   (2+sin(x) at L = 10 and 30, x at L = 400), with the cells it sweeps;
+* count.criterion3.rtol=1e-10: the median per-call ms of the
+  counts-transform workload's 272 queries at seed 1, one-lane
+  ``count_negative`` at rtol 1e-10 on built meshes: its 32 criterion-3
+  draws c0 + c1 sin(c2 x) on [0, L], exp(x) and (1+x)^(-4), 8 counts
+  each from 4 to 1000 on a log scale (``queries``), each query's fastest
+  call and, with --against, its median of alternating calls;
 * jump_sequence.2+sin(x).1-500: criterion 4's table on one worker;
 * cli.parse.<sub>: ``cli.build_parser(argv).parse_args(argv)`` on every
   argv of one subcommand that the benchmark's jump workloads pass (jumps:
@@ -66,7 +72,12 @@ PATH's.  The fastest of a few runs swings with the hour, so the phase.*,
 ends.*, lg_data.*, build_mesh.*, count.* and cli.* cases also hold ``median_ratio``: the median of
 calls on this tree over the median on PATH's, the calls alternating
 between the trees and which goes first, 200 per tree at the default
---repeat of 15 and in proportion to --repeat otherwise.
+--repeat of 15 and in proportion to --repeat otherwise.  A build's
+median_ratio swings between whole runs by more than the effects it is
+read for, so with --against the build_mesh.* cases also run in three
+fresh processes (--builds-only), the trees' order alternating between
+them, and hold the median of the three processes' median_ratio as
+``fresh_median_ratio`` and their [min, max] as ``fresh_median_ratio_range``.
 
 Usage: bench_layers.py --out BENCH_<n>.json [--against PATH] [--repeat N]
 """
@@ -76,8 +87,12 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import platform
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -338,16 +353,105 @@ def kernel_case(runs, lane_cells, repeat):
     return with_against(case, ms, others)
 
 
+def count_queries(trees, seed=1):
+    """counts-transform's queries for ``seed``, one one-lane ``count_negative`` call per query on each tree, meshes built.
+
+    The workload's own build gives the potentials (criterion 3's draws,
+    exp(x) and (1+x)^(-4)) and each query's place on the log scale of
+    counts; lambda follows from this tree's ``lg_data`` as the workload
+    takes it.  The guard band is off, so no call raises.
+    """
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    workload = workloads.CountsTransform()
+    inputs = workload.build(seed)
+    lo, hi = workload.counts
+    queries = [[] for _ in trees]
+    for p, positions in zip(inputs["potentials"], inputs["positions"]):
+        lg = trees[0].liouville_green.lg_data(p, 512)
+        potentials = [tree.potential_module.Potential.from_formula(p.source, p.a, p.b) for tree in trees]
+        for pos in positions:
+            lam = max(math.pi * lo * (hi / lo) ** pos / lg.d, 1.1 * math.sqrt(lg.c))
+            for tree, q, calls in zip(trees, potentials, queries):
+                calls.append(lambda tree=tree, q=q, lam=lam: tree.oscillation.count_negative(q, lam, 1e-10, 0.0))
+                calls[-1]()  # builds the mesh
+    return queries
+
+
+def query_case(queries, repeat, calls):
+    """The median over queries of each query's fastest call, and with two trees of its median call.
+
+    Each query runs ``repeat`` times on one tree; on two, max(repeat,
+    calls) times on each, the trees alternating on every query and which
+    goes first alternating from one round of queries to the next.
+    """
+    fastest = [[math.inf] * len(queries[0]) for _ in queries]
+    spent = [[[] for _ in queries[0]] for _ in queries]
+    trees = list(range(len(queries)))
+    for k in range(max(repeat, calls) if len(queries) > 1 else repeat):
+        for i in range(len(queries[0])):
+            for t in trees if k % 2 == 0 else trees[::-1]:
+                t0 = time.perf_counter()
+                queries[t][i]()
+                dt = time.perf_counter() - t0
+                spent[t][i].append(dt)
+                fastest[t][i] = min(fastest[t][i], dt)
+    ms, *others = [1e3 * statistics.median(f) for f in fastest]
+    case = with_against({"queries": len(queries[0]), "ms": ms}, ms, others)
+    if others:
+        case["median_ms"], case["against_median_ms"] = (1e3 * statistics.median(map(statistics.median, q)) for q in spent)
+        case["median_ratio"] = case["median_ms"] / case["against_median_ms"]
+    return case
+
+
+def build_cases(trees, repeat, calls):
+    """The build_mesh.* cases: the cell mesh at decade -11, and on the conjecture class at -10 and -12 too."""
+    cases = {}
+    for spec in MESHES:
+        cases[f"build_mesh.{spec[0]}"] = build_mesh_case(trees, spec, -11, repeat, calls)
+    for spec in SINGULAR:
+        for decade in (-10, -12):
+            cases[f"build_mesh.{spec[0]}.decade={decade}"] = build_mesh_case(trees, spec, decade, repeat, calls)
+    return cases
+
+
+def fresh_build_ratios(against, repeat, processes=3):
+    """Each build_mesh.* case's median_ratio in ``processes`` fresh runs of this script, PATH's tree first in every other one."""
+    ratios = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in range(processes):
+            out = Path(tmp) / f"builds{k}.json"
+            argv = [sys.executable, __file__, "--builds-only", "--out", str(out), "--against", against, "--repeat", str(repeat)]
+            subprocess.run(argv + (["--against-first"] if k % 2 else []), check=True, stdout=subprocess.DEVNULL)
+            for name, case in json.loads(out.read_text())["cases"].items():
+                ratios.setdefault(name, []).append(case["median_ratio"])
+    return ratios
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--repeat", type=int, default=15, help="runs per case (the sequence takes a third as many)")
     ap.add_argument("--against", metavar="PATH", help="a checkout whose paired cases run beside these")
+    ap.add_argument("--builds-only", action="store_true", help="time only the build_mesh.* cases")
+    ap.add_argument("--against-first", action="store_true", help="import PATH's tree first and time it first")
     args = ap.parse_args()
     repeat = max(args.repeat, 1)
     calls = max(1, 200 * repeat // 15)  # alternating calls per tree behind each median_ratio
-    ours = Tree("sturmjumps")
-    trees = [ours] + ([load_against(args.against)] if args.against else [])
+    if args.against_first:
+        against = load_against(args.against)
+        trees = [Tree("sturmjumps"), against]
+    else:
+        trees = [Tree("sturmjumps")] + ([load_against(args.against)] if args.against else [])
+    ours = trees[0]
+    if args.builds_only:
+        cases = build_cases(trees[::-1] if args.against_first else trees, repeat, calls)
+        for case in cases.values():  # ours over PATH's, whichever tree went first
+            if args.against_first and "median_ratio" in case:
+                case["median_ratio"] = case["against_median_ms"] / case["median_ms"]
+        Path(args.out).write_text(json.dumps({"cases": cases}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        return
     cases = {}
 
     for lam in (10.0, 100.0, 1000.0):
@@ -408,11 +512,11 @@ def main():
             case["against_evaluations"] = evaluations[1]
         cases[f"d.{spec[0]}"] = with_against(case, ms, others)
 
-    for spec in MESHES:
-        cases[f"build_mesh.{spec[0]}"] = build_mesh_case(trees, spec, -11, repeat, calls)
-    for spec in SINGULAR:
-        for decade in (-10, -12):
-            cases[f"build_mesh.{spec[0]}.decade={decade}"] = build_mesh_case(trees, spec, decade, repeat, calls)
+    cases.update(build_cases(trees, repeat, calls))
+    if args.against:
+        for name, ratios in fresh_build_ratios(args.against, repeat).items():
+            cases[name]["fresh_median_ratio"] = statistics.median(ratios)
+            cases[name]["fresh_median_ratio_range"] = [min(ratios), max(ratios)]
 
     # a one-shot answer: the Potential is new, so the call builds its mesh
     runs = [
@@ -434,6 +538,8 @@ def main():
         ms, *others = fastest_ms(runs, repeat)
         case["ms"] = ms
         cases[f"count.{spec[0]}.lam={lam:g}.rtol=1e-12"] = with_against(case, ms, others, runs, calls)
+
+    cases["count.criterion3.rtol=1e-10"] = query_case(count_queries(trees), repeat, max(calls // 10, 3))
 
     for sub, argvs in PARSE_ARGVS.items():
         runs = [parse_run(tree, argvs) for tree in trees]

@@ -130,11 +130,9 @@ def _resolve(args: argparse.Namespace):
     opts = vars(args)
     if not args.a < args.b:
         raise _UsageError(f"need a < b, got a={args.a}, b={args.b}")
-    for name in ("rtol", "root_tol", "lambda_min", "lambda_max"):
-        if opts.get(name) is not None and not opts[name] > 0:
-            raise _UsageError(f"--{name.replace('_', '-')} must be positive")
-    if "lam" in opts and not args.lam > 0:
-        raise _UsageError("--lambda must be positive")
+    for name in ("lam", "rtol", "root_tol", "lambda_min", "lambda_max"):
+        if opts.get(name) is not None and not 0 < opts[name] < math.inf:
+            raise _UsageError(f"--{'lambda' if name == 'lam' else name.replace('_', '-')} must be positive and finite")
     for selector, choices in _SELECTED_OPTIONS.items():
         if selector not in opts:
             continue

@@ -56,10 +56,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .oscillation import _phase_errors, _phases
+from .oscillation import _phase_error, _phases
 from .potential import Potential, Regularity, endpoint_constant
 from .propagator import bulk_mesh
-from .quadrature import integrate_sqrt_v
+from .quadrature import QuadratureError, integrate_sqrt_v
 
 __all__ = ["JumpRecord", "BracketingError", "find_jump", "jump_sequence"]
 
@@ -84,23 +84,24 @@ class JumpRecord:
     error_bar: float = 0.0
 
 
-def _length(p: Potential, tol: float) -> float:
-    """D, the integral of sqrt(V) over [a, b], once the roots' phase mesh is built.
+def _mesh(p: Potential, tol: float):
+    """The roots' phase mesh, ``bulk_mesh`` at rtol tol/10: where V cannot be evaluated on it, PhaseError, as the phase raises."""
+    try:
+        return bulk_mesh(p, tol / 10.0)
+    except (ArithmeticError, ValueError, QuadratureError) as exc:
+        raise _phase_error(exc) from None
 
-    The mesh (``bulk_mesh`` at rtol tol/10) comes first, so a V that
-    cannot be evaluated on it raises PhaseError, as the phase would;
-    D's own failures raise QuadratureError.
-    """
-    with _phase_errors():
-        bulk_mesh(p, tol / 10.0)
+
+def _length(p: Potential, tol: float) -> float:
+    """D, the integral of sqrt(V) over [a, b] (QuadratureError where it fails), once the roots' phase mesh is built (``_mesh``)."""
+    _mesh(p, tol)
     return integrate_sqrt_v(p, p.a, p.b).value
 
 
 def _start_terms(p: Potential, d: float, tol: float) -> tuple:
     """(kappa, Ubar) of the starts sqrt(((n + kappa)*pi/D)^2 - Ubar): one pair per table."""
     if p.regularity is Regularity.THEOREM:
-        with _phase_errors():
-            return 0, bulk_mesh(p, tol / 10.0).u_integral / d
+        return 0, _mesh(p, tol).u_integral / d
     return endpoint_constant(p.gamma_a, p.gamma_b), 0.0
 
 
@@ -114,8 +115,8 @@ def _search(p: Potential, n: int, tol: float, d_value: Optional[float], start: O
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     d = d_value if d_value is not None else _length(p, tol)
     kappa, ubar = start if start is not None else _start_terms(p, d, tol)
     target = n * _PI
@@ -245,6 +246,8 @@ def jump_sequence(
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     d = _length(p, tol)
     start = _start_terms(p, d, tol)
     ns = list(range(n_min, n_max + 1))

@@ -69,7 +69,6 @@ _ULP_FLOOR ulp(theta_b), the rounding of the sweep.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import sys
@@ -410,20 +409,16 @@ def _ends(p, lams, rtol, x_l, x_r, length):
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _phase_errors():
-    """Raise a failure to evaluate V, or to meet a tolerance, as PhaseError."""
-    try:
-        yield
-    except (EvalDomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise PhaseError(f"potential evaluation failed during phase integration: {exc}") from None
-    except (ArithmeticError, QuadratureError) as exc:
-        raise PhaseError(str(exc)) from None
+def _phase_error(exc: Exception) -> PhaseError:
+    """A failure to evaluate V, or to meet a tolerance, as PhaseError."""
+    if isinstance(exc, (EvalDomainError, ValueError, ZeroDivisionError, OverflowError)):
+        return PhaseError(f"potential evaluation failed during phase integration: {exc}")
+    return PhaseError(str(exc))
 
 
 def phase(p: Potential, lam: float, rtol: float = 1e-10) -> PhaseResult:
     """The matched phase theta_b(lambda) and the derived count N(lambda): one lane of ``_phases``."""
-    return _phases(p, [lam], rtol)[0]
+    return _phases(p, (lam,), rtol)[0]
 
 
 def _phases(p: Potential, lams, rtol: float) -> list[PhaseResult]:
@@ -431,36 +426,35 @@ def _phases(p: Potential, lams, rtol: float) -> list[PhaseResult]:
 
     Every lane's end slivers go through stacked collocation solves
     (``_ends``); the propagator then takes every lane's bulk at once
-    (``propagate_lanes``).
+    (``propagate_lanes``).  rtol and every lambda must be finite and > 0.
     """
-    if min(lams) <= 0.0:
-        raise ValueError("lambda must be positive")
-    if rtol <= 0.0:
-        raise ValueError("rtol must be positive")
+    for lam in lams:
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {lam!r}")
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
     x_l, x_r = bulk_interval(p)
-    with _phase_errors():
+    try:
         if (x_l, x_r) == (p.a, p.b):  # no singular end, no sliver
-            ends = [(0.0, 0.0, 0, 0, 0.0)] * len(lams)
-        else:
-            ends = _ends(p, lams, rtol, x_l, x_r, bulk_mesh(p, rtol).length)
+            bulk = propagate_lanes(p, lams, rtol, [0.0] * len(lams))
+            return [_result(lam, rtol, *lane) for lam, lane in zip(lams, bulk)]
+        ends = _ends(p, lams, rtol, x_l, x_r, bulk_mesh(p, rtol).length)
         bulk = propagate_lanes(p, lams, rtol, [end[0] for end in ends])
+    except (ArithmeticError, ValueError, QuadratureError) as exc:
+        raise _phase_error(exc) from None
     return [
-        _result(lam, rtol, theta + beta, steps, rejected, cells, estimate + gap)
+        _result(lam, rtol, theta + beta, cells, estimate + gap, steps, rejected)
         for lam, (_, beta, steps, rejected, gap), (theta, cells, estimate) in zip(lams, ends, bulk)
     ]
 
 
-def _result(lam, rtol, theta_b, steps, rejected, cells, estimate):
+def _result(lam, rtol, theta_b, cells, estimate, steps=0, rejected=0):
+    # at a jump, to the call's own tolerance, the new zero sits at x = b
+    # and the zero eigenvalue is excluded from the count
     t = theta_b / _PI
     nearest = round(t)
-    if abs(t - nearest) < rtol * max(t, 1.0):
-        # at a jump, to the call's own tolerance, the new zero sits at
-        # x = b and the zero eigenvalue is excluded from the count
-        count = int(nearest) - 1
-    else:
-        count = math.ceil(t) - 1
-    count = max(count, 0)
-    return PhaseResult(lam, theta_b, count, steps, rejected, cells, max(estimate, _ULP_FLOOR * math.ulp(theta_b)))
+    count = nearest - 1 if abs(t - nearest) < rtol * max(t, 1.0) else math.ceil(t) - 1
+    return PhaseResult(lam, theta_b, max(count, 0), steps, rejected, cells, max(estimate, _ULP_FLOOR * math.ulp(theta_b)))
 
 
 def count_negative(

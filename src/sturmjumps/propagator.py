@@ -36,16 +36,18 @@ serves every lambda, and lambda = 0 and omega h = 4 and 8 decide the cells.
 Within cell i the Prüfer angle psi, tan(psi) = sigma g/g', uses the scale
 sigma = sqrt(x)/h where the cell spans more than a radian of phase and 1/h
 elsewhere.  A sweep carries the direction of (sigma g, g') from node to
-node, rescaled at each to the next cell's scale.  One np.arctan2 call
+node, rescaled at each to the next cell's scale; a one-lane call runs
+that recursion on floats and writes both sweeps' nodes, the coarse
+mesh's and then its halves', into one buffer.  One np.arctan2 call
 (``_angles``) reads psi at both ends of every cell, the change is taken
 on the branch within pi of the expected advance sqrt(x) (0 on the slow
-cells), which keeps every multiple of pi, and np.add.accumulate sums the
-changes in cell order.  The sweep enters at x_l with the angle of (lambda
-sqrt(V) u, u'), 0 for u(a) = 0 at a regular end, turned with V(x_l) and
-V'(x_l) into the direction of (g, g') on the same branch.  At x_r the
-exit (g, g') is turned with V(x_r) and V'(x_r) into the angle of (sigma
-u, u') on the scale sigma the propagator picks: the constant scale s =
-lambda sqrt(max(c_lower, 1)) where x_r = b, the usual theta(b), and
+cells), which keeps every multiple of pi, and np.add.accumulate sums each
+sweep's changes in cell order.  The sweep enters at x_l with the angle of
+(lambda sqrt(V) u, u'), 0 for u(a) = 0 at a regular end, turned with
+V(x_l) and V'(x_l) into the direction of (g, g') on the same branch.  At
+x_r the exit (g, g') is turned with V(x_r) and V'(x_r) into the angle of
+(sigma u, u') on the scale sigma the propagator picks: the constant scale
+s = lambda sqrt(max(c_lower, 1)) where x_r = b, the usual theta(b), and
 lambda sqrt(V(x_r)) otherwise, the scale on which the angle shot back
 from a singular right end arrives to be matched.  V and V' at both ends
 are cached on the mesh.
@@ -385,27 +387,31 @@ def _eta_series(x: np.ndarray) -> np.ndarray:
 
 
 def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
-    """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign.
+    """Ixaru's eta_-1 .. eta_2 at x = (lambda^2 + Ubar) h^2 of either sign, and x eta_3, x eta_4 once a cell is far.
 
-    ax = |x|, low = min x and top = max |x| come from the caller, which
-    needs them too.
+    ax = |x|, low = min x and top = max |x| come from the caller, which needs them too.  x eta_3 and
+    x eta_4 come from the recurrence, None while every cell is near; a near cell's series replaces them.
     """
     r = np.sqrt(ax)
     pos = None if low > 0.0 else x > 0.0
     if top < _SMALL_X:  # all from the series, and no cosh can overflow
         em1 = np.cos(r) if pos is None else np.where(pos, np.cos(r), np.cosh(r))
-        return em1, *_eta_series(x.reshape(-1)).reshape(-1, *x.shape)
-    with np.errstate(all="ignore"):  # x = 0 and the unused cosh branch
+        return em1, *_eta_series(x.reshape(-1)).reshape(-1, *x.shape), None, None
+    xe3 = xe4 = None
+    with np.errstate(all="ignore"):  # x = 0, the unused cosh branch, and a near cell's x eta_3 and x eta_4
         em1 = np.cos(r) if pos is None else np.where(pos, np.cos(r), np.cosh(r))
         e0 = (np.sin(r) if pos is None else np.where(pos, np.sin(r), np.sinh(r))) / r
         e1 = (e0 - em1) / x
         e2 = (3.0 * e1 - e0) / x
+        if top >= _SECOND_ORDER_X[1]:  # some cell is far
+            xe3 = 5.0 * e2 - e1
+            xe4 = 7.0 * xe3 / x - e2
     if not low >= _SMALL_X:  # else no |x| is small
         small = (ax < _SMALL_X).ravel().nonzero()[0]
         if small.size:  # x and the new e's are C-ordered: flat indices reach their elements
             for e, series in zip((e0, e1, e2), _eta_series(x.ravel()[small])):
                 e.ravel()[small] = series
-    return em1, e0, e1, e2
+    return em1, e0, e1, e2, xe3, xe4
 
 
 def _powers(x: np.ndarray, n: int) -> np.ndarray:
@@ -490,29 +496,24 @@ def _transfer(lam2, h, ubar, factors, out=None):
     s = lam2 + ubar
     if out is None:
         out = np.empty((5, *s.shape))
-    t11, t12, t21, t22, x = out
+    x = out[4]
     h2, half, monomials = factors
     np.multiply(s, h2, out=x)
     full, gone = _SECOND_ORDER_X
     low = x.min()
     ax = x if low > 0.0 else np.abs(x)
     top = low if low >= gone else ax.max()  # max |x|, needed only where a cell is near
-    em1, e0, e1, e2 = _etas(x, ax, low, top)
-    lanes = (1,) * (x.ndim - 1)  # the rows of lanes that per-cell factors broadcast over
+    em1, e0, e1, e2, xe3, xe4 = _etas(x, ax, low, top)
     # near: the indices of the lane-cells with |x| < gone, () for all of
     # them, None for none; they take x eta_3 and x eta_4 from the series,
     # the others from the recurrence, within an ulp of their scale there
     near = None
-    if top < gone:  # the per-cell factors broadcast
-        near, xn, axn, hn, mono = (), x, ax, h, monomials.reshape(6, *lanes, -1)
+    if top < gone:  # the per-cell factors broadcast over the rows of lanes
+        near, xn, axn, hn, mono = (), x, ax, h, monomials.reshape(6, *(1,) * (x.ndim - 1), -1)
     elif low < gone and (index := (ax < gone).nonzero())[-1].size:
         near, cell = index, index[-1]
         xn, axn, hn, mono = x[near], ax[near], h[cell], monomials.take(cell, axis=1)
         top = axn.max()
-    if near is None or near:  # some lane-cell is far
-        with np.errstate(all="ignore"):  # a near cell's x may be 0; its series replaces it
-            xe3 = 5.0 * e2 - e1
-            xe4 = 7.0 * xe3 / x - e2
     if near is not None:
         terms, (xe3n, xe4n) = _near_series(xn, mono)
         if near:
@@ -521,22 +522,22 @@ def _transfer(lam2, h, ubar, factors, out=None):
             xe3, xe4 = xe3n, xe4n
     # the odd moments in the diagonal, the even ones in the off-diagonal
     # entries: k1 and k2, from the factors 0.5 c h^2 per cell times the etas
-    half = half.reshape(4, *lanes, -1)
     k1 = half[0] * e1
     k1 -= half[2] * xe3
     k2 = half[1] * e2
     k2 -= half[3] * xe4
-    np.add(em1, k1, out=t11)
-    np.multiply(h, e0 + k2, out=t12)
-    np.divide(x * (k2 - e0), h, out=t21)
-    np.subtract(em1, k1, out=t22)
+    np.add(em1, k1, out=out[0])
+    np.multiply(h, e0 + k2, out=out[1])
+    np.divide(x * (k2 - e0), h, out=out[2])
+    np.subtract(em1, k1, out=out[3])
     if near is None:
         return out
     # second order in (c1, c2, c3) from the unit cell's series
     # (``_near_series``), scaled by h^4 (c h^2 squared) and by h, 1/h for
-    # the off-diagonal entries
+    # the off-diagonal entries; a near |x| is below gone, so the weight's
+    # argument needs no clip at 1
     if top > full:
-        weight = np.cos(0.5 * math.pi * ((axn - full) / (gone - full)).clip(0.0, 1.0)) ** 2
+        weight = np.cos(0.5 * math.pi * np.maximum((axn - full) / (gone - full), 0.0)) ** 2
         terms *= np.array((weight, weight * hn, weight / hn, weight))
     else:  # the weight 1 leaves the diagonal entries as they are
         terms[1] *= hn
@@ -728,18 +729,25 @@ def build_mesh(p: Potential, decade: int, x_l: float, x_r: float) -> CellMesh:
         return _bisect(p, decade, x_l, x_r, guesses=False)
 
 
-def _angles(g, dg, adv, theta, a0):
-    """The exit angles of sweeps whose node directions are known, and their last nodes' angles.
+def _angles(g, dg, adv, starts):
+    """Each node's angle and each cell's change of angle, for sweeps whose node directions are known.
 
-    g and dg hold each cell's far-end direction (2, cells, sweeps...), row
-    0 before the rescale to the next cell's scale and row 1 after it; adv
-    is the expected advance, theta the entry angle, a0 its direction's atan2.
+    g and dg hold each cell's far-end direction (2, cells, ...), row 0 before the rescale to the
+    next cell's scale and row 1 after it; adv is the expected advance.  A start (k, theta, a0)
+    begins a sweep at cell k, entered at the angle theta whose direction's atan2 is a0; its first
+    change includes theta, so np.add.accumulate of a sweep's changes gives its angle.  One
+    np.arctan2 call reads every node.
     """
     a1, a = np.arctan2(g, dg)
-    d = a1 - np.concatenate([[a0], a[:-1]]) - adv
+    d = np.empty_like(a1)
+    np.subtract(a1[1:], a[:-1], out=d[1:])
+    for k, _, a0 in starts:
+        d[k] = a1[k] - a0
+    d -= adv
     steps = adv + d - _TWO_PI * np.rint(d / _TWO_PI) + a - a1
-    steps[0] += theta
-    return np.add.accumulate(steps)[-1], a[-1]
+    for k, theta, _ in starts:
+        steps[k] += theta
+    return a, steps
 
 
 def _sweep_lanes(m11, m12, m21, m22, adv, ratio, theta, w0, w1, a0):
@@ -775,8 +783,9 @@ def _sweep_lanes(m11, m12, m21, m22, adv, ratio, theta, w0, w1, a0):
             np.multiply(yi, si, out=wo)
             np.add(s0, s1, out=norm)
             np.divide(wo, norm, out=wo)
-        theta, a = _angles(*nodes[1:].transpose(2, 1, 0, 3), adv.T, theta, a0)
-    return theta, w[-1, 0], w[-1, 1], a
+        a, steps = _angles(*nodes[1:].transpose(2, 1, 0, 3), adv.T, ((0, theta, a0),))
+        theta = np.add.accumulate(steps)[-1]
+    return theta, w[-1, 0], w[-1, 1], a[-1]
 
 
 def _sigma(x, h):
@@ -785,21 +794,9 @@ def _sigma(x, h):
 
 
 def _sigma_at(mesh: CellMesh, lam2, i: int):
-    """Cell i's sigma at each lambda^2 in lam2, with the bits _scales reads from _transfer's x."""
+    """Cell i's sigma at each lambda^2 in lam2, with the bits a sweep reads from _transfer's x."""
     h = mesh.h[i]
     return _sigma((lam2 + mesh.ubar[i]) * (h * h), h)
-
-
-def _scales(x, h, after):
-    """Each cell's Prüfer scale sigma, expected advance and rescale at its far end, from x (cells along the last axis).
-
-    A cell rescales to the next one's sigma, the last one to ``after``:
-    the sigma of the cell beyond it, or 1 at the end of its sweep.
-    """
-    sig = _sigma(x, h)
-    adv = np.where(x >= 1.0, sig * h, 0.0)
-    ratio = np.concatenate([sig[..., 1:], after], axis=-1) / sig
-    return sig, adv, ratio
 
 
 def _entries(mesh: CellMesh, lam: float, theta_l: float, scales) -> list[tuple[float, float, float, float]]:
@@ -833,12 +830,20 @@ def _exit(mesh: CellMesh, lam: float, theta: float, g: float, dg: float, a: floa
 
 
 def _theta_pair(mesh: CellMesh, lam: float, theta_l: float) -> tuple[float, float]:
-    """The exit angle on the coarse mesh and on its halves, both read by one _angles call."""
+    """The exit angles on the coarse mesh and on its halves: the node loop on floats, then one buffer of both sweeps'
+    nodes, whose w rows repeat the loop's operations, read by one _angles call; each sweep is summed on its own.
+    """
     n = mesh.cells
-    t11, t12, t21, t22, x = _transfer(lam * lam, *mesh.arrays)
-    sig, adv, ratio = _scales(x, mesh.h, np.ones(1))
-    ratio[n - 1] = 1.0 / sig[n - 1]  # the coarse sweep ends there
-    cols = [a.tolist() for a in (t11, t12 * sig, t21 / sig, t22, ratio)]
+    t = _transfer(lam * lam, *mesh.arrays)
+    x = t[4]
+    sig = _sigma(x, mesh.h)
+    adv = sig * mesh.h  # the expected advance, 0 on the slow cells
+    adv[x < 1.0] = 0.0
+    t[1] *= sig
+    t[2] /= sig
+    np.divide(sig[1:], sig[:-1], out=x[:-1])  # each cell rescales to the next one's sigma, a sweep's last to 1
+    x[n - 1], x[-1] = 1.0 / sig[n - 1], 1.0 / sig[-1]
+    cols = t.tolist()
     starts = _entries(mesh, lam, theta_l, (float(sig[0]), float(sig[n])))
     g, dg = [], []  # each cell's far-end y
     for part, (_, w0, w1, _) in zip((slice(0, n), slice(n, 3 * n)), starts):
@@ -850,17 +855,17 @@ def _theta_pair(mesh: CellMesh, lam: float, theta_l: float) -> tuple[float, floa
             w1 = y1 / size
             g.append(y0)
             dg.append(y1)
-    yg, ydg = np.fromiter(g, float, 3 * n), np.fromiter(dg, float, 3 * n)
+    nodes = np.empty((2, 2, 3 * n))  # (g, g'), (y, w), cells
+    nodes[:, 0] = g, dg
     with np.errstate(all="ignore"):  # a call that fails ends non-finite
-        size = np.abs(yg) + np.abs(ydg)
-        yw = np.array([[yg, yg * ratio / size], [ydg, ydg / size]])  # (g, g'), (y, w), cells; w has the loop's bits
-    nodes = np.empty((2, 2, 2 * n, 2))  # (coarse, fine); the coarse sweep holds its last node over n more cells
-    nodes[..., 1], nodes[:, :, :n, 0], nodes[:, :, n:, 0] = yw[:, :, n:], yw[:, :, :n], yw[:, 1:, n - 1 : n]
-    advance = np.zeros((2 * n, 2))
-    advance[:n, 0], advance[:, 1] = adv[:n], adv[n:]
-    start = np.array(starts)
-    thetas, a = (q.tolist() for q in _angles(*nodes, advance, start[:, 0], start[:, 3]))
-    return tuple(_exit(mesh, lam, thetas[k], *yw[:, 1, end].tolist(), a[k]) for k, end in enumerate((n - 1, -1)))
+        size = np.add.reduce(np.abs(nodes[:, 0]))
+        np.divide(nodes[0, 0] * x, size, out=nodes[0, 1])  # x's row now holds the rescales
+        np.divide(nodes[1, 0], size, out=nodes[1, 1])
+        a, steps = _angles(*nodes, adv, [(k, theta, a0) for k, (theta, _, _, a0) in zip((0, n), starts)])
+        thetas = float(np.add.accumulate(steps[:n])[-1]), float(np.add.accumulate(steps[n:])[-1])
+    # each sweep's last node: cells n - 1 and 3n - 1
+    (g, dg), ends = nodes[:, 1, n - 1 :: 2 * n].tolist(), a[n - 1 :: 2 * n].tolist()
+    return tuple(map(_exit, (mesh, mesh), (lam, lam), thetas, g, dg, ends))
 
 
 def _sweep_block(mesh: CellMesh, lam2, runs, k0: int, k1: int, state):
@@ -868,21 +873,23 @@ def _sweep_block(mesh: CellMesh, lam2, runs, k0: int, k1: int, state):
 
     Each run is (first cell, end of its sweep) in the mesh's arrays, and a
     lane has a row per run, side by side in ``state``; lam2 holds a row
-    per lane.  One _transfers batch and one _scales cover the block; the
-    last column rescales to the sigma of each run's next cell.
+    per lane.  One _transfers batch covers the block; a cell rescales to
+    the next one's sigma (the expected advance is 0 on the slow cells),
+    the last column to the sigma of each run's next cell.
     """
     lanes, k, b = len(lam2), len(runs), k1 - k0
     cells = np.concatenate([np.arange(s + k0, s + k1) for s, _ in runs])
     h, ubar, factors = mesh.arrays
     h = h[cells]
-    t11, t12, t21, t22, x = _transfers(lam2, h, ubar[cells], [f[..., cells] for f in factors])
+    t11, t12, t21, t22, x = _transfers(lam2, h, ubar[cells], [f[..., cells] for f in factors]).reshape(5, lanes, k, b)
     after = np.ones((lanes, k, 1))
     for j, (s, end) in enumerate(runs):
         if s + k1 < end:
             after[:, j] = _sigma_at(mesh, lam2, s + k1)
-    sig, adv, ratio = _scales(x.reshape(lanes, k, b), h.reshape(k, b), after)
-    rows = [q.reshape(lanes, k, b) for q in (t11, t12, t21, t22)]
-    cols = (rows[0], rows[1] * sig, rows[2] / sig, rows[3], adv, ratio)
+    h = h.reshape(k, b)
+    sig = _sigma(x, h)
+    ratio = np.concatenate([sig[..., 1:], after], axis=-1) / sig
+    cols = (t11, t12 * sig, t21 / sig, t22, np.where(x >= 1.0, sig * h, 0.0), ratio)
     return _sweep_lanes(*(c.reshape(lanes * k, b) for c in cols), *state)
 
 
@@ -959,8 +966,6 @@ def propagate_lanes(p: Potential, lams, rtol: float, thetas_l) -> list[tuple[flo
     the mesh, ArithmeticError when an estimate stays above rtol.
     """
     mesh = bulk_mesh(p, rtol)
-    if len(lams) < _MIN_LANES:
-        pairs = [_theta_pair(mesh, lam, theta_l) for lam, theta_l in zip(lams, thetas_l)]
-    else:
-        pairs = _theta_pairs(mesh, lams, thetas_l)
+    few = len(lams) < _MIN_LANES
+    pairs = map(_theta_pair, [mesh] * len(lams), lams, thetas_l) if few else _theta_pairs(mesh, lams, thetas_l)
     return [_settle(p, mesh, lam, rtol, theta_l, *pair) for lam, theta_l, pair in zip(lams, thetas_l, pairs)]

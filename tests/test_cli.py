@@ -286,6 +286,30 @@ def test_usage_errors():
     assert run(["count", "--a", "0", "--b", "1", "--lambda", "2"]) == 64
 
 
+_SIN = ["--potential", "2+sin(x)", "--a", "0", "--b", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", *_SIN, "--lambda", "inf"],
+        ["count", *_SIN, "--lambda", "nan"],
+        ["count", *_SIN, "--lambda", "10", "--rtol", "inf"],
+        ["count", *_SIN, "--lambda", "10", "--rtol", "nan"],
+        ["jumps", *_SIN, "--n-min", "1", "--n-max", "3", "--root-tol", "inf"],
+        ["verify", "--suite", "weyl", *_SIN, "--lambda-min", "inf"],
+        ["verify", "--suite", "weyl", *_SIN, "--lambda-max", "inf"],
+        ["verify", "--suite", "bracket", *_SIN, "--lambda-max", "nan"],
+    ],
+)
+def test_values_that_are_not_positive_and_finite_are_usage_errors(argv, monkeypatch, capsys):
+    # checked with the other options, before any phase or table
+    for name in ("phase", "jump_sequence"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("work was done"))
+    assert run(argv) == 64
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def test_computational_error_exit_code():
     # log(x-2) is undefined on (0, 1)
     assert run(["count", "--potential", "log(x-2)", "--a", "0", "--b", "1", "--lambda", "2"]) == 1

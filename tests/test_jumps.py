@@ -92,6 +92,16 @@ def test_invalid_ranges(v_one):
         jump_sequence(v_one, 5, 2)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+def test_tolerances_that_are_not_positive_and_finite_are_rejected_before_the_mesh(tol):
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        find_jump(p, 3, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        jump_sequence(p, 1, 3, tol=tol)
+    assert not p.cell_meshes
+
+
 def test_unconverged_root_raises(v_one, monkeypatch):
     # theta(b) leaps over the target at lambda = 3: every iterate misses by 1
     import sturmjumps.jumps as jumps

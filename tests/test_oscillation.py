@@ -90,6 +90,18 @@ def test_invalid_arguments(v_one):
         phase(v_one, 1.0, rtol=0.0)
 
 
+@pytest.mark.parametrize("lam,rtol", [(10.0, math.nan), (10.0, math.inf), (math.inf, 1e-10), (math.nan, 1e-10), (-math.inf, 1e-10)])
+def test_non_finite_lambda_and_rtol_are_rejected_before_any_work(lam, rtol):
+    # a NaN or infinite coupling or tolerance is a ValueError before a mesh is
+    # built, in one lane and among others (a NaN slips past min(lams))
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        phase(p, lam, rtol=rtol)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        oscillation._phases(p, [5.0, lam, 6.0], rtol)
+    assert not p.cell_meshes
+
+
 def test_negative_potential_fails_cleanly():
     p = Potential.from_formula("sin(x)", 0.0, 6.0)
     with pytest.raises(PhaseError, match="fell"):

@@ -348,6 +348,37 @@ def test_lanes_match_one_lane_phase_bit_for_bit(case, monkeypatch):
         assert 3 * mesh.cells in cells and max(cells) > 3 * mesh.cells
 
 
+def test_one_lane_sweep_matches_the_lane_sweep_bit_for_bit():
+    # two independent read-outs of the same nodes: the one-lane float loop
+    # into one buffer, each sweep summed on its own, and a lane's numpy rows
+    # read column by column; 200 couplings and entry angles on each mesh
+    rng = np.random.default_rng(29)
+    meshes = [
+        (Potential.from_formula("2+sin(x)", 0.0, 3.0), 1e-10),
+        (Potential.from_formula("2+sin(x)", 0.0, 3.0), 1e-12),
+        (Potential.from_formula("exp(x)", 0.0, 1.0), 1e-11),
+        (Potential.from_formula("1.2+sin(3*x)", 0.0, 3.0), 1e-11),
+        (_conjecture("x", 1.0, 0.0), 1e-11),
+        (_conjecture("(1-x)/x", -1.0, 1.0), 1e-10),
+    ]
+    seen = set()
+    for p, rtol in meshes:
+        mesh = propagator.bulk_mesh(p, rtol)
+        n = mesh.cells
+        for lam, theta_l in zip(np.geomspace(0.05, 3000.0, 200).tolist(), rng.uniform(0.0, 7.0, 200).tolist()):
+            assert propagator._theta_pair(mesh, lam, theta_l) == propagator._theta_pairs(mesh, [lam], [theta_l])[0], (p.source, lam)
+            x = (lam * lam + mesh.ubar) * mesh.h**2
+            far = np.abs(x) >= propagator._SECOND_ORDER_X[1]
+            seen.add("all far" if far.all() else "all near" if not far.any() else "mixed")
+            if far[:n].all() and not far[n:].all():
+                seen.add("coarse far, near halves")
+            if (x < 0.0).any():
+                seen.add("below the barrier")
+            if ((np.abs(x) > propagator._SECOND_ORDER_X[0]) & ~far).any():
+                seen.add("taper")
+    assert seen == {"all far", "all near", "mixed", "coarse far, near halves", "below the barrier", "taper"}
+
+
 def test_arctan2_bits_do_not_depend_on_the_array():
     # lanes match one-lane calls because _angles reads every node with
     # np.arctan2, whose bits for an element must not depend on the length,
@@ -382,7 +413,8 @@ def test_angles_match_a_per_cell_math_atan2_sweep():
         d = a1 - a - e
         a = math.atan2(w0, w1)
         theta += e + d - 2.0 * math.pi * round(d / (2.0 * math.pi)) + a - a1
-    got, last = propagator._angles(np.array([y[:, 0], w[:, 0]]), np.array([y[:, 1], w[:, 1]]), adv, 1.0, 0.3)
+    angles, steps = propagator._angles(np.array([y[:, 0], w[:, 0]]), np.array([y[:, 1], w[:, 1]]), adv, ((0, 1.0, 0.3),))
+    got, last = np.add.accumulate(steps)[-1], angles[-1]
     assert abs(got - theta) <= 4.0 * cells * np.finfo(float).eps * theta
     assert abs(last - a) <= 2.0 * np.finfo(float).eps * math.pi
 

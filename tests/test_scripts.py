@@ -88,6 +88,9 @@ def test_bench_layers_writes_every_case(tmp_path):
     for name, cells in (("2+sin(x).lam=10", 72), ("2+sin(x).lam=30", 72), ("x.lam=400", 246)):
         case = cases[f"count.{name}.rtol=1e-12"]
         assert case["cells"] == cells and case["count"] > 0 and case["ms"] > 0.0, name
+    # counts-transform's queries at seed 1: 34 potentials, 8 counts each
+    assert cases["count.criterion3.rtol=1e-10"]["queries"] == 272
+    assert cases["count.criterion3.rtol=1e-10"]["ms"] > 0.0
     # the CLI's parser built and read on the benchmark's argvs, by subcommand
     for sub, argvs in (("jumps", 4), ("verify", 1), ("count", 1)):
         case = cases[f"cli.parse.{sub}"]
@@ -120,6 +123,11 @@ def test_bench_layers_times_a_second_tree_beside_this_one(tmp_path):
         if kind == "build_mesh":  # the same tree on both sides: the same batches and tests
             assert case["batches"] == case["against_batches"] >= 1, name
             assert case["mismatches"] == case["against_mismatches"] >= 1, name
+        # a build's median_ratio again in three fresh processes: their median and [min, max]
+        assert ("fresh_median_ratio" in case) == (kind == "build_mesh"), name
+        if kind == "build_mesh":
+            low, high = case["fresh_median_ratio_range"]
+            assert 0.0 < low <= case["fresh_median_ratio"] <= high, name
         # the kernel per lane-cell, each tree on its own mesh's cells
         assert ("ns_ratio" in case) == (kind == "transfer"), name
         if kind == "transfer":
