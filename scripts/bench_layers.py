@@ -359,7 +359,8 @@ def count_queries(trees, seed=1):
     The workload's own build gives the potentials (criterion 3's draws,
     exp(x) and (1+x)^(-4)) and each query's place on the log scale of
     counts; lambda follows from this tree's ``lg_data`` as the workload
-    takes it.  The guard band is off, so no call raises.
+    takes it.  The guard band is 0, so a call raises only within its
+    error bar of a jump, which no query at seed 1 is.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads

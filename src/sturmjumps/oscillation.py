@@ -19,9 +19,11 @@ negative eigenvalues is
 
     N(lambda) = ceil(theta_b/pi) - 1
 
-away from them.  A theta_b/pi within the call's own resolution
-rtol * max(theta_b/pi, 1) of an integer k counts as that jump, N = k - 1:
-the new zero sits at b and the zero eigenvalue is not negative.
+away from them.  One rule decides whether lambda sits on a jump: it is at
+jump k when |theta_b - k pi| <= error_estimate, the call's own error bar.
+There the count is k - 1, N = ceil((theta_b - error_estimate)/pi) - 1,
+since the new zero may sit at b and the zero eigenvalue is not negative,
+and ``count_negative`` raises AtJumpAmbiguity instead.
 
 The cell propagator of ``propagator`` covers the bulk: all of [a, b] for
 the theorem class and for every end with declared exponent 0.  On the
@@ -92,9 +94,6 @@ __all__ = [
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
-# count_negative's default at-jump guard: theta_b/pi closer than this to an integer is ambiguous
-JUMP_GUARD = 1e-7
-
 # largest lambda xi a sliver is seeded at: below j_(nu,1) > j_(0,1) = 2.405 for every nu > 0
 _Z0 = 2.0
 
@@ -120,7 +119,7 @@ class PhaseError(RuntimeError):
 
 
 class AtJumpAmbiguity(RuntimeError):
-    """theta_b/pi sits inside the guard band around an integer; the caller decides."""
+    """theta_b sits within the call's error bar, or the caller's guard band, of a jump; the caller decides."""
 
     def __init__(self, lam: float, theta_b: float):
         super().__init__(
@@ -326,16 +325,19 @@ def _slivers(tasks) -> list:
     alike, go into one stacked solve for all tasks.  The check starts at
     the first level k with lam xi_k <= _Z0 and moves deeper, by one level
     or, once two gaps fall by half a level or more, to where their rate
-    would meet the target.  The angle is read at each octave's end on the
-    branch nearest its advance lam Delta xi, from which it strays by at
-    most |ln V(t_k)/V(t_(k+1))|/4.  Returns one (angle, cells, rejected,
-    error) per task, error being _SEED_ERROR times the seed gap plus the
-    pieces' |fine - coarse|.
+    would meet the target.  It carries level k+1's seed across octave k,
+    the answer's first octave, and a task whose check holds is carried on
+    to the bulk's edge in the same round.  The angle is read at each
+    octave's end on the branch nearest its advance lam Delta xi, from
+    which it strays by at most |ln V(t_k)/V(t_(k+1))|/4.  Returns one
+    (angle, cells, rejected, error) per task, error being _SEED_ERROR
+    times the seed gap plus the pieces' |fine - coarse|.
     """
     ks = [next(k for k in itertools.count() if not (ladder.reach(k) and lam * ladder.xi[k] > _Z0)) for ladder, lam, _ in tasks]
     cells = [[] for _ in tasks]  # each task's octaves 0, 1, ... so far: their pieces' transfers
     failed = [[] for _ in tasks]
-    checked = [None] * len(tasks)  # the passing check's seed angle at level k+1 and its gap
+    out = [None] * len(tasks)
+    missed = []  # tasks whose pieces miss the target, raised once no ladder can run out first
     pending = range(len(tasks))
     while pending:
         jobs = []
@@ -354,10 +356,20 @@ def _slivers(tasks) -> list:
             (ladder, lam, target), k = tasks[i], ks[i]
             xi, sq = ladder.xi, ladder.sq
             theta = ladder.seed(lam, k + 1)
-            u, du, _, _ = _carry(cells[i][k], math.sin(theta), lam * sq[k + 1] * math.cos(theta))
-            gap = abs(_branch(math.atan2(lam * sq[k] * u, du), theta + lam * (xi[k] - xi[k + 1])) - ladder.seed(lam, k))
-            if gap < target:
-                checked[i] = (theta, gap)
+            u, du, miss = math.sin(theta), lam * sq[k + 1] * math.cos(theta), 0.0
+            for j in range(k, -1, -1):  # octave k checks the seed; the rest follow once it holds
+                u, du, uc, dc = _carry(cells[i][j], u, du)
+                s = lam * sq[j]
+                theta = _branch(math.atan2(s * u, du), theta + lam * (xi[j] - xi[j + 1]))
+                if j == k:
+                    gap = abs(theta - ladder.seed(lam, k))
+                    if not gap < target:
+                        break
+                miss += abs(_branch(math.atan2(s * uc, dc), theta) - theta)
+            else:
+                if miss > target:
+                    missed.append(i)
+                out[i] = (theta, sum(len(octave) for octave in cells[i]), len(failed[i]), _SEED_ERROR * gap + miss)
                 continue
             failed[i].append((k, gap))
             deeper = 1
@@ -370,19 +382,9 @@ def _slivers(tasks) -> list:
             ks[i] = min(k + deeper, len(ladder.x) - 1)
             still.append(i)
         pending = still
-    out = []
-    for (ladder, lam, target), k, octaves, (theta, gap), rejected in zip(tasks, ks, cells, checked, failed):
-        xi, sq = ladder.xi, ladder.sq
-        u, du = math.sin(theta), lam * sq[k + 1] * math.cos(theta)
-        miss = 0.0
-        for j in range(k, -1, -1):
-            u, du, uc, dc = _carry(octaves[j], u, du)
-            s = lam * sq[j]
-            theta = _branch(math.atan2(s * u, du), theta + lam * (xi[j] - xi[j + 1]))
-            miss += abs(_branch(math.atan2(s * uc, dc), theta) - theta)
-        if miss > target:
-            raise PhaseError(f"the sliver's collocation cells near {ladder.end} miss rtol at lambda={lam!r}")
-        out.append((theta, sum(len(octave) for octave in octaves), len(rejected), _SEED_ERROR * gap + miss))
+    if missed:
+        ladder, lam, _ = tasks[min(missed)]
+        raise PhaseError(f"the sliver's collocation cells near {ladder.end} miss rtol at lambda={lam!r}")
     return out
 
 
@@ -437,42 +439,34 @@ def _phases(p: Potential, lams, rtol: float) -> list[PhaseResult]:
     try:
         if (x_l, x_r) == (p.a, p.b):  # no singular end, no sliver
             bulk = propagate_lanes(p, lams, rtol, [0.0] * len(lams))
-            return [_result(lam, rtol, *lane) for lam, lane in zip(lams, bulk)]
+            return [_result(lam, *lane) for lam, lane in zip(lams, bulk)]
         ends = _ends(p, lams, rtol, x_l, x_r, bulk_mesh(p, rtol).length)
         bulk = propagate_lanes(p, lams, rtol, [end[0] for end in ends])
     except (ArithmeticError, ValueError, QuadratureError) as exc:
         raise _phase_error(exc) from None
     return [
-        _result(lam, rtol, theta + beta, cells, estimate + gap, steps, rejected)
+        _result(lam, theta + beta, cells, estimate + gap, steps, rejected)
         for lam, (_, beta, steps, rejected, gap), (theta, cells, estimate) in zip(lams, ends, bulk)
     ]
 
 
-def _result(lam, rtol, theta_b, cells, estimate, steps=0, rejected=0):
-    # at a jump, to the call's own tolerance, the new zero sits at x = b
-    # and the zero eigenvalue is excluded from the count
-    t = theta_b / _PI
-    nearest = round(t)
-    count = nearest - 1 if abs(t - nearest) < rtol * max(t, 1.0) else math.ceil(t) - 1
-    return PhaseResult(lam, theta_b, max(count, 0), steps, rejected, cells, max(estimate, _ULP_FLOOR * math.ulp(theta_b)))
+def _result(lam, theta_b, cells, estimate, steps=0, rejected=0):
+    # within the error bar above k pi the count is k - 1: the new zero may sit at x = b, and the zero
+    # eigenvalue is not negative
+    bar = max(estimate, _ULP_FLOOR * math.ulp(theta_b))
+    return PhaseResult(lam, theta_b, max(math.ceil((theta_b - bar) / _PI) - 1, 0), steps, rejected, cells, bar)
 
 
-def count_negative(
-    p: Potential,
-    lam: float,
-    rtol: float = 1e-10,
-    jump_guard: float = JUMP_GUARD,
-) -> int:
-    """N(lambda), guarding against lambda landing numerically on a jump.
+def count_negative(p: Potential, lam: float, rtol: float = 1e-10, jump_guard: float = 0.0) -> int:
+    """N(lambda), refusing where lambda sits on a jump: ``phase``'s count elsewhere.
 
-    Inside the guard band the count is genuinely ambiguous at the working
-    tolerance and AtJumpAmbiguity (carrying theta_b) is raised so the
-    caller can decide; tighten ``jump_guard`` together with ``rtol`` when
-    probing deliberately close to a jump.  Outside it the count is
-    ``phase``'s.
+    lambda is at jump k when |theta_b - k pi| <= max(error_estimate, pi *
+    jump_guard); there AtJumpAmbiguity (carrying theta_b) is raised so the
+    caller can decide.  At the default guard of 0 that is exactly where
+    ``phase``'s count takes k - 1 within the error bar; a positive
+    ``jump_guard`` widens the band to |theta_b/pi - k| <= jump_guard.
     """
     result = phase(p, lam, rtol=rtol)
-    t = result.theta_b / _PI
-    if abs(t - round(t)) < jump_guard:
+    if abs(result.theta_b - _PI * round(result.theta_b / _PI)) <= max(result.error_estimate, _PI * jump_guard):
         raise AtJumpAmbiguity(lam, result.theta_b)
     return result.count

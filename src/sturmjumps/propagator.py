@@ -394,9 +394,6 @@ def _etas(x: np.ndarray, ax: np.ndarray, low: float, top: float):
     """
     r = np.sqrt(ax)
     pos = None if low > 0.0 else x > 0.0
-    if top < _SMALL_X:  # all from the series, and no cosh can overflow
-        em1 = np.cos(r) if pos is None else np.where(pos, np.cos(r), np.cosh(r))
-        return em1, *_eta_series(x.reshape(-1)).reshape(-1, *x.shape), None, None
     xe3 = xe4 = None
     with np.errstate(all="ignore"):  # x = 0, the unused cosh branch, and a near cell's x eta_3 and x eta_4
         em1 = np.cos(r) if pos is None else np.where(pos, np.cos(r), np.cosh(r))

@@ -166,8 +166,8 @@ def integrate_sqrt_v(p: Potential, x0: float, x1: float, tol: float = 1e-12) -> 
     """
     if not (p.a <= x0 < x1 <= p.b):
         raise ValueError(f"need p.a <= x0 < x1 <= p.b, got [{x0}, {x1}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     at_a, at_b = x0 == p.a and p.gamma_a != 0.0, x1 == p.b and p.gamma_b != 0.0
     share = tol / (1 + at_a + at_b)
     lo, hi = x0 + at_a * 0.25 * (x1 - x0), x1 - at_b * 0.25 * (x1 - x0)
@@ -202,8 +202,8 @@ def integrate_sqrt_v_segments(p: Potential, xs, tol: float = 1e-12) -> SegmentsR
         raise ValueError("need at least two strictly increasing points")
     if not (p.a <= xs[0] and xs[-1] <= p.b):
         raise ValueError(f"need points in [p.a, p.b], got [{xs[0]}, {xs[-1]}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     fv = p.value_fn_np
     v_floor = _v_floor(p)
     evals = 0

@@ -67,8 +67,8 @@ def test_tolerance_convergence(v_sin):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_count_band_follows_rtol(v_sin, n):
     # criterion 8's rule at rtol 1e-12: theta_b/pi at lambda_n(1 +/- 1e-8) is about
-    # 1e-8 * n off the integer, far outside the call's resolution 1e-12 * n, so
-    # phase() counts it like count_negative does, as off the jump
+    # 1e-8 * n off the integer, far outside the call's error bar, so phase()
+    # counts it like count_negative does, as off the jump
     from sturmjumps.jumps import find_jump
 
     lam = find_jump(v_sin, n).lambda_n
@@ -81,6 +81,42 @@ def test_at_jump_ambiguity_raised(v_one):
     with pytest.raises(AtJumpAmbiguity) as err:
         count_negative(v_one, 3.0)
     assert err.value.theta_b == pytest.approx(3.0 * math.pi, rel=1e-12)
+
+
+def test_count_takes_the_side_the_error_bar_proves(v_sin):
+    # at lambda_5 (1 + 1e-10) and rtol 1e-9 theta_b exceeds 5 pi by ~1.5e-9, thousands of
+    # error bars, yet within rtol * theta_b: the count is 5 and count_negative does not refuse
+    from sturmjumps.jumps import find_jump
+
+    lam = find_jump(v_sin, 5).lambda_n * (1.0 + 1e-10)
+    res = phase(v_sin, lam, rtol=1e-9)
+    assert 1000.0 * res.error_estimate < res.theta_b - 5.0 * math.pi < 1e-9 * res.theta_b
+    assert res.count == 5
+    assert count_negative(v_sin, lam, rtol=1e-9) == 5
+
+
+def test_count_negative_refuses_exactly_where_the_count_is_at_a_jump(v_one, v_sin):
+    # one rule: lambda is at jump k when |theta_b - k pi| <= error_estimate; there the count is
+    # k - 1 and count_negative raises at its default guard, elsewhere it returns phase's count
+    from sturmjumps.jumps import find_jump
+
+    cases = [(v_one, 2.0), (v_one, 3.0), (Potential.from_formula("(1+x)^(-4)", 0.0, 1.0), 20.0 * math.pi)]
+    for n in (1, 20):
+        lam = find_jump(v_sin, n, tol=1e-13).lambda_n
+        cases += [(v_sin, lam * (1.0 + d)) for d in (0.0, 1e-13, -1e-13, 1e-10, -1e-10)]
+    at_jump = 0
+    for p, lam in cases:
+        res = phase(p, lam)
+        k = round(res.theta_b / math.pi)
+        if abs(res.theta_b - k * math.pi) <= res.error_estimate:
+            at_jump += 1
+            assert res.count == k - 1
+            with pytest.raises(AtJumpAmbiguity):
+                count_negative(p, lam)
+        else:
+            assert res.count == math.ceil(res.theta_b / math.pi) - 1
+            assert count_negative(p, lam) == res.count
+    assert 0 < at_jump < len(cases)
 
 
 def test_invalid_arguments(v_one):
@@ -377,6 +413,19 @@ def test_sliver_whose_cells_miss_raises(v_linear, monkeypatch):
     monkeypatch.setattr(oscillation, "_PIECE_Z", math.inf)
     with pytest.raises(PhaseError, match="collocation cells near a miss rtol"):
         phase(v_linear, 4700.0, rtol=1e-11)
+
+
+def test_sliver_ladder_error_comes_before_a_miss(v_linear, monkeypatch):
+    # two slivers of one call: the first is finished, missing its target, in
+    # the first round; the second's check never passes and its ladder runs
+    # out rounds later.  The ladder's error is the one raised.
+    monkeypatch.setattr(oscillation, "_PIECE_Z", math.inf)
+    ladder, lam, rtol = oscillation._ladder(v_linear, "a"), 4700.0, 1e-11
+    target = oscillation._SEED_SHARE * rtol * max(lam * bulk_mesh(v_linear, rtol).length, math.pi)
+    with pytest.raises(PhaseError, match="collocation cells near a miss rtol"):
+        oscillation._slivers([(ladder, lam, target)])
+    with pytest.raises(PhaseError, match="ladder near a ran out of levels"):
+        oscillation._slivers([(ladder, lam, target), (ladder, 100.0, 0.0)])
 
 
 def test_vanishing_mirror_runs_to_lambda_2000(v_rational):

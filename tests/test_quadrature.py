@@ -206,6 +206,16 @@ def test_segments_bad_points_rejected(v_one):
         integrate_sqrt_v_segments(v_one, [0.0, 1.0], 0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_non_finite_tolerance_is_rejected(tol):
+    # a NaN or infinite tol passed every segment's check and returned a value with no tolerance behind it
+    p = Potential.from_formula("2+sin(x)", 0.0, 3.0)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate_sqrt_v(p, 0.0, 3.0, tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate_sqrt_v_segments(p, [0.0, 1.5, 3.0], tol)
+
+
 def test_failing_point_evaluation_names_its_node():
     # V = sqrt(x - 1e-6) is negative next to a = 0, where the octaves' last
     # level reads V and V' from the jet, whose error names the node; phase
